@@ -20,6 +20,7 @@ average-adjusted value are maintained on the side.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -51,6 +52,17 @@ class PlayerParams:
     avg_reward_rate: float = 0.01
 
     def __post_init__(self):
+        for name in (
+            "risk_aversion",
+            "exploit_prob",
+            "explore_std",
+            "explore_decay",
+            "value_rate",
+            "avg_reward_rate",
+        ):
+            value = getattr(self, name)
+            if not math.isfinite(value):
+                raise SetFunctionError(f"{name} must be finite, got {value!r}")
         if self.risk_aversion <= 0:
             raise SetFunctionError(f"risk aversion must be > 0, got {self.risk_aversion}")
         if self.kind not in AGENT_KINDS:

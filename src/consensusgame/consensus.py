@@ -168,6 +168,18 @@ def step_truthful(profile: OpinionProfile, influence: InfluenceMatrix) -> Opinio
     return OpinionProfile(profile.step + 1, opinions, opinions)
 
 
+def strategic_update(
+    v: np.ndarray, x: np.ndarray, w: np.ndarray, theta: float
+) -> np.ndarray:
+    """The strategic update law on stacked opinions, one row per player.
+
+    ``v`` holds the true and ``x`` the revealed opinions of the previous
+    step (same shape, any number of coalition columns); returns
+    theta * W x + (1 - theta) * v.
+    """
+    return theta * (w @ x) + (1.0 - theta) * v
+
+
 def step_strategic(
     profile: OpinionProfile, influence: InfluenceMatrix, theta: float
 ) -> OpinionProfile:
@@ -184,7 +196,7 @@ def step_strategic(
     _check_dims(profile, influence)
     v = np.stack([f.values for f in profile.opinions])
     x = np.stack([f.values for f in profile.revealed])
-    mixed = theta * (influence.w @ x) + (1.0 - theta) * v
+    mixed = strategic_update(v, x, influence.w, theta)
     opinions = tuple(SetFunction(profile.n, row) for row in mixed)
     return OpinionProfile(profile.step + 1, opinions, None)
 

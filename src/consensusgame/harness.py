@@ -20,17 +20,19 @@ Trace CSV layout (one file, fixed header, full-precision floats):
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .agents import PlayerParams, RLearningAgent, make_agent, step_reward
-from .consensus import InfluenceMatrix, OpinionProfile, step_strategic
+from .consensus import InfluenceMatrix, strategic_update
 from .core import bayesian_core_is_empty
 from .setfn import (
     GroundTruthSpec,
     SamplerError,
     SetFunction,
+    SetFunctionError,
     num_restricted,
     random_supermodular,
     sample_supermodular_opinion,
@@ -44,6 +46,9 @@ EXPERIMENT_KINDS = ("simulate", "efficiency", "core-emptiness", "po-sweep")
 
 class ScenarioError(ValueError):
     """Scenario file rejected; message names the offending key."""
+
+
+_EXPECTED = {int: "integer", float: "finite number", str: "string", bool: "true or false"}
 
 
 @dataclass(frozen=True)
@@ -156,28 +161,28 @@ def run_simulation(scenario: Scenario) -> SimulationTrace:
     rewards = np.empty((horizon, n))
     disutility = np.empty(horizon)
 
-    profile = OpinionProfile(0, tuple(scenario.initial_opinions))
+    # full coalition-value rows, one per player, the shape step_strategic
+    # stacks: the loop then rounds exactly as that function does; the trace
+    # keeps the restricted columns
+    v = np.stack([f.values for f in scenario.initial_opinions])
     state = np.zeros(m)  # broadcast mean revealed opinion; nothing revealed yet
     converged_at = None
     steps = horizon
 
-    def snapshot(k: int, prof: OpinionProfile) -> None:
-        for i, f in enumerate(prof.opinions):
-            opinions[k, i] = f.restricted()
+    def snapshot(k: int, v: np.ndarray) -> None:
+        opinions[k] = v[:, 1:-1]
         average[k] = t @ opinions[k]
         shapley[k] = form.apply_restricted(average[k])
 
-    snapshot(0, profile)
+    snapshot(0, v)
     for k in range(horizon):
         us = np.stack([agent.act(state, rng) for agent in agents])
-        xs = tuple(
-            SetFunction.from_restricted(
-                n, f.restricted() + us[i], grand=f.grand_value
-            )
-            for i, f in enumerate(profile.opinions)
-        )
-        profile = profile.with_revealed(xs)
-        revealed[k] = opinions[k] + us
+        x = v.copy()
+        x[:, 1:-1] += us
+        v = strategic_update(v, x, influence.w, theta)
+        if not (np.all(np.isfinite(x)) and np.all(np.isfinite(v))):
+            raise SetFunctionError("payoff values must be finite")
+        revealed[k] = x[:, 1:-1]
         deviations[k] = us
         mean_dev = t @ us
         var_total = float(np.sum(t @ (us * us) - mean_dev * mean_dev))
@@ -193,8 +198,7 @@ def run_simulation(scenario: Scenario) -> SimulationTrace:
                 opp_var = float(np.sum(opp_sq - opp_mean * opp_mean))
                 agent.observe(state, us[i], opp_mean, opp_var, rewards[k, i])
         state = t @ revealed[k]
-        profile = step_strategic(profile, influence, theta)
-        snapshot(k + 1, profile)
+        snapshot(k + 1, v)
         if np.max(np.abs(opinions[k + 1] - opinions[k])) < CONVERGENCE_TOL:
             converged_at = k + 1
             steps = k + 1
@@ -515,32 +519,55 @@ def scenario_from_dict(raw: dict, source: str = "<scenario>") -> Scenario:
     def fail(key: str, msg: str):
         raise ScenarioError(f"{source}: {key}: {msg}")
 
+    def check(key: str, kind: type, value):
+        """Typed scalar of kind int, float (finite), str or bool.
+
+        A JSON bool is an int to Python; it is accepted only as a bool.
+        """
+        if kind is float:
+            ok = isinstance(value, (int, float)) and math.isfinite(value)
+        else:
+            ok = isinstance(value, kind)
+        if not ok or isinstance(value, bool) != (kind is bool):
+            fail(key, f"{_EXPECTED[kind]} required, got {value!r}")
+        return kind(value)
+
+    def read(key: str, kind: type, default):
+        return check(key, kind, raw.get(key, default))
+
+    def finite_array(key: str, value, shape: tuple) -> np.ndarray:
+        try:
+            arr = np.asarray(value, dtype=float)
+        except (TypeError, ValueError):
+            fail(key, "numeric array required")
+        if arr.shape != shape:
+            fail(key, f"expected shape {shape}, got {arr.shape}")
+        if not np.all(np.isfinite(arr)):
+            fail(key, "values must be finite")
+        return arr
+
     if not isinstance(raw, dict):
         raise ScenarioError(f"{source}: scenario must be a JSON object")
     kind = raw.get("kind", "simulate")
     if kind not in EXPERIMENT_KINDS:
         fail("kind", f"must be one of {EXPERIMENT_KINDS}, got {kind!r}")
 
-    n = raw.get("n")
-    if not isinstance(n, int) or n < 1:
+    n = read("n", int, None)
+    if n < 1:
         fail("n", f"positive integer player count required, got {n!r}")
-    theta = raw.get("theta")
-    if not isinstance(theta, (int, float)) or not 0.0 < float(theta) < 1.0:
+    theta = read("theta", float, None)
+    if not 0.0 < theta < 1.0:
         fail("theta", f"trust parameter in (0, 1) required, got {theta!r}")
-    horizon = raw.get("horizon")
-    if not isinstance(horizon, int) or horizon < 0:
+    horizon = read("horizon", int, None)
+    if horizon < 0:
         fail("horizon", f"nonnegative integer required, got {horizon!r}")
-    seed = raw.get("seed")
-    if not isinstance(seed, int):
-        fail("seed", "an explicit integer seed is mandatory for reproducibility")
+    seed = read("seed", int, None)
 
     influence_raw = raw.get("influence")
     if influence_raw == "random_primitive":
         influence = random_primitive_influence(n, np.random.default_rng([seed, 1]))
     elif isinstance(influence_raw, list):
-        influence = np.asarray(influence_raw, dtype=float)
-        if influence.shape != (n, n):
-            fail("influence", f"must be an {n}x{n} matrix")
+        influence = finite_array("influence", influence_raw, (n, n))
         if np.any(influence < 0) or np.max(np.abs(influence.sum(axis=1) - 1.0)) > 1e-9:
             fail("influence", "rows must be nonnegative and sum to 1")
     else:
@@ -567,10 +594,10 @@ def scenario_from_dict(raw: dict, source: str = "<scenario>") -> Scenario:
                 "initial_opinions.ground_truth.family",
                 f"unknown {spec.get('family')!r}; options: {sorted(TRUTH_FAMILIES)}",
             )
-        sigma = spec.get("sigma")
-        if not isinstance(sigma, (int, float)) or sigma < 0:
+        sigma = check("initial_opinions.ground_truth.sigma", float, spec.get("sigma"))
+        if sigma < 0:
             fail("initial_opinions.ground_truth.sigma", "nonnegative number required")
-        truth_spec = GroundTruthSpec(family(n), np.full(n, float(sigma)))
+        truth_spec = GroundTruthSpec(family(n), np.full(n, sigma))
         # the dynamics keep the grand value fixed, so sampling leaves it at
         # the truth's (normalized) value
         initial_opinions = tuple(
@@ -586,13 +613,10 @@ def scenario_from_dict(raw: dict, source: str = "<scenario>") -> Scenario:
         for i, item in enumerate(opinions_raw):
             if not isinstance(item, dict) or "restricted" not in item:
                 fail(f"initial_opinions[{i}]", 'object with "restricted" list required')
-            restricted = np.asarray(item["restricted"], dtype=float)
-            if restricted.shape != (num_restricted(n),):
-                fail(
-                    f"initial_opinions[{i}].restricted",
-                    f"expected {num_restricted(n)} values",
-                )
-            grand = float(item.get("grand", 1.0))
+            restricted = finite_array(
+                f"initial_opinions[{i}].restricted", item["restricted"], (num_restricted(n),)
+            )
+            grand = check(f"initial_opinions[{i}].grand", float, item.get("grand", 1.0))
             parsed.append(SetFunction.from_restricted(n, restricted, grand))
         initial_opinions = tuple(parsed)
     else:
@@ -627,21 +651,26 @@ def scenario_from_dict(raw: dict, source: str = "<scenario>") -> Scenario:
     elif kind == "simulate":
         fail("players", "required for kind 'simulate'")
 
+    po_values = raw.get("po_values", [])
+    if not isinstance(po_values, list):
+        fail("po_values", f"list of numbers required, got {po_values!r}")
+    for p in po_values:  # kept as written: the sweep CSV echoes them with repr
+        check("po_values", float, p)
     return Scenario(
         kind=kind,
         n=n,
-        theta=float(theta),
+        theta=theta,
         horizon=horizon,
         seed=seed,
         influence=influence,
         initial_opinions=initial_opinions,
         players=players,
-        p_o=float(raw.get("p_o", 1.0)),
-        po_values=tuple(raw.get("po_values", ())),
-        trials=int(raw.get("trials", 0)),
-        n_min=int(raw.get("n_min", 2)),
-        n_max=int(raw.get("n_max", 8)),
-        sigma=float(raw.get("sigma", 0.0)),
-        truth_family=str(raw.get("truth_family", "quadratic")),
-        perturb_grand=bool(raw.get("perturb_grand", True)),
+        p_o=read("p_o", float, 1.0),
+        po_values=tuple(po_values),
+        trials=read("trials", int, 0),
+        n_min=read("n_min", int, 2),
+        n_max=read("n_max", int, 8),
+        sigma=read("sigma", float, 0.0),
+        truth_family=read("truth_family", str, "quadratic"),
+        perturb_grand=read("perturb_grand", bool, True),
     )

@@ -145,46 +145,24 @@ def _local_increment_index(n: int):
 
 
 def is_supermodular(
-    f: SetFunction,
-    strict: bool = False,
-    tol: float = DEFAULT_STRICT_TOL,
-    method: str = "local",
+    f: SetFunction, strict: bool = False, tol: float = DEFAULT_STRICT_TOL
 ) -> bool:
     """Decide (strict) supermodularity of a payoff function.
 
-    Two equivalent characterizations are available:
-
-    - ``"local"``: incremental form, f(S+i+j) + f(S) >= f(S+i) + f(S+j)
-      over all pairs i != j and all S avoiding both.  O(n^2 2^n).
-    - ``"pairwise"``: f(X|Y) + f(X&Y) >= f(X) + f(Y) over all coalition
-      pairs.  O(4^n), kept as the reference path.
-
-    Strictness is required only where the inequality is not forced into
-    equality by nesting: every incremental triple for ``"local"``, and
-    incomparable X, Y for ``"pairwise"``.
+    Checks the incremental form f(S+i+j) + f(S) >= f(S+i) + f(S+j) over
+    all pairs i != j and all S avoiding both, O(n^2 2^n).  It is equivalent
+    to f(X|Y) + f(X&Y) >= f(X) + f(Y) over all coalition pairs, with
+    strictness on every incremental triple matching strictness on
+    incomparable X, Y.
     """
     if tol < 0:
         raise SetFunctionError("tolerance must be nonnegative")
+    s, si, sj, sij = _local_increment_index(f.n)
+    if s.size == 0:
+        return True
     vals = f.values
-    margin = tol if strict else -tol
-    if method == "local":
-        s, si, sj, sij = _local_increment_index(f.n)
-        if s.size == 0:
-            return True
-        gaps = vals[sij] + vals[s] - vals[si] - vals[sj]
-        return bool(np.all(gaps >= margin))
-    if method == "pairwise":
-        masks = np.arange(1 << f.n)
-        x, y = np.meshgrid(masks, masks, indexing="ij")
-        lhs = vals[x | y] + vals[x & y]
-        rhs = vals[x] + vals[y]
-        if strict:
-            incomparable = ((x & ~y) != 0) & ((y & ~x) != 0)
-            ok_strict = lhs[incomparable] >= rhs[incomparable] + tol
-            ok_rest = lhs[~incomparable] >= rhs[~incomparable] - tol
-            return bool(np.all(ok_strict)) and bool(np.all(ok_rest))
-        return bool(np.all(lhs >= rhs - tol))
-    raise SetFunctionError(f"unknown method {method!r}")
+    gaps = vals[sij] + vals[s] - vals[si] - vals[sj]
+    return bool(np.all(gaps >= (tol if strict else -tol)))
 
 
 def weighted_average(fs: list[SetFunction], weights) -> SetFunction:

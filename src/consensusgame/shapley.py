@@ -1,10 +1,15 @@
 """Shapley allocations and their linear-form representation.
 
+Both rest on one size-weight table w[s] = s! (n-s-1)! / n!, the weight a
+coalition of s players avoiding player i carries in i's Shapley sum.
+
 For a fixed player count, the Shapley payoff of each player is an affine
 function of the payoff vector.  On normalized functions (empty coalition
 worth 0, grand coalition worth 1) the payoff of player i is
 ``1/n + d_i . restricted(f)`` with m-vector coefficient rows d_i that sum
-to zero across players.  The strategic opinion dynamics consume those rows.
+to zero across players.  In closed form, d_i[T] is w[|T|-1] when i is in
+coalition T and -w[|T|] otherwise.  The strategic opinion dynamics consume
+those rows.
 """
 
 from __future__ import annotations
@@ -14,7 +19,7 @@ from math import factorial
 
 import numpy as np
 
-from .setfn import SetFunction, SetFunctionError, num_restricted
+from .setfn import SetFunction, SetFunctionError, membership_matrix, num_restricted
 
 
 @dataclass(frozen=True)
@@ -33,6 +38,12 @@ class Allocation:
         object.__setattr__(self, "payoffs", pay)
 
 
+def shapley_weights(n: int) -> np.ndarray:
+    """Size weights w[s] = s! (n-s-1)! / n! for s = 0..n-1."""
+    fact = np.array([factorial(k) for k in range(n + 1)], dtype=float)
+    return fact[:n] * fact[n - 1 :: -1] / fact[n]
+
+
 def shapley_value(f: SetFunction) -> Allocation:
     """Exact Shapley allocation by the direct coalition-sum formula.
 
@@ -44,8 +55,7 @@ def shapley_value(f: SetFunction) -> Allocation:
     vals = f.values
     masks = np.arange(1 << n)
     sizes = np.bitwise_count(masks)
-    fact = np.array([factorial(k) for k in range(n + 1)], dtype=float)
-    weight_by_size = fact[:n] * fact[n - 1 :: -1] / fact[n]
+    weight_by_size = shapley_weights(n)
     payoffs = np.empty(n)
     for i in range(n):
         bit = 1 << i
@@ -91,21 +101,19 @@ class ShapleyLinearForm:
 
 
 def shapley_linear_form(n: int) -> ShapleyLinearForm:
-    """Extract the linear form by evaluating Shapley values on indicators.
+    """Closed-form linear form: d_i[T] = w[|T|-1] if i in T, else -w[|T|].
 
-    The base function worth 1 only at the grand coalition allocates 1/n to
-    everyone; adding a unit indicator at one proper coalition and
-    differencing recovers that coalition's coefficient column, by linearity.
+    Each coefficient is rounded as the difference of two Shapley payoffs,
+    ``(w[n-1] + d_i[T]) - w[n-1]``: the payoff at the grand-coalition
+    indicator is w[n-1] for every player, and adding a unit indicator at T
+    moves it by d_i[T].  The rows are then bit-for-bit those that
+    indicator probing of ``shapley_value`` yields.
     """
     if not 2 <= n <= 12:
         raise SetFunctionError(f"linear form supported for 2 <= n <= 12, got {n}")
-    m = num_restricted(n)
-    base_vals = np.zeros(1 << n)
-    base_vals[-1] = 1.0
-    base = shapley_value(SetFunction(n, base_vals)).payoffs
-    rows = np.empty((n, m))
-    for col in range(m):
-        vals = base_vals.copy()
-        vals[col + 1] += 1.0
-        rows[:, col] = shapley_value(SetFunction(n, vals)).payoffs - base
+    w = shapley_weights(n)
+    member = membership_matrix(n)[1:-1].T  # (n, m): player i in coalition T
+    sizes = member.sum(axis=0)
+    signed = np.where(member, w[sizes - 1], -w[sizes])
+    rows = (w[n - 1] + signed) - w[n - 1]
     return ShapleyLinearForm(n, rows, 1.0 / n)

@@ -294,3 +294,6 @@ class TestRLearningAgent:
             PlayerParams(risk_aversion=1.0, kind="bandit")
         with pytest.raises(SetFunctionError):
             PlayerParams(risk_aversion=1.0, exploit_prob=1.5)
+        for name in ("risk_aversion", "value_rate", "avg_reward_rate"):
+            with pytest.raises(SetFunctionError, match=name):
+                PlayerParams(**{"risk_aversion": 1.0, name: float("nan")})

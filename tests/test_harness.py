@@ -471,6 +471,51 @@ class TestCli:
         assert cli_main(["simulate", str(path)]) == 2
         assert "error:" in capsys.readouterr().err
 
+    def test_diverging_run_exits_two(self, tmp_path, capsys):
+        # theta / (2 p) overflows to inf, so the first revealed opinion is
+        # not finite
+        scenario = self._scenario_file(
+            tmp_path,
+            players=[
+                {"kind": "nash", "risk_aversion": 1e-310},
+                {"kind": "nash", "risk_aversion": 0.6363636363636364},
+            ],
+        )
+        assert cli_main(["simulate", str(scenario)]) == 2
+        assert "payoff values must be finite" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "patch,key",
+        [
+            ({"trials": "abc"}, "trials"),
+            ({"trials": True}, "trials"),
+            ({"sigma": "abc"}, "sigma"),
+            ({"sigma": float("inf")}, "sigma"),
+            ({"p_o": float("nan")}, "p_o"),
+            ({"po_values": ["x"]}, "po_values"),
+            ({"n_max": 8.5}, "n_max"),
+            ({"truth_family": 3}, "truth_family"),
+            ({"perturb_grand": "false"}, "perturb_grand"),
+            ({"influence": [[float("nan"), 0.7], [0.4, 0.6]]}, "influence"),
+            ({"initial_opinions": [{"restricted": [0.7, "a"]}, {"restricted": [0.3, 0.5]}]},
+             "initial_opinions[0].restricted"),
+            (
+                {
+                    "players": [
+                        {"kind": "nash", "risk_aversion": float("nan")},
+                        {"kind": "nash", "risk_aversion": 1.0},
+                    ]
+                },
+                "players[0]",
+            ),
+        ],
+    )
+    def test_malformed_keys_exit_two_naming_the_key(self, tmp_path, capsys, patch, key):
+        scenario = self._scenario_file(tmp_path, **patch)
+        assert cli_main(["simulate", str(scenario)]) == 2
+        err = capsys.readouterr().err
+        assert f"{key}:" in err and "Traceback" not in err
+
     def test_seed_override_changes_stochastic_runs(self, tmp_path):
         scenario = self._scenario_file(
             tmp_path,

@@ -84,7 +84,6 @@ class TestIsSupermodular:
     def test_squared_size_is_strictly_supermodular(self):
         f = size_based(3, lambda s: s * s)
         assert is_supermodular(f, strict=True)
-        assert is_supermodular(f, strict=True, method="pairwise")
 
     def test_modular_is_supermodular_but_not_strictly(self):
         f = size_based(3, lambda s: float(s))
@@ -111,9 +110,8 @@ class TestIsSupermodular:
             f = SetFunction(n, vals)
             for strict in (False, True):
                 local = is_supermodular(f, strict=strict)
-                pairwise = is_supermodular(f, strict=strict, method="pairwise")
                 oracle = supermodular_bruteforce(f, strict=strict)
-                assert local == pairwise == oracle
+                assert local == oracle
 
 
 class TestWeightedAverage:

@@ -26,6 +26,24 @@ def shapley_by_permutations(f: SetFunction) -> np.ndarray:
     return totals / count
 
 
+def linear_form_by_indicators(n: int) -> np.ndarray:
+    """Oracle: linear-form rows by differencing Shapley values of indicators.
+
+    The function worth 1 only at the grand coalition allocates the base
+    payoffs; adding a unit indicator at one proper coalition and
+    differencing recovers that coalition's coefficient column.
+    """
+    base_vals = np.zeros(1 << n)
+    base_vals[-1] = 1.0
+    base = shapley_value(SetFunction(n, base_vals)).payoffs
+    rows = np.empty((n, (1 << n) - 2))
+    for col in range(rows.shape[1]):
+        vals = base_vals.copy()
+        vals[col + 1] += 1.0
+        rows[:, col] = shapley_value(SetFunction(n, vals)).payoffs - base
+    return rows
+
+
 def random_normalized(n: int, rng: np.random.Generator) -> SetFunction:
     vals = np.concatenate([[0.0], rng.uniform(-1, 1, size=(1 << n) - 2), [1.0]])
     return SetFunction(n, vals)
@@ -98,6 +116,11 @@ class TestLinearForm:
         np.testing.assert_allclose(form.rows[0], [0.5, -0.5], atol=1e-15)
         np.testing.assert_allclose(form.rows[1], [-0.5, 0.5], atol=1e-15)
         assert form.offset == 0.5
+
+    @pytest.mark.parametrize("n", range(2, 10))
+    def test_rows_bitwise_equal_indicator_oracle(self, n):
+        # traces are a byte-for-byte contract, so agreement must be exact
+        assert np.array_equal(shapley_linear_form(n).rows, linear_form_by_indicators(n))
 
     @pytest.mark.parametrize("n", range(2, 9))
     def test_rows_sum_to_zero(self, n):

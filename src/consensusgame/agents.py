@@ -196,9 +196,6 @@ class TruthfulAgent:
     def act(self, state: np.ndarray, rng: np.random.Generator) -> np.ndarray:
         return np.zeros(self.dim)
 
-    def observe(self, *args) -> None:
-        pass
-
 
 @dataclass
 class NashAgent:
@@ -210,9 +207,6 @@ class NashAgent:
 
     def act(self, state: np.ndarray, rng: np.random.Generator) -> np.ndarray:
         return nash_deviation(self.d_i, self.theta, self.params.risk_aversion)
-
-    def observe(self, *args) -> None:
-        pass
 
 
 @dataclass
@@ -233,9 +227,7 @@ class RLearningAgent:
     model: EnvironmentModel = field(init=False)
     avg_reward: float = field(init=False, default=0.0)
     value: float = field(init=False, default=0.0)
-    opponent_var: float = field(init=False, default=0.0)
     steps_acted: int = field(init=False, default=0)
-    steps_observed: int = field(init=False, default=0)
 
     def __post_init__(self):
         self.d_i = np.asarray(self.d_i, dtype=float)
@@ -257,16 +249,9 @@ class RLearningAgent:
         return action
 
     def observe(
-        self,
-        state: np.ndarray,
-        own_action: np.ndarray,
-        opponent_mean_deviation: np.ndarray,
-        opponent_deviation_var: float,
-        reward: float,
+        self, state: np.ndarray, opponent_mean_deviation: np.ndarray, reward: float
     ) -> None:
         self.model.update(state, opponent_mean_deviation)
-        self.steps_observed += 1
-        self.opponent_var += (opponent_deviation_var - self.opponent_var) / self.steps_observed
         beta = self.params.avg_reward_rate
         alpha = self.params.value_rate
         self.avg_reward += beta * (reward - self.avg_reward)

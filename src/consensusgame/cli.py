@@ -10,8 +10,9 @@ One subcommand per claim the library backs:
     exp-core-emptiness  per-n empty-core frequency over sampled opinions
     exp-po-sweep        opinion spread and core verdict across p_o
 
-Exit status is 0 when the run's verdict passes and 1 otherwise; errors
-report on stderr and exit 2.
+Exit status: 0 when the run's verdict passes, 1 when it fails, 2 on bad
+input or a run that cannot be decided (the error is reported on stderr).
+Verdicts are decided by the harness; this module only formats them.
 """
 
 from __future__ import annotations
@@ -23,15 +24,17 @@ from dataclasses import replace
 
 
 from .consensus import ConsensusError
-from .core import bayesian_core_is_empty, core_constraints, lp_feasible
+from .core import bayesian_core_is_empty, core_witness
 from .harness import (
     ScenarioError,
+    core_emptiness_verdict,
     dump_trace,
     emit_trace,
     experiment_core_emptiness,
     experiment_efficiency,
     experiment_po_sweep,
     load_scenario,
+    po_sweep_verdict,
     run_simulation,
 )
 from .setfn import SamplerError, SetFunctionError, read_setfn
@@ -86,7 +89,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("setfn")
 
     p = sub.add_parser("core-check", parents=shared, help="classical core emptiness")
-    p.add_argument("setfn")
+    p.add_argument("setfns", nargs=1, metavar="setfn")
 
     p = sub.add_parser("bayesian-core", parents=shared, help="Bayesian-core emptiness over opinions")
     p.add_argument("setfns", nargs="+")
@@ -111,9 +114,11 @@ def _write(args, text: str) -> None:
         sys.stdout.write(text)
 
 
-def _summary(args, record: dict) -> None:
+def _finish(args, record: dict) -> int:
+    """Print the result record if asked; map its pass flag to the exit status."""
     if args.json_summary:
         print(json.dumps(record, sort_keys=True))
+    return 0 if record["pass"] else 1
 
 
 def _load(args):
@@ -130,7 +135,7 @@ def _cmd_simulate(args) -> int:
         emit_trace(trace, args.out)
     else:
         sys.stdout.write(dump_trace(trace))
-    _summary(
+    return _finish(
         args,
         {
             "command": "simulate",
@@ -139,7 +144,6 @@ def _cmd_simulate(args) -> int:
             "pass": True,
         },
     )
-    return 0
 
 
 def _cmd_shapley(args) -> int:
@@ -148,11 +152,10 @@ def _cmd_shapley(args) -> int:
     lines = ["player,payoff"]
     lines += [f"{i},{float(p)!r}" for i, p in enumerate(allocation.payoffs)]
     _write(args, "\n".join(lines) + "\n")
-    _summary(
+    return _finish(
         args,
         {"command": "shapley", "payoffs": [float(p) for p in allocation.payoffs], "pass": True},
     )
-    return 0
 
 
 def _witness_csv(witness) -> str:
@@ -161,28 +164,19 @@ def _witness_csv(witness) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _cmd_core_check(args) -> int:
-    f = read_setfn(args.setfn)
-    feasible, witness = lp_feasible(core_constraints(f), tol=args.tol)
-    verdict = "nonempty" if feasible else "empty"
-    text = verdict + "\n"
-    if feasible:
-        text += _witness_csv(witness)
-    _write(args, text)
-    _summary(args, {"command": "core-check", "verdict": verdict, "pass": True})
-    return 0
-
-
-def _cmd_bayesian_core(args) -> int:
+def _cmd_core(args) -> int:
+    """core-check (one payoff file) and bayesian-core (one opinion per player)."""
     opinions = [read_setfn(p) for p in args.setfns]
-    empty, witness = bayesian_core_is_empty(opinions, tol=args.tol)
-    verdict = "empty" if empty else "nonempty"
+    if args.command == "core-check":
+        witness = core_witness(opinions[0], tol=args.tol)
+    else:
+        witness = bayesian_core_is_empty(opinions, tol=args.tol).witness
+    verdict = "empty" if witness is None else "nonempty"
     text = verdict + "\n"
     if witness is not None:
         text += _witness_csv(witness)
     _write(args, text)
-    _summary(args, {"command": "bayesian-core", "verdict": verdict, "pass": True})
-    return 0
+    return _finish(args, {"command": args.command, "verdict": verdict, "pass": True})
 
 
 def _cmd_exp_efficiency(args) -> int:
@@ -191,8 +185,7 @@ def _cmd_exp_efficiency(args) -> int:
     lines = ["key,value"]
     lines += [f"{k},{v!r}" for k, v in report.items()]
     _write(args, "\n".join(lines) + "\n")
-    _summary(args, {"command": "exp-efficiency", **report})
-    return 0 if report["pass"] else 1
+    return _finish(args, {"command": "exp-efficiency", **report})
 
 
 def _cmd_exp_core_emptiness(args) -> int:
@@ -204,14 +197,7 @@ def _cmd_exp_core_emptiness(args) -> int:
         for r in rows
     ]
     _write(args, "\n".join(lines) + "\n")
-    freqs = [r["frequency"] for r in rows]
-    inversions = sum(1 for a, b in zip(freqs, freqs[1:]) if b < a - 0.02)
-    trend = freqs[-1] > freqs[0] and inversions == 0
-    _summary(
-        args,
-        {"command": "exp-core-emptiness", "frequencies": freqs, "pass": bool(trend)},
-    )
-    return 0 if trend else 1
+    return _finish(args, {"command": "exp-core-emptiness", **core_emptiness_verdict(rows)})
 
 
 def _cmd_exp_po_sweep(args) -> int:
@@ -223,28 +209,14 @@ def _cmd_exp_po_sweep(args) -> int:
         for r in rows
     ]
     _write(args, "\n".join(lines) + "\n")
-    spreads = [r["spread"] for r in rows]
-    monotone = all(b <= a * (1 + 1e-9) + 1e-300 for a, b in zip(spreads, spreads[1:]))
-    nonempty_at_top = not rows[-1]["bayesian_core_empty"]
-    passed = monotone and nonempty_at_top
-    _summary(
-        args,
-        {
-            "command": "exp-po-sweep",
-            "spreads": spreads,
-            "monotone": monotone,
-            "nonempty_at_largest": nonempty_at_top,
-            "pass": passed,
-        },
-    )
-    return 0 if passed else 1
+    return _finish(args, {"command": "exp-po-sweep", **po_sweep_verdict(rows)})
 
 
 _COMMANDS = {
     "simulate": _cmd_simulate,
     "shapley": _cmd_shapley,
-    "core-check": _cmd_core_check,
-    "bayesian-core": _cmd_bayesian_core,
+    "core-check": _cmd_core,
+    "bayesian-core": _cmd_core,
     "exp-efficiency": _cmd_exp_efficiency,
     "exp-core-emptiness": _cmd_exp_core_emptiness,
     "exp-po-sweep": _cmd_exp_po_sweep,

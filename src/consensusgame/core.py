@@ -1,5 +1,12 @@
 """Core membership and (Bayesian) core emptiness via LP feasibility.
 
+There is one constraint system, ``A x >= b``: every proper coalition's
+payoff sum covers its (per-player maximum) value, and the budget stays
+under every player's grand-coalition value.  The classical core of f is
+the Bayesian core of n identical opinions f: raising any coordinate of a
+feasible allocation keeps every coalition row true, so budget slack is
+handed to one player to split the grand value exactly.
+
 The feasibility engine is a dense phase-1 simplex with Bland's anti-cycling
 rule.  Constraint systems here are tiny (hundreds of rows at most), so a
 deterministic zero-dependency solver beats an external one.
@@ -25,13 +32,9 @@ class SimplexError(RuntimeError):
 
 @dataclass(frozen=True)
 class LinearFeasibilityProblem:
-    """A x (>= | ==) b over free allocation variables.
-
-    ``senses[r]`` is ``">="`` or ``"=="`` per constraint row.
-    """
+    """A x >= b over free allocation variables; every row is a ``>=`` row."""
 
     a: np.ndarray
-    senses: tuple[str, ...]
     b: np.ndarray
 
     def __post_init__(self):
@@ -41,10 +44,6 @@ class LinearFeasibilityProblem:
             raise SetFunctionError("constraint matrix must be 2-d with >= 1 row")
         if b.shape != (a.shape[0],):
             raise SetFunctionError("right-hand side length must match row count")
-        if len(self.senses) != a.shape[0]:
-            raise SetFunctionError("one sense per constraint row required")
-        if any(s not in (">=", "==") for s in self.senses):
-            raise SetFunctionError("senses must be '>=' or '=='")
         if not (np.all(np.isfinite(a)) and np.all(np.isfinite(b))):
             raise SetFunctionError("constraint entries must be finite")
         a = a.copy()
@@ -53,7 +52,6 @@ class LinearFeasibilityProblem:
         b.setflags(write=False)
         object.__setattr__(self, "a", a)
         object.__setattr__(self, "b", b)
-        object.__setattr__(self, "senses", tuple(self.senses))
 
 
 class FeasibilityResult(NamedTuple):
@@ -61,11 +59,7 @@ class FeasibilityResult(NamedTuple):
     witness: np.ndarray | None
 
 
-def lp_feasible(
-    problem: LinearFeasibilityProblem,
-    tol: float = DEFAULT_TOL,
-    max_iter: int | None = None,
-) -> FeasibilityResult:
+def lp_feasible(problem: LinearFeasibilityProblem, tol: float = DEFAULT_TOL) -> FeasibilityResult:
     """Decide feasibility; return a witness allocation when feasible.
 
     Free variables are split into positive parts, every row gets an
@@ -75,19 +69,12 @@ def lp_feasible(
     once one leaves the basis it is retired, so only the structural block
     is pivoted.
     """
-    a, b, senses = problem.a, problem.b, problem.senses
+    a, b = problem.a, problem.b
     rows, nvars = a.shape
 
-    # Columns: x+ | x- | surplus (one per ">=" row); artificials implicit.
-    n_surplus = sum(1 for s in senses if s == ">=")
-    struct = np.zeros((rows, 2 * nvars + n_surplus))
-    struct[:, :nvars] = a
-    struct[:, nvars : 2 * nvars] = -a
-    si = 0
-    for r, s in enumerate(senses):
-        if s == ">=":
-            struct[r, 2 * nvars + si] = -1.0
-            si += 1
+    # Columns: x+ | x- | surplus (one per row); artificials implicit.  The
+    # surplus block is 0 - I, not -I, so no -0.0 can reach a printed witness.
+    struct = np.hstack([a, -a, 0.0 - np.eye(rows)])
     rhs = b.copy()
     flip = rhs < 0
     struct[flip] *= -1.0
@@ -101,9 +88,7 @@ def lp_feasible(
     # Phase-1 reduced costs over structural columns plus the rhs cell.
     cost = -tableau.sum(axis=0)
 
-    if max_iter is None:
-        max_iter = 10 * (rows + n_struct + rows) ** 2
-
+    max_iter = 10 * (rows + n_struct + rows) ** 2
     for _ in range(max_iter):
         eligible = np.nonzero(cost[:n_struct] < -_PIVOT_EPS)[0]
         if eligible.size == 0:
@@ -140,17 +125,6 @@ def lp_feasible(
     return FeasibilityResult(True, witness)
 
 
-def core_constraints(f: SetFunction) -> LinearFeasibilityProblem:
-    """Core system: coalition sums cover payoffs, grand value split exactly."""
-    n = f.n
-    members = membership_matrix(n).astype(float)
-    proper = np.arange(1, grand_mask(n))
-    a = np.vstack([members[proper], np.ones((1, n))])
-    b = np.concatenate([f.values[proper], [f.grand_value]])
-    senses = (">=",) * len(proper) + ("==",)
-    return LinearFeasibilityProblem(a, senses, b)
-
-
 def core_contains(f: SetFunction, g, tol: float = DEFAULT_TOL) -> bool:
     """Membership check: every coalition covered, budget exactly spent."""
     g = np.asarray(g, dtype=float)
@@ -162,8 +136,23 @@ def core_contains(f: SetFunction, g, tol: float = DEFAULT_TOL) -> bool:
     return bool(np.all(sums >= f.values - tol))
 
 
+def core_witness(f: SetFunction, tol: float = DEFAULT_TOL) -> np.ndarray | None:
+    """A classical-core allocation of f, or None when the core is empty.
+
+    Decided as the Bayesian core of n copies of f; the budget slack of that
+    witness is added to player 0 so the grand value is split exactly.
+    When the Shapley value lies in the core it is the witness.
+    """
+    empty, witness = bayesian_core_is_empty([f] * f.n, tol=tol)
+    if empty:
+        return None
+    witness = witness.copy()
+    witness[0] += f.grand_value - witness.sum()
+    return witness
+
+
 def core_is_empty(f: SetFunction, tol: float = DEFAULT_TOL) -> bool:
-    return not lp_feasible(core_constraints(f), tol=tol).feasible
+    return core_witness(f, tol=tol) is None
 
 
 def bayesian_core_constraints(opinions: list[SetFunction]) -> LinearFeasibilityProblem:
@@ -187,8 +176,7 @@ def bayesian_core_constraints(opinions: list[SetFunction]) -> LinearFeasibilityP
     proper = np.arange(1, grand_mask(n))
     a = np.vstack([members[proper], -np.ones((1, n))])
     b = np.concatenate([stack[:, proper].max(axis=0), [-stack[:, -1].min()]])
-    senses = (">=",) * (len(proper) + 1)
-    return LinearFeasibilityProblem(a, senses, b)
+    return LinearFeasibilityProblem(a, b)
 
 
 def bayesian_core_is_empty(
@@ -210,12 +198,8 @@ def bayesian_core_is_empty(
     from .shapley import shapley_value
 
     problem = bayesian_core_constraints(opinions)
-    n = opinions[0].n
-    stack = np.stack([f.values for f in opinions])
-    bound_vals = stack.max(axis=0)
-    bound_vals[0] = 0.0
-    bound_vals[-1] = stack[:, -1].min()
-    candidate = shapley_value(SetFunction(n, bound_vals)).payoffs
+    bound_vals = np.concatenate([[0.0], problem.b[:-1], [-problem.b[-1]]])
+    candidate = shapley_value(SetFunction(opinions[0].n, bound_vals)).payoffs
     if np.all(problem.a @ candidate >= problem.b - tol):
         return FeasibilityResult(False, candidate)
     feasible, witness = lp_feasible(problem, tol=tol)

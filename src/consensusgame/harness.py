@@ -29,6 +29,7 @@ from .agents import PlayerParams, RLearningAgent, make_agent, step_reward
 from .consensus import InfluenceMatrix, strategic_update
 from .core import bayesian_core_is_empty
 from .setfn import (
+    MAX_PLAYERS,
     GroundTruthSpec,
     SamplerError,
     SetFunction,
@@ -37,11 +38,12 @@ from .setfn import (
     random_supermodular,
     sample_supermodular_opinion,
 )
-from .shapley import shapley_linear_form
+from .shapley import LINEAR_FORM_MAX_PLAYERS, shapley_linear_form
 
 CONVERGENCE_TOL = 1e-10
 
 EXPERIMENT_KINDS = ("simulate", "efficiency", "core-emptiness", "po-sweep")
+SIMULATING_KINDS = ("simulate", "efficiency", "po-sweep")
 
 
 class ScenarioError(ValueError):
@@ -194,9 +196,7 @@ def run_simulation(scenario: Scenario) -> SimulationTrace:
         for i, agent in enumerate(agents):
             if isinstance(agent, RLearningAgent):
                 opp_mean = (mean_dev - t[i] * us[i]) / (1.0 - t[i])
-                opp_sq = (t @ (us * us) - t[i] * us[i] * us[i]) / (1.0 - t[i])
-                opp_var = float(np.sum(opp_sq - opp_mean * opp_mean))
-                agent.observe(state, us[i], opp_mean, opp_var, rewards[k, i])
+                agent.observe(state, opp_mean, rewards[k, i])
         state = t @ revealed[k]
         snapshot(k + 1, v)
         if np.max(np.abs(opinions[k + 1] - opinions[k])) < CONVERGENCE_TOL:
@@ -302,7 +302,8 @@ def experiment_core_emptiness(scenario: Scenario) -> list[dict]:
     per player around the per-n ground truth (grand value included) and
     asks the LP whether any allocation satisfies all private constraints.
     Trials whose rejection sampler exhausts its budget are counted as
-    failures, not as data.
+    failures, not as data; a player count where every trial fails has no
+    data at all and is rejected.
     """
     if scenario.trials < 1:
         raise ScenarioError("trials: must be >= 1 for core-emptiness")
@@ -332,19 +333,33 @@ def experiment_core_emptiness(scenario: Scenario) -> list[dict]:
             except SamplerError:
                 failures += 1
                 continue
-            if bayesian_core_is_empty(opinions).feasible:
+            is_empty, _ = bayesian_core_is_empty(opinions)
+            if is_empty:
                 empty += 1
-        completed = scenario.trials - failures
+        if failures == scenario.trials:
+            raise ScenarioError(
+                f"sigma: {scenario.sigma!r} exhausts the opinion sampler in every "
+                f"trial at n={n}; no data for the verdict"
+            )
         rows.append(
             {
                 "n": n,
                 "trials": scenario.trials,
                 "sampler_failures": failures,
                 "empty": empty,
-                "frequency": empty / completed if completed else float("nan"),
+                "frequency": empty / (scenario.trials - failures),
             }
         )
     return rows
+
+
+def core_emptiness_verdict(rows: list[dict]) -> dict:
+    """Summary of the core-emptiness rows: the per-n frequencies, and a pass
+    when the last exceeds the first with no drop of more than 0.02 between
+    neighbouring player counts."""
+    freqs = [r["frequency"] for r in rows]
+    inversions = sum(1 for a, b in zip(freqs, freqs[1:]) if b < a - 0.02)
+    return {"frequencies": freqs, "pass": freqs[-1] > freqs[0] and inversions == 0}
 
 
 def experiment_po_sweep(scenario: Scenario, po_values=None) -> list[dict]:
@@ -382,6 +397,20 @@ def experiment_po_sweep(scenario: Scenario, po_values=None) -> list[dict]:
             }
         )
     return rows
+
+
+def po_sweep_verdict(rows: list[dict]) -> dict:
+    """Summary of the p_o sweep rows: spreads nonincreasing along the sweep
+    (to a relative 1e-9) and a nonempty Bayesian core at the largest p_o."""
+    spreads = [r["spread"] for r in rows]
+    monotone = all(b <= a * (1 + 1e-9) + 1e-300 for a, b in zip(spreads, spreads[1:]))
+    nonempty_at_top = not rows[-1]["bayesian_core_empty"]
+    return {
+        "spreads": spreads,
+        "monotone": monotone,
+        "nonempty_at_largest": nonempty_at_top,
+        "pass": monotone and nonempty_at_top,
+    }
 
 
 # --- trace CSV ---------------------------------------------------------------
@@ -555,6 +584,8 @@ def scenario_from_dict(raw: dict, source: str = "<scenario>") -> Scenario:
     n = read("n", int, None)
     if n < 1:
         fail("n", f"positive integer player count required, got {n!r}")
+    if kind in SIMULATING_KINDS and n > LINEAR_FORM_MAX_PLAYERS:
+        fail("n", f"kind {kind!r} supports at most {LINEAR_FORM_MAX_PLAYERS} players, got {n}")
     theta = read("theta", float, None)
     if not 0.0 < theta < 1.0:
         fail("theta", f"trust parameter in (0, 1) required, got {theta!r}")
@@ -562,6 +593,12 @@ def scenario_from_dict(raw: dict, source: str = "<scenario>") -> Scenario:
     if horizon < 0:
         fail("horizon", f"nonnegative integer required, got {horizon!r}")
     seed = read("seed", int, None)
+    n_min = read("n_min", int, 2)
+    if not 1 <= n_min <= MAX_PLAYERS:
+        fail("n_min", f"player count in [1, {MAX_PLAYERS}] required, got {n_min}")
+    n_max = read("n_max", int, 8)
+    if not n_min <= n_max <= MAX_PLAYERS:
+        fail("n_max", f"player count in [n_min={n_min}, {MAX_PLAYERS}] required, got {n_max}")
 
     influence_raw = raw.get("influence")
     if influence_raw == "random_primitive":
@@ -577,7 +614,7 @@ def scenario_from_dict(raw: dict, source: str = "<scenario>") -> Scenario:
     initial_opinions: tuple[SetFunction, ...] | None
     if opinions_raw is None:
         initial_opinions = None
-        if kind in ("simulate", "efficiency", "po-sweep"):
+        if kind in SIMULATING_KINDS:
             fail("initial_opinions", f"required for kind {kind!r}")
     elif opinions_raw == "random_supermodular":
         initial_opinions = tuple(
@@ -668,8 +705,8 @@ def scenario_from_dict(raw: dict, source: str = "<scenario>") -> Scenario:
         p_o=read("p_o", float, 1.0),
         po_values=tuple(po_values),
         trials=read("trials", int, 0),
-        n_min=read("n_min", int, 2),
-        n_max=read("n_max", int, 8),
+        n_min=n_min,
+        n_max=n_max,
         sigma=read("sigma", float, 0.0),
         truth_family=read("truth_family", str, "quadratic"),
         perturb_grand=read("perturb_grand", bool, True),

@@ -21,6 +21,9 @@ import numpy as np
 
 from .setfn import SetFunction, SetFunctionError, membership_matrix, num_restricted
 
+# the largest player count the linear form (and so the dynamics) is built for
+LINEAR_FORM_MAX_PLAYERS = 12
+
 
 @dataclass(frozen=True)
 class Allocation:
@@ -109,8 +112,10 @@ def shapley_linear_form(n: int) -> ShapleyLinearForm:
     moves it by d_i[T].  The rows are then bit-for-bit those that
     indicator probing of ``shapley_value`` yields.
     """
-    if not 2 <= n <= 12:
-        raise SetFunctionError(f"linear form supported for 2 <= n <= 12, got {n}")
+    if not 2 <= n <= LINEAR_FORM_MAX_PLAYERS:
+        raise SetFunctionError(
+            f"linear form supported for 2 <= n <= {LINEAR_FORM_MAX_PLAYERS}, got {n}"
+        )
     w = shapley_weights(n)
     member = membership_matrix(n)[1:-1].T  # (n, m): player i in coalition T
     sizes = member.sum(axis=0)

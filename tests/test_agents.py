@@ -254,7 +254,7 @@ class TestRLearningAgent:
         state = np.array([0.4, 0.3])
         target = np.array([0.02, -0.01])
         for _ in range(2000):
-            agent.observe(state, np.zeros(2), target, 0.0, -0.05)
+            agent.observe(state, target, -0.05)
         prediction = agent.model.predict(state)
         np.testing.assert_allclose(prediction, target, atol=1e-3)
         # the response now leans against the learned opponent deviation
@@ -267,7 +267,7 @@ class TestRLearningAgent:
     def test_average_reward_bookkeeping_moves_toward_rewards(self):
         agent = self._agent(avg_reward_rate=0.05)
         for _ in range(400):
-            agent.observe(np.zeros(2), np.zeros(2), np.zeros(2), 0.0, -1.0)
+            agent.observe(np.zeros(2), np.zeros(2), -1.0)
         assert agent.avg_reward == pytest.approx(-1.0, abs=1e-6)
 
     def test_factory_dispatch(self):

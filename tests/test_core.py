@@ -9,13 +9,20 @@ from consensusgame.core import (
     FeasibilityResult,
     LinearFeasibilityProblem,
     bayesian_core_contains,
+    bayesian_core_constraints,
     bayesian_core_is_empty,
-    core_constraints,
     core_contains,
     core_is_empty,
+    core_witness,
     lp_feasible,
 )
-from consensusgame.setfn import SetFunction, SetFunctionError, random_supermodular
+from consensusgame.setfn import (
+    SetFunction,
+    SetFunctionError,
+    grand_mask,
+    membership_matrix,
+    random_supermodular,
+)
 
 
 def grid_core_nonempty(f: SetFunction, resolution: float = 1e-3) -> bool:
@@ -40,20 +47,31 @@ def grid_core_nonempty(f: SetFunction, resolution: float = 1e-3) -> bool:
     return bool(np.any(ok))
 
 
+def equality_core_is_empty(f: SetFunction) -> bool:
+    """Oracle: the textbook classical-core system.
+
+    Every proper coalition is covered and the grand value is split exactly,
+    the equality written as a pair of opposite rows.
+    """
+    n = f.n
+    proper = np.arange(1, grand_mask(n))
+    a = np.vstack([membership_matrix(n)[proper], np.ones((1, n)), -np.ones((1, n))])
+    b = np.concatenate([f.values[proper], [f.grand_value, -f.grand_value]])
+    return not lp_feasible(LinearFeasibilityProblem(a, b)).feasible
+
+
 class TestLpFeasible:
     def test_overlapping_lower_bounds_infeasible(self):
         problem = LinearFeasibilityProblem(
-            a=np.array([[1.0, 1.0], [1.0, 0.0], [0.0, 1.0]]),
-            senses=("==", ">=", ">="),
-            b=np.array([1.0, 0.6, 0.6]),
+            a=np.array([[1.0, 1.0], [-1.0, -1.0], [1.0, 0.0], [0.0, 1.0]]),
+            b=np.array([1.0, -1.0, 0.6, 0.6]),
         )
         assert not lp_feasible(problem).feasible
 
     def test_compatible_bounds_feasible_with_valid_witness(self):
         problem = LinearFeasibilityProblem(
-            a=np.array([[1.0, 1.0], [1.0, 0.0], [0.0, 1.0]]),
-            senses=("==", ">=", ">="),
-            b=np.array([1.0, 0.3, 0.3]),
+            a=np.array([[1.0, 1.0], [-1.0, -1.0], [1.0, 0.0], [0.0, 1.0]]),
+            b=np.array([1.0, -1.0, 0.3, 0.3]),
         )
         feasible, witness = lp_feasible(problem)
         assert feasible
@@ -64,7 +82,6 @@ class TestLpFeasible:
         # single constraint g1 >= -2 has witness with a negative coordinate
         problem = LinearFeasibilityProblem(
             a=np.array([[1.0], [-1.0]]),
-            senses=(">=", ">="),
             b=np.array([-2.0, 1.5]),
         )
         feasible, witness = lp_feasible(problem)
@@ -75,7 +92,7 @@ class TestLpFeasible:
         rng = np.random.default_rng(43)
         a = rng.normal(size=(6, 3))
         b = rng.normal(size=6)
-        problem = LinearFeasibilityProblem(a, (">=",) * 6, b)
+        problem = LinearFeasibilityProblem(a, b)
         first = lp_feasible(problem)
         for _ in range(5):
             again = lp_feasible(problem)
@@ -87,18 +104,56 @@ class TestLpFeasible:
 
         rng = np.random.default_rng(47)
         f = random_supermodular(4, rng)
-        feasible, witness = lp_feasible(core_constraints(f))
-        assert feasible
+        witness = core_witness(f)
+        assert witness is not None
         assert core_contains(f, witness, tol=1e-9)
         assert core_contains(f, shapley_value(f).payoffs)
 
     def test_rejects_malformed_problems(self):
         with pytest.raises(SetFunctionError):
-            LinearFeasibilityProblem(np.zeros((0, 2)), (), np.zeros(0))
+            LinearFeasibilityProblem(np.zeros((0, 2)), np.zeros(0))
         with pytest.raises(SetFunctionError):
-            LinearFeasibilityProblem(np.ones((1, 2)), ("<=",), np.ones(1))
-        with pytest.raises(SetFunctionError):
-            LinearFeasibilityProblem(np.array([[np.inf, 1.0]]), (">=",), np.ones(1))
+            LinearFeasibilityProblem(np.array([[np.inf, 1.0]]), np.ones(1))
+
+    def test_verdicts_agree_with_highs_on_bayesian_core_systems(self):
+        optimize = pytest.importorskip("scipy.optimize")
+        rng = np.random.default_rng(79)
+        verdicts = {True: 0, False: 0}
+        for n in range(2, 9):
+            for _ in range(8):
+                opinions = []
+                for _ in range(n):
+                    vals = random_supermodular(n, rng).values.copy()
+                    vals[1:-1] += rng.normal(0, 0.1, size=vals.size - 2)
+                    opinions.append(SetFunction(n, vals))
+                problem = bayesian_core_constraints(opinions)
+                rows, nvars = problem.a.shape
+                # largest uniform slack s with A x >= b + s; skip near-ties,
+                # where the two solvers' tolerances may legitimately differ
+                margin = optimize.linprog(
+                    c=np.concatenate([np.zeros(nvars), [-1.0]]),
+                    A_ub=np.hstack([-problem.a, np.ones((rows, 1))]),
+                    b_ub=-problem.b,
+                    bounds=[(None, None)] * nvars + [(-1.0, 1.0)],
+                    method="highs",
+                )
+                assert margin.status == 0
+                if abs(margin.x[-1]) < 1e-6:
+                    continue
+                highs = optimize.linprog(
+                    c=np.zeros(nvars),
+                    A_ub=-problem.a,
+                    b_ub=-problem.b,
+                    bounds=[(None, None)] * nvars,
+                    method="highs",
+                )
+                assert highs.status in (0, 2)
+                feasible, witness = lp_feasible(problem)
+                assert feasible == (highs.status == 0)
+                if feasible:
+                    assert np.all(problem.a @ witness >= problem.b - 1e-9)
+                verdicts[feasible] += 1
+        assert verdicts[True] > 5 and verdicts[False] > 5
 
 
 class TestCoreContains:
@@ -143,6 +198,20 @@ class TestCoreIsEmpty:
             if not grid_nonempty:
                 assert lp_empty
         assert verdicts[True] > 5 and verdicts[False] > 5
+
+    def test_agrees_with_equality_form_oracle(self):
+        rng = np.random.default_rng(83)
+        verdicts = {True: 0, False: 0}
+        for n in range(1, 8):
+            for _ in range(40):
+                vals = np.concatenate([[0.0], rng.uniform(0, 1, size=(1 << n) - 2), [1.0]])
+                f = SetFunction(n, vals)
+                empty = core_is_empty(f)
+                assert empty == equality_core_is_empty(f)
+                if not empty:
+                    assert core_contains(f, core_witness(f), tol=1e-9)
+                verdicts[empty] += 1
+        assert verdicts[True] > 20 and verdicts[False] > 20
 
 
 class TestBayesianCore:
@@ -194,8 +263,6 @@ class TestBayesianCore:
 
     def test_fast_witness_path_agrees_with_pure_lp(self):
         # the allocation-candidate shortcut must never change the verdict
-        from consensusgame.core import bayesian_core_constraints, lp_feasible
-
         rng = np.random.default_rng(73)
         verdicts = {True: 0, False: 0}
         for _ in range(150):

@@ -11,6 +11,7 @@ from consensusgame.consensus import InfluenceMatrix
 from consensusgame.harness import (
     Scenario,
     ScenarioError,
+    core_emptiness_verdict,
     dump_trace,
     emit_trace,
     experiment_core_emptiness,
@@ -19,6 +20,7 @@ from consensusgame.harness import (
     load_scenario,
     nash_players,
     parse_trace,
+    po_sweep_verdict,
     quadratic_truth,
     random_primitive_influence,
     run_simulation,
@@ -363,6 +365,25 @@ class TestExperiments:
         with pytest.raises(ScenarioError, match="sigma"):
             experiment_core_emptiness(sc)
 
+    def test_verdicts_over_rows(self):
+        def freq_rows(*freqs):
+            return [{"frequency": f} for f in freqs]
+
+        assert core_emptiness_verdict(freq_rows(0.0, 0.1, 0.3))["pass"]
+        assert not core_emptiness_verdict(freq_rows(0.0, 0.0))["pass"]
+        assert not core_emptiness_verdict(freq_rows(0.0, 0.3, 0.2, 0.5))["pass"]
+        assert core_emptiness_verdict(freq_rows(0.0, 0.3, 0.29, 0.5))["pass"]
+
+        def sweep_rows(spreads, top_empty):
+            rows = [{"spread": s, "bayesian_core_empty": False} for s in spreads]
+            rows[-1]["bayesian_core_empty"] = top_empty
+            return rows
+
+        verdict = po_sweep_verdict(sweep_rows([1.0, 0.1, 0.01], False))
+        assert verdict["monotone"] and verdict["nonempty_at_largest"] and verdict["pass"]
+        assert not po_sweep_verdict(sweep_rows([1.0, 0.1, 0.2], False))["pass"]
+        assert not po_sweep_verdict(sweep_rows([1.0, 0.1, 0.01], True))["pass"]
+
 
 class TestCli:
     def _scenario_file(self, tmp_path, **kw):
@@ -465,6 +486,16 @@ class TestCli:
         assert summary["frequencies"] == [0.0, 0.0]
         assert code == 1
 
+    def test_exp_core_emptiness_without_data_exits_two(self, tmp_path, capsys):
+        # at this sigma every trial from some n on exhausts the sampler
+        scenario = self._scenario_file(
+            tmp_path, kind="core-emptiness", trials=2, sigma=0.01, truth_family="mixed"
+        )
+        assert cli_main(["--json-summary", "exp-core-emptiness", str(scenario)]) == 2
+        captured = capsys.readouterr()
+        assert "sigma:" in captured.err and "Traceback" not in captured.err
+        assert "NaN" not in captured.out
+
     def test_bad_scenario_exits_two(self, tmp_path, capsys):
         path = tmp_path / "bad.json"
         path.write_text("{")
@@ -508,13 +539,17 @@ class TestCli:
                 },
                 "players[0]",
             ),
+            ({"n_min": 0}, "n_min"),
+            ({"n_min": 5, "n_max": 3}, "n_max"),
+            ({"n_max": 21}, "n_max"),
+            ({"n": 13}, "n"),
         ],
     )
     def test_malformed_keys_exit_two_naming_the_key(self, tmp_path, capsys, patch, key):
         scenario = self._scenario_file(tmp_path, **patch)
         assert cli_main(["simulate", str(scenario)]) == 2
         err = capsys.readouterr().err
-        assert f"{key}:" in err and "Traceback" not in err
+        assert f": {key}:" in err and "Traceback" not in err
 
     def test_seed_override_changes_stochastic_runs(self, tmp_path):
         scenario = self._scenario_file(

@@ -16,6 +16,14 @@ revealed opinion (recursive least squares), plays the best response against
 the model's prediction with probability gamma, and otherwise explores with
 a zero-mean Gaussian perturbation.  A running average-reward estimate and
 average-adjusted value are maintained on the side.
+
+The RLS update is two steps: a gain step that depends only on the
+features [1, s], and a coefficient step that applies the resulting gain
+vector to the learner's own prediction error.  Every learner in a lineup
+starts from the same prior and sees the same broadcast state, so their
+gain matrices agree bit for bit at every step; the simulation keeps one
+gain per lineup, downdates it once per step, and runs only the
+coefficient step per learner.
 """
 
 from __future__ import annotations
@@ -145,6 +153,12 @@ class EnvironmentModel:
     tight: when every player fits every other player, any mutually
     consistent slope assignment is self-reinforcing, so slopes are left to
     earn their way out of zero from data rather than from early noise.
+
+    ``update`` is ``gain_step`` followed by ``coeff_step``.  The gain step
+    reads and writes the gain alone, never the coefficients or the target,
+    so models with the same ``dim`` and prior scales that are fed the same
+    state sequence hold identical gains and may share one, each running only
+    its own coefficient step with the shared gain vector.
     """
 
     dim: int
@@ -165,26 +179,35 @@ class EnvironmentModel:
             np.concatenate([[self.intercept_scale], np.full(self.dim, self.slope_scale)])
         )
 
-    def _features(self, state: np.ndarray) -> np.ndarray:
+    def features(self, state: np.ndarray) -> np.ndarray:
+        """Regressor [1, s] of a broadcast state."""
         state = np.asarray(state, dtype=float)
         if state.shape != (self.dim,):
             raise SetFunctionError(f"state must have length {self.dim}")
         return np.concatenate([[1.0], state])
 
     def predict(self, state: np.ndarray) -> np.ndarray:
-        return self.coeffs.T @ self._features(state)
+        return self.coeffs.T @ self.features(state)
 
-    def update(self, state: np.ndarray, target: np.ndarray) -> None:
-        phi = self._features(state)
-        target = np.asarray(target, dtype=float)
-        error = target - self.coeffs.T @ phi
+    def gain_step(self, phi: np.ndarray) -> np.ndarray:
+        """Downdate the gain on features phi; return the gain vector k."""
         denom = 1.0 + phi @ self.gain @ phi
         k = (self.gain @ phi) / denom
-        self.coeffs += np.outer(k, error)
         self.gain -= np.outer(k, phi @ self.gain)
+        return k
+
+    def coeff_step(self, k: np.ndarray, error: np.ndarray) -> None:
+        """Move the coefficients along gain vector k by the prediction error
+        (target minus the prediction made before the gain step)."""
+        self.coeffs += np.outer(k, error)
         self.observations += 1
         sq = float(error @ error)
         self.residual_var += (sq - self.residual_var) / self.observations
+
+    def update(self, state: np.ndarray, target: np.ndarray) -> None:
+        phi = self.features(state)
+        error = np.asarray(target, dtype=float) - self.coeffs.T @ phi
+        self.coeff_step(self.gain_step(phi), error)
 
 
 @dataclass
@@ -215,9 +238,10 @@ class RLearningAgent:
 
     ``act`` plays the best response against the fitted opponent model with
     probability gamma (exploitation) and otherwise perturbs that action
-    with decaying zero-mean Gaussian noise (exploration).  ``observe``
-    updates the opponent model on the observed (state, opponent mean
-    deviation) pair and the average-reward bookkeeping.
+    with decaying zero-mean Gaussian noise (exploration); it is ``respond``
+    to the model's prediction at the state.  ``observe`` updates the
+    opponent model on the observed (state, opponent mean deviation) pair
+    and the average-reward bookkeeping (``record_reward``).
     """
 
     d_i: np.ndarray
@@ -234,13 +258,20 @@ class RLearningAgent:
         self.model = EnvironmentModel(self.d_i.size)
 
     def best_response(self, state: np.ndarray) -> np.ndarray:
-        others = (1.0 - self.t_i) * self.model.predict(state)
+        return self._best_response_to(self.model.predict(state))
+
+    def _best_response_to(self, prediction: np.ndarray) -> np.ndarray:
+        others = (1.0 - self.t_i) * prediction
         return nash_best_response(
             self.d_i, self.theta, self.params.risk_aversion, self.t_i, others
         )
 
     def act(self, state: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-        action = self.best_response(state)
+        return self.respond(self.model.predict(state), rng)
+
+    def respond(self, prediction: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+        """Act against a given prediction of the opponents' mean deviation."""
+        action = self._best_response_to(prediction)
         explore = rng.uniform() >= self.params.exploit_prob
         if explore and self.params.explore_std > 0:
             scale = self.params.explore_std * self.params.explore_decay**self.steps_acted
@@ -252,6 +283,10 @@ class RLearningAgent:
         self, state: np.ndarray, opponent_mean_deviation: np.ndarray, reward: float
     ) -> None:
         self.model.update(state, opponent_mean_deviation)
+        self.record_reward(reward)
+
+    def record_reward(self, reward: float) -> None:
+        """Average-reward and average-adjusted value bookkeeping."""
         beta = self.params.avg_reward_rate
         alpha = self.params.value_rate
         self.avg_reward += beta * (reward - self.avg_reward)

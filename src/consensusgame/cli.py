@@ -11,7 +11,8 @@ One subcommand per claim the library backs:
     exp-po-sweep        opinion spread and core verdict across p_o
 
 Exit status: 0 when the run's verdict passes, 1 when it fails, 2 on bad
-input or a run that cannot be decided (the error is reported on stderr).
+input or a run that cannot be decided, 3 on an internal error (a fault in
+the program rather than in its input).  Errors are reported on stderr.
 Verdicts are decided by the harness; this module only formats them.
 """
 
@@ -124,6 +125,8 @@ def _finish(args, record: dict) -> int:
 def _load(args):
     scenario = load_scenario(args.scenario)
     if args.seed is not None:
+        if args.seed < 0:
+            raise ScenarioError(f"--seed: seed: nonnegative integer required, got {args.seed}")
         scenario = replace(scenario, seed=args.seed)
     return scenario
 
@@ -230,6 +233,9 @@ def main(argv=None) -> int:
     except (ScenarioError, SetFunctionError, ConsensusError, SamplerError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except Exception as exc:
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

@@ -21,11 +21,12 @@ from __future__ import annotations
 
 import json
 import math
+import os
 from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .agents import PlayerParams, RLearningAgent, make_agent, step_reward
+from .agents import PlayerParams, RLearningAgent, make_agent
 from .consensus import InfluenceMatrix, strategic_update
 from .core import bayesian_core_is_empty
 from .setfn import (
@@ -132,7 +133,8 @@ def run_simulation(scenario: Scenario) -> SimulationTrace:
 
     Stops at the horizon or as soon as the largest per-player opinion
     change falls below the convergence tolerance.  Deterministic given the
-    scenario seed.
+    scenario seed.  A run whose trace arrays would not fit in physical
+    memory is rejected before anything is allocated.
     """
     if scenario.players is None or len(scenario.players) != scenario.n:
         raise ScenarioError("players: one strategy config per player is required")
@@ -143,18 +145,38 @@ def run_simulation(scenario: Scenario) -> SimulationTrace:
             raise ScenarioError(
                 f"initial_opinions[{i}]: must be normalized (grand value 1)"
             )
-    influence = InfluenceMatrix.from_matrix(scenario.influence)
     n, m = scenario.n, num_restricted(scenario.n)
+    horizon = scenario.horizon
+    # float64 trace arrays: opinions, reveals and lies; average and Shapley
+    # rows; rewards and disutility
+    nbytes = 8 * ((3 * horizon + 1) * n * m + (horizon + 1) * (m + n) + horizon * (n + 1))
+    physical = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    if nbytes > physical:
+        raise ScenarioError(
+            f"horizon: {horizon} steps at n={n} need {nbytes} bytes of trace "
+            f"arrays, more than the {physical} bytes of physical memory"
+        )
+    influence = InfluenceMatrix.from_matrix(scenario.influence)
     theta = scenario.theta
     form = shapley_linear_form(n)
     t = influence.t
+    p = [params.risk_aversion for params in scenario.players]
     agents = [
         make_agent(params, form.rows[i], theta, float(t[i]))
         for i, params in enumerate(scenario.players)
     ]
+    # one RLS gain per lineup: every learner's model has the same dimension
+    # and prior and sees the same states, so the gains agree bit for bit
+    # (see EnvironmentModel); the learners share the first one's matrix and
+    # it is downdated once per step
+    learners = [i for i, agent in enumerate(agents) if isinstance(agent, RLearningAgent)]
+    if learners:
+        shared = agents[learners[0]].model
+        for i in learners:
+            agents[i].model.gain = shared.gain
+    predictions: dict[int, np.ndarray] = {}
     rng = np.random.default_rng(scenario.seed)
 
-    horizon = scenario.horizon
     opinions = np.empty((horizon + 1, n, m))
     revealed = np.empty((horizon, n, m))
     deviations = np.empty((horizon, n, m))
@@ -178,7 +200,16 @@ def run_simulation(scenario: Scenario) -> SimulationTrace:
 
     snapshot(0, v)
     for k in range(horizon):
-        us = np.stack([agent.act(state, rng) for agent in agents])
+        if learners:
+            phi = shared.features(state)
+            # one prediction per learner, used for its action and its error
+            predictions = {i: agents[i].model.coeffs.T @ phi for i in learners}
+        us = np.stack(
+            [
+                agent.respond(predictions[i], rng) if i in predictions else agent.act(state, rng)
+                for i, agent in enumerate(agents)
+            ]
+        )
         x = v.copy()
         x[:, 1:-1] += us
         v = strategic_update(v, x, influence.w, theta)
@@ -189,14 +220,15 @@ def run_simulation(scenario: Scenario) -> SimulationTrace:
         mean_dev = t @ us
         var_total = float(np.sum(t @ (us * us) - mean_dev * mean_dev))
         disutility[k] = var_total
+        # agents.step_reward, on the disutility computed once for the step
         for i in range(n):
-            rewards[k, i] = step_reward(
-                us, t, scenario.players[i].risk_aversion, theta, form.rows[i]
-            )
-        for i, agent in enumerate(agents):
-            if isinstance(agent, RLearningAgent):
+            rewards[k, i] = -p[i] * var_total + theta * (form.rows[i] @ mean_dev)
+        if learners:
+            gain_vec = shared.gain_step(phi)
+            for i in learners:
                 opp_mean = (mean_dev - t[i] * us[i]) / (1.0 - t[i])
-                agent.observe(state, opp_mean, rewards[k, i])
+                agents[i].model.coeff_step(gain_vec, opp_mean - predictions[i])
+                agents[i].record_reward(rewards[k, i])
         state = t @ revealed[k]
         snapshot(k + 1, v)
         if np.max(np.abs(opinions[k + 1] - opinions[k])) < CONVERGENCE_TOL:
@@ -593,6 +625,8 @@ def scenario_from_dict(raw: dict, source: str = "<scenario>") -> Scenario:
     if horizon < 0:
         fail("horizon", f"nonnegative integer required, got {horizon!r}")
     seed = read("seed", int, None)
+    if seed < 0:
+        fail("seed", f"nonnegative integer required, got {seed}")
     n_min = read("n_min", int, 2)
     if not 1 <= n_min <= MAX_PLAYERS:
         fail("n_min", f"player count in [1, {MAX_PLAYERS}] required, got {n_min}")
@@ -625,7 +659,8 @@ def scenario_from_dict(raw: dict, source: str = "<scenario>") -> Scenario:
         spec = opinions_raw["ground_truth"]
         if not isinstance(spec, dict):
             fail("initial_opinions.ground_truth", "object required")
-        family = TRUTH_FAMILIES.get(spec.get("family", "quadratic"))
+        family_name = spec.get("family", "quadratic")
+        family = TRUTH_FAMILIES.get(family_name) if isinstance(family_name, str) else None
         if family is None:
             fail(
                 "initial_opinions.ground_truth.family",

@@ -220,6 +220,21 @@ class TestEnvironmentModel:
             model.update(rng.normal(size=1), rng.normal(0, 0.1, size=1))
         assert 0.001 < model.residual_var < 0.1
 
+    def test_gain_depends_on_the_states_alone(self):
+        # the invariant a lineup's shared gain rests on: models with the same
+        # prior fed the same states end with bit-identical gains, whatever
+        # their targets
+        rng = np.random.default_rng(29)
+        dim = 6
+        models = [EnvironmentModel(dim) for _ in range(3)]
+        for _ in range(200):
+            s = rng.normal(size=dim)
+            for model in models:
+                model.update(s, rng.normal(size=dim))
+        assert not np.array_equal(models[0].coeffs, models[1].coeffs)
+        for model in models[1:]:
+            assert np.array_equal(model.gain, models[0].gain)
+
     def test_csv_snapshot_shape(self):
         model = EnvironmentModel(2)
         model.update(np.array([0.1, 0.2]), np.array([0.0, 0.1]))
@@ -248,6 +263,16 @@ class TestRLearningAgent:
         rng = np.random.default_rng(1)
         actions = np.stack([agent.act(state, rng) for _ in range(20)])
         assert np.all(np.any(actions != base, axis=1))
+
+    def test_act_is_the_response_to_the_model_prediction(self):
+        agent, twin = self._agent(), self._agent()
+        for model in (agent.model, twin.model):
+            model.update(np.array([0.4, 0.3]), np.array([0.02, -0.01]))
+        rng_a, rng_b = np.random.default_rng(4), np.random.default_rng(4)
+        for state in np.random.default_rng(5).uniform(size=(10, 2)):
+            np.testing.assert_array_equal(
+                agent.act(state, rng_a), twin.respond(twin.model.predict(state), rng_b)
+            )
 
     def test_observation_feeds_opponent_model(self):
         agent = self._agent(exploit_prob=1.0)

@@ -1,16 +1,29 @@
 """Simulation driver, trace round-trips, scenario validation, and the CLI."""
 
 import json
+import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from consensusgame.agents import PlayerParams
+from consensusgame import cli
+from consensusgame.agents import (
+    EnvironmentModel,
+    PlayerParams,
+    RLearningAgent,
+    make_agent,
+    step_reward,
+)
 from consensusgame.cli import main as cli_main
-from consensusgame.consensus import InfluenceMatrix
+from consensusgame.consensus import InfluenceMatrix, deviation_disutility, strategic_update
 from consensusgame.harness import (
+    CONVERGENCE_TOL,
     Scenario,
     ScenarioError,
+    SimulationTrace,
     core_emptiness_verdict,
     dump_trace,
     emit_trace,
@@ -27,6 +40,9 @@ from consensusgame.harness import (
     scenario_from_dict,
 )
 from consensusgame.setfn import SetFunction, dump_setfn, random_supermodular
+from consensusgame.shapley import shapley_linear_form
+
+SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 
 DEMO_W = np.array([[0.3, 0.7], [0.4, 0.6]])
 
@@ -105,10 +121,6 @@ class TestRunSimulation:
         trace = run_simulation(
             base_scenario(players=nash_players(2, inf.t, 1.0), horizon=5)
         )
-        from consensusgame.agents import step_reward
-        from consensusgame.consensus import deviation_disutility
-        from consensusgame.shapley import shapley_linear_form
-
         rows = shapley_linear_form(2).rows
         for k in range(trace.steps):
             u = trace.deviations[k]
@@ -118,6 +130,141 @@ class TestRunSimulation:
             for i in range(2):
                 expected = step_reward(u, inf.t, float(inf.t[i]), 0.1, rows[i])
                 assert trace.rewards[k, i] == pytest.approx(expected, abs=1e-15)
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+    @pytest.mark.parametrize("seed", [1, 2, 701])
+    def test_learner_loop_matches_per_player_reference(self, n, seed):
+        rng = np.random.default_rng([seed, n])
+        kinds = ("rlearning", "nash", "truthful")
+        players = tuple(
+            PlayerParams(
+                risk_aversion=float(rng.uniform(0.5, 50.0)),
+                kind=kinds[(i + seed) % 3] if i else "rlearning",
+                exploit_prob=float(rng.uniform(0.1, 0.9)),
+                explore_std=float(rng.choice([1e-4, 1e-2])),
+                explore_decay=0.99,
+            )
+            for i in range(n)
+        )
+        scenario = Scenario(
+            kind="simulate",
+            n=n,
+            theta=0.1,
+            horizon=60,
+            seed=seed,
+            influence=random_primitive_influence(n, rng),
+            initial_opinions=tuple(random_supermodular(n, rng) for _ in range(n)),
+            players=players,
+        )
+        trace = run_simulation(scenario)
+        reference = reference_simulation(scenario)
+        assert (trace.steps, trace.converged_at) == (reference.steps, reference.converged_at)
+        for name in TRACE_ARRAYS:
+            assert np.array_equal(getattr(trace, name), getattr(reference, name)), name
+
+    def test_one_gain_downdate_per_step(self, monkeypatch):
+        calls = []
+        original = EnvironmentModel.gain_step
+
+        def counted(model, phi):
+            calls.append(id(model.gain))
+            return original(model, phi)
+
+        monkeypatch.setattr(EnvironmentModel, "gain_step", counted)
+        players = tuple(PlayerParams(1.0, "rlearning", explore_std=0.01) for _ in range(4))
+        rng = np.random.default_rng(3)
+        trace = run_simulation(
+            base_scenario(
+                n=4,
+                horizon=20,
+                influence=random_primitive_influence(4, rng),
+                initial_opinions=tuple(random_supermodular(4, rng) for _ in range(4)),
+                players=players,
+            )
+        )
+        assert len(calls) == trace.steps == 20
+        assert len(set(calls)) == 1
+
+    def test_horizon_beyond_physical_memory_rejected_before_allocating(self):
+        raw = json.loads((SCENARIOS / "two_player_learning_gamma05.json").read_text())
+        scenario = scenario_from_dict({**raw, "horizon": 10**12})
+        tracemalloc.start()
+        try:
+            with pytest.raises(ScenarioError, match=r"^horizon: .* bytes") as excinfo:
+                run_simulation(scenario)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+        # (3h + 1) n m + (h + 1)(m + n) + h (n + 1) floats at n = m = 2
+        assert str(8 * (19 * 10**12 + 8)) in str(excinfo.value)
+
+
+TRACE_ARRAYS = ("opinions", "revealed", "deviations", "average", "shapley", "rewards", "disutility")
+
+
+def reference_simulation(scenario: Scenario):
+    """The dynamics loop written per player: every learner keeps its own
+    opponent model, acts through `act`, learns through `observe`, and every
+    reward comes from `step_reward`."""
+    n = scenario.n
+    theta = scenario.theta
+    influence = InfluenceMatrix.from_matrix(scenario.influence)
+    t = influence.t
+    form = shapley_linear_form(n)
+    agents = [
+        make_agent(params, form.rows[i], theta, float(t[i]))
+        for i, params in enumerate(scenario.players)
+    ]
+    rng = np.random.default_rng(scenario.seed)
+    v = np.stack([f.values for f in scenario.initial_opinions])
+    state = np.zeros(v.shape[1] - 2)
+    out = {name: [] for name in TRACE_ARRAYS}
+    converged_at = None
+
+    def snapshot(v):
+        out["opinions"].append(v[:, 1:-1].copy())
+        out["average"].append(t @ out["opinions"][-1])
+        out["shapley"].append(form.apply_restricted(out["average"][-1]))
+
+    snapshot(v)
+    for k in range(scenario.horizon):
+        us = np.stack([agent.act(state, rng) for agent in agents])
+        x = v.copy()
+        x[:, 1:-1] += us
+        v = strategic_update(v, x, influence.w, theta)
+        rewards = [
+            step_reward(us, t, params.risk_aversion, theta, form.rows[i])
+            for i, params in enumerate(scenario.players)
+        ]
+        mean_dev = t @ us
+        for i, agent in enumerate(agents):
+            if isinstance(agent, RLearningAgent):
+                agent.observe(state, (mean_dev - t[i] * us[i]) / (1.0 - t[i]), rewards[i])
+        out["revealed"].append(x[:, 1:-1])
+        out["deviations"].append(us)
+        out["rewards"].append(rewards)
+        out["disutility"].append(deviation_disutility(us, t))
+        state = t @ x[:, 1:-1]
+        snapshot(v)
+        if np.max(np.abs(out["opinions"][-1] - out["opinions"][-2])) < CONVERGENCE_TOL:
+            converged_at = k + 1
+            break
+    m = state.size
+    arrays = {name: np.array(rows, dtype=float) for name, rows in out.items()}
+    steps = len(out["disutility"])
+    return SimulationTrace(
+        n=n,
+        steps=steps,
+        opinions=arrays["opinions"],
+        revealed=arrays["revealed"].reshape(steps, n, m),
+        deviations=arrays["deviations"].reshape(steps, n, m),
+        average=arrays["average"],
+        shapley=arrays["shapley"],
+        rewards=arrays["rewards"].reshape(steps, n),
+        disutility=arrays["disutility"],
+        converged_at=converged_at,
+    )
 
 
 class TestTraceRoundTrip:
@@ -543,13 +690,38 @@ class TestCli:
             ({"n_min": 5, "n_max": 3}, "n_max"),
             ({"n_max": 21}, "n_max"),
             ({"n": 13}, "n"),
+            ({"seed": -4}, "seed"),
+            ({"--seed": "-3"}, "seed"),
+            (
+                {"initial_opinions": {"ground_truth": {"family": [], "sigma": 0.01}}},
+                "initial_opinions.ground_truth.family",
+            ),
         ],
     )
     def test_malformed_keys_exit_two_naming_the_key(self, tmp_path, capsys, patch, key):
-        scenario = self._scenario_file(tmp_path, **patch)
-        assert cli_main(["simulate", str(scenario)]) == 2
+        # patch entries spelled as flags go on the command line
+        flags = [arg for k, v in patch.items() if k.startswith("--") for arg in (k, v)]
+        keys = {k: v for k, v in patch.items() if not k.startswith("--")}
+        scenario = self._scenario_file(tmp_path, **keys)
+        assert cli_main(["simulate", str(scenario), *flags]) == 2
         err = capsys.readouterr().err
         assert f": {key}:" in err and "Traceback" not in err
+
+    def test_horizon_beyond_physical_memory_exits_two(self, tmp_path, capsys):
+        raw = json.loads((SCENARIOS / "two_player_learning_gamma05.json").read_text())
+        path = tmp_path / "long.json"
+        path.write_text(json.dumps({**raw, "horizon": 10**12}))
+        assert cli_main(["simulate", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: horizon: ") and "bytes" in err
+
+    def test_internal_error_exits_three(self, tmp_path, capsys, monkeypatch):
+        def broken(args):
+            raise RuntimeError("boom")
+
+        monkeypatch.setitem(cli._COMMANDS, "simulate", broken)
+        assert cli_main(["simulate", str(self._scenario_file(tmp_path))]) == 3
+        assert capsys.readouterr().err == "internal error: RuntimeError: boom\n"
 
     def test_seed_override_changes_stochastic_runs(self, tmp_path):
         scenario = self._scenario_file(
@@ -563,3 +735,56 @@ class TestCli:
         assert cli_main(["--seed", "1", "--out", str(out1), "simulate", str(scenario)]) == 0
         assert cli_main(["--seed", "2", "--out", str(out2), "simulate", str(scenario)]) == 0
         assert out1.read_bytes() != out2.read_bytes()
+
+
+# --- scenario fuzzing ----------------------------------------------------------
+
+_GAME = {
+    "n": 2,
+    "theta": 0.1,
+    "horizon": 5,
+    "seed": 3,
+    "influence": "random_primitive",
+    "initial_opinions": "random_supermodular",
+}
+FUZZ_BASES = (
+    {"kind": "simulate", **_GAME, "players": [{"kind": "rlearning", "risk_aversion": 1.0}] * 2},
+    {"kind": "efficiency", **_GAME, "p_o": 1.0},
+    {
+        "kind": "core-emptiness",
+        **_GAME,
+        "initial_opinions": {"ground_truth": {"family": "quadratic", "sigma": 0.01}},
+        "trials": 3,
+        "n_min": 2,
+        "n_max": 3,
+        "sigma": 0.01,
+        "truth_family": "quadratic",
+        "perturb_grand": True,
+    },
+    {"kind": "po-sweep", **_GAME, "influence": [[0.3, 0.7], [0.4, 0.6]], "po_values": [0.1, 1.0]},
+)
+FUZZ_KEYS = sorted({key for base in FUZZ_BASES for key in base})
+_SCALAR_JUNK = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(-3, 3),
+    st.sampled_from([float("nan"), float("inf"), float("-inf"), -0.5, 0.5, 2.5]),
+    st.text(max_size=3),
+)
+JSON_JUNK = st.one_of(
+    _SCALAR_JUNK,
+    st.lists(_SCALAR_JUNK, max_size=3),
+    st.dictionaries(st.text(max_size=3), _SCALAR_JUNK, max_size=2),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    base=st.sampled_from(FUZZ_BASES),
+    patch=st.dictionaries(st.sampled_from(FUZZ_KEYS), JSON_JUNK, max_size=4),
+)
+def test_scenario_loading_raises_nothing_but_scenario_error(base, patch):
+    try:
+        scenario_from_dict({**base, **patch})
+    except ScenarioError:
+        pass

@@ -10,7 +10,6 @@ harness with a CLI.
 
 from .agents import (
     EnvironmentModel,
-    environment_model_csv,
     NashAgent,
     PlayerParams,
     RLearningAgent,
@@ -23,7 +22,6 @@ from .agents import (
 )
 from .consensus import (
     ConsensusError,
-    ConsensusParams,
     InfluenceMatrix,
     OpinionProfile,
     average_opinion,
@@ -65,18 +63,14 @@ from .setfn import (
     is_supermodular,
     random_supermodular,
     read_setfn,
-    restricted_subset,
     sample_supermodular_opinion,
-    subset_index,
     weighted_average,
-    write_setfn,
 )
 from .shapley import Allocation, ShapleyLinearForm, shapley_linear_form, shapley_value
 
 __all__ = [
     "Allocation",
     "ConsensusError",
-    "ConsensusParams",
     "EnvironmentModel",
     "FeasibilityResult",
     "GroundTruthSpec",
@@ -103,7 +97,6 @@ __all__ = [
     "core_witness",
     "deviation_disutility",
     "emit_trace",
-    "environment_model_csv",
     "experiment_core_emptiness",
     "experiment_efficiency",
     "experiment_po_sweep",
@@ -118,7 +111,6 @@ __all__ = [
     "random_supermodular",
     "read_setfn",
     "read_trace",
-    "restricted_subset",
     "run_simulation",
     "sample_supermodular_opinion",
     "scenario_from_dict",
@@ -128,7 +120,5 @@ __all__ = [
     "step_reward",
     "step_strategic",
     "step_truthful",
-    "subset_index",
     "weighted_average",
-    "write_setfn",
 ]

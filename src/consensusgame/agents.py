@@ -29,7 +29,7 @@ coefficient step per learner.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -60,14 +60,7 @@ class PlayerParams:
     avg_reward_rate: float = 0.01
 
     def __post_init__(self):
-        for name in (
-            "risk_aversion",
-            "exploit_prob",
-            "explore_std",
-            "explore_decay",
-            "value_rate",
-            "avg_reward_rate",
-        ):
+        for name in FLOAT_PARAMS:
             value = getattr(self, name)
             if not math.isfinite(value):
                 raise SetFunctionError(f"{name} must be finite, got {value!r}")
@@ -79,6 +72,10 @@ class PlayerParams:
             raise SetFunctionError("exploit probability must lie in [0, 1]")
         if self.explore_std < 0 or not 0.0 < self.explore_decay <= 1.0:
             raise SetFunctionError("bad exploration parameters")
+
+
+# the numeric fields of PlayerParams, the keys a scenario reads as numbers
+FLOAT_PARAMS = tuple(f.name for f in fields(PlayerParams) if f.type == "float")
 
 
 def nash_deviation(d_i: np.ndarray, theta: float, p_i: float) -> np.ndarray:
@@ -236,10 +233,11 @@ class NashAgent:
 class RLearningAgent:
     """Model-based average-reward learner.
 
-    ``act`` plays the best response against the fitted opponent model with
-    probability gamma (exploitation) and otherwise perturbs that action
-    with decaying zero-mean Gaussian noise (exploration); it is ``respond``
-    to the model's prediction at the state.  ``observe`` updates the
+    ``respond`` plays ``best_response`` to a prediction of the opponents'
+    mean deviation with probability gamma (exploitation) and otherwise
+    perturbs that action with decaying zero-mean Gaussian noise
+    (exploration); ``act`` is ``respond`` to the fitted opponent model's
+    prediction at the state.  ``observe`` updates the
     opponent model on the observed (state, opponent mean deviation) pair
     and the average-reward bookkeeping (``record_reward``).
     """
@@ -257,10 +255,8 @@ class RLearningAgent:
         self.d_i = np.asarray(self.d_i, dtype=float)
         self.model = EnvironmentModel(self.d_i.size)
 
-    def best_response(self, state: np.ndarray) -> np.ndarray:
-        return self._best_response_to(self.model.predict(state))
-
-    def _best_response_to(self, prediction: np.ndarray) -> np.ndarray:
+    def best_response(self, prediction: np.ndarray) -> np.ndarray:
+        """Best response to a predicted opponent mean deviation."""
         others = (1.0 - self.t_i) * prediction
         return nash_best_response(
             self.d_i, self.theta, self.params.risk_aversion, self.t_i, others
@@ -271,7 +267,7 @@ class RLearningAgent:
 
     def respond(self, prediction: np.ndarray, rng: np.random.Generator) -> np.ndarray:
         """Act against a given prediction of the opponents' mean deviation."""
-        action = self._best_response_to(prediction)
+        action = self.best_response(prediction)
         explore = rng.uniform() >= self.params.exploit_prob
         if explore and self.params.explore_std > 0:
             scale = self.params.explore_std * self.params.explore_decay**self.steps_acted
@@ -301,12 +297,3 @@ def make_agent(params: PlayerParams, d_i: np.ndarray, theta: float, t_i: float):
         return NashAgent(np.asarray(d_i, dtype=float), theta, params)
     return RLearningAgent(np.asarray(d_i, dtype=float), theta, t_i, params)
 
-
-def environment_model_csv(model: EnvironmentModel) -> str:
-    """Learned coefficient snapshot: one row per feature, columns per output."""
-    lines = ["feature," + ",".join(f"out_{j}" for j in range(model.dim))]
-    names = ["intercept"] + [f"s_{j}" for j in range(model.dim)]
-    for name, row in zip(names, model.coeffs):
-        lines.append(name + "," + ",".join(repr(float(c)) for c in row))
-    lines.append(f"residual_var,{model.residual_var!r}" + "," * (model.dim - 1))
-    return "\n".join(lines) + "\n"

@@ -149,22 +149,19 @@ def _cmd_simulate(args) -> int:
     )
 
 
-def _cmd_shapley(args) -> int:
-    f = read_setfn(args.setfn)
-    allocation = shapley_value(f)
+def _allocation_csv(payoffs) -> str:
     lines = ["player,payoff"]
-    lines += [f"{i},{float(p)!r}" for i, p in enumerate(allocation.payoffs)]
-    _write(args, "\n".join(lines) + "\n")
+    lines += [f"{i},{float(p)!r}" for i, p in enumerate(payoffs)]
+    return "\n".join(lines) + "\n"
+
+
+def _cmd_shapley(args) -> int:
+    allocation = shapley_value(read_setfn(args.setfn))
+    _write(args, _allocation_csv(allocation.payoffs))
     return _finish(
         args,
         {"command": "shapley", "payoffs": [float(p) for p in allocation.payoffs], "pass": True},
     )
-
-
-def _witness_csv(witness) -> str:
-    lines = ["player,payoff"]
-    lines += [f"{i},{float(p)!r}" for i, p in enumerate(witness)]
-    return "\n".join(lines) + "\n"
 
 
 def _cmd_core(args) -> int:
@@ -177,7 +174,7 @@ def _cmd_core(args) -> int:
     verdict = "empty" if witness is None else "nonempty"
     text = verdict + "\n"
     if witness is not None:
-        text += _witness_csv(witness)
+        text += _allocation_csv(witness)
     _write(args, text)
     return _finish(args, {"command": args.command, "verdict": verdict, "pass": True})
 

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .setfn import SetFunction, SetFunctionError
+from .setfn import SetFunction, weighted_average
 
 STOCHASTIC_TOL = 1e-12
 
@@ -100,20 +100,6 @@ class InfluenceMatrix:
         w.setflags(write=False)
         t.setflags(write=False)
         return InfluenceMatrix(w.shape[0], w, t)
-
-
-@dataclass(frozen=True)
-class ConsensusParams:
-    """Trust parameter and simulation horizon."""
-
-    theta: float
-    horizon: int
-
-    def __post_init__(self):
-        if not 0.0 < self.theta < 1.0:
-            raise ConsensusError(f"theta must lie in (0, 1), got {self.theta}")
-        if self.horizon < 0:
-            raise ConsensusError("horizon must be nonnegative")
 
 
 @dataclass(frozen=True)
@@ -203,11 +189,7 @@ def step_strategic(
 
 def average_opinion(profile: OpinionProfile, t: np.ndarray) -> SetFunction:
     """Influence-weighted average of the true opinions."""
-    t = np.asarray(t, dtype=float)
-    if t.shape != (profile.n,):
-        raise ConsensusError("weight vector length must match player count")
-    stack = np.stack([f.values for f in profile.opinions])
-    return SetFunction(profile.n, t @ stack)
+    return weighted_average(profile.opinions, t)
 
 
 def deviation_disutility(deviations: np.ndarray, t: np.ndarray) -> float:

@@ -26,8 +26,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .agents import PlayerParams, RLearningAgent, make_agent
-from .consensus import InfluenceMatrix, strategic_update
+from .agents import FLOAT_PARAMS, PlayerParams, RLearningAgent, make_agent
+from .consensus import InfluenceMatrix, deviation_disutility, strategic_update
 from .core import bayesian_core_is_empty
 from .setfn import (
     MAX_PLAYERS,
@@ -101,19 +101,21 @@ class SimulationTrace:
         return num_restricted(self.n)
 
     @staticmethod
-    def empty(n: int) -> "SimulationTrace":
-        """Trace with no recorded snapshots at all; emits a header-only CSV."""
+    def empty(n: int, steps: int = -1) -> "SimulationTrace":
+        """Zero-filled trace of ``steps`` steps; the default -1 has no
+        recorded snapshots at all and emits a header-only CSV."""
         m = num_restricted(n)
+        acted = max(steps, 0)
         return SimulationTrace(
             n=n,
-            steps=-1,
-            opinions=np.zeros((0, n, m)),
-            revealed=np.zeros((0, n, m)),
-            deviations=np.zeros((0, n, m)),
-            average=np.zeros((0, m)),
-            shapley=np.zeros((0, n)),
-            rewards=np.zeros((0, n)),
-            disutility=np.zeros(0),
+            steps=steps,
+            opinions=np.zeros((steps + 1, n, m)),
+            revealed=np.zeros((acted, n, m)),
+            deviations=np.zeros((acted, n, m)),
+            average=np.zeros((steps + 1, m)),
+            shapley=np.zeros((steps + 1, n)),
+            rewards=np.zeros((acted, n)),
+            disutility=np.zeros(acted),
         )
 
     def cumulative_disutility(self) -> np.ndarray:
@@ -218,7 +220,7 @@ def run_simulation(scenario: Scenario) -> SimulationTrace:
         revealed[k] = x[:, 1:-1]
         deviations[k] = us
         mean_dev = t @ us
-        var_total = float(np.sum(t @ (us * us) - mean_dev * mean_dev))
+        var_total = deviation_disutility(us, t)
         disutility[k] = var_total
         # agents.step_reward, on the disutility computed once for the step
         for i in range(n):
@@ -254,7 +256,8 @@ def run_simulation(scenario: Scenario) -> SimulationTrace:
 
 
 def nash_players(n: int, t: np.ndarray, p_o: float) -> tuple[PlayerParams, ...]:
-    """All-rational lineup with risk aversion proportional to influence."""
+    """All-rational lineup with risk aversion p_o * t_i (proportional to
+    influence for the stationary weights t)."""
     return tuple(PlayerParams(risk_aversion=p_o * float(t[i]), kind="nash") for i in range(n))
 
 
@@ -270,33 +273,17 @@ def experiment_efficiency(scenario: Scenario, tol: float = 1e-9) -> dict:
     degenerate with zero drift everywhere.
     """
     if scenario.n == 1:
-        return {
-            "experiment": "efficiency",
-            "drift": 0.0,
-            "control_drift": 0.0,
-            "tol": tol,
-            "degenerate": True,
-            "pass": True,
-        }
-    influence = InfluenceMatrix.from_matrix(scenario.influence)
-    t = influence.t
-    main = replace(
-        scenario, kind="simulate", players=nash_players(scenario.n, t, scenario.p_o)
-    )
-    trace = run_simulation(main)
-    drift = float(np.max(np.abs(trace.average - trace.average[0])))
-
-    degenerate = scenario.n == 1 or float(np.ptp(t)) < 1e-12
-    control = replace(
-        scenario,
-        kind="simulate",
-        players=tuple(
-            PlayerParams(risk_aversion=scenario.p_o, kind="nash")
-            for _ in range(scenario.n)
-        ),
-    )
-    control_trace = run_simulation(control)
-    control_drift = float(np.max(np.abs(control_trace.average - control_trace.average[0])))
+        drift = control_drift = 0.0
+        degenerate = True
+    else:
+        t = InfluenceMatrix.from_matrix(scenario.influence).t
+        drifts = []
+        for weights in (t, np.ones(scenario.n)):  # p_i = p_o * t_i; control: p_i = p_o
+            lineup = nash_players(scenario.n, weights, scenario.p_o)
+            trace = run_simulation(replace(scenario, kind="simulate", players=lineup))
+            drifts.append(float(np.max(np.abs(trace.average - trace.average[0]))))
+        drift, control_drift = drifts
+        degenerate = float(np.ptp(t)) < 1e-12
 
     passed = drift < tol and (degenerate or control_drift > 1e-6)
     return {
@@ -510,19 +497,8 @@ def parse_trace(text: str) -> SimulationTrace:
     body = [ln.split(",") for ln in lines[1:] if ln]
     if not body:
         return SimulationTrace.empty(n)
-    ks = [int(row[1]) for row in body if row[0] == "aggregate"]
-    steps = max(ks)
-    trace = SimulationTrace(
-        n=n,
-        steps=steps,
-        opinions=np.zeros((steps + 1, n, m)),
-        revealed=np.zeros((steps, n, m)),
-        deviations=np.zeros((steps, n, m)),
-        average=np.zeros((steps + 1, m)),
-        shapley=np.zeros((steps + 1, n)),
-        rewards=np.zeros((steps, n)),
-        disutility=np.zeros(steps),
-    )
+    steps = max(int(row[1]) for row in body if row[0] == "aggregate")
+    trace = SimulationTrace.empty(n, steps)
     for row in body:
         k = int(row[1])
         if row[0] == "opinion":
@@ -597,6 +573,15 @@ def scenario_from_dict(raw: dict, source: str = "<scenario>") -> Scenario:
         return check(key, kind, raw.get(key, default))
 
     def finite_array(key: str, value, shape: tuple) -> np.ndarray:
+        """Nested lists of JSON numbers; true/false and strings are not numbers."""
+
+        def numeric(v) -> bool:
+            if isinstance(v, list):
+                return all(map(numeric, v))
+            return isinstance(v, (int, float)) and not isinstance(v, bool)
+
+        if not numeric(value):
+            fail(key, "numeric array required (JSON numbers only)")
         try:
             arr = np.asarray(value, dtype=float)
         except (TypeError, ValueError):
@@ -672,12 +657,15 @@ def scenario_from_dict(raw: dict, source: str = "<scenario>") -> Scenario:
         truth_spec = GroundTruthSpec(family(n), np.full(n, sigma))
         # the dynamics keep the grand value fixed, so sampling leaves it at
         # the truth's (normalized) value
-        initial_opinions = tuple(
-            sample_supermodular_opinion(
-                truth_spec, i, np.random.default_rng([seed, 3, i]), perturb_grand=False
+        try:
+            initial_opinions = tuple(
+                sample_supermodular_opinion(
+                    truth_spec, i, np.random.default_rng([seed, 3, i]), perturb_grand=False
+                )
+                for i in range(n)
             )
-            for i in range(n)
-        )
+        except SamplerError as exc:
+            fail("initial_opinions.ground_truth.sigma", str(exc))
     elif isinstance(opinions_raw, list):
         if len(opinions_raw) != n:
             fail("initial_opinions", f"expected {n} entries, got {len(opinions_raw)}")
@@ -700,23 +688,19 @@ def scenario_from_dict(raw: dict, source: str = "<scenario>") -> Scenario:
         if not isinstance(players_raw, list) or len(players_raw) != n:
             fail("players", f"expected a list of {n} player configs")
         parsed_players = []
-        known = {
-            "kind",
-            "risk_aversion",
-            "exploit_prob",
-            "explore_std",
-            "explore_decay",
-            "value_rate",
-            "avg_reward_rate",
-        }
+        param_kinds = {"kind": str, **dict.fromkeys(FLOAT_PARAMS, float)}
         for i, item in enumerate(players_raw):
             if not isinstance(item, dict):
                 fail(f"players[{i}]", "object required")
-            unknown = set(item) - known
+            unknown = set(item) - set(param_kinds)
             if unknown:
                 fail(f"players[{i}]", f"unknown keys {sorted(unknown)}")
+            params = {
+                name: check(f"players[{i}]: {name}", param_kinds[name], value)
+                for name, value in item.items()
+            }
             try:
-                parsed_players.append(PlayerParams(**item))
+                parsed_players.append(PlayerParams(**params))
             except (TypeError, ValueError) as exc:
                 fail(f"players[{i}]", str(exc))
         players = tuple(parsed_players)

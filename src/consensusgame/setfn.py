@@ -4,12 +4,13 @@ A coalition of players {0, ..., n-1} is a bitmask: bit i set means player i
 is in the coalition.  A payoff function is stored dense, one value per
 bitmask, with the empty coalition pinned at zero.  Proper nonempty
 coalitions (everything except the empty set and the grand coalition) form
-the "restricted" m-vector view, m = 2^n - 2, in ascending bitmask order.
+the "restricted" m-vector view, m = 2^n - 2, in ascending bitmask order:
+coalition S sits at index S - 1.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -34,30 +35,6 @@ def grand_mask(n: int) -> int:
 def num_restricted(n: int) -> int:
     """Number of proper nonempty coalitions."""
     return (1 << n) - 2
-
-
-def subset_index(subset: int, n: int) -> int:
-    """Index of a proper nonempty coalition in the restricted m-vector.
-
-    Canonical order is ascending bitmask, so the map is simply
-    ``subset - 1``.  Rejects the empty set and the grand coalition.
-    """
-    _check_n(n)
-    if not 0 <= subset < (1 << n):
-        raise SetFunctionError(f"bitmask {subset} out of range for n={n}")
-    if subset == 0:
-        raise SetFunctionError("empty coalition has no restricted index")
-    if subset == grand_mask(n):
-        raise SetFunctionError("grand coalition has no restricted index")
-    return subset - 1
-
-
-def restricted_subset(index: int, n: int) -> int:
-    """Inverse of subset_index."""
-    _check_n(n)
-    if not 0 <= index < num_restricted(n):
-        raise SetFunctionError(f"restricted index {index} out of range for n={n}")
-    return index + 1
 
 
 def _check_n(n: int) -> None:
@@ -324,11 +301,6 @@ def parse_setfn(text: str) -> SetFunction:
             )
         vals[mask] = value
     return SetFunction(n, vals)
-
-
-def write_setfn(f: SetFunction, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(dump_setfn(f))
 
 
 def read_setfn(path) -> SetFunction:

@@ -96,7 +96,7 @@ class ShapleyLinearForm:
             raise SetFunctionError("player count mismatch")
         if not f.is_normalized(tol=1e-9):
             raise SetFunctionError("linear form applies to normalized functions only")
-        return Allocation(self.n, self.offset + self.rows @ f.restricted())
+        return Allocation(self.n, self.apply_restricted(f.restricted()))
 
     def apply_restricted(self, restricted: np.ndarray) -> np.ndarray:
         """Payoffs for a normalized function given only its m-vector."""

@@ -9,7 +9,6 @@ from consensusgame.agents import (
     PlayerParams,
     RLearningAgent,
     TruthfulAgent,
-    environment_model_csv,
     make_agent,
     nash_best_response,
     nash_deviation,
@@ -235,14 +234,6 @@ class TestEnvironmentModel:
         for model in models[1:]:
             assert np.array_equal(model.gain, models[0].gain)
 
-    def test_csv_snapshot_shape(self):
-        model = EnvironmentModel(2)
-        model.update(np.array([0.1, 0.2]), np.array([0.0, 0.1]))
-        text = environment_model_csv(model)
-        lines = text.strip().splitlines()
-        assert lines[0] == "feature,out_0,out_1"
-        assert len(lines) == 1 + 3 + 1  # header, intercept + 2 slopes, residual
-
 
 class TestRLearningAgent:
     def _agent(self, **kw) -> RLearningAgent:
@@ -259,7 +250,7 @@ class TestRLearningAgent:
     def test_pure_exploration_perturbs_the_response(self):
         agent = self._agent(exploit_prob=0.0, explore_std=0.05)
         state = np.array([0.4, 0.3])
-        base = agent.best_response(state)
+        base = agent.best_response(agent.model.predict(state))
         rng = np.random.default_rng(1)
         actions = np.stack([agent.act(state, rng) for _ in range(20)])
         assert np.all(np.any(actions != base, axis=1))
@@ -283,7 +274,7 @@ class TestRLearningAgent:
         prediction = agent.model.predict(state)
         np.testing.assert_allclose(prediction, target, atol=1e-3)
         # the response now leans against the learned opponent deviation
-        lean = agent.best_response(state)
+        lean = agent.best_response(prediction)
         expected = nash_best_response(
             D2[0], 0.1, 0.4, 4.0 / 11.0, (1 - 4.0 / 11.0) * prediction
         )

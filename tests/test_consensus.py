@@ -7,7 +7,6 @@ import pytest
 
 from consensusgame.consensus import (
     ConsensusError,
-    ConsensusParams,
     InfluenceMatrix,
     OpinionProfile,
     average_opinion,
@@ -18,6 +17,7 @@ from consensusgame.consensus import (
 )
 from consensusgame.setfn import (
     SetFunction,
+    SetFunctionError,
     is_supermodular,
     random_supermodular,
     weighted_average,
@@ -179,6 +179,15 @@ class TestAverageOpinion:
         avg = average_opinion(profile, np.full(3, 1.0 / 3.0))
         np.testing.assert_allclose(avg.values, f.values, atol=1e-15)
 
+    def test_is_the_weighted_average_of_the_opinions(self):
+        rng = np.random.default_rng(17)
+        profile = OpinionProfile(0, tuple(random_supermodular(4, rng) for _ in range(4)))
+        t = random_influence(4, rng).t
+        avg = average_opinion(profile, t)
+        np.testing.assert_array_equal(avg.values, weighted_average(list(profile.opinions), t).values)
+        with pytest.raises(SetFunctionError, match="one weight per set function"):
+            average_opinion(profile, t[:3])
+
 
 class TestDeviationDisutility:
     def test_equal_or_zero_lies_cost_nothing(self):
@@ -265,13 +274,6 @@ class TestStrategicSupermodularClosure:
 
 
 class TestParamsAndProfiles:
-    def test_theta_bounds(self):
-        with pytest.raises(ConsensusError):
-            ConsensusParams(theta=0.0, horizon=10)
-        with pytest.raises(ConsensusError):
-            ConsensusParams(theta=1.0, horizon=10)
-        ConsensusParams(theta=0.5, horizon=0)
-
     def test_profile_requires_one_opinion_per_player(self):
         f = random_supermodular(3, np.random.default_rng(29))
         with pytest.raises(ConsensusError):

@@ -1,5 +1,6 @@
 """Simulation driver, trace round-trips, scenario validation, and the CLI."""
 
+import copy
 import json
 import tracemalloc
 from pathlib import Path
@@ -11,6 +12,7 @@ from hypothesis import strategies as st
 
 from consensusgame import cli
 from consensusgame.agents import (
+    FLOAT_PARAMS,
     EnvironmentModel,
     PlayerParams,
     RLearningAgent,
@@ -696,6 +698,28 @@ class TestCli:
                 {"initial_opinions": {"ground_truth": {"family": [], "sigma": 0.01}}},
                 "initial_opinions.ground_truth.family",
             ),
+            ({"influence": [[True, False], [False, True]]}, "influence"),
+            ({"initial_opinions": [{"restricted": [True, False]}, {"restricted": [0.3, 0.5]}]},
+             "initial_opinions[0].restricted"),
+            (
+                {
+                    "n": 5,
+                    "influence": "random_primitive",
+                    "initial_opinions": {"ground_truth": {"sigma": 1.0}},
+                    "players": [{"kind": "nash", "risk_aversion": 1.0}] * 5,
+                },
+                "initial_opinions.ground_truth.sigma",
+            ),
+            (
+                {
+                    "players": [
+                        {"kind": "nash", "risk_aversion": True},
+                        {"kind": "nash", "risk_aversion": 1.0},
+                    ]
+                },
+                "players[0]: risk_aversion",
+            ),
+            ({"influence": [["0.3", "0.7"], ["0.4", "0.6"]]}, "influence"),
         ],
     )
     def test_malformed_keys_exit_two_naming_the_key(self, tmp_path, capsys, patch, key):
@@ -788,3 +812,43 @@ def test_scenario_loading_raises_nothing_but_scenario_error(base, patch):
         scenario_from_dict({**base, **patch})
     except ScenarioError:
         pass
+
+
+# nested keys: one entry of initial_opinions (ground-truth spec or listed
+# opinion) and one player config get junk values
+_NESTED_BASE = {
+    "kind": "simulate",
+    **_GAME,
+    "players": [
+        {"kind": "rlearning", **dict.fromkeys(FLOAT_PARAMS, 0.5)},
+        {"kind": "nash", "risk_aversion": 1.0},
+    ],
+}
+_OPINION_FORMS = (
+    {"ground_truth": {"family": "quadratic", "sigma": 0.01}},
+    [{"restricted": [0.7, 0.1], "grand": 1.0}, {"restricted": [0.3, 0.5]}],
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    opinions=st.sampled_from(_OPINION_FORMS),
+    i=st.integers(0, 1),
+    opinion_patch=st.dictionaries(
+        st.sampled_from(["family", "sigma", "restricted", "grand"]), JSON_JUNK, max_size=2
+    ),
+    player_patch=st.dictionaries(st.sampled_from(["kind", *FLOAT_PARAMS]), JSON_JUNK, max_size=3),
+)
+def test_nested_scenario_keys_raise_nothing_but_scenario_error(opinions, i, opinion_patch, player_patch):
+    doc = copy.deepcopy({**_NESTED_BASE, "initial_opinions": opinions})
+    target = doc["initial_opinions"]
+    target = target["ground_truth"] if isinstance(target, dict) else target[i]
+    target.update(opinion_patch)
+    doc["players"][i].update(player_patch)
+    try:
+        scenario = scenario_from_dict(doc)
+    except ScenarioError:
+        return
+    for params in scenario.players:
+        for name in FLOAT_PARAMS:
+            assert type(getattr(params, name)) is float, (name, getattr(params, name))

@@ -16,9 +16,7 @@ from consensusgame.setfn import (
     num_restricted,
     parse_setfn,
     random_supermodular,
-    restricted_subset,
     sample_supermodular_opinion,
-    subset_index,
     weighted_average,
 )
 
@@ -51,33 +49,41 @@ def supermodular_bruteforce(f: SetFunction, strict: bool = False, tol: float = 1
     return True
 
 
+def restricted_masks(n: int) -> list[int]:
+    """The coalitions of the restricted view, read off a function whose
+    value at every coalition is its own bitmask."""
+    f = SetFunction(n, np.arange(1 << n, dtype=float))
+    return f.restricted().astype(int).tolist()
+
+
 class TestSubsetIndex:
+    """The restricted index of a proper nonempty coalition is its bitmask
+    minus 1 (ascending bitmask order)."""
+
     def test_two_player_order(self):
-        assert subset_index(0b01, 2) == 0
-        assert subset_index(0b10, 2) == 1
+        assert restricted_masks(2) == [0b01, 0b10]
 
     def test_three_player_example_against_enumeration_oracle(self):
         # {players 0, 2} -> bitmask 0b101; the oracle enumeration places it
         # at position 4 of (001, 010, 011, 100, 101, 110).
         oracle = enumerate_proper_subsets(3)
         assert oracle.index(0b101) == 4
-        assert subset_index(0b101, 3) == 4
+        assert restricted_masks(3)[4] == 0b101
 
     @pytest.mark.parametrize("n", range(2, 11))
     def test_bijection_roundtrip(self, n):
         oracle = enumerate_proper_subsets(n)
         assert len(oracle) == num_restricted(n)
-        for pos, mask in enumerate(oracle):
-            assert subset_index(mask, n) == pos
-            assert restricted_subset(pos, n) == mask
+        assert restricted_masks(n) == oracle
+        grand = float((1 << n) - 1)
+        f = SetFunction.from_restricted(n, np.array(oracle, dtype=float), grand)
+        np.testing.assert_array_equal(f.values, np.arange(1 << n))
 
     def test_rejects_empty_and_grand(self):
+        masks = restricted_masks(3)
+        assert 0 not in masks and 0b111 not in masks
         with pytest.raises(SetFunctionError):
-            subset_index(0, 3)
-        with pytest.raises(SetFunctionError):
-            subset_index(0b111, 3)
-        with pytest.raises(SetFunctionError):
-            subset_index(0b1000, 3)
+            SetFunction.from_restricted(3, np.arange(1, 8, dtype=float))
 
 
 class TestIsSupermodular:

@@ -106,8 +106,7 @@ class InfluenceMatrix:
 class OpinionProfile:
     """True opinions v_i and revealed opinions x_i at one time step.
 
-    ``revealed`` is None until the players act; deviations are the
-    restricted-entry differences x_i - v_i.
+    ``revealed`` is None until the players act.
     """
 
     step: int
@@ -131,14 +130,6 @@ class OpinionProfile:
     @property
     def n(self) -> int:
         return self.opinions[0].n
-
-    def deviations(self) -> np.ndarray:
-        """Per-player lie vectors on the restricted entries, shape (n, m)."""
-        if self.revealed is None:
-            raise ConsensusError("no revealed opinions recorded at this step")
-        return np.stack(
-            [x.restricted() - v.restricted() for x, v in zip(self.revealed, self.opinions)]
-        )
 
     def with_revealed(self, revealed: tuple[SetFunction, ...]) -> "OpinionProfile":
         return OpinionProfile(self.step, self.opinions, tuple(revealed))

@@ -15,6 +15,13 @@ Trace CSV layout (one file, fixed header, full-precision floats):
   (x and u are blank on the final step, where no action is taken);
 - one "aggregate" row per step carrying the weighted average opinion, its
   Shapley allocation, per-player rewards, and the fraud disutility.
+
+`emit_trace` writes the file one step at a time, so the CSV text of a run is
+never held in memory whole.  `parse_trace` accepts only what the writer
+writes: every opinion row (step, player, entry) and every step's aggregate
+row exactly once, in range, with finite values, and the action cells (x, u,
+rewards, disutility) blank on the final step and only there.  Anything else
+is a ScenarioError naming the line, or the row that is missing.
 """
 
 from __future__ import annotations
@@ -22,7 +29,7 @@ from __future__ import annotations
 import json
 import math
 import os
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
@@ -435,10 +442,6 @@ def po_sweep_verdict(rows: list[dict]) -> dict:
 # --- trace CSV ---------------------------------------------------------------
 
 
-def _fmt(x: float | None) -> str:
-    return "" if x is None else repr(float(x))
-
-
 def trace_header(n: int, m: int) -> str:
     cols = ["kind", "k", "player", "entry", "v", "x", "u"]
     cols += [f"vhat_{e}" for e in range(m)]
@@ -448,44 +451,117 @@ def trace_header(n: int, m: int) -> str:
     return ",".join(cols)
 
 
-def dump_trace(trace: SimulationTrace) -> str:
+def _trace_chunks(trace: SimulationTrace):
+    """The trace CSV as text chunks: the header line, then one chunk per step
+    (its opinion rows and its aggregate row).  Floats are written with repr."""
     n, m, steps = trace.n, trace.m, trace.steps
-    cum = trace.cumulative_disutility()
-    blank_agg = [""] * (m + 2 * n + 2)
-    lines = [trace_header(n, m)]
+    yield trace_header(n, m) + "\n"
+    cells = [f"{i},{e}," for i in range(n) for e in range(m)]
+    tail = "," * (m + 2 * n + 2) + "\n"  # the blank aggregate columns
+    opinions = trace.opinions.reshape(-1, n * m).tolist()
+    revealed = trace.revealed.reshape(-1, n * m).tolist()
+    deviations = trace.deviations.reshape(-1, n * m).tolist()
+    average, shapley = trace.average.tolist(), trace.shapley.tolist()
+    rewards, disutility = trace.rewards.tolist(), trace.disutility.tolist()
+    cum = trace.cumulative_disutility().tolist()
     for k in range(steps + 1):
-        acted = k < steps
-        for i in range(n):
-            for e in range(m):
-                row = [
-                    "opinion",
-                    str(k),
-                    str(i),
-                    str(e),
-                    _fmt(trace.opinions[k, i, e]),
-                    _fmt(trace.revealed[k, i, e]) if acted else "",
-                    _fmt(trace.deviations[k, i, e]) if acted else "",
-                ]
-                lines.append(",".join(row + blank_agg))
-        agg = ["aggregate", str(k), "", "", "", "", ""]
-        agg += [_fmt(x) for x in trace.average[k]]
-        agg += [_fmt(x) for x in trace.shapley[k]]
-        agg += [_fmt(x) for x in trace.rewards[k]] if acted else [""] * n
-        agg += [_fmt(trace.disutility[k]) if acted else "", _fmt(cum[k])]
-        lines.append(",".join(agg))
-    return "\n".join(lines) + "\n"
+        head = f"opinion,{k},"
+        agg = f"aggregate,{k},,,,,," + ",".join(map(repr, average[k] + shapley[k]))
+        if k < steps:
+            rows = [
+                f"{head}{cell}{v!r},{x!r},{u!r}{tail}"
+                for cell, v, x, u in zip(cells, opinions[k], revealed[k], deviations[k])
+            ]
+            agg += f",{','.join(map(repr, rewards[k]))},{disutility[k]!r},{cum[k]!r}\n"
+        else:
+            rows = [f"{head}{cell}{v!r},,{tail}" for cell, v in zip(cells, opinions[k])]
+            agg += f"{',' * (n + 2)}{cum[k]!r}\n"
+        rows.append(agg)
+        yield "".join(rows)
+
+
+def dump_trace(trace: SimulationTrace) -> str:
+    return "".join(_trace_chunks(trace))
 
 
 def emit_trace(trace: SimulationTrace, path) -> None:
+    """Write the trace CSV to ``path`` one step at a time."""
     try:
         with open(path, "w", encoding="utf-8") as fh:
-            fh.write(dump_trace(trace))
+            fh.writelines(_trace_chunks(trace))
     except OSError as exc:
         raise OSError(f"cannot write trace to {path}: {exc}") from exc
 
 
+def _numbers(cells: list, kind: type, lines: np.ndarray, names: list) -> np.ndarray:
+    """CSV cells as a flat array of ``kind`` (int or float).
+
+    The cells run row by row, ``lines`` holding each row's line number and
+    ``names`` each column's name; the first cell that is not a finite number
+    of that kind is rejected, naming its line and column.
+    """
+    try:
+        values = np.fromiter(map(kind, cells), kind, len(cells))
+    except (ValueError, OverflowError):
+        values = np.array([_number_or_nan(cell, kind) for cell in cells])
+    bad = np.flatnonzero(~np.isfinite(values))
+    if bad.size:
+        row, col = divmod(int(bad[0]), len(names))
+        raise ScenarioError(
+            f"trace line {lines[row]}: {names[col]}: {_EXPECTED[kind]} required, "
+            f"got {cells[bad[0]]!r}"
+        )
+    return values
+
+
+def _number_or_nan(cell: str, kind: type) -> float:
+    try:
+        return float(np.array(cell, dtype=kind))
+    except (ValueError, OverflowError):
+        return math.nan
+
+
+def _in_range(values: np.ndarray, stop: int, lines: np.ndarray, name: str) -> None:
+    bad = np.flatnonzero((values < 0) | (values >= stop))
+    if bad.size:
+        raise ScenarioError(
+            f"trace line {lines[bad[0]]}: {name}: {values[bad[0]]} outside 0..{stop - 1}"
+        )
+
+
+def _once_each(index: np.ndarray, size: int, lines: np.ndarray, describe) -> None:
+    """Every value in 0..size-1 occurs in ``index`` exactly once; a repeat is
+    reported at its second line, a gap by ``describe(value)``."""
+    counts = np.bincount(index, minlength=size)
+    repeated = np.flatnonzero(counts > 1)
+    if repeated.size:
+        line = lines[np.flatnonzero(index == repeated[0])[1]]
+        raise ScenarioError(f"trace line {line}: repeats the {describe(repeated[0])}")
+    missing = np.flatnonzero(counts == 0)
+    if missing.size:
+        raise ScenarioError(f"trace: no {describe(missing[0])}")
+
+
+def _blank_on_final_step(cells: list, acted: np.ndarray, lines, names, steps: int) -> None:
+    """Action cells hold a value on every step but the final one, where they
+    are blank; ``cells`` run row by row as in ``_numbers``."""
+    filled = np.fromiter(map(bool, cells), bool, len(cells)).reshape(len(lines), -1)
+    wrong = np.argwhere(filled != acted[:, None])
+    if wrong.size:
+        row, col = wrong[0]
+        want = _EXPECTED[float] if acted[row] else f"blank on the final step {steps}"
+        raise ScenarioError(
+            f"trace line {lines[row]}: {names[col]}: {want} required, "
+            f"got {cells[row * filled.shape[1] + col]!r}"
+        )
+
+
 def parse_trace(text: str) -> SimulationTrace:
-    """Rebuild a trace from its CSV; inverse of dump_trace."""
+    """Rebuild a trace from its CSV; inverse of dump_trace.
+
+    Anything dump_trace would not have written is rejected with a
+    ScenarioError naming the line, or the row that is missing.
+    """
     lines = text.splitlines()
     if not lines:
         raise ScenarioError("empty trace file")
@@ -494,28 +570,84 @@ def parse_trace(text: str) -> SimulationTrace:
     n = sum(1 for c in header if c.startswith("shapley_"))
     if m == 0 or n == 0 or header != trace_header(n, m).split(","):
         raise ScenarioError("unrecognized trace header")
-    body = [ln.split(",") for ln in lines[1:] if ln]
+    body = lines[1:]
     if not body:
         return SimulationTrace.empty(n)
-    steps = max(int(row[1]) for row in body if row[0] == "aggregate")
+    count = len(body)
+    line_no = np.arange(2, count + 2)
+    width = len(header) - 7  # the aggregate columns, blank in opinion rows
+    is_opinion = np.fromiter(map(str.startswith, body, ["opinion,"] * count), bool, count)
+    is_aggregate = np.fromiter(map(str.startswith, body, ["aggregate,"] * count), bool, count)
+    opinion = [line for line, keep in zip(body, is_opinion.tolist()) if keep]
+    aggregate = [line.split(",") for line, keep in zip(body, is_aggregate.tolist()) if keep]
+    op_lines, agg_lines = line_no[is_opinion], line_no[is_aggregate]
+    # an opinion row is its seven fields and then the blank aggregate columns;
+    # the fields of all of them are split in one go, seven to a row, since a
+    # list per row costs the garbage collector more the longer the file
+    heads = [line[:-width] for line in opinion]
+    well_formed = is_opinion | is_aggregate
+    well_formed[is_opinion] = np.fromiter(
+        map(str.endswith, opinion, ["," * width] * len(opinion)), bool, len(opinion)
+    ) & (np.fromiter(map(str.count, heads, [","] * len(heads)), np.intp, len(heads)) == 6)
+    well_formed[is_aggregate] = [len(f) == len(header) and not any(f[2:7]) for f in aggregate]
+    bad = np.flatnonzero(~well_formed)
+    if bad.size:
+        kind = body[bad[0]].split(",")[0]
+        if kind not in ("opinion", "aggregate"):
+            raise ScenarioError(f"trace line {line_no[bad[0]]}: unknown row kind {kind!r}")
+        blank = f"the last {width}" if kind == "opinion" else "player, entry, v, x and u"
+        raise ScenarioError(
+            f"trace line {line_no[bad[0]]}: {kind} rows have {len(header)} fields, "
+            f"{blank} blank"
+        )
+    columns = ",".join(heads).split(",")
+    k, i, e, v, x, u = (columns[col::7] for col in range(1, 7))
+
+    op_k = _numbers(k, int, op_lines, ["k"])
+    op_i = _numbers(i, int, op_lines, ["player"])
+    op_e = _numbers(e, int, op_lines, ["entry"])
+    agg_k = _numbers([f[1] for f in aggregate], int, agg_lines, ["k"])
+    # k below the row count bounds the row counts below by the file's size
+    _in_range(op_k, count, op_lines, "k")
+    _in_range(agg_k, count, agg_lines, "k")
+    _in_range(op_i, n, op_lines, "player")
+    _in_range(op_e, m, op_lines, "entry")
+    steps = int(max(op_k.max(initial=0), agg_k.max(initial=0)))
+    _once_each(agg_k, steps + 1, agg_lines, lambda j: f"aggregate row for k={j}")
+    shape = (steps + 1, n, m)
+    _once_each(
+        np.ravel_multi_index((op_k, op_i, op_e), shape),
+        math.prod(shape),
+        op_lines,
+        lambda j: "opinion row for k={}, player={}, entry={}".format(*np.unravel_index(j, shape)),
+    )
+
     trace = SimulationTrace.empty(n, steps)
-    for row in body:
-        k = int(row[1])
-        if row[0] == "opinion":
-            i, e = int(row[2]), int(row[3])
-            trace.opinions[k, i, e] = float(row[4])
-            if k < steps:
-                trace.revealed[k, i, e] = float(row[5])
-                trace.deviations[k, i, e] = float(row[6])
-        elif row[0] == "aggregate":
-            off = 7
-            trace.average[k] = [float(v) for v in row[off : off + m]]
-            trace.shapley[k] = [float(v) for v in row[off + m : off + m + n]]
-            if k < steps:
-                trace.rewards[k] = [float(v) for v in row[off + m + n : off + m + 2 * n]]
-                trace.disutility[k] = float(row[off + m + 2 * n])
-        else:
-            raise ScenarioError(f"unknown trace row kind {row[0]!r}")
+    trace.opinions[op_k, op_i, op_e] = _numbers(v, float, op_lines, ["v"])
+    acted = op_k < steps
+    at = (op_k[acted], op_i[acted], op_e[acted])
+    for name, column, out in (("x", x, trace.revealed), ("u", u, trace.deviations)):
+        _blank_on_final_step(column, acted, op_lines, [name], steps)
+        out[at] = _numbers(list(filter(None, column)), float, op_lines[acted], [name])
+
+    # aggregate columns: the average and Shapley rows and the cumulative
+    # disutility on every step; rewards and disutility on acted steps only
+    state, action = slice(7, 7 + m + n), slice(7 + m + n, -1)
+    values = _numbers(
+        [c for f in aggregate for c in (*f[state], f[-1])],
+        float,
+        agg_lines,
+        [*header[state], header[-1]],
+    ).reshape(-1, m + n + 1)
+    trace.average[agg_k] = values[:, :m]
+    trace.shapley[agg_k] = values[:, m : m + n]
+    acted = agg_k < steps
+    cells = [c for f in aggregate for c in f[action]]
+    _blank_on_final_step(cells, acted, agg_lines, header[action], steps)
+    values = _numbers(list(filter(None, cells)), float, agg_lines[acted], header[action])
+    values = values.reshape(-1, n + 1)
+    trace.rewards[agg_k[acted]] = values[:, :n]
+    trace.disutility[agg_k[acted]] = values[:, n]
     return trace
 
 
@@ -572,6 +704,11 @@ def scenario_from_dict(raw: dict, source: str = "<scenario>") -> Scenario:
     def read(key: str, kind: type, default):
         return check(key, kind, raw.get(key, default))
 
+    def known_keys(obj: dict, where: str, keys) -> None:
+        unknown = set(obj) - set(keys)
+        if unknown:
+            fail(where, f"unknown keys {sorted(unknown, key=str)}")
+
     def finite_array(key: str, value, shape: tuple) -> np.ndarray:
         """Nested lists of JSON numbers; true/false and strings are not numbers."""
 
@@ -594,6 +731,7 @@ def scenario_from_dict(raw: dict, source: str = "<scenario>") -> Scenario:
 
     if not isinstance(raw, dict):
         raise ScenarioError(f"{source}: scenario must be a JSON object")
+    known_keys(raw, "scenario", (f.name for f in fields(Scenario)))
     kind = raw.get("kind", "simulate")
     if kind not in EXPERIMENT_KINDS:
         fail("kind", f"must be one of {EXPERIMENT_KINDS}, got {kind!r}")
@@ -601,6 +739,9 @@ def scenario_from_dict(raw: dict, source: str = "<scenario>") -> Scenario:
     n = read("n", int, None)
     if n < 1:
         fail("n", f"positive integer player count required, got {n!r}")
+    if kind in ("simulate", "po-sweep") and n < 2:
+        # efficiency reports the one-player game as degenerate instead
+        fail("n", f"kind {kind!r} needs at least 2 players, got {n}")
     if kind in SIMULATING_KINDS and n > LINEAR_FORM_MAX_PLAYERS:
         fail("n", f"kind {kind!r} supports at most {LINEAR_FORM_MAX_PLAYERS} players, got {n}")
     theta = read("theta", float, None)
@@ -644,6 +785,7 @@ def scenario_from_dict(raw: dict, source: str = "<scenario>") -> Scenario:
         spec = opinions_raw["ground_truth"]
         if not isinstance(spec, dict):
             fail("initial_opinions.ground_truth", "object required")
+        known_keys(spec, "initial_opinions.ground_truth", ("family", "sigma"))
         family_name = spec.get("family", "quadratic")
         family = TRUTH_FAMILIES.get(family_name) if isinstance(family_name, str) else None
         if family is None:
@@ -673,6 +815,7 @@ def scenario_from_dict(raw: dict, source: str = "<scenario>") -> Scenario:
         for i, item in enumerate(opinions_raw):
             if not isinstance(item, dict) or "restricted" not in item:
                 fail(f"initial_opinions[{i}]", 'object with "restricted" list required')
+            known_keys(item, f"initial_opinions[{i}]", ("restricted", "grand"))
             restricted = finite_array(
                 f"initial_opinions[{i}].restricted", item["restricted"], (num_restricted(n),)
             )
@@ -692,9 +835,7 @@ def scenario_from_dict(raw: dict, source: str = "<scenario>") -> Scenario:
         for i, item in enumerate(players_raw):
             if not isinstance(item, dict):
                 fail(f"players[{i}]", "object required")
-            unknown = set(item) - set(param_kinds)
-            if unknown:
-                fail(f"players[{i}]", f"unknown keys {sorted(unknown)}")
+            known_keys(item, f"players[{i}]", param_kinds)
             params = {
                 name: check(f"players[{i}]: {name}", param_kinds[name], value)
                 for name, value in item.items()

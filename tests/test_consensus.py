@@ -278,13 +278,3 @@ class TestParamsAndProfiles:
         f = random_supermodular(3, np.random.default_rng(29))
         with pytest.raises(ConsensusError):
             OpinionProfile(0, (f, f))
-
-    def test_deviations_recover_lies_exactly(self):
-        profile = two_player_profile()
-        u = np.array([[0.05, -0.02], [-0.01, 0.03]])
-        revealed = tuple(
-            SetFunction.from_restricted(2, f.restricted() + u[i], 1.0)
-            for i, f in enumerate(profile.opinions)
-        )
-        got = profile.with_revealed(revealed).deviations()
-        np.testing.assert_allclose(got, u, atol=1e-16)

@@ -40,6 +40,7 @@ from consensusgame.harness import (
     random_primitive_influence,
     run_simulation,
     scenario_from_dict,
+    trace_header,
 )
 from consensusgame.setfn import SetFunction, dump_setfn, random_supermodular
 from consensusgame.shapley import shapley_linear_form
@@ -53,6 +54,33 @@ def demo_opinions():
     return (
         SetFunction.from_restricted(2, [0.7, 0.1], 1.0),
         SetFunction.from_restricted(2, [0.3, 0.5], 1.0),
+    )
+
+
+def mixed_scenario(n: int, seed: int, horizon: int) -> Scenario:
+    """A random game whose first player learns and whose others cycle
+    through the R-learning, Nash and truthful strategies."""
+    rng = np.random.default_rng([seed, n])
+    kinds = ("rlearning", "nash", "truthful")
+    players = tuple(
+        PlayerParams(
+            risk_aversion=float(rng.uniform(0.5, 50.0)),
+            kind=kinds[(i + seed) % 3] if i else "rlearning",
+            exploit_prob=float(rng.uniform(0.1, 0.9)),
+            explore_std=float(rng.choice([1e-4, 1e-2])),
+            explore_decay=0.99,
+        )
+        for i in range(n)
+    )
+    return Scenario(
+        kind="simulate",
+        n=n,
+        theta=0.1,
+        horizon=horizon,
+        seed=seed,
+        influence=random_primitive_influence(n, rng),
+        initial_opinions=tuple(random_supermodular(n, rng) for _ in range(n)),
+        players=players,
     )
 
 
@@ -136,28 +164,7 @@ class TestRunSimulation:
     @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
     @pytest.mark.parametrize("seed", [1, 2, 701])
     def test_learner_loop_matches_per_player_reference(self, n, seed):
-        rng = np.random.default_rng([seed, n])
-        kinds = ("rlearning", "nash", "truthful")
-        players = tuple(
-            PlayerParams(
-                risk_aversion=float(rng.uniform(0.5, 50.0)),
-                kind=kinds[(i + seed) % 3] if i else "rlearning",
-                exploit_prob=float(rng.uniform(0.1, 0.9)),
-                explore_std=float(rng.choice([1e-4, 1e-2])),
-                explore_decay=0.99,
-            )
-            for i in range(n)
-        )
-        scenario = Scenario(
-            kind="simulate",
-            n=n,
-            theta=0.1,
-            horizon=60,
-            seed=seed,
-            influence=random_primitive_influence(n, rng),
-            initial_opinions=tuple(random_supermodular(n, rng) for _ in range(n)),
-            players=players,
-        )
+        scenario = mixed_scenario(n, seed, horizon=60)
         trace = run_simulation(scenario)
         reference = reference_simulation(scenario)
         assert (trace.steps, trace.converged_at) == (reference.steps, reference.converged_at)
@@ -269,7 +276,114 @@ def reference_simulation(scenario: Scenario):
     )
 
 
+def reference_dump(trace: SimulationTrace) -> str:
+    """The trace CSV written one row and one element at a time: the byte
+    oracle for dump_trace and emit_trace."""
+
+    def fmt(x) -> str:
+        return repr(float(x))
+
+    n, m, steps = trace.n, trace.m, trace.steps
+    cum = trace.cumulative_disutility()
+    blank_agg = [""] * (m + 2 * n + 2)
+    lines = [trace_header(n, m)]
+    for k in range(steps + 1):
+        acted = k < steps
+        for i in range(n):
+            for e in range(m):
+                row = [
+                    "opinion",
+                    str(k),
+                    str(i),
+                    str(e),
+                    fmt(trace.opinions[k, i, e]),
+                    fmt(trace.revealed[k, i, e]) if acted else "",
+                    fmt(trace.deviations[k, i, e]) if acted else "",
+                ]
+                lines.append(",".join(row + blank_agg))
+        agg = ["aggregate", str(k), "", "", "", "", ""]
+        agg += [fmt(x) for x in trace.average[k]]
+        agg += [fmt(x) for x in trace.shapley[k]]
+        agg += [fmt(x) for x in trace.rewards[k]] if acted else [""] * n
+        agg += [fmt(trace.disutility[k]) if acted else "", fmt(cum[k])]
+        lines.append(",".join(agg))
+    return "\n".join(lines) + "\n"
+
+
+def _oracle_traces():
+    for n in (2, 3, 6, 8):
+        for seed in (1, 2, 701):
+            horizon = 4 if n == 8 else 20
+            yield f"mixed-n{n}-s{seed}", lambda n=n, seed=seed, h=horizon: run_simulation(
+                mixed_scenario(n, seed, h)
+            )
+    yield "horizon-0", lambda: run_simulation(mixed_scenario(3, 1, 0))
+    yield "header-only", lambda: SimulationTrace.empty(2)
+    for name in ("two_player_learning_gamma05", "two_player_learning_gamma08"):
+        yield name, lambda name=name: run_simulation(load_scenario(SCENARIOS / f"{name}.json"))
+
+
+ORACLE_TRACES = dict(_oracle_traces())
+
+
+def _cell(line: str, col: int, value: str) -> str:
+    cells = line.split(",")
+    cells[col] = value
+    return ",".join(cells)
+
+
+# edits of the gamma05 trace lines (header, four opinion rows and one
+# aggregate row per step), each with the error it must raise
+MALFORMED_TRACES = {
+    "dropped-opinion-row": (
+        lambda L: L[:7] + L[8:],
+        r"^trace: no opinion row for k=1, player=0, entry=1$",
+    ),
+    "dropped-aggregate-row": (lambda L: L[:5] + L[6:], r"^trace: no aggregate row for k=0$"),
+    "truncated-last-step": (lambda L: L[:-2], r"^trace: no aggregate row for k=500$"),
+    "entry-minus-one": (
+        lambda L: [*L[:6], _cell(L[6], 3, "-1"), *L[7:]],
+        r"^trace line 7: entry: -1 outside 0..1$",
+    ),
+    "nan-value": (
+        lambda L: [*L[:6], _cell(L[6], 4, "nan"), *L[7:]],
+        r"^trace line 7: v: finite number required, got 'nan'$",
+    ),
+    "duplicated-row": (
+        lambda L: [*L[:7], L[6], *L[7:]],
+        r"^trace line 8: repeats the opinion row for k=1, player=0, entry=0$",
+    ),
+    "short-row": (
+        lambda L: [*L[:6], "opinion,1,0\n", *L[7:]],
+        r"^trace line 7: opinion rows have 15 fields, the last 8 blank$",
+    ),
+    "abc-value": (
+        lambda L: [*L[:6], _cell(L[6], 5, "abc"), *L[7:]],
+        r"^trace line 7: x: finite number required, got 'abc'$",
+    ),
+}
+
+
 class TestTraceRoundTrip:
+    @pytest.mark.parametrize("name", ORACLE_TRACES)
+    def test_dump_and_emit_match_the_reference_formatter(self, name, tmp_path):
+        trace = ORACLE_TRACES[name]()
+        expected = reference_dump(trace)
+        assert dump_trace(trace) == expected
+        emit_trace(trace, tmp_path / "trace.csv")
+        assert (tmp_path / "trace.csv").read_bytes() == expected.encode()
+        again = parse_trace(expected)
+        assert (again.n, again.steps) == (trace.n, trace.steps)
+        for array in TRACE_ARRAYS:
+            assert np.array_equal(getattr(again, array), getattr(trace, array)), array
+
+    @pytest.mark.parametrize("fault", MALFORMED_TRACES)
+    def test_malformed_trace_is_rejected_naming_the_line_or_row(self, fault):
+        edit, message = MALFORMED_TRACES[fault]
+        lines = dump_trace(ORACLE_TRACES["two_player_learning_gamma05"]()).splitlines(keepends=True)
+        with pytest.raises(ScenarioError, match=message):
+            parse_trace("".join(edit(lines)))
+
     def _trace(self):
         inf = InfluenceMatrix.from_matrix(DEMO_W)
         players = (
@@ -291,8 +405,6 @@ class TestTraceRoundTrip:
         assert len(lines) == 1 + (k + 1) * n * m + (k + 1)
 
     def test_header_only_for_empty_trace(self):
-        from consensusgame.harness import SimulationTrace, trace_header
-
         empty = SimulationTrace.empty(2)
         assert dump_trace(empty).strip() == trace_header(2, 2)
         again = parse_trace(dump_trace(empty))
@@ -534,6 +646,14 @@ class TestExperiments:
         assert not po_sweep_verdict(sweep_rows([1.0, 0.1, 0.01], True))["pass"]
 
 
+ONE_PLAYER_GAME = {
+    "n": 1,
+    "influence": [[1.0]],
+    "initial_opinions": [{"restricted": []}],
+    "players": [{"kind": "nash", "risk_aversion": 1.0}],
+}
+
+
 class TestCli:
     def _scenario_file(self, tmp_path, **kw):
         raw = {
@@ -720,6 +840,17 @@ class TestCli:
                 "players[0]: risk_aversion",
             ),
             ({"influence": [["0.3", "0.7"], ["0.4", "0.6"]]}, "influence"),
+            (ONE_PLAYER_GAME, "n"),
+            ({**ONE_PLAYER_GAME, "kind": "po-sweep", "po_values": [1.0]}, "n"),
+            ({"p_0": 5.0}, "scenario"),
+            (
+                {"initial_opinions": [{"restricted": [0.7, 0.1], "grnad": 1.0}, {"restricted": [0.3, 0.5]}]},
+                "initial_opinions[0]",
+            ),
+            (
+                {"initial_opinions": {"ground_truth": {"familly": "mixed", "sigma": 0.01}}},
+                "initial_opinions.ground_truth",
+            ),
         ],
     )
     def test_malformed_keys_exit_two_naming_the_key(self, tmp_path, capsys, patch, key):

@@ -10,11 +10,8 @@ harness with a CLI.
 
 from .agents import (
     EnvironmentModel,
-    NashAgent,
     PlayerParams,
     RLearningAgent,
-    TruthfulAgent,
-    make_agent,
     nash_best_response,
     nash_deviation,
     stage_cost,
@@ -23,12 +20,8 @@ from .agents import (
 from .consensus import (
     ConsensusError,
     InfluenceMatrix,
-    OpinionProfile,
-    average_opinion,
     deviation_disutility,
     influence_weights,
-    step_strategic,
-    step_truthful,
 )
 from .core import (
     FeasibilityResult,
@@ -76,8 +69,6 @@ __all__ = [
     "GroundTruthSpec",
     "InfluenceMatrix",
     "LinearFeasibilityProblem",
-    "NashAgent",
-    "OpinionProfile",
     "PlayerParams",
     "RLearningAgent",
     "SamplerError",
@@ -88,8 +79,6 @@ __all__ = [
     "ShapleyLinearForm",
     "SimplexError",
     "SimulationTrace",
-    "TruthfulAgent",
-    "average_opinion",
     "bayesian_core_contains",
     "bayesian_core_is_empty",
     "core_contains",
@@ -104,7 +93,6 @@ __all__ = [
     "is_supermodular",
     "load_scenario",
     "lp_feasible",
-    "make_agent",
     "nash_best_response",
     "nash_deviation",
     "parse_trace",
@@ -118,7 +106,5 @@ __all__ = [
     "shapley_value",
     "stage_cost",
     "step_reward",
-    "step_strategic",
-    "step_truthful",
     "weighted_average",
 ]

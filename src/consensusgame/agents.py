@@ -10,6 +10,12 @@ risk-averse equilibrium deviation is d_i * theta / (2 p_i); the best
 response to a known opponent aggregate solves the same first-order
 condition with the aggregate held fixed.
 
+The two fixed strategies ignore the state, so a lineup plays them as
+constant rows of lies: zeros for a truthful player and the closed-form
+``nash_deviation`` for a Nash player.  Only the R-learner keeps state
+from step to step, so it is the one strategy that is an object
+(``RLearningAgent``).
+
 The R-learning agent cannot assume rational opponents.  It fits an affine
 model of the opponents' mean deviation as a function of the broadcast mean
 revealed opinion (recursive least squares), plays the best response against
@@ -208,28 +214,6 @@ class EnvironmentModel:
 
 
 @dataclass
-class TruthfulAgent:
-    """Always reveals the true opinion."""
-
-    dim: int
-
-    def act(self, state: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-        return np.zeros(self.dim)
-
-
-@dataclass
-class NashAgent:
-    """Plays the constant closed-form equilibrium deviation."""
-
-    d_i: np.ndarray
-    theta: float
-    params: PlayerParams
-
-    def act(self, state: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-        return nash_deviation(self.d_i, self.theta, self.params.risk_aversion)
-
-
-@dataclass
 class RLearningAgent:
     """Model-based average-reward learner.
 
@@ -287,13 +271,4 @@ class RLearningAgent:
         alpha = self.params.value_rate
         self.avg_reward += beta * (reward - self.avg_reward)
         self.value += alpha * (reward - self.avg_reward - self.value)
-
-
-def make_agent(params: PlayerParams, d_i: np.ndarray, theta: float, t_i: float):
-    """Instantiate the agent matching a player's configuration."""
-    if params.kind == "truthful":
-        return TruthfulAgent(np.asarray(d_i).size)
-    if params.kind == "nash":
-        return NashAgent(np.asarray(d_i, dtype=float), theta, params)
-    return RLearningAgent(np.asarray(d_i, dtype=float), theta, t_i, params)
 

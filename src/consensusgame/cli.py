@@ -29,14 +29,13 @@ from .core import bayesian_core_is_empty, core_witness
 from .harness import (
     ScenarioError,
     core_emptiness_verdict,
-    dump_trace,
-    emit_trace,
     experiment_core_emptiness,
     experiment_efficiency,
     experiment_po_sweep,
     load_scenario,
     po_sweep_verdict,
     run_simulation,
+    trace_chunks,
 )
 from .setfn import SamplerError, SetFunctionError, read_setfn
 from .shapley import shapley_value
@@ -107,12 +106,16 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _write(args, text: str) -> None:
-    if args.out:
+def _write(args, chunks) -> None:
+    """Write text chunks, as they come, to the --out file or to stdout."""
+    if not args.out:
+        sys.stdout.writelines(chunks)
+        return
+    try:
         with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+            fh.writelines(chunks)
+    except OSError as exc:
+        raise OSError(f"cannot write {args.out}: {exc}") from exc
 
 
 def _finish(args, record: dict) -> int:
@@ -134,10 +137,7 @@ def _load(args):
 def _cmd_simulate(args) -> int:
     scenario = _load(args)
     trace = run_simulation(scenario)
-    if args.out:
-        emit_trace(trace, args.out)
-    else:
-        sys.stdout.write(dump_trace(trace))
+    _write(args, trace_chunks(trace))
     return _finish(
         args,
         {
@@ -157,7 +157,7 @@ def _allocation_csv(payoffs) -> str:
 
 def _cmd_shapley(args) -> int:
     allocation = shapley_value(read_setfn(args.setfn))
-    _write(args, _allocation_csv(allocation.payoffs))
+    _write(args, [_allocation_csv(allocation.payoffs)])
     return _finish(
         args,
         {"command": "shapley", "payoffs": [float(p) for p in allocation.payoffs], "pass": True},
@@ -175,7 +175,7 @@ def _cmd_core(args) -> int:
     text = verdict + "\n"
     if witness is not None:
         text += _allocation_csv(witness)
-    _write(args, text)
+    _write(args, [text])
     return _finish(args, {"command": args.command, "verdict": verdict, "pass": True})
 
 
@@ -184,7 +184,7 @@ def _cmd_exp_efficiency(args) -> int:
     report = experiment_efficiency(scenario, tol=args.tol)
     lines = ["key,value"]
     lines += [f"{k},{v!r}" for k, v in report.items()]
-    _write(args, "\n".join(lines) + "\n")
+    _write(args, ["\n".join(lines) + "\n"])
     return _finish(args, {"command": "exp-efficiency", **report})
 
 
@@ -196,7 +196,7 @@ def _cmd_exp_core_emptiness(args) -> int:
         f"{r['n']},{r['trials']},{r['sampler_failures']},{r['empty']},{r['frequency']!r}"
         for r in rows
     ]
-    _write(args, "\n".join(lines) + "\n")
+    _write(args, ["\n".join(lines) + "\n"])
     return _finish(args, {"command": "exp-core-emptiness", **core_emptiness_verdict(rows)})
 
 
@@ -208,7 +208,7 @@ def _cmd_exp_po_sweep(args) -> int:
         f"{r['p_o']!r},{r['spread']!r},{int(r['bayesian_core_empty'])},{r['steps']},{int(r['converged'])}"
         for r in rows
     ]
-    _write(args, "\n".join(lines) + "\n")
+    _write(args, ["\n".join(lines) + "\n"])
     return _finish(args, {"command": "exp-po-sweep", **po_sweep_verdict(rows)})
 
 

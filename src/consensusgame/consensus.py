@@ -1,13 +1,14 @@
-"""Influence matrices and the two opinion-update laws.
+"""Influence matrices and the one opinion-update law.
 
-Truth-telling players mix opinions linearly through a row-stochastic trust
-matrix W.  Strategic players reveal possibly fraudulent opinions x and mix
-those in with trust weight theta:
+Opinion profiles are value stacks: one row of coalition values per player.
+Players reveal possibly fraudulent opinions x and mix them in through a
+row-stochastic trust matrix W with trust weight theta:
 
     v_i[k] = theta * sum_j w_ij x_j[k-1] + (1 - theta) * v_i[k-1]
 
-The stationary weights t (t' W = t', sum 1) measure long-run influence and
-define the weighted average opinion.
+Truth-telling is the case theta = 1 with honest reveals x = v, the linear
+mixing v[k] = W v[k-1].  The stationary weights t (t' W = t', sum 1)
+measure long-run influence and define the weighted average opinion t' v.
 """
 
 from __future__ import annotations
@@ -16,18 +17,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .setfn import SetFunction, weighted_average
-
 STOCHASTIC_TOL = 1e-12
+POWER_TOL = 1e-12  # W^(2^k) has converged once a squaring moves no entry by this
+POWER_MAX_ITER = 10**6  # budget on the power 2^k before W counts as periodic
 
 
 class ConsensusError(ValueError):
-    """Bad influence matrix or inconsistent opinion profile."""
+    """Bad influence matrix or weights."""
 
 
-def influence_weights(
-    w: np.ndarray, tol: float = 1e-12, max_iter: int = 10**6
-) -> np.ndarray:
+def influence_weights(w: np.ndarray) -> np.ndarray:
     """Stationary influence weights of a row-stochastic matrix.
 
     Power iteration by repeated squaring: W^(2^k) must converge to a
@@ -43,17 +42,17 @@ def influence_weights(
     power = w.copy()
     steps = 1
     converged = False
-    while steps < max_iter:
+    while steps < POWER_MAX_ITER:
         nxt = power @ power
         steps *= 2
-        if np.max(np.abs(nxt - power)) < tol:
+        if np.max(np.abs(nxt - power)) < POWER_TOL:
             power = nxt
             converged = True
             break
         power = nxt
     if not converged:
         raise ConsensusError(
-            f"W^k did not converge within power budget {max_iter} (periodic W?)"
+            f"W^k did not converge within power budget {POWER_MAX_ITER} (periodic W?)"
         )
     spread = power.max(axis=0) - power.min(axis=0)
     if np.max(spread) > 1e-8:
@@ -102,49 +101,6 @@ class InfluenceMatrix:
         return InfluenceMatrix(w.shape[0], w, t)
 
 
-@dataclass(frozen=True)
-class OpinionProfile:
-    """True opinions v_i and revealed opinions x_i at one time step.
-
-    ``revealed`` is None until the players act.
-    """
-
-    step: int
-    opinions: tuple[SetFunction, ...]
-    revealed: tuple[SetFunction, ...] | None = None
-
-    def __post_init__(self):
-        if not self.opinions:
-            raise ConsensusError("profile needs at least one player")
-        n = self.opinions[0].n
-        if any(f.n != n for f in self.opinions):
-            raise ConsensusError("opinions disagree on player count")
-        if len(self.opinions) != n:
-            raise ConsensusError(
-                f"expected one opinion per player ({n}), got {len(self.opinions)}"
-            )
-        if self.revealed is not None:
-            if len(self.revealed) != n or any(f.n != n for f in self.revealed):
-                raise ConsensusError("revealed opinions malformed")
-
-    @property
-    def n(self) -> int:
-        return self.opinions[0].n
-
-    def with_revealed(self, revealed: tuple[SetFunction, ...]) -> "OpinionProfile":
-        return OpinionProfile(self.step, self.opinions, tuple(revealed))
-
-
-def step_truthful(profile: OpinionProfile, influence: InfluenceMatrix) -> OpinionProfile:
-    """One truthful update: each new opinion is the trust-weighted mix of
-    the previous true opinions; revealed equals true."""
-    _check_dims(profile, influence)
-    stack = np.stack([f.values for f in profile.opinions])
-    mixed = influence.w @ stack
-    opinions = tuple(SetFunction(profile.n, row) for row in mixed)
-    return OpinionProfile(profile.step + 1, opinions, opinions)
-
-
 def strategic_update(
     v: np.ndarray, x: np.ndarray, w: np.ndarray, theta: float
 ) -> np.ndarray:
@@ -155,32 +111,6 @@ def strategic_update(
     theta * W x + (1 - theta) * v.
     """
     return theta * (w @ x) + (1.0 - theta) * v
-
-
-def step_strategic(
-    profile: OpinionProfile, influence: InfluenceMatrix, theta: float
-) -> OpinionProfile:
-    """One strategic update from already-revealed opinions.
-
-    New true opinions mix the revealed ones with weight theta and keep the
-    old private opinion with weight 1 - theta.  The revealed slots of the
-    returned profile are unset; agents fill them next.
-    """
-    if not 0.0 < theta <= 1.0:
-        raise ConsensusError(f"theta must lie in (0, 1], got {theta}")
-    if profile.revealed is None:
-        raise ConsensusError("strategic step needs revealed opinions for the previous step")
-    _check_dims(profile, influence)
-    v = np.stack([f.values for f in profile.opinions])
-    x = np.stack([f.values for f in profile.revealed])
-    mixed = strategic_update(v, x, influence.w, theta)
-    opinions = tuple(SetFunction(profile.n, row) for row in mixed)
-    return OpinionProfile(profile.step + 1, opinions, None)
-
-
-def average_opinion(profile: OpinionProfile, t: np.ndarray) -> SetFunction:
-    """Influence-weighted average of the true opinions."""
-    return weighted_average(profile.opinions, t)
 
 
 def deviation_disutility(deviations: np.ndarray, t: np.ndarray) -> float:
@@ -197,10 +127,3 @@ def deviation_disutility(deviations: np.ndarray, t: np.ndarray) -> float:
     second = t @ (u * u)
     return float(np.sum(second - mean * mean))
 
-
-def _check_dims(profile: OpinionProfile, influence: InfluenceMatrix) -> None:
-    if influence.n != profile.n:
-        raise ConsensusError(
-            f"influence matrix is {influence.n}x{influence.n} but profile has "
-            f"{profile.n} players"
-        )

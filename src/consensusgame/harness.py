@@ -16,12 +16,13 @@ Trace CSV layout (one file, fixed header, full-precision floats):
 - one "aggregate" row per step carrying the weighted average opinion, its
   Shapley allocation, per-player rewards, and the fraud disutility.
 
-`emit_trace` writes the file one step at a time, so the CSV text of a run is
-never held in memory whole.  `parse_trace` accepts only what the writer
-writes: every opinion row (step, player, entry) and every step's aggregate
-row exactly once, in range, with finite values, and the action cells (x, u,
-rewards, disutility) blank on the final step and only there.  Anything else
-is a ScenarioError naming the line, or the row that is missing.
+`trace_chunks` yields the CSV one step at a time; `emit_trace` and the CLI
+write the chunks as they come, so the CSV text of a run is never held in
+memory whole.  `parse_trace` accepts only what the writer writes: every
+opinion row (step, player, entry) and every step's aggregate row exactly
+once, in range, with finite values, and the action cells (x, u, rewards,
+disutility) blank on the final step and only there.  Anything else is a
+ScenarioError naming the line, or the row that is missing.
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
-from .agents import FLOAT_PARAMS, PlayerParams, RLearningAgent, make_agent
+from .agents import FLOAT_PARAMS, PlayerParams, RLearningAgent, nash_deviation
 from .consensus import InfluenceMatrix, deviation_disutility, strategic_update
 from .core import bayesian_core_is_empty
 from .setfn import (
@@ -170,19 +171,24 @@ def run_simulation(scenario: Scenario) -> SimulationTrace:
     form = shapley_linear_form(n)
     t = influence.t
     p = [params.risk_aversion for params in scenario.players]
-    agents = [
-        make_agent(params, form.rows[i], theta, float(t[i]))
-        for i, params in enumerate(scenario.players)
-    ]
+    # the lineup: one row of lies per player, constant for the fixed
+    # strategies (zeros when truthful, the closed-form lie when Nash); each
+    # step the learners fill in their own rows
+    base = np.zeros((n, m))
+    learners: dict[int, RLearningAgent] = {}
+    for i, params in enumerate(scenario.players):
+        if params.kind == "nash":
+            base[i] = nash_deviation(form.rows[i], theta, params.risk_aversion)
+        elif params.kind == "rlearning":
+            learners[i] = RLearningAgent(form.rows[i], theta, float(t[i]), params)
     # one RLS gain per lineup: every learner's model has the same dimension
     # and prior and sees the same states, so the gains agree bit for bit
     # (see EnvironmentModel); the learners share the first one's matrix and
     # it is downdated once per step
-    learners = [i for i, agent in enumerate(agents) if isinstance(agent, RLearningAgent)]
     if learners:
-        shared = agents[learners[0]].model
-        for i in learners:
-            agents[i].model.gain = shared.gain
+        shared = next(iter(learners.values())).model
+        for agent in learners.values():
+            agent.model.gain = shared.gain
     predictions: dict[int, np.ndarray] = {}
     rng = np.random.default_rng(scenario.seed)
 
@@ -194,8 +200,7 @@ def run_simulation(scenario: Scenario) -> SimulationTrace:
     rewards = np.empty((horizon, n))
     disutility = np.empty(horizon)
 
-    # full coalition-value rows, one per player, the shape step_strategic
-    # stacks: the loop then rounds exactly as that function does; the trace
+    # the value stack: full coalition-value rows, one per player; the trace
     # keeps the restricted columns
     v = np.stack([f.values for f in scenario.initial_opinions])
     state = np.zeros(m)  # broadcast mean revealed opinion; nothing revealed yet
@@ -209,16 +214,13 @@ def run_simulation(scenario: Scenario) -> SimulationTrace:
 
     snapshot(0, v)
     for k in range(horizon):
+        us = base.copy()
         if learners:
             phi = shared.features(state)
-            # one prediction per learner, used for its action and its error
-            predictions = {i: agents[i].model.coeffs.T @ phi for i in learners}
-        us = np.stack(
-            [
-                agent.respond(predictions[i], rng) if i in predictions else agent.act(state, rng)
-                for i, agent in enumerate(agents)
-            ]
-        )
+            for i, agent in learners.items():
+                # one prediction per learner, used for its action and its error
+                predictions[i] = agent.model.coeffs.T @ phi
+                us[i] = agent.respond(predictions[i], rng)
         x = v.copy()
         x[:, 1:-1] += us
         v = strategic_update(v, x, influence.w, theta)
@@ -234,10 +236,10 @@ def run_simulation(scenario: Scenario) -> SimulationTrace:
             rewards[k, i] = -p[i] * var_total + theta * (form.rows[i] @ mean_dev)
         if learners:
             gain_vec = shared.gain_step(phi)
-            for i in learners:
+            for i, agent in learners.items():
                 opp_mean = (mean_dev - t[i] * us[i]) / (1.0 - t[i])
-                agents[i].model.coeff_step(gain_vec, opp_mean - predictions[i])
-                agents[i].record_reward(rewards[k, i])
+                agent.model.coeff_step(gain_vec, opp_mean - predictions[i])
+                agent.record_reward(rewards[k, i])
         state = t @ revealed[k]
         snapshot(k + 1, v)
         if np.max(np.abs(opinions[k + 1] - opinions[k])) < CONVERGENCE_TOL:
@@ -309,12 +311,13 @@ def quadratic_truth(n: int) -> SetFunction:
     return SetFunction(n, (sizes / n) ** 2)
 
 
-def mixed_truth(n: int, strict_weight: float = 0.3) -> SetFunction:
+MIXED_STRICT_WEIGHT = 0.3  # weight of the size-squared family in the mixed truth
+
+
+def mixed_truth(n: int) -> SetFunction:
     """Near-modular truth: convex mix of |C|/n and the size-squared family."""
-    if not 0.0 < strict_weight <= 1.0:
-        raise ScenarioError("truth_family mixed: strict_weight must lie in (0, 1]")
     sizes = np.bitwise_count(np.arange(1 << n)).astype(float)
-    vals = (1.0 - strict_weight) * sizes / n + strict_weight * (sizes / n) ** 2
+    vals = (1.0 - MIXED_STRICT_WEIGHT) * sizes / n + MIXED_STRICT_WEIGHT * (sizes / n) ** 2
     return SetFunction(n, vals)
 
 
@@ -388,20 +391,19 @@ def core_emptiness_verdict(rows: list[dict]) -> dict:
     return {"frequencies": freqs, "pass": freqs[-1] > freqs[0] and inversions == 0}
 
 
-def experiment_po_sweep(scenario: Scenario, po_values=None) -> list[dict]:
+def experiment_po_sweep(scenario: Scenario) -> list[dict]:
     """Opinion spread and Bayesian-core verdict across risk-aversion scales.
 
     Every sweep point runs the all-rational game to convergence with
     p_i = p_o * t_i, measures how far the per-player limits sit from the
     average opinion, and checks the Bayesian core of the limit profile.
     """
-    values = tuple(po_values) if po_values is not None else scenario.po_values
-    if not values:
+    if not scenario.po_values:
         raise ScenarioError("po_values: at least one sweep point is required")
     influence = InfluenceMatrix.from_matrix(scenario.influence)
     t = influence.t
     rows = []
-    for p_o in values:
+    for p_o in scenario.po_values:
         if p_o <= 0:
             raise ScenarioError(f"po_values: entries must be > 0, got {p_o}")
         sim = replace(
@@ -451,7 +453,7 @@ def trace_header(n: int, m: int) -> str:
     return ",".join(cols)
 
 
-def _trace_chunks(trace: SimulationTrace):
+def trace_chunks(trace: SimulationTrace):
     """The trace CSV as text chunks: the header line, then one chunk per step
     (its opinion rows and its aggregate row).  Floats are written with repr."""
     n, m, steps = trace.n, trace.m, trace.steps
@@ -481,14 +483,14 @@ def _trace_chunks(trace: SimulationTrace):
 
 
 def dump_trace(trace: SimulationTrace) -> str:
-    return "".join(_trace_chunks(trace))
+    return "".join(trace_chunks(trace))
 
 
 def emit_trace(trace: SimulationTrace, path) -> None:
     """Write the trace CSV to ``path`` one step at a time."""
     try:
         with open(path, "w", encoding="utf-8") as fh:
-            fh.writelines(_trace_chunks(trace))
+            fh.writelines(trace_chunks(trace))
     except OSError as exc:
         raise OSError(f"cannot write trace to {path}: {exc}") from exc
 

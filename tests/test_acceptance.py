@@ -12,13 +12,7 @@ import numpy as np
 import pytest
 
 from consensusgame.agents import PlayerParams, nash_deviation, stage_cost
-from consensusgame.consensus import (
-    InfluenceMatrix,
-    OpinionProfile,
-    average_opinion,
-    step_strategic,
-    step_truthful,
-)
+from consensusgame.consensus import InfluenceMatrix, strategic_update
 from consensusgame.core import bayesian_core_is_empty, core_is_empty
 from consensusgame.harness import (
     Scenario,
@@ -99,20 +93,16 @@ def test_criterion_2_average_opinion_shift_identity():
         w = rng.uniform(0.05, 1.0, size=(n, n))
         influence = InfluenceMatrix.from_matrix(w / w.sum(axis=1, keepdims=True))
         t = influence.t
-        profile = OpinionProfile(0, random_opinions(n, int(rng.integers(0, 2**31))))
-        start = average_opinion(profile, t).values
+        v = np.stack([f.values for f in random_opinions(n, int(rng.integers(0, 2**31)))])
+        start = t @ v
         accumulated = np.zeros_like(start)
         for _ in range(horizon):
             lies = rng.normal(0, 0.25, size=(n, (1 << n) - 2))
-            revealed = tuple(
-                SetFunction.from_restricted(n, f.restricted() + lies[i], f.grand_value)
-                for i, f in enumerate(profile.opinions)
-            )
+            revealed = v.copy()
+            revealed[:, 1:-1] += lies
             accumulated[1:-1] += theta * (t @ lies)
-            profile = step_strategic(profile.with_revealed(revealed), influence, theta)
-        gap = np.max(
-            np.abs(average_opinion(profile, t).values - start - accumulated)
-        )
+            v = strategic_update(v, revealed, influence.w, theta)
+        gap = np.max(np.abs(t @ v - start - accumulated))
         worst = max(worst, float(gap))
     ok = worst < 1e-10
     report(ok, label, f"worst gap {worst:.2e}")
@@ -158,7 +148,7 @@ def test_criterion_4_supermodularity_closed_under_both_dynamics():
         n = int(rng.integers(2, 6))
         w = rng.uniform(0.05, 1.0, size=(n, n))
         influence = InfluenceMatrix.from_matrix(w / w.sum(axis=1, keepdims=True))
-        profile = OpinionProfile(0, random_opinions(n, 4000 + instance))
+        stacked = np.stack([f.values for f in random_opinions(n, 4000 + instance)])
         strategic = instance % 2 == 1
         theta = float(rng.uniform(0.1, 0.9))
         previous = None
@@ -166,24 +156,25 @@ def test_criterion_4_supermodularity_closed_under_both_dynamics():
             if strategic:
                 reveals = tuple(
                     weighted_average(
-                        [f, random_supermodular(n, rng)],
+                        [SetFunction(n, row), random_supermodular(n, rng)],
                         [1 - (mix := float(rng.uniform(0, 0.5))), mix],
                     )
-                    for f in profile.opinions
+                    for row in stacked
                 )
                 assert all(is_supermodular(x, tol=1e-12) for x in reveals)
-                profile = step_strategic(profile.with_revealed(reveals), influence, theta)
+                x = np.stack([f.values for f in reveals])
+                stacked = strategic_update(stacked, x, influence.w, theta)
             else:
-                profile = step_truthful(profile, influence)
-            for f in profile.opinions:
+                stacked = strategic_update(stacked, stacked, influence.w, 1.0)
+            for row in stacked:
+                f = SetFunction(n, row)
                 assert is_supermodular(f, tol=1e-12), f"instance {instance} broke closure"
-            stacked = np.stack([f.values for f in profile.opinions])
             if previous is not None and np.max(np.abs(stacked - previous)) < 1e-12:
                 break
             previous = stacked
-        for f in profile.opinions:
-            assert is_supermodular(f, tol=1e-12)
-        limit = average_opinion(profile, influence.t)
+        for row in stacked:
+            assert is_supermodular(SetFunction(n, row), tol=1e-12)
+        limit = weighted_average([SetFunction(n, row) for row in stacked], influence.t)
         assert is_supermodular(limit, tol=1e-12)
     report(True, label)
 

@@ -5,18 +5,15 @@ import pytest
 
 from consensusgame.agents import (
     EnvironmentModel,
-    NashAgent,
     PlayerParams,
     RLearningAgent,
-    TruthfulAgent,
-    make_agent,
     nash_best_response,
     nash_deviation,
     stage_cost,
     step_reward,
 )
-from consensusgame.consensus import InfluenceMatrix, deviation_disutility
-from consensusgame.setfn import SetFunctionError
+from consensusgame.consensus import InfluenceMatrix, deviation_disutility, strategic_update
+from consensusgame.setfn import SetFunctionError, random_supermodular
 from consensusgame.shapley import shapley_linear_form
 
 T2 = np.array([4.0 / 11.0, 7.0 / 11.0])
@@ -109,13 +106,6 @@ class TestMyopicDecomposition:
         # total objective: p * accumulated disutility - d . final average,
         # which must equal the stage-cost sum minus d . initial average
         rng = np.random.default_rng(307)
-        from consensusgame.consensus import (
-            OpinionProfile,
-            average_opinion,
-            step_strategic,
-        )
-        from consensusgame.setfn import SetFunction, random_supermodular
-
         for _ in range(25):
             n = int(rng.integers(2, 6))
             horizon = int(rng.integers(1, 30))
@@ -125,20 +115,18 @@ class TestMyopicDecomposition:
             rows = shapley_linear_form(n).rows
             p_i = float(rng.uniform(0.5, 3.0))
             player = int(rng.integers(0, n))
-            profile = OpinionProfile(0, tuple(random_supermodular(n, rng) for _ in range(n)))
-            start_avg = average_opinion(profile, inf.t).restricted()
+            v = np.stack([random_supermodular(n, rng).values for _ in range(n)])
+            start_avg = (inf.t @ v)[1:-1]
             total_disutility = 0.0
             stage_sum = 0.0
             for _ in range(horizon):
                 u = rng.normal(0, 0.15, size=(n, (1 << n) - 2))
                 total_disutility += deviation_disutility(u, inf.t)
                 stage_sum += stage_cost(u, inf.t, p_i, theta, rows[player])
-                revealed = tuple(
-                    SetFunction.from_restricted(n, f.restricted() + u[i], f.grand_value)
-                    for i, f in enumerate(profile.opinions)
-                )
-                profile = step_strategic(profile.with_revealed(revealed), inf, theta)
-            end_avg = average_opinion(profile, inf.t).restricted()
+                x = v.copy()
+                x[:, 1:-1] += u
+                v = strategic_update(v, x, inf.w, theta)
+            end_avg = (inf.t @ v)[1:-1]
             objective = p_i * total_disutility - float(rows[player] @ end_avg)
             decomposed = stage_sum - float(rows[player] @ start_avg)
             assert objective == pytest.approx(decomposed, abs=1e-10)
@@ -285,23 +273,6 @@ class TestRLearningAgent:
         for _ in range(400):
             agent.observe(np.zeros(2), np.zeros(2), -1.0)
         assert agent.avg_reward == pytest.approx(-1.0, abs=1e-6)
-
-    def test_factory_dispatch(self):
-        t = 0.4
-        assert isinstance(
-            make_agent(PlayerParams(1.0, "truthful"), D2[0], 0.1, t), TruthfulAgent
-        )
-        assert isinstance(make_agent(PlayerParams(1.0, "nash"), D2[0], 0.1, t), NashAgent)
-        assert isinstance(
-            make_agent(PlayerParams(1.0, "rlearning"), D2[0], 0.1, t), RLearningAgent
-        )
-
-    def test_truthful_and_nash_agents_ignore_state(self):
-        rng = np.random.default_rng(2)
-        truthful = TruthfulAgent(2)
-        np.testing.assert_array_equal(truthful.act(np.ones(2), rng), 0.0)
-        nash = NashAgent(D2[0], 0.1, PlayerParams(risk_aversion=4.0 / 11.0, kind="nash"))
-        np.testing.assert_allclose(nash.act(np.ones(2), rng), [0.06875, -0.06875])
 
     def test_player_params_validation(self):
         with pytest.raises(SetFunctionError):

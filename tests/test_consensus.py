@@ -1,4 +1,5 @@
-"""Influence weights, both update laws, averaging, and the drift identity."""
+"""Influence weights, the update law on value stacks, averaging, and the
+drift identity."""
 
 from fractions import Fraction
 
@@ -8,12 +9,9 @@ import pytest
 from consensusgame.consensus import (
     ConsensusError,
     InfluenceMatrix,
-    OpinionProfile,
-    average_opinion,
     deviation_disutility,
     influence_weights,
-    step_strategic,
-    step_truthful,
+    strategic_update,
 )
 from consensusgame.setfn import (
     SetFunction,
@@ -26,14 +24,32 @@ from consensusgame.setfn import (
 DEMO_W = np.array([[0.3, 0.7], [0.4, 0.6]])
 
 
-def two_player_profile() -> OpinionProfile:
-    return OpinionProfile(
-        0,
-        (
-            SetFunction.from_restricted(2, [0.7, 0.1], 1.0),
-            SetFunction.from_restricted(2, [0.3, 0.5], 1.0),
-        ),
-    )
+def two_player_opinions() -> list[SetFunction]:
+    return [
+        SetFunction.from_restricted(2, [0.7, 0.1], 1.0),
+        SetFunction.from_restricted(2, [0.3, 0.5], 1.0),
+    ]
+
+
+def stack(opinions) -> np.ndarray:
+    """The value stack of a profile: one row of coalition values per player."""
+    return np.stack([f.values for f in opinions])
+
+
+def random_stack(n: int, rng: np.random.Generator) -> np.ndarray:
+    return stack(random_supermodular(n, rng) for _ in range(n))
+
+
+def truthful_update(v: np.ndarray, inf: InfluenceMatrix) -> np.ndarray:
+    """Truthful mixing: the update law at theta = 1 with honest reveals."""
+    return strategic_update(v, v, inf.w, 1.0)
+
+
+def lie(v: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """Revealed stack: lies u added to the restricted columns of v."""
+    x = v.copy()
+    x[:, 1:-1] += u
+    return x
 
 
 def random_influence(n: int, rng: np.random.Generator) -> InfluenceMatrix:
@@ -81,112 +97,91 @@ class TestInfluenceWeights:
 class TestStepTruthful:
     def test_one_step_matches_matrix_multiply(self):
         inf = InfluenceMatrix.from_matrix(DEMO_W)
-        nxt = step_truthful(two_player_profile(), inf)
-        np.testing.assert_allclose(nxt.opinions[0].restricted(), [0.42, 0.38], atol=1e-15)
-        np.testing.assert_allclose(nxt.opinions[1].restricted(), [0.46, 0.34], atol=1e-15)
-        assert nxt.revealed == nxt.opinions
-        assert nxt.step == 1
+        v = stack(two_player_opinions())
+        nxt = truthful_update(v, inf)
+        np.testing.assert_allclose(nxt[0, 1:-1], [0.42, 0.38], atol=1e-15)
+        np.testing.assert_allclose(nxt[1, 1:-1], [0.46, 0.34], atol=1e-15)
+        np.testing.assert_array_equal(nxt, inf.w @ v)
 
     def test_shared_opinion_is_fixed_point(self):
         f = random_supermodular(3, np.random.default_rng(5))
         inf = random_influence(3, np.random.default_rng(6))
-        profile = OpinionProfile(0, (f, f, f))
-        nxt = step_truthful(profile, inf)
-        for g in nxt.opinions:
-            np.testing.assert_allclose(g.values, f.values, atol=1e-15)
+        nxt = truthful_update(stack([f, f, f]), inf)
+        for row in nxt:
+            np.testing.assert_allclose(row, f.values, atol=1e-15)
 
     def test_supermodularity_preserved_stepwise(self):
         rng = np.random.default_rng(7)
         for n in (2, 3, 4):
             inf = random_influence(n, rng)
-            profile = OpinionProfile(0, tuple(random_supermodular(n, rng) for _ in range(n)))
+            v = random_stack(n, rng)
             for _ in range(20):
-                profile = step_truthful(profile, inf)
-                for f in profile.opinions:
-                    assert is_supermodular(f, tol=1e-12)
+                v = truthful_update(v, inf)
+                for row in v:
+                    assert is_supermodular(SetFunction(n, row), tol=1e-12)
 
     def test_consensus_limit_is_weighted_initial_average(self):
         rng = np.random.default_rng(9)
         for n in (2, 4, 6):
             inf = random_influence(n, rng)
-            profile = OpinionProfile(0, tuple(random_supermodular(n, rng) for _ in range(n)))
-            target = average_opinion(profile, inf.t)
+            v = random_stack(n, rng)
+            target = inf.t @ v
             for _ in range(2000):
-                nxt = step_truthful(profile, inf)
-                done = max(
-                    float(np.max(np.abs(a.values - b.values)))
-                    for a, b in zip(nxt.opinions, profile.opinions)
-                ) < 1e-14
-                profile = nxt
+                nxt = truthful_update(v, inf)
+                done = float(np.max(np.abs(nxt - v))) < 1e-14
+                v = nxt
                 if done:
                     break
-            spread = max(
-                float(np.max(np.abs(f.values - target.values))) for f in profile.opinions
-            )
-            assert spread < 1e-8
+            assert float(np.max(np.abs(v - target))) < 1e-8
 
 
 class TestStepStrategic:
     def test_truthful_reveals_match_hand_arithmetic(self):
         # with x = v and theta = 0.1 the first player moves to
         # 0.1 * (0.42, 0.38) + 0.9 * (0.7, 0.1)
-        inf = InfluenceMatrix.from_matrix(DEMO_W)
-        profile = two_player_profile()
-        profile = profile.with_revealed(profile.opinions)
-        nxt = step_strategic(profile, inf, theta=0.1)
-        np.testing.assert_allclose(nxt.opinions[0].restricted(), [0.672, 0.128], atol=1e-15)
-        assert nxt.revealed is None
+        v = stack(two_player_opinions())
+        nxt = strategic_update(v, v, DEMO_W, theta=0.1)
+        np.testing.assert_allclose(nxt[0, 1:-1], [0.672, 0.128], atol=1e-15)
 
     def test_theta_one_with_truthful_reveals_equals_truthful_step(self):
-        inf = InfluenceMatrix.from_matrix(DEMO_W)
-        profile = two_player_profile()
-        truthful = step_truthful(profile, inf)
-        strategic = step_strategic(profile.with_revealed(profile.opinions), inf, theta=1.0)
-        for a, b in zip(truthful.opinions, strategic.opinions):
-            np.testing.assert_allclose(a.values, b.values, atol=1e-15)
-
-    def test_requires_revealed_opinions(self):
-        inf = InfluenceMatrix.from_matrix(DEMO_W)
-        with pytest.raises(ConsensusError, match="revealed"):
-            step_strategic(two_player_profile(), inf, theta=0.1)
+        rng = np.random.default_rng(10)
+        for n in range(2, 7):
+            inf = random_influence(n, rng)
+            v = random_stack(n, rng)
+            np.testing.assert_array_equal(strategic_update(v, v, inf.w, 1.0), inf.w @ v)
 
     def test_weighted_zero_sum_lies_leave_average_untouched(self):
         rng = np.random.default_rng(11)
         inf = random_influence(3, rng)
         t = inf.t
-        profile = OpinionProfile(0, tuple(random_supermodular(3, rng) for _ in range(3)))
-        before = average_opinion(profile, t)
+        v = random_stack(3, rng)
+        before = t @ v
         u = rng.normal(0, 0.1, size=(3, 6))
         u[2] = -(t[0] * u[0] + t[1] * u[1]) / t[2]  # forces sum_i t_i u_i = 0
-        revealed = tuple(
-            SetFunction.from_restricted(3, f.restricted() + u[i], f.grand_value)
-            for i, f in enumerate(profile.opinions)
-        )
-        nxt = step_strategic(profile.with_revealed(revealed), inf, theta=0.3)
-        after = average_opinion(nxt, t)
-        np.testing.assert_allclose(after.values, before.values, atol=1e-12)
+        after = t @ strategic_update(v, lie(v, u), inf.w, theta=0.3)
+        np.testing.assert_allclose(after, before, atol=1e-12)
 
 
 class TestAverageOpinion:
     def test_two_player_weighted_average(self):
-        profile = two_player_profile()
-        avg = average_opinion(profile, np.array([4.0 / 11.0, 7.0 / 11.0]))
+        t = np.array([4.0 / 11.0, 7.0 / 11.0])
+        avg = weighted_average(two_player_opinions(), t)
         np.testing.assert_allclose(avg.restricted(), [4.9 / 11.0, 3.9 / 11.0], atol=1e-15)
 
     def test_identical_opinions_average_to_themselves(self):
         f = random_supermodular(3, np.random.default_rng(13))
-        profile = OpinionProfile(0, (f, f, f))
-        avg = average_opinion(profile, np.full(3, 1.0 / 3.0))
+        avg = weighted_average([f, f, f], np.full(3, 1.0 / 3.0))
         np.testing.assert_allclose(avg.values, f.values, atol=1e-15)
 
     def test_is_the_weighted_average_of_the_opinions(self):
+        # the average opinion of a value stack is t @ v, row for row the
+        # weighted average of its payoff functions
         rng = np.random.default_rng(17)
-        profile = OpinionProfile(0, tuple(random_supermodular(4, rng) for _ in range(4)))
+        opinions = [random_supermodular(4, rng) for _ in range(4)]
         t = random_influence(4, rng).t
-        avg = average_opinion(profile, t)
-        np.testing.assert_array_equal(avg.values, weighted_average(list(profile.opinions), t).values)
+        np.testing.assert_array_equal(t @ stack(opinions), weighted_average(opinions, t).values)
         with pytest.raises(SetFunctionError, match="one weight per set function"):
-            average_opinion(profile, t[:3])
+            weighted_average(opinions, t[:3])
 
 
 class TestDeviationDisutility:
@@ -230,22 +225,14 @@ class TestDriftIdentity:
             theta = float(rng.uniform(0.05, 0.95))
             inf = random_influence(n, rng)
             t = inf.t
-            profile = OpinionProfile(
-                0, tuple(random_supermodular(n, rng) for _ in range(n))
-            )
-            start = average_opinion(profile, t).values
+            v = random_stack(n, rng)
+            start = t @ v
             accumulated = np.zeros_like(start)
             for _ in range(horizon):
                 u = rng.normal(0, 0.2, size=(n, (1 << n) - 2))
-                revealed = tuple(
-                    SetFunction.from_restricted(n, f.restricted() + u[i], f.grand_value)
-                    for i, f in enumerate(profile.opinions)
-                )
-                mean_dev = t @ u
-                accumulated[1:-1] += theta * mean_dev
-                profile = step_strategic(profile.with_revealed(revealed), inf, theta)
-            end = average_opinion(profile, t).values
-            np.testing.assert_allclose(end - start, accumulated, atol=1e-10)
+                accumulated[1:-1] += theta * (t @ u)
+                v = strategic_update(v, lie(v, u), inf.w, theta)
+            np.testing.assert_allclose(t @ v - start, accumulated, atol=1e-10)
 
 
 class TestStrategicSupermodularClosure:
@@ -257,24 +244,17 @@ class TestStrategicSupermodularClosure:
             n = int(rng.integers(2, 6))
             theta = float(rng.uniform(0.1, 0.9))
             inf = random_influence(n, rng)
-            profile = OpinionProfile(
-                0, tuple(random_supermodular(n, rng) for _ in range(n))
-            )
+            v = random_stack(n, rng)
             for _ in range(15):
                 reveals = []
-                for f in profile.opinions:
+                for row in v:
                     mix = float(rng.uniform(0, 0.5))
                     reveals.append(
-                        weighted_average([f, random_supermodular(n, rng)], [1 - mix, mix])
+                        weighted_average(
+                            [SetFunction(n, row), random_supermodular(n, rng)], [1 - mix, mix]
+                        )
                     )
                 assert all(is_supermodular(x, tol=1e-12) for x in reveals)
-                profile = step_strategic(profile.with_revealed(tuple(reveals)), inf, theta)
-                for f in profile.opinions:
-                    assert is_supermodular(f, tol=1e-12)
-
-
-class TestParamsAndProfiles:
-    def test_profile_requires_one_opinion_per_player(self):
-        f = random_supermodular(3, np.random.default_rng(29))
-        with pytest.raises(ConsensusError):
-            OpinionProfile(0, (f, f))
+                v = strategic_update(v, stack(reveals), inf.w, theta)
+                for row in v:
+                    assert is_supermodular(SetFunction(n, row), tol=1e-12)

@@ -10,13 +10,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from consensusgame import cli
+from consensusgame import cli, harness
 from consensusgame.agents import (
     FLOAT_PARAMS,
     EnvironmentModel,
     PlayerParams,
     RLearningAgent,
-    make_agent,
+    nash_deviation,
     step_reward,
 )
 from consensusgame.cli import main as cli_main
@@ -213,18 +213,28 @@ TRACE_ARRAYS = ("opinions", "revealed", "deviations", "average", "shapley", "rew
 
 
 def reference_simulation(scenario: Scenario):
-    """The dynamics loop written per player: every learner keeps its own
-    opponent model, acts through `act`, learns through `observe`, and every
-    reward comes from `step_reward`."""
+    """The dynamics loop written per player: each step a truthful player lies
+    by zero and a Nash player by `nash_deviation`, every learner keeps its
+    own opponent model, acts through `act` and learns through `observe`, and
+    every reward comes from `step_reward`."""
     n = scenario.n
     theta = scenario.theta
     influence = InfluenceMatrix.from_matrix(scenario.influence)
     t = influence.t
     form = shapley_linear_form(n)
-    agents = [
-        make_agent(params, form.rows[i], theta, float(t[i]))
+    learners = {
+        i: RLearningAgent(form.rows[i], theta, float(t[i]), params)
         for i, params in enumerate(scenario.players)
-    ]
+        if params.kind == "rlearning"
+    }
+
+    def lie(i, params, state, rng):
+        if params.kind == "rlearning":
+            return learners[i].act(state, rng)
+        if params.kind == "nash":
+            return nash_deviation(form.rows[i], theta, params.risk_aversion)
+        return np.zeros(form.rows.shape[1])
+
     rng = np.random.default_rng(scenario.seed)
     v = np.stack([f.values for f in scenario.initial_opinions])
     state = np.zeros(v.shape[1] - 2)
@@ -238,7 +248,7 @@ def reference_simulation(scenario: Scenario):
 
     snapshot(v)
     for k in range(scenario.horizon):
-        us = np.stack([agent.act(state, rng) for agent in agents])
+        us = np.stack([lie(i, params, state, rng) for i, params in enumerate(scenario.players)])
         x = v.copy()
         x[:, 1:-1] += us
         v = strategic_update(v, x, influence.w, theta)
@@ -247,9 +257,8 @@ def reference_simulation(scenario: Scenario):
             for i, params in enumerate(scenario.players)
         ]
         mean_dev = t @ us
-        for i, agent in enumerate(agents):
-            if isinstance(agent, RLearningAgent):
-                agent.observe(state, (mean_dev - t[i] * us[i]) / (1.0 - t[i]), rewards[i])
+        for i, agent in learners.items():
+            agent.observe(state, (mean_dev - t[i] * us[i]) / (1.0 - t[i]), rewards[i])
         out["revealed"].append(x[:, 1:-1])
         out["deviations"].append(us)
         out["rewards"].append(rewards)
@@ -690,6 +699,33 @@ class TestCli:
         assert cli_main(["--out", str(out1), "simulate", str(scenario)]) == 0
         assert cli_main(["--out", str(out2), "simulate", str(scenario)]) == 0
         assert out1.read_bytes() == out2.read_bytes()
+
+    def test_simulate_stdout_matches_out_file_and_reference(self, tmp_path, capsys):
+        scenario = SCENARIOS / "two_player_learning_gamma05.json"
+        out = tmp_path / "trace.csv"
+        assert cli_main(["--out", str(out), "simulate", str(scenario)]) == 0
+        assert capsys.readouterr().out == ""
+        assert cli_main(["simulate", str(scenario)]) == 0
+        printed = capsys.readouterr().out
+        assert printed.encode() == out.read_bytes()
+        assert printed == reference_dump(run_simulation(load_scenario(scenario)))
+
+    def test_simulate_stdout_is_streamed_not_dumped_whole(self, tmp_path, capsys, monkeypatch):
+        def whole(trace):
+            raise AssertionError("the whole trace CSV was built in memory")
+
+        monkeypatch.setattr(harness, "dump_trace", whole)
+        monkeypatch.setattr(cli, "dump_trace", whole, raising=False)
+        assert cli_main(["simulate", str(self._scenario_file(tmp_path))]) == 0
+        assert parse_trace(capsys.readouterr().out).steps >= 1
+
+    @pytest.mark.parametrize("command", ["simulate", "exp-efficiency"])
+    def test_unwritable_out_exits_two_naming_the_path(self, tmp_path, capsys, command):
+        scenario = self._scenario_file(tmp_path, kind="efficiency")
+        out = tmp_path / "no" / "such" / "out.csv"
+        assert cli_main(["--out", str(out), command, str(scenario)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: cannot write {out}: ")
 
     def test_shapley_prints_allocation_csv(self, tmp_path, capsys):
         f = SetFunction.from_restricted(2, [0.7, 0.1], 1.0)

@@ -38,7 +38,6 @@ from .harness import (
     Scenario,
     ScenarioError,
     SimulationTrace,
-    emit_trace,
     experiment_core_emptiness,
     experiment_efficiency,
     experiment_po_sweep,
@@ -85,7 +84,6 @@ __all__ = [
     "core_is_empty",
     "core_witness",
     "deviation_disutility",
-    "emit_trace",
     "experiment_core_emptiness",
     "experiment_efficiency",
     "experiment_po_sweep",

@@ -8,18 +8,30 @@ feasible allocation keeps every coalition row true, so budget slack is
 handed to one player to split the grand value exactly.
 
 The feasibility engine is a dense phase-1 simplex with Bland's anti-cycling
-rule.  Constraint systems here are tiny (hundreds of rows at most), so a
-deterministic zero-dependency solver beats an external one.
+rule: deterministic and dependency-free.  A Bayesian-core system of n
+players has 2^n - 1 rows (511 at n = 9, 1023 at n = 10) and a tableau of
+rows x (2n + rows + 1) floats.  Its pivot rows are sparse, since each
+coalition row has at most n nonzero structural entries, so a pivot updates
+only the columns where its pivot row is nonzero, plus the right-hand side:
+about n + 2 columns per pivot on noisy opinion profiles.  A tableau that
+would not fit in physical memory is refused before it is allocated.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import NamedTuple
 
 import numpy as np
 
-from .setfn import SetFunction, SetFunctionError, grand_mask, membership_matrix
+from .setfn import (
+    SetFunction,
+    SetFunctionError,
+    check_fits_in_memory,
+    grand_mask,
+    membership_matrix,
+)
 
 _PIVOT_EPS = 1e-10
 
@@ -68,20 +80,52 @@ def lp_feasible(problem: LinearFeasibilityProblem, tol: float = DEFAULT_TOL) -> 
     deterministic and cycle-free.  Artificial columns are never stored:
     once one leaves the basis it is retired, so only the structural block
     is pivoted.
+
+    A pivot's rank-one update touches only the columns where the
+    normalized pivot row is nonzero, and always the right-hand side, so it
+    costs O(rows x touched columns) rather than O(rows x columns); the
+    ratio test and the cost-row update add O(rows + columns).  Every
+    nonzero tableau entry goes through the same floating-point operations
+    as under a full-tableau update, so the pivot sequence and the witness
+    are the same; only the sign of an untouched zero could differ, and no
+    zero outside the right-hand side is ever read for its sign.
     """
+    nvars = problem.a.shape[1]
+    tableau, basis = _phase_one(problem)
+    n_struct = tableau.shape[1] - 1
+    artificial_rows = basis >= n_struct
+    infeasibility = float(tableau[artificial_rows, -1].sum())
+    if infeasibility > tol:
+        return FeasibilityResult(False, None)
+
+    solution = np.zeros(n_struct)
+    structural_rows = ~artificial_rows
+    solution[basis[structural_rows]] = tableau[structural_rows, -1]
+    witness = solution[:nvars] - solution[nvars : 2 * nvars]
+    return FeasibilityResult(True, witness)
+
+
+def _phase_one(problem: LinearFeasibilityProblem) -> tuple[np.ndarray, np.ndarray]:
+    """The pivot loop of `lp_feasible`: its final tableau and basis."""
     a, b = problem.a, problem.b
     rows, nvars = a.shape
 
-    # Columns: x+ | x- | surplus (one per row); artificials implicit.  The
-    # surplus block is 0 - I, not -I, so no -0.0 can reach a printed witness.
-    struct = np.hstack([a, -a, 0.0 - np.eye(rows)])
-    rhs = b.copy()
-    flip = rhs < 0
-    struct[flip] *= -1.0
-    rhs[flip] *= -1.0
-
-    n_struct = struct.shape[1]
-    tableau = np.hstack([struct, rhs[:, None]])
+    # Columns: x+ | x- | surplus (one per row) | rhs; artificials implicit.
+    # The tableau is the one array allocated at its size, refused up front
+    # when it would not fit.  Its surplus block is +0.0 off the diagonal,
+    # so no -0.0 can reach a printed witness.
+    n_struct = 2 * nvars + rows
+    check_fits_in_memory(
+        8 * rows * (n_struct + 1),
+        f"the {rows} x {n_struct + 1} simplex tableau for {nvars} players",
+        SetFunctionError,
+    )
+    tableau = np.zeros((rows, n_struct + 1))
+    tableau[:, :nvars] = a
+    tableau[:, nvars : 2 * nvars] = -a
+    tableau[np.arange(rows), 2 * nvars + np.arange(rows)] = -1.0
+    tableau[:, -1] = b
+    tableau[b < 0] *= -1.0
     # basis entry n_struct + r stands for row r's artificial variable
     basis = np.arange(n_struct, n_struct + rows)
 
@@ -105,24 +149,19 @@ def lp_feasible(problem: LinearFeasibilityProblem, tol: float = DEFAULT_TOL) -> 
         pivot_row = tableau[leaving] / tableau[leaving, entering]
         col = tableau[:, entering].copy()
         col[leaving] = 0.0
-        tableau -= np.outer(col, pivot_row)
+        # rank-one update on the pivot row's nonzero columns and the rhs;
+        # elsewhere it would only subtract zeros
+        touched = pivot_row != 0.0
+        touched[-1] = True
+        touched = np.flatnonzero(touched)
+        tableau[:, touched] -= np.outer(col, pivot_row[touched])
         tableau[leaving] = pivot_row
         cost -= cost[entering] * pivot_row
         basis[leaving] = entering
         np.clip(tableau[:, -1], 0.0, None, out=tableau[:, -1])
     else:
         raise SimplexError(f"simplex did not terminate within {max_iter} pivots")
-
-    artificial_rows = basis >= n_struct
-    infeasibility = float(tableau[artificial_rows, -1].sum())
-    if infeasibility > tol:
-        return FeasibilityResult(False, None)
-
-    solution = np.zeros(n_struct)
-    structural_rows = ~artificial_rows
-    solution[basis[structural_rows]] = tableau[structural_rows, -1]
-    witness = solution[:nvars] - solution[nvars : 2 * nvars]
-    return FeasibilityResult(True, witness)
+    return tableau, basis
 
 
 def core_contains(f: SetFunction, g, tol: float = DEFAULT_TOL) -> bool:
@@ -172,11 +211,17 @@ def bayesian_core_constraints(opinions: list[SetFunction]) -> LinearFeasibilityP
     if len(opinions) != n:
         raise SetFunctionError(f"expected one opinion per player ({n}), got {len(opinions)}")
     stack = np.stack([f.values for f in opinions])
-    members = membership_matrix(n).astype(float)
-    proper = np.arange(1, grand_mask(n))
-    a = np.vstack([members[proper], -np.ones((1, n))])
-    b = np.concatenate([stack[:, proper].max(axis=0), [-stack[:, -1].min()]])
-    return LinearFeasibilityProblem(a, b)
+    b = np.concatenate([stack[:, 1:-1].max(axis=0), [-stack[:, -1].min()]])
+    return LinearFeasibilityProblem(_core_rows(n), b)
+
+
+@lru_cache(maxsize=64)
+def _core_rows(n: int) -> np.ndarray:
+    """The constraint matrix of every n-player core system, built once per n:
+    proper coalitions' membership rows, then the negated budget row."""
+    a = np.vstack([membership_matrix(n)[1:-1], -np.ones((1, n))])
+    a.setflags(write=False)
+    return a
 
 
 def bayesian_core_is_empty(

@@ -16,11 +16,11 @@ Trace CSV layout (one file, fixed header, full-precision floats):
 - one "aggregate" row per step carrying the weighted average opinion, its
   Shapley allocation, per-player rewards, and the fraud disutility.
 
-`trace_chunks` yields the CSV one step at a time; `emit_trace` and the CLI
-write the chunks as they come, so the CSV text of a run is never held in
-memory whole.  `parse_trace` accepts only what the writer writes: every
-opinion row (step, player, entry) and every step's aggregate row exactly
-once, in range, with finite values, and the action cells (x, u, rewards,
+`trace_chunks` yields the CSV one step at a time; the CLI writes the chunks
+as they come, so the CSV text of a run is never held in memory whole.
+`parse_trace` accepts only what the writer writes: every opinion row
+(step, player, entry) and every step's aggregate row exactly once, in
+range, with finite values, and the action cells (x, u, rewards,
 disutility) blank on the final step and only there.  Anything else is a
 ScenarioError naming the line, or the row that is missing.
 """
@@ -29,7 +29,6 @@ from __future__ import annotations
 
 import json
 import math
-import os
 from dataclasses import dataclass, fields, replace
 
 import numpy as np
@@ -43,6 +42,7 @@ from .setfn import (
     SamplerError,
     SetFunction,
     SetFunctionError,
+    check_fits_in_memory,
     num_restricted,
     random_supermodular,
     sample_supermodular_opinion,
@@ -160,12 +160,9 @@ def run_simulation(scenario: Scenario) -> SimulationTrace:
     # float64 trace arrays: opinions, reveals and lies; average and Shapley
     # rows; rewards and disutility
     nbytes = 8 * ((3 * horizon + 1) * n * m + (horizon + 1) * (m + n) + horizon * (n + 1))
-    physical = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
-    if nbytes > physical:
-        raise ScenarioError(
-            f"horizon: {horizon} steps at n={n} need {nbytes} bytes of trace "
-            f"arrays, more than the {physical} bytes of physical memory"
-        )
+    check_fits_in_memory(
+        nbytes, f"horizon: the trace arrays of {horizon} steps at n={n}", ScenarioError
+    )
     influence = InfluenceMatrix.from_matrix(scenario.influence)
     theta = scenario.theta
     form = shapley_linear_form(n)
@@ -484,15 +481,6 @@ def trace_chunks(trace: SimulationTrace):
 
 def dump_trace(trace: SimulationTrace) -> str:
     return "".join(trace_chunks(trace))
-
-
-def emit_trace(trace: SimulationTrace, path) -> None:
-    """Write the trace CSV to ``path`` one step at a time."""
-    try:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.writelines(trace_chunks(trace))
-    except OSError as exc:
-        raise OSError(f"cannot write trace to {path}: {exc}") from exc
 
 
 def _numbers(cells: list, kind: type, lines: np.ndarray, names: list) -> np.ndarray:

@@ -10,6 +10,7 @@ coalition S sits at index S - 1.
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -40,6 +41,22 @@ def num_restricted(n: int) -> int:
 def _check_n(n: int) -> None:
     if not 1 <= n <= MAX_PLAYERS:
         raise SetFunctionError(f"player count must be in [1, {MAX_PLAYERS}], got {n}")
+
+
+def physical_memory() -> int:
+    """Bytes of physical memory on this machine."""
+    return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+
+
+def check_fits_in_memory(nbytes: int, what: str, error: type[Exception]) -> None:
+    """Raise ``error`` when ``what``, ``nbytes`` of arrays, would not fit
+    in physical memory; called before anything is allocated."""
+    physical = physical_memory()
+    if nbytes > physical:
+        raise error(
+            f"{what} would take {nbytes} bytes, more than the {physical} "
+            "bytes of physical memory"
+        )
 
 
 @dataclass(frozen=True)
@@ -259,10 +276,16 @@ def subset_sums(weights: np.ndarray, n: int) -> np.ndarray:
     return out
 
 
+@lru_cache(maxsize=64)
 def membership_matrix(n: int) -> np.ndarray:
-    """Boolean (2^n, n) matrix: row C, column i is player i's membership."""
+    """Boolean (2^n, n) matrix: row C, column i is player i's membership.
+
+    Built once per n and read-only.
+    """
     masks = np.arange(1 << n)
-    return ((masks[:, None] >> np.arange(n)[None, :]) & 1).astype(bool)
+    members = ((masks[:, None] >> np.arange(n)[None, :]) & 1).astype(bool)
+    members.setflags(write=False)
+    return members
 
 
 # --- text serialization -----------------------------------------------------

@@ -15,6 +15,7 @@ those rows.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from math import factorial
 
 import numpy as np
@@ -47,26 +48,36 @@ def shapley_weights(n: int) -> np.ndarray:
     return fact[:n] * fact[n - 1 :: -1] / fact[n]
 
 
+@lru_cache(maxsize=64)
+def _shapley_gathers(n: int) -> tuple:
+    """Per player i: the coalitions C avoiding i, C + i, and C's weight."""
+    masks = np.arange(1 << n)
+    sizes = np.bitwise_count(masks)
+    weight_by_size = shapley_weights(n)
+    gathers = []
+    for i in range(n):
+        bit = 1 << i
+        without = masks[(masks & bit) == 0]
+        arrays = (without, without | bit, weight_by_size[sizes[without]])
+        for array in arrays:
+            array.setflags(write=False)
+        gathers.append(arrays)
+    return tuple(gathers)
+
+
 def shapley_value(f: SetFunction) -> Allocation:
     """Exact Shapley allocation by the direct coalition-sum formula.
 
     g_i = sum over coalitions C not containing i of
     |C|! (n-|C|-1)! / n! * (f(C+i) - f(C)).  Efficient: payoffs sum to
-    the grand-coalition value.
+    the grand-coalition value.  The index and weight gathers are built
+    once per n.
     """
-    n = f.n
     vals = f.values
-    masks = np.arange(1 << n)
-    sizes = np.bitwise_count(masks)
-    weight_by_size = shapley_weights(n)
-    payoffs = np.empty(n)
-    for i in range(n):
-        bit = 1 << i
-        without = masks[(masks & bit) == 0]
-        payoffs[i] = np.sum(
-            weight_by_size[sizes[without]] * (vals[without | bit] - vals[without])
-        )
-    return Allocation(n, payoffs)
+    payoffs = np.empty(f.n)
+    for i, (without, with_i, weights) in enumerate(_shapley_gathers(f.n)):
+        payoffs[i] = np.sum(weights * (vals[with_i] - vals[without]))
+    return Allocation(f.n, payoffs)
 
 
 @dataclass(frozen=True)

@@ -1,13 +1,17 @@
 """LP feasibility engine and the core / Bayesian-core predicates."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from consensusgame import cli, setfn
 from consensusgame.core import (
     FeasibilityResult,
     LinearFeasibilityProblem,
+    _phase_one,
     bayesian_core_contains,
     bayesian_core_constraints,
     bayesian_core_is_empty,
@@ -19,6 +23,7 @@ from consensusgame.core import (
 from consensusgame.setfn import (
     SetFunction,
     SetFunctionError,
+    dump_setfn,
     grand_mask,
     membership_matrix,
     random_supermodular,
@@ -60,7 +65,149 @@ def equality_core_is_empty(f: SetFunction) -> bool:
     return not lp_feasible(LinearFeasibilityProblem(a, b)).feasible
 
 
+def dense_lp_feasible(problem: LinearFeasibilityProblem, tol: float = 1e-9):
+    """Phase 1 with a rank-one update of the whole tableau on every pivot:
+    the reference the column-restricted update must reproduce.  Returns
+    (feasible, witness or None, final tableau, final basis)."""
+    a, b = problem.a, problem.b
+    rows, nvars = a.shape
+    struct = np.hstack([a, -a, 0.0 - np.eye(rows)])
+    rhs = b.copy()
+    flip = rhs < 0
+    struct[flip] *= -1.0
+    rhs[flip] *= -1.0
+    n_struct = struct.shape[1]
+    tableau = np.hstack([struct, rhs[:, None]])
+    basis = np.arange(n_struct, n_struct + rows)
+    cost = -tableau.sum(axis=0)
+    while True:
+        eligible = np.nonzero(cost[:n_struct] < -1e-10)[0]
+        if eligible.size == 0:
+            break
+        entering = int(eligible[0])
+        coefs = tableau[:, entering]
+        positive = coefs > 1e-10
+        ratios = np.full(rows, np.inf)
+        ratios[positive] = tableau[positive, -1] / coefs[positive]
+        ties = np.nonzero(ratios <= ratios.min() + 1e-10)[0]
+        leaving = int(ties[np.argmin(basis[ties])])
+        pivot_row = tableau[leaving] / tableau[leaving, entering]
+        col = tableau[:, entering].copy()
+        col[leaving] = 0.0
+        tableau -= np.outer(col, pivot_row)
+        tableau[leaving] = pivot_row
+        cost -= cost[entering] * pivot_row
+        basis[leaving] = entering
+        np.clip(tableau[:, -1], 0.0, None, out=tableau[:, -1])
+    artificial_rows = basis >= n_struct
+    if float(tableau[artificial_rows, -1].sum()) > tol:
+        return False, None, tableau, basis
+    solution = np.zeros(n_struct)
+    structural_rows = ~artificial_rows
+    solution[basis[structural_rows]] = tableau[structural_rows, -1]
+    return True, solution[:nvars] - solution[nvars : 2 * nvars], tableau, basis
+
+
+def _noisy_bayesian_core(n: int, rng, noise: float) -> LinearFeasibilityProblem:
+    opinions = []
+    for _ in range(n):
+        vals = random_supermodular(n, rng).values.copy()
+        vals[1:-1] += rng.normal(0, noise, size=vals.size - 2)
+        opinions.append(SetFunction(n, vals))
+    return bayesian_core_constraints(opinions)
+
+
+def _degenerate_core_systems():
+    """Core systems with many ties and zeros: additive games with zero
+    singletons, unanimity games, majority games, and integer-valued
+    opinion profiles."""
+    rng = np.random.default_rng(89)
+    for n in range(2, 8):
+        members = membership_matrix(n).astype(float)
+        singles = rng.integers(0, 3, size=n).astype(float)
+        singles[rng.permutation(n)[: max(1, n // 2)]] = 0.0
+        yield f"additive-n{n}", [SetFunction(n, members @ singles)] * n
+        carrier = int(rng.integers(1, 1 << n))
+        unanimity = ((np.arange(1 << n) & carrier) == carrier).astype(float)
+        yield f"unanimity-n{n}", [SetFunction(n, unanimity)] * n
+        majority = (members.sum(axis=1) > n / 2).astype(float)
+        yield f"majority-n{n}", [SetFunction(n, majority)] * n
+        for k in range(3):
+            opinions = []
+            for _ in range(n):
+                vals = rng.integers(0, 3, size=1 << n).astype(float)
+                vals[0] = 0.0
+                vals[-1] = float(rng.integers(1, 2 * n))
+                opinions.append(SetFunction(n, vals))
+            yield f"integer-n{n}-{k}", opinions
+
+
+def _oracle_problems():
+    rng = np.random.default_rng(97)
+    for n in range(2, 10):
+        for k in range(2 if n >= 8 else 6):
+            noise = (0.01, 0.1, 0.3)[k % 3]
+            yield f"bayesian-n{n}-{k}", _noisy_bayesian_core(n, rng, noise)
+    for name, opinions in _degenerate_core_systems():
+        yield name, bayesian_core_constraints(opinions)
+    for k in range(60):
+        rows, nvars = int(rng.integers(1, 10)), int(rng.integers(1, 5))
+        a = rng.integers(-2, 3, size=(rows, nvars)).astype(float)
+        b = rng.integers(-3, 3, size=rows).astype(float)
+        yield f"integer-{k}", LinearFeasibilityProblem(a, b)
+
+
 class TestLpFeasible:
+    def test_matches_the_dense_update_bit_for_bit(self):
+        verdicts = {True: 0, False: 0}
+        zero_components = flipped = 0
+        for name, problem in _oracle_problems():
+            feasible, witness, tableau, basis = dense_lp_feasible(problem)
+            got_tableau, got_basis = _phase_one(problem)
+            assert np.array_equal(got_basis, basis), name
+            # nonzero entries are bit-equal; a zero's sign is never read
+            assert np.array_equal(got_tableau, tableau), name
+            assert got_tableau[:, -1].tobytes() == tableau[:, -1].tobytes(), name
+            result = lp_feasible(problem)
+            assert result.feasible == feasible, name
+            if feasible:
+                assert result.witness.tobytes() == witness.tobytes(), name
+                zero_components += int(np.sum(witness == 0.0))
+            else:
+                assert result.witness is None, name
+            verdicts[feasible] += 1
+            flipped += bool(np.any(problem.b < 0))
+        assert verdicts[True] > 20 and verdicts[False] > 20
+        assert zero_components > 20 and flipped > 20
+
+    def test_tableau_beyond_physical_memory_refused_before_allocating(self, monkeypatch):
+        problem = _noisy_bayesian_core(9, np.random.default_rng(101), 0.1)
+        monkeypatch.setattr(setfn, "physical_memory", lambda: 1 << 20)
+        tracemalloc.start()
+        try:
+            with pytest.raises(SetFunctionError, match="for 9 players") as excinfo:
+                lp_feasible(problem)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 16
+        # 511 rows x (2 * 9 + 511 + 1) float64 cells
+        assert f" {8 * 511 * 530} bytes" in str(excinfo.value)
+
+    def test_core_check_beyond_physical_memory_exits_two(self, tmp_path, capsys, monkeypatch):
+        # nine singletons worth 0.2 each against a grand value of 1: the
+        # Shapley shortcut fails, so the LP is needed
+        f = SetFunction(9, (membership_matrix(9).sum(axis=1) == 1) * 0.2 + (np.arange(512) == 511))
+        path = tmp_path / "game.setfn"
+        path.write_text(dump_setfn(f))
+        assert cli.main(["core-check", str(path)]) == 0
+        assert capsys.readouterr().out == "empty\n"
+        monkeypatch.setattr(setfn, "physical_memory", lambda: 1 << 20)
+        assert cli.main(["core-check", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: the 511 x 530 simplex tableau for 9 players ")
+        assert str(8 * 511 * 530) in err and "physical memory" in err
+
     def test_overlapping_lower_bounds_infeasible(self):
         problem = LinearFeasibilityProblem(
             a=np.array([[1.0, 1.0], [-1.0, -1.0], [1.0, 0.0], [0.0, 1.0]]),
@@ -119,7 +266,7 @@ class TestLpFeasible:
         optimize = pytest.importorskip("scipy.optimize")
         rng = np.random.default_rng(79)
         verdicts = {True: 0, False: 0}
-        for n in range(2, 9):
+        for n in range(2, 11):
             for _ in range(8):
                 opinions = []
                 for _ in range(n):

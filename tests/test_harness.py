@@ -1,5 +1,6 @@
 """Simulation driver, trace round-trips, scenario validation, and the CLI."""
 
+import argparse
 import copy
 import json
 import tracemalloc
@@ -10,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from consensusgame import cli, harness
+from consensusgame import cli, harness, setfn
 from consensusgame.agents import (
     FLOAT_PARAMS,
     EnvironmentModel,
@@ -28,7 +29,6 @@ from consensusgame.harness import (
     SimulationTrace,
     core_emptiness_verdict,
     dump_trace,
-    emit_trace,
     experiment_core_emptiness,
     experiment_efficiency,
     experiment_po_sweep,
@@ -40,6 +40,7 @@ from consensusgame.harness import (
     random_primitive_influence,
     run_simulation,
     scenario_from_dict,
+    trace_chunks,
     trace_header,
 )
 from consensusgame.setfn import SetFunction, dump_setfn, random_supermodular
@@ -194,6 +195,16 @@ class TestRunSimulation:
         assert len(calls) == trace.steps == 20
         assert len(set(calls)) == 1
 
+    def test_memory_refusal_reads_the_shared_physical_memory_figure(self, monkeypatch):
+        scenario = load_scenario(SCENARIOS / "two_player_learning_gamma05.json")
+        # (3h + 1) n m + (h + 1)(m + n) + h (n + 1) floats at n = m = 2, h = 500
+        nbytes = 8 * (19 * 500 + 8)
+        monkeypatch.setattr(setfn, "physical_memory", lambda: nbytes - 1)
+        with pytest.raises(ScenarioError, match=rf"^horizon: .* would take {nbytes} bytes"):
+            run_simulation(scenario)
+        monkeypatch.setattr(setfn, "physical_memory", lambda: nbytes)
+        assert run_simulation(scenario).steps == 500
+
     def test_horizon_beyond_physical_memory_rejected_before_allocating(self):
         raw = json.loads((SCENARIOS / "two_player_learning_gamma05.json").read_text())
         scenario = scenario_from_dict({**raw, "horizon": 10**12})
@@ -287,7 +298,7 @@ def reference_simulation(scenario: Scenario):
 
 def reference_dump(trace: SimulationTrace) -> str:
     """The trace CSV written one row and one element at a time: the byte
-    oracle for dump_trace and emit_trace."""
+    oracle for dump_trace and for the CLI's streamed file writer."""
 
     def fmt(x) -> str:
         return repr(float(x))
@@ -379,7 +390,7 @@ class TestTraceRoundTrip:
         trace = ORACLE_TRACES[name]()
         expected = reference_dump(trace)
         assert dump_trace(trace) == expected
-        emit_trace(trace, tmp_path / "trace.csv")
+        cli._write(argparse.Namespace(out=str(tmp_path / "trace.csv")), trace_chunks(trace))
         assert (tmp_path / "trace.csv").read_bytes() == expected.encode()
         again = parse_trace(expected)
         assert (again.n, again.steps) == (trace.n, trace.steps)
@@ -436,18 +447,21 @@ class TestTraceRoundTrip:
         np.testing.assert_array_equal(again.disutility, trace.disutility)
 
     def test_rerun_is_byte_identical(self, tmp_path):
+        scenario = SCENARIOS / "two_player_learning_gamma05.json"
         paths = []
         for run in range(2):
-            trace = self._trace()
             path = tmp_path / f"trace_{run}.csv"
-            emit_trace(trace, path)
+            assert cli_main(["simulate", str(scenario), "--out", str(path)]) == 0
             paths.append(path.read_bytes())
         assert paths[0] == paths[1]
+        assert paths[0] == reference_dump(run_simulation(load_scenario(scenario))).encode()
 
-    def test_emit_reports_path_on_failure(self, tmp_path):
-        trace = self._trace()
-        with pytest.raises(OSError, match="no/such"):
-            emit_trace(trace, tmp_path / "no" / "such" / "dir.csv")
+    def test_emit_reports_path_on_failure(self, tmp_path, capsys):
+        scenario = SCENARIOS / "two_player_learning_gamma05.json"
+        path = tmp_path / "no" / "such" / "dir.csv"
+        assert cli_main(["simulate", str(scenario), "--out", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert str(path) in err and "Traceback" not in err
 
 
 class TestScenarioLoading:

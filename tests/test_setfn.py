@@ -13,6 +13,7 @@ from consensusgame.setfn import (
     SetFunctionError,
     dump_setfn,
     is_supermodular,
+    membership_matrix,
     num_restricted,
     parse_setfn,
     random_supermodular,
@@ -84,6 +85,16 @@ class TestSubsetIndex:
         assert 0 not in masks and 0b111 not in masks
         with pytest.raises(SetFunctionError):
             SetFunction.from_restricted(3, np.arange(1, 8, dtype=float))
+
+
+class TestMembershipMatrix:
+    @pytest.mark.parametrize("n", [1, 3, 6])
+    def test_built_once_and_read_only(self, n):
+        members = membership_matrix(n)
+        assert membership_matrix(n) is members
+        assert not members.flags.writeable
+        for mask in range(1 << n):
+            assert members[mask].tolist() == [bool(mask >> i & 1) for i in range(n)]
 
 
 class TestIsSupermodular:

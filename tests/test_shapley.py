@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from consensusgame.core import core_contains
 from consensusgame.setfn import SetFunction, SetFunctionError, random_supermodular
-from consensusgame.shapley import shapley_linear_form, shapley_value
+from consensusgame.shapley import shapley_linear_form, shapley_value, shapley_weights
 
 
 def shapley_by_permutations(f: SetFunction) -> np.ndarray:
@@ -24,6 +24,23 @@ def shapley_by_permutations(f: SetFunction) -> np.ndarray:
             mask |= 1 << player
         count += 1
     return totals / count
+
+
+def shapley_by_coalition_sums(f: SetFunction) -> np.ndarray:
+    """Oracle: the direct coalition-sum formula with its index arrays and
+    weights rebuilt on every call, one np.sum per player."""
+    n = f.n
+    masks = np.arange(1 << n)
+    sizes = np.bitwise_count(masks)
+    weight_by_size = shapley_weights(n)
+    payoffs = np.empty(n)
+    for i in range(n):
+        bit = 1 << i
+        without = masks[(masks & bit) == 0]
+        payoffs[i] = np.sum(
+            weight_by_size[sizes[without]] * (f.values[without | bit] - f.values[without])
+        )
+    return payoffs
 
 
 def linear_form_by_indicators(n: int) -> np.ndarray:
@@ -78,6 +95,14 @@ class TestShapleyValue:
             np.testing.assert_allclose(
                 shapley_value(f).payoffs, shapley_by_permutations(f), atol=1e-12
             )
+
+    @pytest.mark.parametrize("n", range(1, 11))
+    def test_bit_equal_to_rebuilt_coalition_sums(self, n):
+        rng = np.random.default_rng(29 + n)
+        for _ in range(5):
+            vals = np.concatenate([[0.0], rng.normal(0, 1, size=(1 << n) - 1)])
+            f = SetFunction(n, vals)
+            assert shapley_value(f).payoffs.tobytes() == shapley_by_coalition_sums(f).tobytes()
 
     @pytest.mark.parametrize("n", range(2, 9))
     def test_efficiency(self, n):

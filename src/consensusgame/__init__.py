@@ -25,14 +25,11 @@ from .consensus import (
 )
 from .core import (
     FeasibilityResult,
-    LinearFeasibilityProblem,
-    SimplexError,
     bayesian_core_contains,
     bayesian_core_is_empty,
     core_contains,
     core_is_empty,
     core_witness,
-    lp_feasible,
 )
 from .harness import (
     Scenario,
@@ -67,7 +64,6 @@ __all__ = [
     "FeasibilityResult",
     "GroundTruthSpec",
     "InfluenceMatrix",
-    "LinearFeasibilityProblem",
     "PlayerParams",
     "RLearningAgent",
     "SamplerError",
@@ -76,7 +72,6 @@ __all__ = [
     "SetFunction",
     "SetFunctionError",
     "ShapleyLinearForm",
-    "SimplexError",
     "SimulationTrace",
     "bayesian_core_contains",
     "bayesian_core_is_empty",
@@ -90,7 +85,6 @@ __all__ = [
     "influence_weights",
     "is_supermodular",
     "load_scenario",
-    "lp_feasible",
     "nash_best_response",
     "nash_deviation",
     "parse_trace",

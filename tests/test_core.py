@@ -1,24 +1,19 @@
-"""LP feasibility engine and the core / Bayesian-core predicates."""
-
-import tracemalloc
+"""Core emptiness on the balancedness dual, the core / Bayesian-core
+predicates, and the tableau oracle they are checked against."""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from consensusgame import cli, setfn
+from consensusgame import cli
 from consensusgame.core import (
-    FeasibilityResult,
-    LinearFeasibilityProblem,
-    _phase_one,
+    _balanced_dual,
     bayesian_core_contains,
-    bayesian_core_constraints,
     bayesian_core_is_empty,
     core_contains,
     core_is_empty,
     core_witness,
-    lp_feasible,
 )
 from consensusgame.setfn import (
     SetFunction,
@@ -62,14 +57,33 @@ def equality_core_is_empty(f: SetFunction) -> bool:
     proper = np.arange(1, grand_mask(n))
     a = np.vstack([membership_matrix(n)[proper], np.ones((1, n)), -np.ones((1, n))])
     b = np.concatenate([f.values[proper], [f.grand_value, -f.grand_value]])
-    return not lp_feasible(LinearFeasibilityProblem(a, b)).feasible
+    return not dense_lp_feasible(a, b)[0]
 
 
-def dense_lp_feasible(problem: LinearFeasibilityProblem, tol: float = 1e-9):
-    """Phase 1 with a rank-one update of the whole tableau on every pivot:
-    the reference the column-restricted update must reproduce.  Returns
-    (feasible, witness or None, final tableau, final basis)."""
-    a, b = problem.a, problem.b
+def core_system(opinions):
+    """The Bayesian core as ``A x >= b``: every proper coalition covers its
+    per-player maximum, and the negated total covers the negated smallest
+    grand value."""
+    n = opinions[0].n
+    stack = np.stack([f.values for f in opinions])
+    a = np.vstack([membership_matrix(n)[1:-1], -np.ones((1, n))])
+    b = np.concatenate([stack[:, 1:-1].max(axis=0), [-stack[:, -1].min()]])
+    return a, b
+
+
+def dual_of(opinions, tol: float = 1e-9):
+    """The balancedness dual of a Bayesian-core system, without the Shapley
+    shortcut in front: (witness or None, pivots)."""
+    stack = np.stack([f.values for f in opinions])
+    return _balanced_dual(opinions[0].n, stack[:, 1:-1].max(axis=0), stack[:, -1].min() + tol)
+
+
+def dense_lp_feasible(a, b, tol: float = 1e-9):
+    """Phase 1 of the simplex on the whole ``A x >= b`` tableau with Bland's
+    rule: free variables split into positive parts, one surplus and one
+    artificial variable per row.  Returns (feasible, witness or None)."""
+    a = np.asarray(a, dtype=float)
+    b = np.asarray(b, dtype=float)
     rows, nvars = a.shape
     struct = np.hstack([a, -a, 0.0 - np.eye(rows)])
     rhs = b.copy()
@@ -101,20 +115,20 @@ def dense_lp_feasible(problem: LinearFeasibilityProblem, tol: float = 1e-9):
         np.clip(tableau[:, -1], 0.0, None, out=tableau[:, -1])
     artificial_rows = basis >= n_struct
     if float(tableau[artificial_rows, -1].sum()) > tol:
-        return False, None, tableau, basis
+        return False, None
     solution = np.zeros(n_struct)
     structural_rows = ~artificial_rows
     solution[basis[structural_rows]] = tableau[structural_rows, -1]
-    return True, solution[:nvars] - solution[nvars : 2 * nvars], tableau, basis
+    return True, solution[:nvars] - solution[nvars : 2 * nvars]
 
 
-def _noisy_bayesian_core(n: int, rng, noise: float) -> LinearFeasibilityProblem:
+def _noisy_opinions(n: int, rng, noise: float) -> list[SetFunction]:
     opinions = []
     for _ in range(n):
         vals = random_supermodular(n, rng).values.copy()
         vals[1:-1] += rng.normal(0, noise, size=vals.size - 2)
         opinions.append(SetFunction(n, vals))
-    return bayesian_core_constraints(opinions)
+    return opinions
 
 
 def _degenerate_core_systems():
@@ -143,95 +157,84 @@ def _degenerate_core_systems():
 
 
 def _oracle_problems():
+    """Noisy Bayesian-core profiles at n = 2..9, then the degenerate ones."""
     rng = np.random.default_rng(97)
     for n in range(2, 10):
         for k in range(2 if n >= 8 else 6):
             noise = (0.01, 0.1, 0.3)[k % 3]
-            yield f"bayesian-n{n}-{k}", _noisy_bayesian_core(n, rng, noise)
-    for name, opinions in _degenerate_core_systems():
-        yield name, bayesian_core_constraints(opinions)
-    for k in range(60):
-        rows, nvars = int(rng.integers(1, 10)), int(rng.integers(1, 5))
-        a = rng.integers(-2, 3, size=(rows, nvars)).astype(float)
-        b = rng.integers(-3, 3, size=rows).astype(float)
-        yield f"integer-{k}", LinearFeasibilityProblem(a, b)
+            yield f"bayesian-n{n}-{k}", _noisy_opinions(n, rng, noise)
+    yield from _degenerate_core_systems()
 
 
-class TestLpFeasible:
-    def test_matches_the_dense_update_bit_for_bit(self):
+class TestBalancednessDual:
+    def test_verdicts_match_the_tableau_oracle(self):
         verdicts = {True: 0, False: 0}
-        zero_components = flipped = 0
-        for name, problem in _oracle_problems():
-            feasible, witness, tableau, basis = dense_lp_feasible(problem)
-            got_tableau, got_basis = _phase_one(problem)
-            assert np.array_equal(got_basis, basis), name
-            # nonzero entries are bit-equal; a zero's sign is never read
-            assert np.array_equal(got_tableau, tableau), name
-            assert got_tableau[:, -1].tobytes() == tableau[:, -1].tobytes(), name
-            result = lp_feasible(problem)
-            assert result.feasible == feasible, name
+        pivoted = 0
+        for name, opinions in _oracle_problems():
+            feasible, _ = dense_lp_feasible(*core_system(opinions))
+            witness, pivots = dual_of(opinions)
+            assert (witness is not None) == feasible, name
+            assert bayesian_core_is_empty(opinions).empty == (not feasible), name
             if feasible:
-                assert result.witness.tobytes() == witness.tobytes(), name
-                zero_components += int(np.sum(witness == 0.0))
-            else:
-                assert result.witness is None, name
+                assert bayesian_core_contains(opinions, witness, tol=1e-9), name
             verdicts[feasible] += 1
-            flipped += bool(np.any(problem.b < 0))
+            pivoted += pivots > 0
         assert verdicts[True] > 20 and verdicts[False] > 20
-        assert zero_components > 20 and flipped > 20
+        assert pivoted > 20
 
-    def test_tableau_beyond_physical_memory_refused_before_allocating(self, monkeypatch):
-        problem = _noisy_bayesian_core(9, np.random.default_rng(101), 0.1)
-        monkeypatch.setattr(setfn, "physical_memory", lambda: 1 << 20)
-        tracemalloc.start()
-        try:
-            with pytest.raises(SetFunctionError, match="for 9 players") as excinfo:
-                lp_feasible(problem)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert peak < 1 << 16
-        # 511 rows x (2 * 9 + 511 + 1) float64 cells
-        assert f" {8 * 511 * 530} bytes" in str(excinfo.value)
+    def test_stops_before_a_pivot_when_the_singletons_overrun_the_budget(self):
+        # nine singletons worth 0.2 each: the singleton basis alone is
+        # worth 1.8 against a budget of 1, also where the pair {0, 1},
+        # worth 0.5, would raise the objective on a pivot
+        singletons = (membership_matrix(9)[1:-1].sum(axis=1) == 1) * 0.2
+        paired = singletons.copy()
+        paired[0b11 - 1] = 0.5
+        for bounds in (singletons, paired):
+            witness, pivots = _balanced_dual(9, bounds, 1.0 + 1e-9)
+            assert witness is None and pivots == 0
+        assert _balanced_dual(9, paired, np.inf)[1] >= 1
 
-    def test_core_check_beyond_physical_memory_exits_two(self, tmp_path, capsys, monkeypatch):
+    def test_stops_once_the_objective_passes_the_budget(self):
+        # four players, every pair worth 0.7: two disjoint pairs already
+        # reach 1.4 > 1, before the simplex has proven the optimum
+        sizes = membership_matrix(4)[1:-1].sum(axis=1)
+        bounds = (sizes == 2) * 0.7
+        witness, pivots = _balanced_dual(4, bounds, 1.0 + 1e-9)
+        optimum, optimal_pivots = _balanced_dual(4, bounds, np.inf)
+        assert witness is None
+        assert 1 <= pivots < optimal_pivots
+        assert optimum.sum() == pytest.approx(1.4)
+        assert np.all(membership_matrix(4)[1:-1] @ optimum >= bounds - 1e-9)
+
+    def test_core_check_prints_empty_for_nine_costly_singletons(self, tmp_path, capsys):
         # nine singletons worth 0.2 each against a grand value of 1: the
-        # Shapley shortcut fails, so the LP is needed
+        # Shapley shortcut fails, so the dual decides
         f = SetFunction(9, (membership_matrix(9).sum(axis=1) == 1) * 0.2 + (np.arange(512) == 511))
         path = tmp_path / "game.setfn"
         path.write_text(dump_setfn(f))
         assert cli.main(["core-check", str(path)]) == 0
         assert capsys.readouterr().out == "empty\n"
-        monkeypatch.setattr(setfn, "physical_memory", lambda: 1 << 20)
-        assert cli.main(["core-check", str(path)]) == 2
-        err = capsys.readouterr().err
-        assert err.startswith("error: the 511 x 530 simplex tableau for 9 players ")
-        assert str(8 * 511 * 530) in err and "physical memory" in err
+
+
+class TestLpFeasible:
+    """The tableau oracle on hand-checked systems, and the engine against
+    HiGHS."""
 
     def test_overlapping_lower_bounds_infeasible(self):
-        problem = LinearFeasibilityProblem(
-            a=np.array([[1.0, 1.0], [-1.0, -1.0], [1.0, 0.0], [0.0, 1.0]]),
-            b=np.array([1.0, -1.0, 0.6, 0.6]),
-        )
-        assert not lp_feasible(problem).feasible
+        a = np.array([[1.0, 1.0], [-1.0, -1.0], [1.0, 0.0], [0.0, 1.0]])
+        feasible, witness = dense_lp_feasible(a, np.array([1.0, -1.0, 0.6, 0.6]))
+        assert not feasible and witness is None
 
     def test_compatible_bounds_feasible_with_valid_witness(self):
-        problem = LinearFeasibilityProblem(
-            a=np.array([[1.0, 1.0], [-1.0, -1.0], [1.0, 0.0], [0.0, 1.0]]),
-            b=np.array([1.0, -1.0, 0.3, 0.3]),
-        )
-        feasible, witness = lp_feasible(problem)
+        a = np.array([[1.0, 1.0], [-1.0, -1.0], [1.0, 0.0], [0.0, 1.0]])
+        feasible, witness = dense_lp_feasible(a, np.array([1.0, -1.0, 0.3, 0.3]))
         assert feasible
         assert abs(witness.sum() - 1.0) <= 1e-9
         assert witness[0] >= 0.3 - 1e-9 and witness[1] >= 0.3 - 1e-9
 
     def test_negative_rhs_and_free_variables(self):
         # single constraint g1 >= -2 has witness with a negative coordinate
-        problem = LinearFeasibilityProblem(
-            a=np.array([[1.0], [-1.0]]),
-            b=np.array([-2.0, 1.5]),
-        )
-        feasible, witness = lp_feasible(problem)
+        feasible, witness = dense_lp_feasible(np.array([[1.0], [-1.0]]), np.array([-2.0, 1.5]))
         assert feasible
         assert -2.0 - 1e-9 <= witness[0] <= -1.5 + 1e-9
 
@@ -239,12 +242,11 @@ class TestLpFeasible:
         rng = np.random.default_rng(43)
         a = rng.normal(size=(6, 3))
         b = rng.normal(size=6)
-        problem = LinearFeasibilityProblem(a, b)
-        first = lp_feasible(problem)
+        first = dense_lp_feasible(a, b)
         for _ in range(5):
-            again = lp_feasible(problem)
-            assert again.feasible == first.feasible
-            np.testing.assert_array_equal(again.witness, first.witness)
+            again = dense_lp_feasible(a, b)
+            assert again[0] == first[0]
+            np.testing.assert_array_equal(again[1], first[1])
 
     def test_supermodular_core_system_feasible_with_shapley_witness(self):
         from consensusgame.shapley import shapley_value
@@ -256,31 +258,22 @@ class TestLpFeasible:
         assert core_contains(f, witness, tol=1e-9)
         assert core_contains(f, shapley_value(f).payoffs)
 
-    def test_rejects_malformed_problems(self):
-        with pytest.raises(SetFunctionError):
-            LinearFeasibilityProblem(np.zeros((0, 2)), np.zeros(0))
-        with pytest.raises(SetFunctionError):
-            LinearFeasibilityProblem(np.array([[np.inf, 1.0]]), np.ones(1))
-
     def test_verdicts_agree_with_highs_on_bayesian_core_systems(self):
         optimize = pytest.importorskip("scipy.optimize")
         rng = np.random.default_rng(79)
-        verdicts = {True: 0, False: 0}
-        for n in range(2, 11):
+        verdicts = {n: {True: 0, False: 0} for n in range(2, 11)}
+        for n in verdicts:
             for _ in range(8):
-                opinions = []
-                for _ in range(n):
-                    vals = random_supermodular(n, rng).values.copy()
-                    vals[1:-1] += rng.normal(0, 0.1, size=vals.size - 2)
-                    opinions.append(SetFunction(n, vals))
-                problem = bayesian_core_constraints(opinions)
-                rows, nvars = problem.a.shape
+                # noise shrinks with n, so both verdicts occur at every n
+                opinions = _noisy_opinions(n, rng, 0.6 / n)
+                a, b = core_system(opinions)
+                rows, nvars = a.shape
                 # largest uniform slack s with A x >= b + s; skip near-ties,
                 # where the two solvers' tolerances may legitimately differ
                 margin = optimize.linprog(
                     c=np.concatenate([np.zeros(nvars), [-1.0]]),
-                    A_ub=np.hstack([-problem.a, np.ones((rows, 1))]),
-                    b_ub=-problem.b,
+                    A_ub=np.hstack([-a, np.ones((rows, 1))]),
+                    b_ub=-b,
                     bounds=[(None, None)] * nvars + [(-1.0, 1.0)],
                     method="highs",
                 )
@@ -289,18 +282,23 @@ class TestLpFeasible:
                     continue
                 highs = optimize.linprog(
                     c=np.zeros(nvars),
-                    A_ub=-problem.a,
-                    b_ub=-problem.b,
+                    A_ub=-a,
+                    b_ub=-b,
                     bounds=[(None, None)] * nvars,
                     method="highs",
                 )
                 assert highs.status in (0, 2)
-                feasible, witness = lp_feasible(problem)
-                assert feasible == (highs.status == 0)
+                feasible = highs.status == 0
+                empty, witness = bayesian_core_is_empty(opinions)
+                dual_witness, _ = dual_of(opinions)
+                assert empty == (not feasible)
+                assert (dual_witness is not None) == feasible
                 if feasible:
-                    assert np.all(problem.a @ witness >= problem.b - 1e-9)
-                verdicts[feasible] += 1
-        assert verdicts[True] > 5 and verdicts[False] > 5
+                    assert bayesian_core_contains(opinions, witness, tol=1e-9)
+                    assert bayesian_core_contains(opinions, dual_witness, tol=1e-9)
+                verdicts[n][feasible] += 1
+        for n, seen in verdicts.items():
+            assert seen[True] > 0 and seen[False] > 0, n
 
 
 class TestCoreContains:
@@ -399,14 +397,19 @@ class TestBayesianCore:
         opinions = [random_supermodular(3, rng) for _ in range(3)]
         first = bayesian_core_is_empty(opinions)
         again = bayesian_core_is_empty(opinions)
-        assert first.feasible == again.feasible
+        assert first.empty == again.empty
         if first.witness is not None:
             np.testing.assert_array_equal(first.witness, again.witness)
 
     def test_one_opinion_per_player_required(self):
         f = random_supermodular(3, np.random.default_rng(71))
-        with pytest.raises(SetFunctionError):
+        with pytest.raises(SetFunctionError, match="one opinion per player"):
             bayesian_core_is_empty([f, f])
+        with pytest.raises(SetFunctionError, match="at least one opinion"):
+            bayesian_core_is_empty([])
+        g = random_supermodular(2, np.random.default_rng(72))
+        with pytest.raises(SetFunctionError, match="disagree on player count"):
+            bayesian_core_is_empty([f, f, g])
 
     def test_fast_witness_path_agrees_with_pure_lp(self):
         # the allocation-candidate shortcut must never change the verdict
@@ -414,13 +417,9 @@ class TestBayesianCore:
         verdicts = {True: 0, False: 0}
         for _ in range(150):
             n = int(rng.integers(2, 6))
-            opinions = []
-            for _ in range(n):
-                vals = random_supermodular(n, rng).values.copy()
-                vals[1:-1] += rng.normal(0, 0.25, size=vals.size - 2)
-                opinions.append(SetFunction(n, vals))
+            opinions = _noisy_opinions(n, rng, 0.25)
             empty, witness = bayesian_core_is_empty(opinions)
-            assert empty == (not lp_feasible(bayesian_core_constraints(opinions)).feasible)
+            assert empty == (not dense_lp_feasible(*core_system(opinions))[0])
             if not empty:
                 assert bayesian_core_contains(opinions, witness, tol=1e-9)
             verdicts[empty] += 1

@@ -11,7 +11,6 @@ harness with a CLI.
 from .agents import (
     EnvironmentModel,
     PlayerParams,
-    RLearningAgent,
     nash_best_response,
     nash_deviation,
     stage_cost,
@@ -65,7 +64,6 @@ __all__ = [
     "GroundTruthSpec",
     "InfluenceMatrix",
     "PlayerParams",
-    "RLearningAgent",
     "SamplerError",
     "Scenario",
     "ScenarioError",

@@ -12,24 +12,16 @@ condition with the aggregate held fixed.
 
 The two fixed strategies ignore the state, so a lineup plays them as
 constant rows of lies: zeros for a truthful player and the closed-form
-``nash_deviation`` for a Nash player.  Only the R-learner keeps state
-from step to step, so it is the one strategy that is an object
-(``RLearningAgent``).
+``nash_deviation`` for a Nash player.
 
-The R-learning agent cannot assume rational opponents.  It fits an affine
-model of the opponents' mean deviation as a function of the broadcast mean
+The R-learner cannot assume rational opponents.  It fits an affine model
+of the opponents' mean deviation as a function of the broadcast mean
 revealed opinion (recursive least squares), plays the best response against
 the model's prediction with probability gamma, and otherwise explores with
-a zero-mean Gaussian perturbation.  A running average-reward estimate and
-average-adjusted value are maintained on the side.
-
-The RLS update is two steps: a gain step that depends only on the
-features [1, s], and a coefficient step that applies the resulting gain
-vector to the learner's own prediction error.  Every learner in a lineup
-starts from the same prior and sees the same broadcast state, so their
-gain matrices agree bit for bit at every step; the simulation keeps one
-gain per lineup, downdates it once per step, and runs only the
-coefficient step per learner.
+a zero-mean Gaussian perturbation (``respond``).  A lineup's learners share
+one ``EnvironmentModel``: one gain, since the gain depends on the states
+alone, and one coefficient matrix per learner.  No average-reward estimate
+is kept, since nothing read it.
 """
 
 from __future__ import annotations
@@ -51,10 +43,9 @@ class PlayerParams:
 
     ``risk_aversion`` is the disutility weight p_i > 0.  The remaining
     fields only matter for the "rlearning" kind: ``exploit_prob`` is the
-    probability gamma of playing the model-based best response,
+    probability gamma of playing the model-based best response, and
     ``explore_std``/``explore_decay`` shape the Gaussian exploration
-    perturbation, and ``value_rate``/``avg_reward_rate`` are the
-    average-adjusted value and average-reward learning rates.
+    perturbation.
     """
 
     risk_aversion: float
@@ -62,8 +53,6 @@ class PlayerParams:
     exploit_prob: float = 0.5
     explore_std: float = 0.05
     explore_decay: float = 1.0
-    value_rate: float = 0.1
-    avg_reward_rate: float = 0.01
 
     def __post_init__(self):
         for name in FLOAT_PARAMS:
@@ -122,15 +111,29 @@ def nash_best_response(
 def step_reward(
     deviations: np.ndarray,
     t: np.ndarray,
-    p_i: float,
+    p: float | np.ndarray,
     theta: float,
-    d_i: np.ndarray,
-) -> float:
-    """Stage reward: fraud disutility traded against the Shapley-shift gain."""
+    d: np.ndarray,
+    disutility: float | None = None,
+) -> float | np.ndarray:
+    """Stage reward: fraud disutility traded against the Shapley-shift gain.
+
+    One player (scalar risk aversion ``p``, linear-form row ``d``) gets a
+    float; all players (vector ``p``, the ``(n, m)`` rows ``d``) get a
+    vector.  ``disutility`` is the step's ``deviation_disutility`` when the
+    caller has it already.
+    """
     u = np.asarray(deviations, dtype=float)
     t = np.asarray(t, dtype=float)
+    if disutility is None:
+        disutility = deviation_disutility(u, t)
     mean_dev = t @ u
-    return float(-p_i * deviation_disutility(u, t) + theta * (np.asarray(d_i) @ mean_dev))
+    d = np.asarray(d, dtype=float)
+    if d.ndim == 1:
+        return float(-p * disutility + theta * (d @ mean_dev))
+    # one dot product per row: a matrix-vector product rounds differently
+    shift = np.array([row @ mean_dev for row in d])
+    return -np.asarray(p, dtype=float) * disutility + theta * shift
 
 
 def stage_cost(
@@ -146,30 +149,33 @@ def stage_cost(
 
 @dataclass
 class EnvironmentModel:
-    """Affine opponent model fitted by recursive least squares.
+    """Affine opponent models of a lineup's learners, fitted by recursive
+    least squares.
 
-    Maps the broadcast state s (mean revealed opinion, an m-vector) to the
-    opponents' mean deviation.  Features are [1, s]; the coefficient matrix
-    starts at zero, so the initial prediction is the zero map.
+    Each of the ``learners`` maps the broadcast state s (mean revealed
+    opinion, an m-vector with m = ``dim``) to its opponents' mean
+    deviation.  Features are [1, s]; every coefficient matrix starts at
+    zero, so the initial prediction is the zero map.
 
     The gain matrix doubles as a ridge prior.  The slope prior must stay
     tight: when every player fits every other player, any mutually
     consistent slope assignment is self-reinforcing, so slopes are left to
     earn their way out of zero from data rather than from early noise.
 
-    ``update`` is ``gain_step`` followed by ``coeff_step``.  The gain step
-    reads and writes the gain alone, never the coefficients or the target,
-    so models with the same ``dim`` and prior scales that are fed the same
-    state sequence hold identical gains and may share one, each running only
-    its own coefficient step with the shared gain vector.
+    The gain update reads the features alone, never a coefficient or a
+    target, and every learner starts from the same prior and sees the same
+    states; so one gain serves the lineup, downdated once per update, and
+    each learner's coefficients move along its gain vector by that learner's
+    own prediction error.
     """
 
     dim: int
+    learners: int
     intercept_scale: float = 1e-2
     slope_scale: float = 1e-3
-    coeffs: np.ndarray = field(init=False)
+    coeffs: list[np.ndarray] = field(init=False)
     gain: np.ndarray = field(init=False)
-    residual_var: float = field(init=False, default=0.0)
+    residual_var: np.ndarray = field(init=False)
     observations: int = field(init=False, default=0)
 
     def __post_init__(self):
@@ -177,98 +183,55 @@ class EnvironmentModel:
             raise SetFunctionError("environment model needs dimension >= 1")
         if self.intercept_scale <= 0 or self.slope_scale <= 0:
             raise SetFunctionError("prior scales must be positive")
-        self.coeffs = np.zeros((self.dim + 1, self.dim))
+        # one matrix per learner: a stacked (learners, dim + 1, dim) update
+        # measured slower
+        self.coeffs = [np.zeros((self.dim + 1, self.dim)) for _ in range(self.learners)]
         self.gain = np.diag(
             np.concatenate([[self.intercept_scale], np.full(self.dim, self.slope_scale)])
         )
+        self.residual_var = np.zeros(self.learners)
 
-    def features(self, state: np.ndarray) -> np.ndarray:
-        """Regressor [1, s] of a broadcast state."""
-        state = np.asarray(state, dtype=float)
-        if state.shape != (self.dim,):
-            raise SetFunctionError(f"state must have length {self.dim}")
-        return np.concatenate([[1.0], state])
+    def predict(self, state: np.ndarray) -> list[np.ndarray]:
+        """Each learner's predicted opponent mean deviation at the state."""
+        phi = np.concatenate([[1.0], state])
+        return [coeffs.T @ phi for coeffs in self.coeffs]
 
-    def predict(self, state: np.ndarray) -> np.ndarray:
-        return self.coeffs.T @ self.features(state)
-
-    def gain_step(self, phi: np.ndarray) -> np.ndarray:
-        """Downdate the gain on features phi; return the gain vector k."""
+    def update(self, state: np.ndarray, errors) -> None:
+        """Learn from one state.  ``errors`` holds one error per learner, in
+        order: its target minus its prediction at the state before this
+        update."""
+        phi = np.concatenate([[1.0], state])
         denom = 1.0 + phi @ self.gain @ phi
         k = (self.gain @ phi) / denom
         self.gain -= np.outer(k, phi @ self.gain)
-        return k
-
-    def coeff_step(self, k: np.ndarray, error: np.ndarray) -> None:
-        """Move the coefficients along gain vector k by the prediction error
-        (target minus the prediction made before the gain step)."""
-        self.coeffs += np.outer(k, error)
         self.observations += 1
-        sq = float(error @ error)
-        self.residual_var += (sq - self.residual_var) / self.observations
-
-    def update(self, state: np.ndarray, target: np.ndarray) -> None:
-        phi = self.features(state)
-        error = np.asarray(target, dtype=float) - self.coeffs.T @ phi
-        self.coeff_step(self.gain_step(phi), error)
+        for j, (coeffs, error) in enumerate(zip(self.coeffs, errors)):
+            coeffs += np.outer(k, error)
+            sq = float(error @ error)
+            self.residual_var[j] += (sq - self.residual_var[j]) / self.observations
 
 
-@dataclass
-class RLearningAgent:
-    """Model-based average-reward learner.
+def respond(
+    d_i: np.ndarray,
+    theta: float,
+    t_i: float,
+    params: PlayerParams,
+    prediction: np.ndarray,
+    step: int,
+    rng: np.random.Generator,
+) -> np.ndarray:
+    """R-learner's lie at step ``step`` against a predicted opponent mean
+    deviation.
 
-    ``respond`` plays ``best_response`` to a prediction of the opponents'
-    mean deviation with probability gamma (exploitation) and otherwise
-    perturbs that action with decaying zero-mean Gaussian noise
-    (exploration); ``act`` is ``respond`` to the fitted opponent model's
-    prediction at the state.  ``observe`` updates the
-    opponent model on the observed (state, opponent mean deviation) pair
-    and the average-reward bookkeeping (``record_reward``).
+    With probability gamma (``exploit_prob``) the best response to the
+    prediction; otherwise that response perturbed by zero-mean Gaussian
+    noise of scale ``explore_std * explore_decay**step``.
     """
-
-    d_i: np.ndarray
-    theta: float
-    t_i: float
-    params: PlayerParams
-    model: EnvironmentModel = field(init=False)
-    avg_reward: float = field(init=False, default=0.0)
-    value: float = field(init=False, default=0.0)
-    steps_acted: int = field(init=False, default=0)
-
-    def __post_init__(self):
-        self.d_i = np.asarray(self.d_i, dtype=float)
-        self.model = EnvironmentModel(self.d_i.size)
-
-    def best_response(self, prediction: np.ndarray) -> np.ndarray:
-        """Best response to a predicted opponent mean deviation."""
-        others = (1.0 - self.t_i) * prediction
-        return nash_best_response(
-            self.d_i, self.theta, self.params.risk_aversion, self.t_i, others
-        )
-
-    def act(self, state: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-        return self.respond(self.model.predict(state), rng)
-
-    def respond(self, prediction: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-        """Act against a given prediction of the opponents' mean deviation."""
-        action = self.best_response(prediction)
-        explore = rng.uniform() >= self.params.exploit_prob
-        if explore and self.params.explore_std > 0:
-            scale = self.params.explore_std * self.params.explore_decay**self.steps_acted
-            action = action + rng.normal(0.0, scale, size=action.size)
-        self.steps_acted += 1
-        return action
-
-    def observe(
-        self, state: np.ndarray, opponent_mean_deviation: np.ndarray, reward: float
-    ) -> None:
-        self.model.update(state, opponent_mean_deviation)
-        self.record_reward(reward)
-
-    def record_reward(self, reward: float) -> None:
-        """Average-reward and average-adjusted value bookkeeping."""
-        beta = self.params.avg_reward_rate
-        alpha = self.params.value_rate
-        self.avg_reward += beta * (reward - self.avg_reward)
-        self.value += alpha * (reward - self.avg_reward - self.value)
-
+    action = nash_best_response(
+        d_i, theta, params.risk_aversion, t_i, (1.0 - t_i) * prediction
+    )
+    explore = rng.uniform() >= params.exploit_prob
+    if explore and params.explore_std > 0:
+        scale = params.explore_std * params.explore_decay**step
+        action = action + rng.normal(0.0, scale, size=action.size)
+    return action

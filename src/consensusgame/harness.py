@@ -33,7 +33,14 @@ from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
-from .agents import FLOAT_PARAMS, PlayerParams, RLearningAgent, nash_deviation
+from .agents import (
+    FLOAT_PARAMS,
+    EnvironmentModel,
+    PlayerParams,
+    nash_deviation,
+    respond,
+    step_reward,
+)
 from .consensus import InfluenceMatrix, deviation_disutility, strategic_update
 from .core import bayesian_core_is_empty
 from .setfn import (
@@ -167,26 +174,18 @@ def run_simulation(scenario: Scenario) -> SimulationTrace:
     theta = scenario.theta
     form = shapley_linear_form(n)
     t = influence.t
-    p = [params.risk_aversion for params in scenario.players]
+    p = np.array([params.risk_aversion for params in scenario.players])
     # the lineup: one row of lies per player, constant for the fixed
     # strategies (zeros when truthful, the closed-form lie when Nash); each
-    # step the learners fill in their own rows
+    # step the learners fill in their own rows from one shared opponent model
     base = np.zeros((n, m))
-    learners: dict[int, RLearningAgent] = {}
+    learners = []
     for i, params in enumerate(scenario.players):
         if params.kind == "nash":
             base[i] = nash_deviation(form.rows[i], theta, params.risk_aversion)
         elif params.kind == "rlearning":
-            learners[i] = RLearningAgent(form.rows[i], theta, float(t[i]), params)
-    # one RLS gain per lineup: every learner's model has the same dimension
-    # and prior and sees the same states, so the gains agree bit for bit
-    # (see EnvironmentModel); the learners share the first one's matrix and
-    # it is downdated once per step
-    if learners:
-        shared = next(iter(learners.values())).model
-        for agent in learners.values():
-            agent.model.gain = shared.gain
-    predictions: dict[int, np.ndarray] = {}
+            learners.append(i)
+    model = EnvironmentModel(m, len(learners)) if learners else None
     rng = np.random.default_rng(scenario.seed)
 
     opinions = np.empty((horizon + 1, n, m))
@@ -213,11 +212,11 @@ def run_simulation(scenario: Scenario) -> SimulationTrace:
     for k in range(horizon):
         us = base.copy()
         if learners:
-            phi = shared.features(state)
-            for i, agent in learners.items():
-                # one prediction per learner, used for its action and its error
-                predictions[i] = agent.model.coeffs.T @ phi
-                us[i] = agent.respond(predictions[i], rng)
+            # one prediction per learner, used for its lie and its error
+            predictions = model.predict(state)
+            for i, prediction in zip(learners, predictions):
+                params = scenario.players[i]
+                us[i] = respond(form.rows[i], theta, float(t[i]), params, prediction, k, rng)
         x = v.copy()
         x[:, 1:-1] += us
         v = strategic_update(v, x, influence.w, theta)
@@ -225,18 +224,13 @@ def run_simulation(scenario: Scenario) -> SimulationTrace:
             raise SetFunctionError("payoff values must be finite")
         revealed[k] = x[:, 1:-1]
         deviations[k] = us
-        mean_dev = t @ us
-        var_total = deviation_disutility(us, t)
-        disutility[k] = var_total
-        # agents.step_reward, on the disutility computed once for the step
-        for i in range(n):
-            rewards[k, i] = -p[i] * var_total + theta * (form.rows[i] @ mean_dev)
+        disutility[k] = deviation_disutility(us, t)
+        rewards[k] = step_reward(us, t, p, theta, form.rows, disutility[k])
         if learners:
-            gain_vec = shared.gain_step(phi)
-            for i, agent in learners.items():
-                opp_mean = (mean_dev - t[i] * us[i]) / (1.0 - t[i])
-                agent.model.coeff_step(gain_vec, opp_mean - predictions[i])
-                agent.record_reward(rewards[k, i])
+            # each learner's target: its opponents' weighted mean lie
+            mean_dev = t @ us
+            targets = [(mean_dev - t[i] * us[i]) / (1.0 - t[i]) for i in learners]
+            model.update(state, [y - y_hat for y, y_hat in zip(targets, predictions)])
         state = t @ revealed[k]
         snapshot(k + 1, v)
         if np.max(np.abs(opinions[k + 1] - opinions[k])) < CONVERGENCE_TOL:
@@ -401,8 +395,6 @@ def experiment_po_sweep(scenario: Scenario) -> list[dict]:
     t = influence.t
     rows = []
     for p_o in scenario.po_values:
-        if p_o <= 0:
-            raise ScenarioError(f"po_values: entries must be > 0, got {p_o}")
         sim = replace(
             scenario,
             kind="simulate",
@@ -842,7 +834,11 @@ def scenario_from_dict(raw: dict, source: str = "<scenario>") -> Scenario:
     if not isinstance(po_values, list):
         fail("po_values", f"list of numbers required, got {po_values!r}")
     for p in po_values:  # kept as written: the sweep CSV echoes them with repr
-        check("po_values", float, p)
+        if check("po_values", float, p) <= 0:
+            fail("po_values", f"entries must be > 0, got {p!r}")
+    p_o = read("p_o", float, 1.0)
+    if p_o <= 0:
+        fail("p_o", f"risk-aversion scale must be > 0, got {p_o!r}")
     return Scenario(
         kind=kind,
         n=n,
@@ -852,7 +848,7 @@ def scenario_from_dict(raw: dict, source: str = "<scenario>") -> Scenario:
         influence=influence,
         initial_opinions=initial_opinions,
         players=players,
-        p_o=read("p_o", float, 1.0),
+        p_o=p_o,
         po_values=tuple(po_values),
         trials=read("trials", int, 0),
         n_min=n_min,

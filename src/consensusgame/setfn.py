@@ -301,27 +301,28 @@ def dump_setfn(f: SetFunction) -> str:
 
 
 def parse_setfn(text: str) -> SetFunction:
-    lines = [ln for ln in text.splitlines() if ln.strip()]
-    if not lines or not lines[0].startswith("n="):
+    # the non-blank lines, each with its line number in the file
+    lines = [(no, ln) for no, ln in enumerate(text.splitlines(), 1) if ln.strip()]
+    if not lines or not lines[0][1].startswith("n="):
         raise SetFunctionError("set-function file must start with a 'n=<count>' header")
+    header = lines[0][1]
     try:
-        n = int(lines[0][2:])
+        n = int(header[2:])
     except ValueError as exc:
-        raise SetFunctionError(f"bad player count in header: {lines[0]!r}") from exc
+        raise SetFunctionError(f"bad player count in header: {header!r}") from exc
     _check_n(n)
     body = lines[1:]
     if len(body) != (1 << n):
         raise SetFunctionError(f"expected {1 << n} value lines for n={n}, got {len(body)}")
     vals = np.empty(1 << n)
-    for expected, line in enumerate(body):
-        parts = line.split()
-        if len(parts) != 2:
-            raise SetFunctionError(f"malformed line {expected + 2}: {line!r}")
-        mask, value = int(parts[0]), float(parts[1])
+    for expected, (no, line) in enumerate(body):
+        try:  # two fields, an integer bitmask and a number
+            mask_text, value_text = line.split()
+            mask, value = int(mask_text), float(value_text)
+        except ValueError:
+            raise SetFunctionError(f"malformed line {no}: {line!r}") from None
         if mask != expected:
-            raise SetFunctionError(
-                f"line {expected + 2}: expected bitmask {expected}, got {mask}"
-            )
+            raise SetFunctionError(f"line {no}: expected bitmask {expected}, got {mask}")
         vals[mask] = value
     return SetFunction(n, vals)
 

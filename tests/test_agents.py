@@ -1,4 +1,4 @@
-"""Strategy formulas, stage rewards, stationarity, and the learning agent."""
+"""Strategy formulas, stage rewards, stationarity, and the R-learner."""
 
 import numpy as np
 import pytest
@@ -6,9 +6,9 @@ import pytest
 from consensusgame.agents import (
     EnvironmentModel,
     PlayerParams,
-    RLearningAgent,
     nash_best_response,
     nash_deviation,
+    respond,
     stage_cost,
     step_reward,
 )
@@ -101,6 +101,20 @@ class TestStepReward:
             assert r < 0
 
 
+    def test_all_players_at_once_match_one_at_a_time(self):
+        rng = np.random.default_rng(5)
+        for n in range(2, 9):
+            rows = shapley_linear_form(n).rows
+            u = rng.normal(0, 0.1, size=rows.shape)
+            t = rng.dirichlet(np.ones(n))
+            p = rng.uniform(0.5, 3.0, size=n)
+            together = step_reward(u, t, p, 0.3, rows)
+            given = step_reward(u, t, p, 0.3, rows, deviation_disutility(u, t))
+            np.testing.assert_array_equal(given, together)
+            for i in range(n):
+                assert together[i] == step_reward(u, t, p[i], 0.3, rows[i])
+
+
 class TestMyopicDecomposition:
     def test_multistep_objective_splits_into_stage_costs(self):
         # total objective: p * accumulated disutility - d . final average,
@@ -157,16 +171,17 @@ class TestEquilibriumStationarity:
 
 class TestEnvironmentModel:
     def test_untrained_model_predicts_zero(self):
-        model = EnvironmentModel(3)
-        np.testing.assert_array_equal(model.predict(np.array([0.2, -0.1, 0.4])), 0.0)
+        model = EnvironmentModel(3, 2)
+        for prediction in model.predict(np.array([0.2, -0.1, 0.4])):
+            np.testing.assert_array_equal(prediction, 0.0)
 
     def test_repeated_observation_converges_to_target(self):
-        model = EnvironmentModel(2, intercept_scale=1e4)
+        model = EnvironmentModel(2, 1, intercept_scale=1e4)
         s = np.array([0.3, 0.7])
         y = np.array([0.05, -0.02])
         for _ in range(200):
-            model.update(s, y)
-        np.testing.assert_allclose(model.predict(s), y, atol=1e-6)
+            model.update(s, [y - model.predict(s)[0]])
+        np.testing.assert_allclose(model.predict(s)[0], y, atol=1e-6)
 
     def test_recovers_affine_map_from_noiseless_data(self):
         # with a flat prior, m + 1 affinely independent states identify the
@@ -175,13 +190,13 @@ class TestEnvironmentModel:
         dim = 3
         intercept = rng.normal(size=dim)
         slope = rng.normal(size=(dim, dim))
-        model = EnvironmentModel(dim, intercept_scale=1e8, slope_scale=1e8)
+        model = EnvironmentModel(dim, 1, intercept_scale=1e8, slope_scale=1e8)
         for _ in range(dim + 1):
             s = rng.normal(size=dim)
-            model.update(s, intercept + slope @ s)
+            model.update(s, [intercept + slope @ s - model.predict(s)[0]])
         for _ in range(5):
             s = rng.normal(size=dim)
-            np.testing.assert_allclose(model.predict(s), intercept + slope @ s, atol=1e-5)
+            np.testing.assert_allclose(model.predict(s)[0], intercept + slope @ s, atol=1e-5)
 
     def test_default_prior_still_learns_with_enough_data(self):
         # the tight slope prior shrinks estimates, so convergence is slow by
@@ -191,88 +206,106 @@ class TestEnvironmentModel:
         dim = 2
         intercept = np.array([0.03, -0.01])
         slope = 0.1 * rng.normal(size=(dim, dim))
-        model = EnvironmentModel(dim)
+        model = EnvironmentModel(dim, 1)
         probe = rng.normal(size=dim)
-        initial_err = float(np.max(np.abs(model.predict(probe) - (intercept + slope @ probe))))
+
+        def error(s):
+            return intercept + slope @ s - model.predict(s)[0]
+
+        initial_err = float(np.max(np.abs(error(probe))))
         for _ in range(20000):
             s = rng.normal(size=dim)
-            model.update(s, intercept + slope @ s)
-        final_err = float(np.max(np.abs(model.predict(probe) - (intercept + slope @ probe))))
+            model.update(s, [error(s)])
+        final_err = float(np.max(np.abs(error(probe))))
         assert final_err < initial_err / 10
 
     def test_residual_variance_tracks_noise(self):
         rng = np.random.default_rng(23)
-        model = EnvironmentModel(1)
+        model = EnvironmentModel(1, 1)
         for _ in range(500):
-            model.update(rng.normal(size=1), rng.normal(0, 0.1, size=1))
-        assert 0.001 < model.residual_var < 0.1
+            s = rng.normal(size=1)
+            model.update(s, [rng.normal(0, 0.1, size=1) - model.predict(s)[0]])
+        assert 0.001 < model.residual_var[0] < 0.1
 
     def test_gain_depends_on_the_states_alone(self):
-        # the invariant a lineup's shared gain rests on: models with the same
-        # prior fed the same states end with bit-identical gains, whatever
-        # their targets
+        # one lineup of 3 learners against 3 private one-learner models fed
+        # the same states and targets: the gain the lineup shares and every
+        # learner's coefficients agree bit for bit, whatever the targets
         rng = np.random.default_rng(29)
         dim = 6
-        models = [EnvironmentModel(dim) for _ in range(3)]
+        lineup = EnvironmentModel(dim, 3)
+        private = [EnvironmentModel(dim, 1) for _ in range(3)]
         for _ in range(200):
             s = rng.normal(size=dim)
-            for model in models:
-                model.update(s, rng.normal(size=dim))
-        assert not np.array_equal(models[0].coeffs, models[1].coeffs)
-        for model in models[1:]:
-            assert np.array_equal(model.gain, models[0].gain)
+            targets = rng.normal(size=(3, dim))
+            lineup.update(s, targets - np.array(lineup.predict(s)))
+            for model, target in zip(private, targets):
+                model.update(s, [target - model.predict(s)[0]])
+        assert not np.array_equal(lineup.coeffs[0], lineup.coeffs[1])
+        for j, model in enumerate(private):
+            assert np.array_equal(model.gain, lineup.gain)
+            assert np.array_equal(model.coeffs[0], lineup.coeffs[j])
+            assert model.residual_var[0] == lineup.residual_var[j]
 
 
 class TestRLearningAgent:
-    def _agent(self, **kw) -> RLearningAgent:
-        params = PlayerParams(risk_aversion=0.4, kind="rlearning", **kw)
-        return RLearningAgent(D2[0], theta=0.1, t_i=4.0 / 11.0, params=params)
+    """The "rlearning" kind: ``respond`` to a one-learner model's prediction."""
+
+    PARAMS = dict(risk_aversion=0.4, kind="rlearning")
+
+    def _respond(self, prediction, step, rng, **kw):
+        params = PlayerParams(**self.PARAMS, **kw)
+        return respond(D2[0], 0.1, 4.0 / 11.0, params, prediction, step, rng)
 
     def test_pure_exploitation_with_blank_model_is_unopposed_response(self):
-        agent = self._agent(exploit_prob=1.0)
+        model = EnvironmentModel(2, 1)
         state = np.array([0.4, 0.3])
         expected = nash_best_response(D2[0], 0.1, 0.4, 4.0 / 11.0, np.zeros(2))
-        for _ in range(5):
-            np.testing.assert_allclose(agent.act(state, np.random.default_rng(0)), expected)
+        for step in range(5):
+            action = self._respond(
+                model.predict(state)[0], step, np.random.default_rng(0), exploit_prob=1.0
+            )
+            np.testing.assert_allclose(action, expected)
 
     def test_pure_exploration_perturbs_the_response(self):
-        agent = self._agent(exploit_prob=0.0, explore_std=0.05)
-        state = np.array([0.4, 0.3])
-        base = agent.best_response(agent.model.predict(state))
+        prediction = np.array([0.01, -0.02])
+        base = self._respond(prediction, 0, np.random.default_rng(0), exploit_prob=1.0)
         rng = np.random.default_rng(1)
-        actions = np.stack([agent.act(state, rng) for _ in range(20)])
+        actions = np.stack(
+            [
+                self._respond(prediction, step, rng, exploit_prob=0.0, explore_std=0.05)
+                for step in range(20)
+            ]
+        )
         assert np.all(np.any(actions != base, axis=1))
 
-    def test_act_is_the_response_to_the_model_prediction(self):
-        agent, twin = self._agent(), self._agent()
-        for model in (agent.model, twin.model):
-            model.update(np.array([0.4, 0.3]), np.array([0.02, -0.01]))
-        rng_a, rng_b = np.random.default_rng(4), np.random.default_rng(4)
-        for state in np.random.default_rng(5).uniform(size=(10, 2)):
-            np.testing.assert_array_equal(
-                agent.act(state, rng_a), twin.respond(twin.model.predict(state), rng_b)
-            )
+    def test_exploration_scale_follows_the_step_index(self):
+        # every learner acts once per step, so the step index k sets the
+        # exploration scale explore_std * explore_decay**k
+        prediction = np.array([0.01, -0.02])
+        base = self._respond(prediction, 0, np.random.default_rng(0), exploit_prob=1.0)
+        kw = dict(exploit_prob=0.0, explore_std=0.05, explore_decay=0.5)
+        for step in (0, 3, 7):
+            rng = np.random.default_rng(4)
+            rng.uniform()
+            noise = rng.normal(0.0, 0.05 * 0.5**step, size=2)
+            action = self._respond(prediction, step, np.random.default_rng(4), **kw)
+            np.testing.assert_array_equal(action, base + noise)
 
     def test_observation_feeds_opponent_model(self):
-        agent = self._agent(exploit_prob=1.0)
+        model = EnvironmentModel(2, 1)
         state = np.array([0.4, 0.3])
         target = np.array([0.02, -0.01])
         for _ in range(2000):
-            agent.observe(state, target, -0.05)
-        prediction = agent.model.predict(state)
+            model.update(state, [target - model.predict(state)[0]])
+        prediction = model.predict(state)[0]
         np.testing.assert_allclose(prediction, target, atol=1e-3)
         # the response now leans against the learned opponent deviation
-        lean = agent.best_response(prediction)
+        lean = self._respond(prediction, 0, np.random.default_rng(0), exploit_prob=1.0)
         expected = nash_best_response(
             D2[0], 0.1, 0.4, 4.0 / 11.0, (1 - 4.0 / 11.0) * prediction
         )
         np.testing.assert_allclose(lean, expected, atol=1e-12)
-
-    def test_average_reward_bookkeeping_moves_toward_rewards(self):
-        agent = self._agent(avg_reward_rate=0.05)
-        for _ in range(400):
-            agent.observe(np.zeros(2), np.zeros(2), -1.0)
-        assert agent.avg_reward == pytest.approx(-1.0, abs=1e-6)
 
     def test_player_params_validation(self):
         with pytest.raises(SetFunctionError):
@@ -281,6 +314,6 @@ class TestRLearningAgent:
             PlayerParams(risk_aversion=1.0, kind="bandit")
         with pytest.raises(SetFunctionError):
             PlayerParams(risk_aversion=1.0, exploit_prob=1.5)
-        for name in ("risk_aversion", "value_rate", "avg_reward_rate"):
+        for name in ("risk_aversion", "exploit_prob", "explore_std", "explore_decay"):
             with pytest.raises(SetFunctionError, match=name):
                 PlayerParams(**{"risk_aversion": 1.0, name: float("nan")})

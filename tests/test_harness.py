@@ -16,8 +16,8 @@ from consensusgame.agents import (
     FLOAT_PARAMS,
     EnvironmentModel,
     PlayerParams,
-    RLearningAgent,
     nash_deviation,
+    respond,
     step_reward,
 )
 from consensusgame.cli import main as cli_main
@@ -174,13 +174,13 @@ class TestRunSimulation:
 
     def test_one_gain_downdate_per_step(self, monkeypatch):
         calls = []
-        original = EnvironmentModel.gain_step
+        original = EnvironmentModel.update
 
-        def counted(model, phi):
-            calls.append(id(model.gain))
-            return original(model, phi)
+        def counted(model, state, errors):
+            calls.append(id(model))
+            return original(model, state, errors)
 
-        monkeypatch.setattr(EnvironmentModel, "gain_step", counted)
+        monkeypatch.setattr(EnvironmentModel, "update", counted)
         players = tuple(PlayerParams(1.0, "rlearning", explore_std=0.01) for _ in range(4))
         rng = np.random.default_rng(3)
         trace = run_simulation(
@@ -225,26 +225,29 @@ TRACE_ARRAYS = ("opinions", "revealed", "deviations", "average", "shapley", "rew
 
 def reference_simulation(scenario: Scenario):
     """The dynamics loop written per player: each step a truthful player lies
-    by zero and a Nash player by `nash_deviation`, every learner keeps its
-    own opponent model, acts through `act` and learns through `observe`, and
-    every reward comes from `step_reward`."""
+    by zero and a Nash player by `nash_deviation`, every learner keeps a
+    private one-learner opponent model and acts through `respond`, and every
+    reward comes from a one-player `step_reward`."""
     n = scenario.n
     theta = scenario.theta
     influence = InfluenceMatrix.from_matrix(scenario.influence)
     t = influence.t
     form = shapley_linear_form(n)
-    learners = {
-        i: RLearningAgent(form.rows[i], theta, float(t[i]), params)
+    m = form.rows.shape[1]
+    models = {
+        i: EnvironmentModel(m, 1)
         for i, params in enumerate(scenario.players)
         if params.kind == "rlearning"
     }
+    predictions = {}
 
-    def lie(i, params, state, rng):
+    def lie(i, params, state, k, rng):
         if params.kind == "rlearning":
-            return learners[i].act(state, rng)
+            predictions[i] = models[i].predict(state)[0]
+            return respond(form.rows[i], theta, float(t[i]), params, predictions[i], k, rng)
         if params.kind == "nash":
             return nash_deviation(form.rows[i], theta, params.risk_aversion)
-        return np.zeros(form.rows.shape[1])
+        return np.zeros(m)
 
     rng = np.random.default_rng(scenario.seed)
     v = np.stack([f.values for f in scenario.initial_opinions])
@@ -259,7 +262,9 @@ def reference_simulation(scenario: Scenario):
 
     snapshot(v)
     for k in range(scenario.horizon):
-        us = np.stack([lie(i, params, state, rng) for i, params in enumerate(scenario.players)])
+        us = np.stack(
+            [lie(i, params, state, k, rng) for i, params in enumerate(scenario.players)]
+        )
         x = v.copy()
         x[:, 1:-1] += us
         v = strategic_update(v, x, influence.w, theta)
@@ -268,8 +273,9 @@ def reference_simulation(scenario: Scenario):
             for i, params in enumerate(scenario.players)
         ]
         mean_dev = t @ us
-        for i, agent in learners.items():
-            agent.observe(state, (mean_dev - t[i] * us[i]) / (1.0 - t[i]), rewards[i])
+        for i, model in models.items():
+            target = (mean_dev - t[i] * us[i]) / (1.0 - t[i])
+            model.update(state, [target - predictions[i]])
         out["revealed"].append(x[:, 1:-1])
         out["deviations"].append(us)
         out["rewards"].append(rewards)
@@ -279,7 +285,6 @@ def reference_simulation(scenario: Scenario):
         if np.max(np.abs(out["opinions"][-1] - out["opinions"][-2])) < CONVERGENCE_TOL:
             converged_at = k + 1
             break
-    m = state.size
     arrays = {name: np.array(rows, dtype=float) for name, rows in out.items()}
     steps = len(out["disutility"])
     return SimulationTrace(
@@ -489,6 +494,17 @@ class TestScenarioLoading:
         sc = scenario_from_dict(self._raw())
         assert sc.n == 2 and sc.players[0].kind == "truthful"
         np.testing.assert_allclose(sc.initial_opinions[0].restricted(), [0.7, 0.1])
+
+    @pytest.mark.parametrize("path", sorted(SCENARIOS.glob("*.json")), ids=lambda p: p.stem)
+    def test_every_shipped_scenario_loads(self, path):
+        scenario = load_scenario(path)
+        assert scenario.kind == json.loads(path.read_text())["kind"]
+
+    def test_removed_learner_rates_are_unknown_keys(self):
+        raw = self._raw()
+        raw["players"][0] = {"kind": "rlearning", "risk_aversion": 1.0, "value_rate": 0.1}
+        with pytest.raises(ScenarioError, match=r"players\[0\]: unknown keys \['value_rate'\]"):
+            scenario_from_dict(raw)
 
     def test_json_errors_carry_line_numbers(self, tmp_path):
         path = tmp_path / "broken.json"
@@ -750,6 +766,13 @@ class TestCli:
         assert out.splitlines()[0] == "player,payoff"
         assert out.splitlines()[1] == "0,0.8"
 
+    @pytest.mark.parametrize("command", ["shapley", "core-check"])
+    def test_non_numeric_payoff_line_exits_two_naming_it(self, tmp_path, capsys, command):
+        path = tmp_path / "game.setfn"
+        path.write_text("n=2\n0 0.0\n1 abc\n2 0.5\n3 1.0\n")
+        assert cli_main([command, str(path)]) == 2
+        assert capsys.readouterr().err == "error: malformed line 3: '1 abc'\n"
+
     def test_core_check_verdicts(self, tmp_path, capsys):
         good = SetFunction.from_restricted(2, [0.3, 0.3], 1.0)
         bad = SetFunction.from_restricted(2, [0.6, 0.6], 1.0)
@@ -901,6 +924,9 @@ class TestCli:
                 {"initial_opinions": {"ground_truth": {"familly": "mixed", "sigma": 0.01}}},
                 "initial_opinions.ground_truth",
             ),
+            ({"p_o": 0.0}, "p_o"),
+            ({"p_o": -1.0}, "p_o"),
+            ({"po_values": [1.0, -1.0]}, "po_values"),
         ],
     )
     def test_malformed_keys_exit_two_naming_the_key(self, tmp_path, capsys, patch, key):

@@ -252,6 +252,14 @@ class TestSerialization:
         text = "n=2\n0 0.0\n2 0.5\n1 0.1\n3 1.0\n"
         with pytest.raises(SetFunctionError, match="bitmask"):
             parse_setfn(text)
+        # a value or a bitmask that is not a number names its line
+        with pytest.raises(SetFunctionError, match="^malformed line 3: '1 abc'$"):
+            parse_setfn("n=2\n0 0.0\n1 abc\n2 0.5\n3 1.0\n")
+        with pytest.raises(SetFunctionError, match="^malformed line 4: 'x 0.5'$"):
+            parse_setfn("n=2\n0 0.0\n1 0.1\nx 0.5\n3 1.0\n")
+        # blank lines are skipped but still counted
+        with pytest.raises(SetFunctionError, match="^line 5: expected bitmask 2, got 3$"):
+            parse_setfn("n=2\n\n0 0.0\n1 0.1\n3 1.0\n2 0.5\n")
 
     def test_empty_coalition_value_enforced(self):
         with pytest.raises(SetFunctionError):

@@ -51,7 +51,7 @@ from .setfn import (
     is_supermodular,
     random_supermodular,
     read_setfn,
-    sample_supermodular_opinion,
+    sample_supermodular_opinions,
     weighted_average,
 )
 from .shapley import Allocation, ShapleyLinearForm, shapley_linear_form, shapley_value
@@ -90,7 +90,7 @@ __all__ = [
     "read_setfn",
     "read_trace",
     "run_simulation",
-    "sample_supermodular_opinion",
+    "sample_supermodular_opinions",
     "scenario_from_dict",
     "shapley_linear_form",
     "shapley_value",

@@ -35,6 +35,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .setfn import SetFunction, SetFunctionError, grand_mask, membership_matrix
+from .shapley import shapley_payoffs
 
 _PIVOT_EPS = 1e-10
 
@@ -101,8 +102,6 @@ def bayesian_core_is_empty(
     which keeps Monte-Carlo experiments cheap; the balancedness dual
     decides the rest.
     """
-    from .shapley import shapley_value
-
     if not opinions:
         raise SetFunctionError("need at least one opinion")
     n = opinions[0].n
@@ -110,13 +109,15 @@ def bayesian_core_is_empty(
         raise SetFunctionError("opinions disagree on player count")
     if len(opinions) != n:
         raise SetFunctionError(f"expected one opinion per player ({n}), got {len(opinions)}")
-    stack = np.stack([f.values for f in opinions])
-    bounds = stack[:, 1:-1].max(axis=0)
-    budget = stack[:, -1].min()
-    rows = _coalition_rows(n)
-    candidate = shapley_value(SetFunction(n, np.concatenate([[0.0], bounds, [budget]]))).payoffs
-    sums = rows @ candidate
-    if np.all(sums[:-1] >= bounds - tol) and sums[-1] <= budget + tol:
+    stack = np.array([f.values for f in opinions])
+    # the bound function: coalition bounds, the budget as grand value
+    values = stack.max(axis=0)
+    values[0] = 0.0
+    values[-1] = stack[:, -1].min()
+    bounds, budget = values[1:-1], values[-1]
+    candidate = shapley_payoffs(values, n)
+    sums = _coalition_rows(n) @ candidate
+    if (sums[:-1] >= bounds - tol).all() and sums[-1] <= budget + tol:
         return FeasibilityResult(False, candidate)
     witness, _ = _balanced_dual(n, bounds, budget + tol)
     return FeasibilityResult(witness is None, witness)

@@ -52,7 +52,7 @@ from .setfn import (
     check_fits_in_memory,
     num_restricted,
     random_supermodular,
-    sample_supermodular_opinion,
+    sample_supermodular_opinions,
 )
 from .shapley import LINEAR_FORM_MAX_PLAYERS, shapley_linear_form
 
@@ -319,8 +319,11 @@ def experiment_core_emptiness(scenario: Scenario) -> list[dict]:
     """Per-n frequency of an empty Bayesian core over sampled opinions.
 
     For each player count, every trial draws one truncated-normal opinion
-    per player around the per-n ground truth (grand value included) and
-    asks the LP whether any allocation satisfies all private constraints.
+    per player around the per-n ground truth (grand value included), all
+    from the trial's own generator in one block-sampler call, and makes one
+    Bayesian-core check of the profile: the Shapley allocation of the
+    coalition bounds settles nonemptiness when it covers them, and the
+    balancedness dual decides the rest.
     Trials whose rejection sampler exhausts its budget are counted as
     failures, not as data; a player count where every trial fails has no
     data at all and is rejected.
@@ -344,12 +347,9 @@ def experiment_core_emptiness(scenario: Scenario) -> list[dict]:
         for trial in range(scenario.trials):
             rng = np.random.default_rng([scenario.seed, n, trial])
             try:
-                opinions = [
-                    sample_supermodular_opinion(
-                        gts, i, rng, perturb_grand=scenario.perturb_grand
-                    )
-                    for i in range(n)
-                ]
+                opinions = sample_supermodular_opinions(
+                    gts, rng, range(n), perturb_grand=scenario.perturb_grand
+                )
             except SamplerError:
                 failures += 1
                 continue
@@ -783,9 +783,9 @@ def scenario_from_dict(raw: dict, source: str = "<scenario>") -> Scenario:
         # the truth's (normalized) value
         try:
             initial_opinions = tuple(
-                sample_supermodular_opinion(
-                    truth_spec, i, np.random.default_rng([seed, 3, i]), perturb_grand=False
-                )
+                sample_supermodular_opinions(
+                    truth_spec, np.random.default_rng([seed, 3, i]), [i], perturb_grand=False
+                )[0]
                 for i in range(n)
             )
         except SamplerError as exc:

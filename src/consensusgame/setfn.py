@@ -72,16 +72,15 @@ class SetFunction:
 
     def __post_init__(self):
         _check_n(self.n)
-        vals = np.asarray(self.values, dtype=float)
+        vals = np.array(self.values, dtype=float)
         if vals.shape != ((1 << self.n),):
             raise SetFunctionError(
                 f"expected {1 << self.n} values for n={self.n}, got shape {vals.shape}"
             )
-        if not np.all(np.isfinite(vals)):
+        if not np.isfinite(vals).all():
             raise SetFunctionError("payoff values must be finite")
         if vals[0] != 0.0:
             raise SetFunctionError("empty-coalition payoff must be exactly 0")
-        vals = vals.copy()
         vals.setflags(write=False)
         object.__setattr__(self, "values", vals)
 
@@ -138,6 +137,32 @@ def _local_increment_index(n: int):
     )
 
 
+# the largest temporary a batched gather allocates at once (always at least
+# one candidate or player), so checking a block of functions never costs
+# more memory than checking one, and all players' Shapley sums no more than
+# one player's
+GATHER_CHUNK_BYTES = 1 << 20
+
+
+def _supermodular_columns(block: np.ndarray, n: int, floor: float) -> np.ndarray:
+    """Per column of a (2^n, k) block of payoff vectors: does every
+    incremental gap f(S+i+j) + f(S) - f(S+i) - f(S+j) reach ``floor``?"""
+    s, si, sj, sij = _local_increment_index(n)
+    step = max(1, GATHER_CHUNK_BYTES // (8 * max(s.size, 1)))
+    k = block.shape[1]
+    if k > step:
+        return np.concatenate(
+            [_supermodular_columns(block[:, lo : lo + step], n, floor) for lo in range(0, k, step)]
+        )
+    gaps = (
+        block.take(sij, axis=0)
+        + block.take(s, axis=0)
+        - block.take(si, axis=0)
+        - block.take(sj, axis=0)
+    )
+    return (gaps >= floor).all(axis=0)
+
+
 def is_supermodular(
     f: SetFunction, strict: bool = False, tol: float = DEFAULT_STRICT_TOL
 ) -> bool:
@@ -151,12 +176,7 @@ def is_supermodular(
     """
     if tol < 0:
         raise SetFunctionError("tolerance must be nonnegative")
-    s, si, sj, sij = _local_increment_index(f.n)
-    if s.size == 0:
-        return True
-    vals = f.values
-    gaps = vals[sij] + vals[s] - vals[si] - vals[sj]
-    return bool(np.all(gaps >= (tol if strict else -tol)))
+    return bool(_supermodular_columns(f.values[:, None], f.n, tol if strict else -tol)[0])
 
 
 def weighted_average(fs: list[SetFunction], weights) -> SetFunction:
@@ -203,42 +223,76 @@ class GroundTruthSpec:
         object.__setattr__(self, "sigmas", sig)
 
 
-def sample_supermodular_opinion(
+def sample_supermodular_opinions(
     spec: GroundTruthSpec,
-    player: int,
     rng: np.random.Generator,
+    players,
     perturb_grand: bool = True,
     max_attempts: int = 100_000,
-) -> SetFunction:
-    """Draw one private opinion: truth plus i.i.d. normal noise, rejected
-    until supermodular.
+) -> list[SetFunction]:
+    """Draw one private opinion per listed player, in order: truth plus
+    i.i.d. normal noise, rejected until supermodular.
 
     Rejection realizes a normal distribution truncated to the supermodular
     cone exactly.  Noise hits every proper nonempty coalition; the grand
     coalition is perturbed too when ``perturb_grand`` (the empty coalition
-    never is).  Raises SamplerError once the attempt budget runs out,
-    which signals a noise level too large for the truth's strictness
-    margin.
+    never is).  A player with sigma 0 gets the truth and draws nothing.
+    Raises SamplerError once a player's budget of ``max_attempts``
+    candidates runs out, which signals a noise level too large for the
+    truth's strictness margin.
+
+    Candidates are drawn in blocks, one normal row per candidate, and the
+    block is checked at once.  A block holds at most one row per player
+    still waiting in the current run of equal-sigma players, and no more
+    rows than the current player's budget has left, so it never holds a
+    row that drawing one candidate at a time, player after player, would
+    not draw: the opinions and the generator state afterwards are the same
+    as that loop's, also when it raises.
     """
-    if not 0 <= player < spec.sigmas.size:
-        raise SetFunctionError(f"player index {player} out of range")
-    sigma = float(spec.sigmas[player])
+    sigmas = spec.sigmas.tolist()
+    players = list(players)
+    for player in players:
+        if not 0 <= player < len(sigmas):
+            raise SetFunctionError(f"player index {player} out of range")
     truth = spec.truth
-    if sigma == 0.0:
-        return SetFunction(truth.n, truth.values)
-    m = num_restricted(truth.n)
-    for _ in range(max_attempts):
-        vals = truth.values.copy()
-        vals[1:-1] += rng.normal(0.0, sigma, size=m)
-        if perturb_grand:
-            vals[-1] += rng.normal(0.0, sigma)
-        candidate = SetFunction(truth.n, vals)
-        if is_supermodular(candidate):
-            return candidate
-    raise SamplerError(
-        f"no supermodular sample for player {player} in {max_attempts} attempts; "
-        f"sigma={sigma} is likely too large for the truth's strictness margin"
-    )
+    width = num_restricted(truth.n) + (1 if perturb_grand else 0)
+    opinions: list[SetFunction] = []
+    while len(opinions) < len(players):
+        start = len(opinions)
+        sigma = sigmas[players[start]]
+        if sigma == 0.0:
+            opinions.append(SetFunction(truth.n, truth.values))
+            continue
+        stop = start + 1
+        while stop < len(players) and sigmas[players[stop]] == sigma:
+            stop += 1
+        misses = 0  # rejected candidates of the player now waiting
+        while len(opinions) < stop:
+            if misses >= max_attempts:
+                raise SamplerError(
+                    f"no supermodular sample for player {players[len(opinions)]} in "
+                    f"{max_attempts} attempts; sigma={sigma} is likely too large for "
+                    "the truth's strictness margin"
+                )
+            k = min(stop - len(opinions), max_attempts - misses)
+            # one candidate per column, its noise one row of the draw
+            noise = rng.normal(0.0, sigma, size=(k, width))
+            block = np.empty((truth.values.size, k))
+            block[:] = truth.values[:, None]
+            block[1 : 1 + width] += noise.T
+            del noise  # freed before the gap temporaries are made
+            # one candidate at a time, each would be built as a SetFunction,
+            # so a nonfinite candidate raises even where it would be rejected
+            if not np.isfinite(block).all():
+                raise SetFunctionError("payoff values must be finite")
+            verdicts = _supermodular_columns(block, truth.n, -DEFAULT_STRICT_TOL)
+            for column, supermodular in enumerate(verdicts.tolist()):
+                if supermodular:
+                    opinions.append(SetFunction(truth.n, block[:, column]))
+                    misses = 0
+                else:
+                    misses += 1
+    return opinions
 
 
 def random_supermodular(

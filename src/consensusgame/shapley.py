@@ -20,7 +20,13 @@ from math import factorial
 
 import numpy as np
 
-from .setfn import SetFunction, SetFunctionError, membership_matrix, num_restricted
+from .setfn import (
+    GATHER_CHUNK_BYTES,
+    SetFunction,
+    SetFunctionError,
+    membership_matrix,
+    num_restricted,
+)
 
 # the largest player count the linear form (and so the dynamics) is built for
 LINEAR_FORM_MAX_PLAYERS = 12
@@ -50,34 +56,37 @@ def shapley_weights(n: int) -> np.ndarray:
 
 @lru_cache(maxsize=64)
 def _shapley_gathers(n: int) -> tuple:
-    """Per player i: the coalitions C avoiding i, C + i, and C's weight."""
+    """Three (n, 2^(n-1)) stacks, row i for player i: the coalitions C
+    avoiding i, C + i, and C's weight."""
     masks = np.arange(1 << n)
-    sizes = np.bitwise_count(masks)
-    weight_by_size = shapley_weights(n)
-    gathers = []
-    for i in range(n):
-        bit = 1 << i
-        without = masks[(masks & bit) == 0]
-        arrays = (without, without | bit, weight_by_size[sizes[without]])
-        for array in arrays:
-            array.setflags(write=False)
-        gathers.append(arrays)
-    return tuple(gathers)
+    bits = 1 << np.arange(n)
+    without = np.stack([masks[(masks & bit) == 0] for bit in bits])
+    arrays = (without, without | bits[:, None], shapley_weights(n)[np.bitwise_count(without)])
+    for array in arrays:
+        array.setflags(write=False)
+    return arrays
+
+
+def shapley_payoffs(values: np.ndarray, n: int) -> np.ndarray:
+    """Shapley payoffs of the dense payoff vector ``values`` of n players:
+    g_i = sum over coalitions C not containing i of
+    |C|! (n-|C|-1)! / n! * (f(C+i) - f(C)), as many players per gather as
+    fit in GATHER_CHUNK_BYTES."""
+    without, with_i, weights = _shapley_gathers(n)
+    step = max(1, GATHER_CHUNK_BYTES // (8 * without.shape[1]))
+    chunks = [slice(lo, lo + step) for lo in range(0, n, step)]
+    return np.concatenate(
+        [(weights[c] * (values[with_i[c]] - values[without[c]])).sum(axis=1) for c in chunks]
+    )
 
 
 def shapley_value(f: SetFunction) -> Allocation:
     """Exact Shapley allocation by the direct coalition-sum formula.
 
-    g_i = sum over coalitions C not containing i of
-    |C|! (n-|C|-1)! / n! * (f(C+i) - f(C)).  Efficient: payoffs sum to
-    the grand-coalition value.  The index and weight gathers are built
-    once per n.
+    Efficient: payoffs sum to the grand-coalition value.  The index and
+    weight gathers are built once per n.
     """
-    vals = f.values
-    payoffs = np.empty(f.n)
-    for i, (without, with_i, weights) in enumerate(_shapley_gathers(f.n)):
-        payoffs[i] = np.sum(weights * (vals[with_i] - vals[without]))
-    return Allocation(f.n, payoffs)
+    return Allocation(f.n, shapley_payoffs(f.values, f.n))
 
 
 @dataclass(frozen=True)

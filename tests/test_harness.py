@@ -651,6 +651,29 @@ class TestExperiments:
         again = experiment_core_emptiness(sc)
         assert rows == again
 
+    def test_core_emptiness_rows_when_some_trials_exhaust_the_sampler(self):
+        # at n=4 the first player of one trial exhausts its 100000 candidates
+        # while the other trial gets all four opinions; the frequency counts
+        # the one trial with data
+        sc = Scenario(
+            kind="core-emptiness",
+            n=2,
+            theta=0.1,
+            horizon=1,
+            seed=39,
+            influence=DEMO_W,
+            trials=2,
+            n_min=2,
+            n_max=4,
+            sigma=0.08,
+            truth_family="mixed",
+        )
+        assert experiment_core_emptiness(sc) == [
+            {"n": 2, "trials": 2, "sampler_failures": 0, "empty": 0, "frequency": 0.0},
+            {"n": 3, "trials": 2, "sampler_failures": 0, "empty": 0, "frequency": 0.0},
+            {"n": 4, "trials": 2, "sampler_failures": 1, "empty": 0, "frequency": 0.0},
+        ]
+
     def test_zero_sigma_rejected(self):
         sc = Scenario(
             kind="core-emptiness",

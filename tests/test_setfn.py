@@ -1,5 +1,6 @@
 """Set-function machinery: indexing, supermodularity, averaging, sampling."""
 
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -17,7 +18,7 @@ from consensusgame.setfn import (
     num_restricted,
     parse_setfn,
     random_supermodular,
-    sample_supermodular_opinion,
+    sample_supermodular_opinions,
     weighted_average,
 )
 
@@ -167,35 +168,76 @@ class TestWeightedAverage:
         assert avg.values[0] == 0.0
 
 
-class TestSampler:
-    def _spec(self, n=3, sigma=0.01):
-        sizes = np.bitwise_count(np.arange(1 << n)).astype(float)
-        truth = SetFunction(n, (sizes / n) ** 2)
-        return GroundTruthSpec(truth, np.full(n, sigma))
+def sample_one_at_a_time(
+    spec: GroundTruthSpec,
+    player: int,
+    rng: np.random.Generator,
+    perturb_grand: bool = True,
+    max_attempts: int = 100_000,
+) -> SetFunction:
+    """Oracle: one candidate per draw, rejected until supermodular, one
+    player per call; the block sampler must reproduce it draw for draw."""
+    sigma = float(spec.sigmas[player])
+    truth = spec.truth
+    if sigma == 0.0:
+        return SetFunction(truth.n, truth.values)
+    m = num_restricted(truth.n)
+    for _ in range(max_attempts):
+        vals = truth.values.copy()
+        vals[1:-1] += rng.normal(0.0, sigma, size=m)
+        if perturb_grand:
+            vals[-1] += rng.normal(0.0, sigma)
+        candidate = SetFunction(truth.n, vals)
+        if is_supermodular(candidate):
+            return candidate
+    raise SamplerError(
+        f"no supermodular sample for player {player} in {max_attempts} attempts; "
+        f"sigma={sigma} is likely too large for the truth's strictness margin"
+    )
 
+
+def quadratic_spec(n: int, sigmas) -> GroundTruthSpec:
+    sizes = np.bitwise_count(np.arange(1 << n)).astype(float)
+    return GroundTruthSpec(SetFunction(n, (sizes / n) ** 2), np.broadcast_to(sigmas, (n,)))
+
+
+def assert_matches_oracle(spec, seed, players, **kw) -> bool:
+    """Block sampler against the oracle loop: the same opinions, bytes for
+    bytes, or the same SamplerError, and the same generator state after.
+    Returns whether the sampler raised."""
+    rng, oracle_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    try:
+        got = [f.values.tobytes() for f in sample_supermodular_opinions(spec, rng, players, **kw)]
+    except SamplerError as exc:
+        got = str(exc)
+    try:
+        want = [sample_one_at_a_time(spec, p, oracle_rng, **kw).values.tobytes() for p in players]
+    except SamplerError as exc:
+        want = str(exc)
+    assert got == want
+    assert rng.bit_generator.state == oracle_rng.bit_generator.state
+    return isinstance(want, str)
+
+
+class TestSampler:
     def test_zero_sigma_returns_truth_exactly(self):
-        spec = self._spec(sigma=0.0)
         # sigma = 0 is the degenerate distribution
-        spec = GroundTruthSpec(spec.truth, np.array([0.0, 0.01, 0.01]))
-        out = sample_supermodular_opinion(spec, 0, np.random.default_rng(0))
+        spec = quadratic_spec(3, np.array([0.0, 0.01, 0.01]))
+        (out,) = sample_supermodular_opinions(spec, np.random.default_rng(0), [0])
         np.testing.assert_array_equal(out.values, spec.truth.values)
 
     def test_accepted_samples_are_supermodular(self):
-        spec = self._spec()
-        rng = np.random.default_rng(3)
-        for _ in range(50):
-            sample = sample_supermodular_opinion(spec, 1, rng)
-            assert is_supermodular(sample)
+        spec = quadratic_spec(3, 0.01)
+        samples = sample_supermodular_opinions(spec, np.random.default_rng(3), [1] * 50)
+        assert len(samples) == 50
+        assert all(is_supermodular(sample) for sample in samples)
 
     def test_monte_carlo_mean_tracks_truth(self):
         # acceptance rate must stay high first, else truncation bias creeps in
-        spec = self._spec(sigma=0.01)
+        spec = quadratic_spec(3, 0.01)
         rng = np.random.default_rng(11)
         draws = np.stack(
-            [
-                sample_supermodular_opinion(spec, 0, rng).restricted()
-                for _ in range(1000)
-            ]
+            [f.restricted() for f in sample_supermodular_opinions(spec, rng, [0] * 1000)]
         )
         sigma = 0.01
         bound = 3 * sigma / np.sqrt(1000)
@@ -203,7 +245,7 @@ class TestSampler:
         assert np.all(errors < bound), errors
 
     def test_acceptance_rate_above_half_at_small_sigma(self):
-        spec = self._spec(sigma=0.01)
+        spec = quadratic_spec(3, 0.01)
         rng = np.random.default_rng(12)
         accepted = 0
         total = 400
@@ -216,26 +258,109 @@ class TestSampler:
         assert accepted / total > 0.5
 
     def test_grand_value_fixed_when_not_perturbed(self):
-        spec = self._spec()
-        out = sample_supermodular_opinion(
-            spec, 0, np.random.default_rng(4), perturb_grand=False
+        spec = quadratic_spec(3, 0.01)
+        (out,) = sample_supermodular_opinions(
+            spec, np.random.default_rng(4), [0], perturb_grand=False
         )
         assert out.grand_value == spec.truth.grand_value
 
     def test_attempt_cap_raises_with_diagnostic(self):
-        n = 5
-        sizes = np.bitwise_count(np.arange(1 << n)).astype(float)
-        truth = SetFunction(n, (sizes / n) ** 2)
-        spec = GroundTruthSpec(truth, np.full(n, 1.0))
+        spec = quadratic_spec(5, 1.0)
         with pytest.raises(SamplerError, match="attempts"):
-            sample_supermodular_opinion(
-                spec, 0, np.random.default_rng(5), max_attempts=100
+            sample_supermodular_opinions(
+                spec, np.random.default_rng(5), [0], max_attempts=100
             )
 
     def test_ground_truth_must_be_strictly_supermodular(self):
         flat = size_based(3, lambda s: float(s))
         with pytest.raises(SetFunctionError):
             GroundTruthSpec(flat, np.full(3, 0.1))
+
+    def test_player_index_checked_before_any_draw(self):
+        rng = np.random.default_rng(6)
+        state = rng.bit_generator.state
+        with pytest.raises(SetFunctionError, match="out of range"):
+            sample_supermodular_opinions(quadratic_spec(3, 0.01), rng, [0, 3])
+        assert rng.bit_generator.state == state
+
+
+class TestSamplerAgainstOneAtATimeOracle:
+    @pytest.mark.parametrize("n", range(2, 9))
+    def test_shipped_noise_level(self, n):
+        spec = quadratic_spec(n, 0.004)
+        for trial in range(10):
+            assert not assert_matches_oracle(spec, [1, n, trial], range(n))
+
+    @pytest.mark.parametrize(
+        "n, sigma, must_reject", [(5, 0.01, False), (5, 0.02, True), (6, 0.01, True)]
+    )
+    def test_with_rejections(self, n, sigma, must_reject):
+        spec = quadratic_spec(n, sigma)
+        rejected = 0
+        for trial in range(10):
+            seed = [2, n, trial]
+            assert_matches_oracle(spec, seed, range(n))
+            # with no rejection the sampler draws exactly n rows
+            rng, lean = np.random.default_rng(seed), np.random.default_rng(seed)
+            sample_supermodular_opinions(spec, rng, range(n))
+            lean.normal(size=(n, num_restricted(n) + 1))
+            rejected += rng.bit_generator.state != lean.bit_generator.state
+        assert rejected > 0 or not must_reject
+
+    @pytest.mark.parametrize("n", [3, 6])
+    def test_grand_value_not_perturbed(self, n):
+        spec = quadratic_spec(n, 0.01)
+        for trial in range(5):
+            assert_matches_oracle(spec, [3, n, trial], range(n), perturb_grand=False)
+
+    def test_unequal_sigmas_and_a_noiseless_player(self):
+        spec = quadratic_spec(5, np.array([0.004, 0.0, 0.01, 0.01, 0.004]))
+        for trial in range(5):
+            assert_matches_oracle(spec, [4, trial], range(5))
+            assert_matches_oracle(spec, [5, trial], [3, 1, 3, 0, 2, 2, 4, 1])
+
+    def test_noiseless_players_draw_nothing(self):
+        spec = quadratic_spec(4, 0.0)
+        rng = np.random.default_rng(7)
+        state = rng.bit_generator.state
+        opinions = sample_supermodular_opinions(spec, rng, range(4))
+        assert rng.bit_generator.state == state
+        assert all(f.values.tobytes() == spec.truth.values.tobytes() for f in opinions)
+
+    @pytest.mark.parametrize("max_attempts", [0, 1, 2, 4])
+    def test_exhausted_budget(self, max_attempts):
+        # about half the candidates are rejected here
+        spec = quadratic_spec(6, 0.01)
+        raised = [
+            assert_matches_oracle(spec, [6, trial], range(6), max_attempts=max_attempts)
+            for trial in range(20)
+        ]
+        assert any(raised)
+
+
+def test_block_check_memory_stays_within_one_row_check_plus_one_block():
+    # at n=12 one row's gap temporaries outweigh a whole block of 12 rows, so
+    # checking the block in one gather would need several times the memory
+    n = 12
+    spec = quadratic_spec(n, 0.001)
+    is_supermodular(spec.truth)  # index tables are cached once per n
+    sample_supermodular_opinions(spec, np.random.default_rng(0), range(n))
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        is_supermodular(spec.truth)
+        one_row = tracemalloc.get_traced_memory()[1] - base
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        opinions = sample_supermodular_opinions(spec, np.random.default_rng(1), range(n))
+        trial = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    block = n * (1 << n) * 8
+    # a chunk's contiguous copy of its one candidate, array headers and views
+    slack = (1 << n) * 8 + 16 * 1024
+    assert len(opinions) == n
+    assert trial <= one_row + block + slack, (trial, one_row, block)
 
 
 class TestSerialization:

@@ -96,7 +96,8 @@ class TestShapleyValue:
                 shapley_value(f).payoffs, shapley_by_permutations(f), atol=1e-12
             )
 
-    @pytest.mark.parametrize("n", range(1, 11))
+    # n = 15 and 16 split the players over several gathers
+    @pytest.mark.parametrize("n", [*range(1, 13), 15, 16])
     def test_bit_equal_to_rebuilt_coalition_sums(self, n):
         rng = np.random.default_rng(29 + n)
         for _ in range(5):

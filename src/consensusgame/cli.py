@@ -125,11 +125,16 @@ def _finish(args, record: dict) -> int:
     return 0 if record["pass"] else 1
 
 
+def _check_flags(args) -> None:
+    if args.seed is not None and args.seed < 0:
+        raise ScenarioError(f"--seed: seed: nonnegative integer required, got {args.seed}")
+    if not 0 <= args.tol < float("inf"):  # also false for nan
+        raise ScenarioError(f"--tol: finite nonnegative number required, got {args.tol!r}")
+
+
 def _load(args):
     scenario = load_scenario(args.scenario)
     if args.seed is not None:
-        if args.seed < 0:
-            raise ScenarioError(f"--seed: seed: nonnegative integer required, got {args.seed}")
         scenario = replace(scenario, seed=args.seed)
     return scenario
 
@@ -147,6 +152,13 @@ def _cmd_simulate(args) -> int:
             "pass": True,
         },
     )
+
+
+def _rows_csv(rows: list[dict]) -> str:
+    """A header of the row keys, then one line per row: a bool as 0/1,
+    every other value as its repr."""
+    cells = [[str(int(v)) if isinstance(v, bool) else repr(v) for v in r.values()] for r in rows]
+    return "".join(",".join(line) + "\n" for line in [list(rows[0]), *cells])
 
 
 def _allocation_csv(payoffs) -> str:
@@ -191,24 +203,14 @@ def _cmd_exp_efficiency(args) -> int:
 def _cmd_exp_core_emptiness(args) -> int:
     scenario = _load(args)
     rows = experiment_core_emptiness(scenario)
-    lines = ["n,trials,sampler_failures,empty,frequency"]
-    lines += [
-        f"{r['n']},{r['trials']},{r['sampler_failures']},{r['empty']},{r['frequency']!r}"
-        for r in rows
-    ]
-    _write(args, ["\n".join(lines) + "\n"])
+    _write(args, [_rows_csv(rows)])
     return _finish(args, {"command": "exp-core-emptiness", **core_emptiness_verdict(rows)})
 
 
 def _cmd_exp_po_sweep(args) -> int:
     scenario = _load(args)
     rows = experiment_po_sweep(scenario)
-    lines = ["p_o,spread,bayesian_core_empty,steps,converged"]
-    lines += [
-        f"{r['p_o']!r},{r['spread']!r},{int(r['bayesian_core_empty'])},{r['steps']},{int(r['converged'])}"
-        for r in rows
-    ]
-    _write(args, ["\n".join(lines) + "\n"])
+    _write(args, [_rows_csv(rows)])
     return _finish(args, {"command": "exp-po-sweep", **po_sweep_verdict(rows)})
 
 
@@ -226,6 +228,7 @@ _COMMANDS = {
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
+        _check_flags(args)
         return _COMMANDS[args.command](args)
     except (ScenarioError, SetFunctionError, ConsensusError, SamplerError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

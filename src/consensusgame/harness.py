@@ -52,6 +52,7 @@ from .setfn import (
     check_fits_in_memory,
     num_restricted,
     random_supermodular,
+    read_text,
     sample_supermodular_opinions,
 )
 from .shapley import LINEAR_FORM_MAX_PLAYERS, shapley_linear_form
@@ -341,14 +342,14 @@ def experiment_core_emptiness(scenario: Scenario) -> list[dict]:
     rows = []
     for n in range(scenario.n_min, scenario.n_max + 1):
         truth = family(n)
-        gts = GroundTruthSpec(truth, np.full(n, scenario.sigma))
+        gts = GroundTruthSpec(truth, scenario.sigma)
         empty = 0
         failures = 0
         for trial in range(scenario.trials):
             rng = np.random.default_rng([scenario.seed, n, trial])
             try:
                 opinions = sample_supermodular_opinions(
-                    gts, rng, range(n), perturb_grand=scenario.perturb_grand
+                    gts, rng, n, perturb_grand=scenario.perturb_grand
                 )
             except SamplerError:
                 failures += 1
@@ -634,8 +635,7 @@ def parse_trace(text: str) -> SimulationTrace:
 
 
 def read_trace(path) -> SimulationTrace:
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_trace(fh.read())
+    return parse_trace(read_text(path, ScenarioError))
 
 
 # --- scenario files ----------------------------------------------------------
@@ -649,8 +649,7 @@ def random_primitive_influence(n: int, rng: np.random.Generator) -> np.ndarray:
 
 def load_scenario(path) -> Scenario:
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            raw = json.load(fh)
+        raw = json.loads(read_text(path, ScenarioError))
     except json.JSONDecodeError as exc:
         raise ScenarioError(
             f"{path}: invalid JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}"
@@ -778,18 +777,18 @@ def scenario_from_dict(raw: dict, source: str = "<scenario>") -> Scenario:
         sigma = check("initial_opinions.ground_truth.sigma", float, spec.get("sigma"))
         if sigma < 0:
             fail("initial_opinions.ground_truth.sigma", "nonnegative number required")
-        truth_spec = GroundTruthSpec(family(n), np.full(n, sigma))
+        truth_spec = GroundTruthSpec(family(n), sigma)
         # the dynamics keep the grand value fixed, so sampling leaves it at
-        # the truth's (normalized) value
-        try:
-            initial_opinions = tuple(
-                sample_supermodular_opinions(
-                    truth_spec, np.random.default_rng([seed, 3, i]), [i], perturb_grand=False
-                )[0]
-                for i in range(n)
-            )
-        except SamplerError as exc:
-            fail("initial_opinions.ground_truth.sigma", str(exc))
+        # the truth's (normalized) value; each player draws from its own stream
+        sampled = []
+        for i in range(n):
+            try:
+                sampled += sample_supermodular_opinions(
+                    truth_spec, np.random.default_rng([seed, 3, i]), 1, perturb_grand=False
+                )
+            except SamplerError as exc:
+                fail("initial_opinions.ground_truth.sigma", f"player {i}: {exc}")
+        initial_opinions = tuple(sampled)
     elif isinstance(opinions_raw, list):
         if len(opinions_raw) != n:
             fail("initial_opinions", f"expected {n} entries, got {len(opinions_raw)}")

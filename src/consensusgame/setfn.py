@@ -140,7 +140,7 @@ def _local_increment_index(n: int):
 # the largest temporary a batched gather allocates at once (always at least
 # one candidate or player), so checking a block of functions never costs
 # more memory than checking one, and all players' Shapley sums no more than
-# one player's
+# one player's; also the largest block of candidates the sampler draws
 GATHER_CHUNK_BYTES = 1 << 20
 
 
@@ -205,93 +205,78 @@ def weighted_average(fs: list[SetFunction], weights) -> SetFunction:
 
 @dataclass(frozen=True)
 class GroundTruthSpec:
-    """Ground-truth payoff function plus per-player sampling noise levels."""
+    """Ground-truth payoff function plus the noise level of every opinion."""
 
     truth: SetFunction
-    sigmas: np.ndarray
+    sigma: float
 
     def __post_init__(self):
-        sig = np.asarray(self.sigmas, dtype=float)
-        if sig.ndim != 1 or sig.size < 1:
-            raise SetFunctionError("sigmas must be a 1-d array")
-        if np.any(sig < 0):
-            raise SetFunctionError("sigmas must be nonnegative")
+        if not 0 <= self.sigma < np.inf:  # also false for nan
+            raise SetFunctionError(f"sigma must be finite and nonnegative, got {self.sigma!r}")
         if not is_supermodular(self.truth, strict=True):
             raise SetFunctionError("ground truth must be strictly supermodular")
-        sig = sig.copy()
-        sig.setflags(write=False)
-        object.__setattr__(self, "sigmas", sig)
 
 
 def sample_supermodular_opinions(
     spec: GroundTruthSpec,
     rng: np.random.Generator,
-    players,
+    count: int,
     perturb_grand: bool = True,
     max_attempts: int = 100_000,
 ) -> list[SetFunction]:
-    """Draw one private opinion per listed player, in order: truth plus
-    i.i.d. normal noise, rejected until supermodular.
+    """Draw ``count`` private opinions: truth plus i.i.d. normal noise,
+    rejected until supermodular.
 
     Rejection realizes a normal distribution truncated to the supermodular
     cone exactly.  Noise hits every proper nonempty coalition; the grand
     coalition is perturbed too when ``perturb_grand`` (the empty coalition
-    never is).  A player with sigma 0 gets the truth and draws nothing.
-    Raises SamplerError once a player's budget of ``max_attempts``
-    candidates runs out, which signals a noise level too large for the
+    never is).  With sigma 0 every opinion is the truth and nothing is
+    drawn.  Raises SamplerError once one opinion has been rejected
+    ``max_attempts`` times, which signals a noise level too large for the
     truth's strictness margin.
 
-    Candidates are drawn in blocks, one normal row per candidate, and the
-    block is checked at once.  A block holds at most one row per player
-    still waiting in the current run of equal-sigma players, and no more
-    rows than the current player's budget has left, so it never holds a
-    row that drawing one candidate at a time, player after player, would
-    not draw: the opinions and the generator state afterwards are the same
-    as that loop's, also when it raises.
+    Candidates are drawn in blocks, one normal row each, and each block is
+    checked at once.  A block holds as many rows as opinions are still
+    needed, or as the waiting opinion has missed if that is more, capped by
+    its remaining budget and by GATHER_CHUNK_BYTES.  Accepted candidates are
+    taken in draw order, so the opinions, and any SamplerError, are those of
+    drawing one candidate at a time; rows past the last opinion are dropped.
     """
-    sigmas = spec.sigmas.tolist()
-    players = list(players)
-    for player in players:
-        if not 0 <= player < len(sigmas):
-            raise SetFunctionError(f"player index {player} out of range")
     truth = spec.truth
+    if spec.sigma == 0.0:
+        return [SetFunction(truth.n, truth.values) for _ in range(count)]
     width = num_restricted(truth.n) + (1 if perturb_grand else 0)
+    fit = max(1, GATHER_CHUNK_BYTES // (8 * truth.values.size))
     opinions: list[SetFunction] = []
-    while len(opinions) < len(players):
-        start = len(opinions)
-        sigma = sigmas[players[start]]
-        if sigma == 0.0:
-            opinions.append(SetFunction(truth.n, truth.values))
-            continue
-        stop = start + 1
-        while stop < len(players) and sigmas[players[stop]] == sigma:
-            stop += 1
-        misses = 0  # rejected candidates of the player now waiting
-        while len(opinions) < stop:
-            if misses >= max_attempts:
-                raise SamplerError(
-                    f"no supermodular sample for player {players[len(opinions)]} in "
-                    f"{max_attempts} attempts; sigma={sigma} is likely too large for "
-                    "the truth's strictness margin"
-                )
-            k = min(stop - len(opinions), max_attempts - misses)
-            # one candidate per column, its noise one row of the draw
-            noise = rng.normal(0.0, sigma, size=(k, width))
-            block = np.empty((truth.values.size, k))
-            block[:] = truth.values[:, None]
-            block[1 : 1 + width] += noise.T
-            del noise  # freed before the gap temporaries are made
-            # one candidate at a time, each would be built as a SetFunction,
-            # so a nonfinite candidate raises even where it would be rejected
-            if not np.isfinite(block).all():
-                raise SetFunctionError("payoff values must be finite")
-            verdicts = _supermodular_columns(block, truth.n, -DEFAULT_STRICT_TOL)
-            for column, supermodular in enumerate(verdicts.tolist()):
-                if supermodular:
-                    opinions.append(SetFunction(truth.n, block[:, column]))
-                    misses = 0
-                else:
-                    misses += 1
+    misses = 0  # rejected candidates of the opinion now waiting
+    while len(opinions) < count:
+        if misses >= max_attempts:
+            raise SamplerError(
+                f"no supermodular sample in {max_attempts} attempts; sigma={spec.sigma} "
+                "is likely too large for the truth's strictness margin"
+            )
+        needed = count - len(opinions)
+        k = min(max(needed, misses), max_attempts - misses, fit)
+        # one candidate per column, its noise one row of the draw
+        noise = rng.normal(0.0, spec.sigma, size=(k, width))
+        block = np.empty((truth.values.size, k))
+        block[:] = truth.values[:, None]
+        block[1 : 1 + width] += noise.T
+        del noise  # freed before the gap temporaries are made
+        finite = np.isfinite(block).all()
+        verdicts = _supermodular_columns(block, truth.n, -DEFAULT_STRICT_TOL)
+        hits = verdicts.nonzero()[0][:needed].tolist()
+        # drawing one at a time would build every candidate up to the last
+        # one taken as a SetFunction, so a nonfinite one among them raises;
+        # a block that is finite throughout needs no second look
+        used = hits[-1] + 1 if len(hits) == needed else k
+        if not (finite or np.isfinite(block[:, :used]).all()):
+            raise SetFunctionError("payoff values must be finite")
+        for column in hits:
+            opinions.append(SetFunction(truth.n, block[:, column]))
+        # a block never outruns the waiting opinion's budget, so only the
+        # misses after the last hit can exhaust it
+        misses = used - 1 - hits[-1] if hits else misses + k
     return opinions
 
 
@@ -381,6 +366,15 @@ def parse_setfn(text: str) -> SetFunction:
     return SetFunction(n, vals)
 
 
-def read_setfn(path) -> SetFunction:
+def read_text(path, error: type[Exception]) -> str:
+    """The text of a UTF-8 file; a file that is not UTF-8 raises ``error``
+    naming the path."""
     with open(path, "r", encoding="utf-8") as fh:
-        return parse_setfn(fh.read())
+        try:
+            return fh.read()
+        except UnicodeDecodeError as exc:
+            raise error(f"{path}: not UTF-8 text: {exc.reason} at byte {exc.start}") from None
+
+
+def read_setfn(path) -> SetFunction:
+    return parse_setfn(read_text(path, SetFunctionError))

@@ -38,6 +38,7 @@ from consensusgame.harness import (
     po_sweep_verdict,
     quadratic_truth,
     random_primitive_influence,
+    read_trace,
     run_simulation,
     scenario_from_dict,
     trace_chunks,
@@ -408,6 +409,14 @@ class TestTraceRoundTrip:
         lines = dump_trace(ORACLE_TRACES["two_player_learning_gamma05"]()).splitlines(keepends=True)
         with pytest.raises(ScenarioError, match=message):
             parse_trace("".join(edit(lines)))
+
+    def test_trace_file_that_is_not_utf8_is_rejected_naming_it(self, tmp_path):
+        # no subcommand reads a trace, so read_trace is checked directly
+        path = tmp_path / "trace.csv"
+        path.write_bytes(trace_header(2, 2).encode() + b"\n\xff\n")
+        with pytest.raises(ScenarioError) as info:
+            read_trace(path)
+        assert str(info.value) == f"{path}: not UTF-8 text: invalid start byte at byte 104"
 
     def _trace(self):
         inf = InfluenceMatrix.from_matrix(DEMO_W)
@@ -795,6 +804,35 @@ class TestCli:
         path.write_text("n=2\n0 0.0\n1 abc\n2 0.5\n3 1.0\n")
         assert cli_main([command, str(path)]) == 2
         assert capsys.readouterr().err == "error: malformed line 3: '1 abc'\n"
+
+    @pytest.mark.parametrize("command", ["simulate", "exp-efficiency", "shapley"])
+    def test_file_that_is_not_utf8_exits_two_naming_it(self, tmp_path, capsys, command):
+        # scenario files and payoff-function files alike
+        path = tmp_path / "binary.bin"
+        path.write_bytes(b"\x89PNG\r\n\x1a\n\xff\xfe")
+        assert cli_main([command, str(path)]) == 2
+        assert capsys.readouterr().err == (
+            f"error: {path}: not UTF-8 text: invalid start byte at byte 0\n"
+        )
+
+    @pytest.mark.parametrize("tol", ["-1", "-0.0001", "nan", "inf"])
+    @pytest.mark.parametrize("command", ["core-check", "bayesian-core", "exp-efficiency"])
+    def test_tol_must_be_finite_and_nonnegative(self, tmp_path, capsys, command, tol):
+        # the game's core is nonempty, so only the --tol check can exit 2
+        path = tmp_path / "game.setfn"
+        path.write_text(dump_setfn(SetFunction.from_restricted(2, [0.3, 0.3], 1.0)))
+        if command == "exp-efficiency":
+            path = self._scenario_file(tmp_path, kind="efficiency")
+        assert cli_main([command, str(path), "--tol", tol]) == 2
+        assert capsys.readouterr().err == (
+            f"error: --tol: finite nonnegative number required, got {float(tol)!r}\n"
+        )
+
+    def test_zero_tol_is_accepted(self, tmp_path, capsys):
+        path = tmp_path / "game.setfn"
+        path.write_text(dump_setfn(SetFunction.from_restricted(2, [0.3, 0.3], 1.0)))
+        assert cli_main(["core-check", str(path), "--tol", "0"]) == 0
+        assert capsys.readouterr().out.startswith("nonempty\n")
 
     def test_core_check_verdicts(self, tmp_path, capsys):
         good = SetFunction.from_restricted(2, [0.3, 0.3], 1.0)

@@ -170,65 +170,80 @@ class TestWeightedAverage:
 
 def sample_one_at_a_time(
     spec: GroundTruthSpec,
-    player: int,
     rng: np.random.Generator,
+    count: int,
     perturb_grand: bool = True,
     max_attempts: int = 100_000,
-) -> SetFunction:
+) -> list[SetFunction]:
     """Oracle: one candidate per draw, rejected until supermodular, one
-    player per call; the block sampler must reproduce it draw for draw."""
-    sigma = float(spec.sigmas[player])
+    opinion after another; the block sampler must reproduce its opinions."""
     truth = spec.truth
-    if sigma == 0.0:
-        return SetFunction(truth.n, truth.values)
+    if spec.sigma == 0.0:
+        return [SetFunction(truth.n, truth.values) for _ in range(count)]
     m = num_restricted(truth.n)
-    for _ in range(max_attempts):
-        vals = truth.values.copy()
-        vals[1:-1] += rng.normal(0.0, sigma, size=m)
-        if perturb_grand:
-            vals[-1] += rng.normal(0.0, sigma)
-        candidate = SetFunction(truth.n, vals)
-        if is_supermodular(candidate):
-            return candidate
-    raise SamplerError(
-        f"no supermodular sample for player {player} in {max_attempts} attempts; "
-        f"sigma={sigma} is likely too large for the truth's strictness margin"
-    )
+    opinions = []
+    for _ in range(count):
+        for _ in range(max_attempts):
+            vals = truth.values.copy()
+            vals[1:-1] += rng.normal(0.0, spec.sigma, size=m)
+            if perturb_grand:
+                vals[-1] += rng.normal(0.0, spec.sigma)
+            candidate = SetFunction(truth.n, vals)
+            if is_supermodular(candidate):
+                opinions.append(candidate)
+                break
+        else:
+            raise SamplerError(
+                f"no supermodular sample in {max_attempts} attempts; sigma={spec.sigma} "
+                "is likely too large for the truth's strictness margin"
+            )
+    return opinions
 
 
-def quadratic_spec(n: int, sigmas) -> GroundTruthSpec:
+def quadratic_spec(n: int, sigma: float) -> GroundTruthSpec:
     sizes = np.bitwise_count(np.arange(1 << n)).astype(float)
-    return GroundTruthSpec(SetFunction(n, (sizes / n) ** 2), np.broadcast_to(sigmas, (n,)))
+    return GroundTruthSpec(SetFunction(n, (sizes / n) ** 2), sigma)
 
 
-def assert_matches_oracle(spec, seed, players, **kw) -> bool:
+def assert_matches_oracle(spec, seed, count, **kw) -> bool:
     """Block sampler against the oracle loop: the same opinions, bytes for
-    bytes, or the same SamplerError, and the same generator state after.
-    Returns whether the sampler raised."""
-    rng, oracle_rng = np.random.default_rng(seed), np.random.default_rng(seed)
-    try:
-        got = [f.values.tobytes() for f in sample_supermodular_opinions(spec, rng, players, **kw)]
-    except SamplerError as exc:
-        got = str(exc)
-    try:
-        want = [sample_one_at_a_time(spec, p, oracle_rng, **kw).values.tobytes() for p in players]
-    except SamplerError as exc:
-        want = str(exc)
+    bytes, or the same SamplerError or SetFunctionError.  Returns whether
+    the sampler raised."""
+    outcomes = []
+    for sample in (sample_supermodular_opinions, sample_one_at_a_time):
+        try:
+            opinions = sample(spec, np.random.default_rng(seed), count, **kw)
+            outcomes.append([f.values.tobytes() for f in opinions])
+        except (SamplerError, SetFunctionError) as exc:
+            outcomes.append(repr(exc))
+    got, want = outcomes
     assert got == want
-    assert rng.bit_generator.state == oracle_rng.bit_generator.state
     return isinstance(want, str)
+
+
+class CountingRng:
+    """Generator proxy that records the rows of every ``normal`` call."""
+
+    def __init__(self, rng: np.random.Generator):
+        self.rng = rng
+        self.blocks: list[int] = []
+
+    def normal(self, *args, **kwargs):
+        rows = self.rng.normal(*args, **kwargs)
+        self.blocks.append(len(rows))
+        return rows
 
 
 class TestSampler:
     def test_zero_sigma_returns_truth_exactly(self):
         # sigma = 0 is the degenerate distribution
-        spec = quadratic_spec(3, np.array([0.0, 0.01, 0.01]))
-        (out,) = sample_supermodular_opinions(spec, np.random.default_rng(0), [0])
+        spec = quadratic_spec(3, 0.0)
+        (out,) = sample_supermodular_opinions(spec, np.random.default_rng(0), 1)
         np.testing.assert_array_equal(out.values, spec.truth.values)
 
     def test_accepted_samples_are_supermodular(self):
         spec = quadratic_spec(3, 0.01)
-        samples = sample_supermodular_opinions(spec, np.random.default_rng(3), [1] * 50)
+        samples = sample_supermodular_opinions(spec, np.random.default_rng(3), 50)
         assert len(samples) == 50
         assert all(is_supermodular(sample) for sample in samples)
 
@@ -236,9 +251,7 @@ class TestSampler:
         # acceptance rate must stay high first, else truncation bias creeps in
         spec = quadratic_spec(3, 0.01)
         rng = np.random.default_rng(11)
-        draws = np.stack(
-            [f.restricted() for f in sample_supermodular_opinions(spec, rng, [0] * 1000)]
-        )
+        draws = np.stack([f.restricted() for f in sample_supermodular_opinions(spec, rng, 1000)])
         sigma = 0.01
         bound = 3 * sigma / np.sqrt(1000)
         errors = np.abs(draws.mean(axis=0) - spec.truth.restricted())
@@ -260,28 +273,32 @@ class TestSampler:
     def test_grand_value_fixed_when_not_perturbed(self):
         spec = quadratic_spec(3, 0.01)
         (out,) = sample_supermodular_opinions(
-            spec, np.random.default_rng(4), [0], perturb_grand=False
+            spec, np.random.default_rng(4), 1, perturb_grand=False
         )
         assert out.grand_value == spec.truth.grand_value
 
     def test_attempt_cap_raises_with_diagnostic(self):
         spec = quadratic_spec(5, 1.0)
         with pytest.raises(SamplerError, match="attempts"):
-            sample_supermodular_opinions(
-                spec, np.random.default_rng(5), [0], max_attempts=100
-            )
+            sample_supermodular_opinions(spec, np.random.default_rng(5), 1, max_attempts=100)
+
+    def test_exhausting_the_default_budget_takes_few_rounds(self):
+        # blocks grow with the misses, so 100000 rejected candidates of one
+        # opinion are drawn in a few dozen blocks, not one at a time
+        rng = CountingRng(np.random.default_rng(5))
+        with pytest.raises(SamplerError, match="100000 attempts"):
+            sample_supermodular_opinions(quadratic_spec(5, 1.0), rng, 1)
+        assert 0 < len(rng.blocks) < 100
 
     def test_ground_truth_must_be_strictly_supermodular(self):
         flat = size_based(3, lambda s: float(s))
         with pytest.raises(SetFunctionError):
-            GroundTruthSpec(flat, np.full(3, 0.1))
+            GroundTruthSpec(flat, 0.1)
 
-    def test_player_index_checked_before_any_draw(self):
-        rng = np.random.default_rng(6)
-        state = rng.bit_generator.state
-        with pytest.raises(SetFunctionError, match="out of range"):
-            sample_supermodular_opinions(quadratic_spec(3, 0.01), rng, [0, 3])
-        assert rng.bit_generator.state == state
+    @pytest.mark.parametrize("sigma", [-0.01, float("nan"), float("inf")])
+    def test_sigma_must_be_finite_and_nonnegative(self, sigma):
+        with pytest.raises(SetFunctionError, match="sigma"):
+            quadratic_spec(3, sigma)
 
 
 class TestSamplerAgainstOneAtATimeOracle:
@@ -289,7 +306,7 @@ class TestSamplerAgainstOneAtATimeOracle:
     def test_shipped_noise_level(self, n):
         spec = quadratic_spec(n, 0.004)
         for trial in range(10):
-            assert not assert_matches_oracle(spec, [1, n, trial], range(n))
+            assert not assert_matches_oracle(spec, [1, n, trial], n)
 
     @pytest.mark.parametrize(
         "n, sigma, must_reject", [(5, 0.01, False), (5, 0.02, True), (6, 0.01, True)]
@@ -299,10 +316,10 @@ class TestSamplerAgainstOneAtATimeOracle:
         rejected = 0
         for trial in range(10):
             seed = [2, n, trial]
-            assert_matches_oracle(spec, seed, range(n))
+            assert_matches_oracle(spec, seed, n)
             # with no rejection the sampler draws exactly n rows
             rng, lean = np.random.default_rng(seed), np.random.default_rng(seed)
-            sample_supermodular_opinions(spec, rng, range(n))
+            sample_supermodular_opinions(spec, rng, n)
             lean.normal(size=(n, num_restricted(n) + 1))
             rejected += rng.bit_generator.state != lean.bit_generator.state
         assert rejected > 0 or not must_reject
@@ -311,19 +328,13 @@ class TestSamplerAgainstOneAtATimeOracle:
     def test_grand_value_not_perturbed(self, n):
         spec = quadratic_spec(n, 0.01)
         for trial in range(5):
-            assert_matches_oracle(spec, [3, n, trial], range(n), perturb_grand=False)
-
-    def test_unequal_sigmas_and_a_noiseless_player(self):
-        spec = quadratic_spec(5, np.array([0.004, 0.0, 0.01, 0.01, 0.004]))
-        for trial in range(5):
-            assert_matches_oracle(spec, [4, trial], range(5))
-            assert_matches_oracle(spec, [5, trial], [3, 1, 3, 0, 2, 2, 4, 1])
+            assert_matches_oracle(spec, [3, n, trial], n, perturb_grand=False)
 
     def test_noiseless_players_draw_nothing(self):
         spec = quadratic_spec(4, 0.0)
         rng = np.random.default_rng(7)
         state = rng.bit_generator.state
-        opinions = sample_supermodular_opinions(spec, rng, range(4))
+        opinions = sample_supermodular_opinions(spec, rng, 4)
         assert rng.bit_generator.state == state
         assert all(f.values.tobytes() == spec.truth.values.tobytes() for f in opinions)
 
@@ -332,10 +343,31 @@ class TestSamplerAgainstOneAtATimeOracle:
         # about half the candidates are rejected here
         spec = quadratic_spec(6, 0.01)
         raised = [
-            assert_matches_oracle(spec, [6, trial], range(6), max_attempts=max_attempts)
+            assert_matches_oracle(spec, [6, trial], 6, max_attempts=max_attempts)
             for trial in range(20)
         ]
         assert any(raised)
+
+    def test_nonfinite_candidates_raise_only_where_drawn_one_at_a_time(self):
+        # noise this large overflows to inf in some coalitions (and in the
+        # gaps of finite ones); a nonfinite candidate drawn after the last
+        # opinion taken must not raise
+        spec = quadratic_spec(2, 1e308)
+        with np.errstate(over="ignore", invalid="ignore"):
+            raised = [assert_matches_oracle(spec, [8, trial], 2) for trial in range(60)]
+        assert any(raised) and not all(raised)
+
+    def test_misses_beyond_the_opinions_still_needed(self):
+        # about 5 in 6 candidates are rejected here, so blocks grow past the
+        # opinions still needed and overshoot the last one taken
+        spec = quadratic_spec(4, 0.05)
+        largest = 0
+        for trial in range(20):
+            assert_matches_oracle(spec, [7, trial], 4, max_attempts=30)
+            rng = CountingRng(np.random.default_rng([7, trial]))
+            sample_supermodular_opinions(spec, rng, 4, max_attempts=30)
+            largest = max(largest, *rng.blocks)
+        assert largest > 4
 
 
 def test_block_check_memory_stays_within_one_row_check_plus_one_block():
@@ -344,7 +376,7 @@ def test_block_check_memory_stays_within_one_row_check_plus_one_block():
     n = 12
     spec = quadratic_spec(n, 0.001)
     is_supermodular(spec.truth)  # index tables are cached once per n
-    sample_supermodular_opinions(spec, np.random.default_rng(0), range(n))
+    sample_supermodular_opinions(spec, np.random.default_rng(0), n)
     tracemalloc.start()
     try:
         base = tracemalloc.get_traced_memory()[0]
@@ -352,7 +384,7 @@ def test_block_check_memory_stays_within_one_row_check_plus_one_block():
         one_row = tracemalloc.get_traced_memory()[1] - base
         tracemalloc.reset_peak()
         base = tracemalloc.get_traced_memory()[0]
-        opinions = sample_supermodular_opinions(spec, np.random.default_rng(1), range(n))
+        opinions = sample_supermodular_opinions(spec, np.random.default_rng(1), n)
         trial = tracemalloc.get_traced_memory()[1] - base
     finally:
         tracemalloc.stop()

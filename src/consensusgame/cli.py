@@ -21,8 +21,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import replace
-
 
 from .consensus import ConsensusError
 from .core import bayesian_core_is_empty, core_witness
@@ -132,15 +130,8 @@ def _check_flags(args) -> None:
         raise ScenarioError(f"--tol: finite nonnegative number required, got {args.tol!r}")
 
 
-def _load(args):
-    scenario = load_scenario(args.scenario)
-    if args.seed is not None:
-        scenario = replace(scenario, seed=args.seed)
-    return scenario
-
-
 def _cmd_simulate(args) -> int:
-    scenario = _load(args)
+    scenario = load_scenario(args.scenario, seed=args.seed)
     trace = run_simulation(scenario)
     _write(args, trace_chunks(trace))
     return _finish(
@@ -161,18 +152,13 @@ def _rows_csv(rows: list[dict]) -> str:
     return "".join(",".join(line) + "\n" for line in [list(rows[0]), *cells])
 
 
-def _allocation_csv(payoffs) -> str:
-    lines = ["player,payoff"]
-    lines += [f"{i},{float(p)!r}" for i, p in enumerate(payoffs)]
-    return "\n".join(lines) + "\n"
-
-
 def _cmd_shapley(args) -> int:
     allocation = shapley_value(read_setfn(args.setfn))
-    _write(args, [_allocation_csv(allocation.payoffs)])
+    payoffs = [float(p) for p in allocation.payoffs]
+    _write(args, [_rows_csv([{"player": i, "payoff": p} for i, p in enumerate(payoffs)])])
     return _finish(
         args,
-        {"command": "shapley", "payoffs": [float(p) for p in allocation.payoffs], "pass": True},
+        {"command": "shapley", "payoffs": payoffs, "pass": True},
     )
 
 
@@ -186,13 +172,13 @@ def _cmd_core(args) -> int:
     verdict = "empty" if witness is None else "nonempty"
     text = verdict + "\n"
     if witness is not None:
-        text += _allocation_csv(witness)
+        text += _rows_csv([{"player": i, "payoff": float(p)} for i, p in enumerate(witness)])
     _write(args, [text])
     return _finish(args, {"command": args.command, "verdict": verdict, "pass": True})
 
 
 def _cmd_exp_efficiency(args) -> int:
-    scenario = _load(args)
+    scenario = load_scenario(args.scenario, seed=args.seed)
     report = experiment_efficiency(scenario, tol=args.tol)
     lines = ["key,value"]
     lines += [f"{k},{v!r}" for k, v in report.items()]
@@ -201,14 +187,14 @@ def _cmd_exp_efficiency(args) -> int:
 
 
 def _cmd_exp_core_emptiness(args) -> int:
-    scenario = _load(args)
+    scenario = load_scenario(args.scenario, seed=args.seed)
     rows = experiment_core_emptiness(scenario)
     _write(args, [_rows_csv(rows)])
     return _finish(args, {"command": "exp-core-emptiness", **core_emptiness_verdict(rows)})
 
 
 def _cmd_exp_po_sweep(args) -> int:
-    scenario = _load(args)
+    scenario = load_scenario(args.scenario, seed=args.seed)
     rows = experiment_po_sweep(scenario)
     _write(args, [_rows_csv(rows)])
     return _finish(args, {"command": "exp-po-sweep", **po_sweep_verdict(rows)})

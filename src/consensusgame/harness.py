@@ -18,11 +18,12 @@ Trace CSV layout (one file, fixed header, full-precision floats):
 
 `trace_chunks` yields the CSV one step at a time; the CLI writes the chunks
 as they come, so the CSV text of a run is never held in memory whole.
-`parse_trace` accepts only what the writer writes: every opinion row
-(step, player, entry) and every step's aggregate row exactly once, in
-range, with finite values, and the action cells (x, u, rewards,
-disutility) blank on the final step and only there.  Anything else is a
-ScenarioError naming the line, or the row that is missing.
+`parse_trace` accepts only what the writer writes: the rows in the writer's
+order, so the row count fixes the step count and each line must begin with
+the kind, k, player and entry of its place; finite values; and the action
+cells (x, u, rewards, disutility) blank on the final step and only there.
+Anything else is a ScenarioError naming the line, or the row that is
+missing.
 """
 
 from __future__ import annotations
@@ -281,7 +282,7 @@ def experiment_efficiency(scenario: Scenario, tol: float = 1e-9) -> dict:
         drifts = []
         for weights in (t, np.ones(scenario.n)):  # p_i = p_o * t_i; control: p_i = p_o
             lineup = nash_players(scenario.n, weights, scenario.p_o)
-            trace = run_simulation(replace(scenario, kind="simulate", players=lineup))
+            trace = run_simulation(replace(scenario, players=lineup))
             drifts.append(float(np.max(np.abs(trace.average - trace.average[0]))))
         drift, control_drift = drifts
         degenerate = float(np.ptp(t)) < 1e-12
@@ -396,13 +397,9 @@ def experiment_po_sweep(scenario: Scenario) -> list[dict]:
     t = influence.t
     rows = []
     for p_o in scenario.po_values:
-        sim = replace(
-            scenario,
-            kind="simulate",
-            p_o=p_o,
-            players=nash_players(scenario.n, t, p_o),
+        trace = run_simulation(
+            replace(scenario, p_o=p_o, players=nash_players(scenario.n, t, p_o))
         )
-        trace = run_simulation(sim)
         spread = float(np.max(np.abs(trace.opinions[-1] - trace.average[-1])))
         empty, _ = bayesian_core_is_empty(list(trace.final_opinions()))
         rows.append(
@@ -443,12 +440,27 @@ def trace_header(n: int, m: int) -> str:
     return ",".join(cols)
 
 
+def _row_keys(n: int, m: int, steps: int):
+    """Each step's row keys, the leading cells that fix a row's place in the
+    trace: one opinion row per (player, entry) in that order, then the
+    aggregate row, whose player, entry, v, x and u are blank."""
+    cells = [f"{i},{e}," for i in range(n) for e in range(m)]
+    for k in range(steps + 1):
+        head = f"opinion,{k},"
+        yield [head + cell for cell in cells] + [f"aggregate,{k},,,,,,"]
+
+
+def _row_name(key: str) -> str:
+    kind, k, player, entry = key.split(",")[:4]
+    where = f", player={player}, entry={entry}" if kind == "opinion" else ""
+    return f"{kind} row for k={k}{where}"
+
+
 def trace_chunks(trace: SimulationTrace):
     """The trace CSV as text chunks: the header line, then one chunk per step
     (its opinion rows and its aggregate row).  Floats are written with repr."""
     n, m, steps = trace.n, trace.m, trace.steps
     yield trace_header(n, m) + "\n"
-    cells = [f"{i},{e}," for i in range(n) for e in range(m)]
     tail = "," * (m + 2 * n + 2) + "\n"  # the blank aggregate columns
     opinions = trace.opinions.reshape(-1, n * m).tolist()
     revealed = trace.revealed.reshape(-1, n * m).tolist()
@@ -456,17 +468,16 @@ def trace_chunks(trace: SimulationTrace):
     average, shapley = trace.average.tolist(), trace.shapley.tolist()
     rewards, disutility = trace.rewards.tolist(), trace.disutility.tolist()
     cum = trace.cumulative_disutility().tolist()
-    for k in range(steps + 1):
-        head = f"opinion,{k},"
-        agg = f"aggregate,{k},,,,,," + ",".join(map(repr, average[k] + shapley[k]))
+    for k, keys in enumerate(_row_keys(n, m, steps)):
+        agg = keys.pop() + ",".join(map(repr, average[k] + shapley[k]))
         if k < steps:
             rows = [
-                f"{head}{cell}{v!r},{x!r},{u!r}{tail}"
-                for cell, v, x, u in zip(cells, opinions[k], revealed[k], deviations[k])
+                f"{key}{v!r},{x!r},{u!r}{tail}"
+                for key, v, x, u in zip(keys, opinions[k], revealed[k], deviations[k])
             ]
             agg += f",{','.join(map(repr, rewards[k]))},{disutility[k]!r},{cum[k]!r}\n"
         else:
-            rows = [f"{head}{cell}{v!r},,{tail}" for cell, v in zip(cells, opinions[k])]
+            rows = [f"{key}{v!r},,{tail}" for key, v in zip(keys, opinions[k])]
             agg += f"{',' * (n + 2)}{cum[k]!r}\n"
         rows.append(agg)
         yield "".join(rows)
@@ -476,74 +487,49 @@ def dump_trace(trace: SimulationTrace) -> str:
     return "".join(trace_chunks(trace))
 
 
-def _numbers(cells: list, kind: type, lines: np.ndarray, names: list) -> np.ndarray:
-    """CSV cells as a flat array of ``kind`` (int or float).
+def _cell_error(cells: list, j: int, lines, names, want: str) -> ScenarioError:
+    """The error for cell ``j``, the cells running row by row, ``lines``
+    holding each row's line number and ``names`` each column's name."""
+    row, col = divmod(j, len(names))
+    return ScenarioError(
+        f"trace line {lines[row]}: {names[col]}: {want} required, got {cells[j]!r}"
+    )
 
-    The cells run row by row, ``lines`` holding each row's line number and
-    ``names`` each column's name; the first cell that is not a finite number
-    of that kind is rejected, naming its line and column.
-    """
+
+def _numbers(cells: list, lines, names) -> np.ndarray:
+    """CSV cells as a flat float array; the first cell that is not a finite
+    number is rejected."""
     try:
-        values = np.fromiter(map(kind, cells), kind, len(cells))
-    except (ValueError, OverflowError):
-        values = np.array([_number_or_nan(cell, kind) for cell in cells])
+        values = np.fromiter(map(float, cells), float, len(cells))
+    except ValueError:
+        values = np.array([_number_or_nan(cell) for cell in cells])
     bad = np.flatnonzero(~np.isfinite(values))
     if bad.size:
-        row, col = divmod(int(bad[0]), len(names))
-        raise ScenarioError(
-            f"trace line {lines[row]}: {names[col]}: {_EXPECTED[kind]} required, "
-            f"got {cells[bad[0]]!r}"
-        )
+        raise _cell_error(cells, int(bad[0]), lines, names, "finite number")
     return values
 
 
-def _number_or_nan(cell: str, kind: type) -> float:
+def _number_or_nan(cell: str) -> float:
     try:
-        return float(np.array(cell, dtype=kind))
-    except (ValueError, OverflowError):
+        return float(cell)
+    except ValueError:
         return math.nan
 
 
-def _in_range(values: np.ndarray, stop: int, lines: np.ndarray, name: str) -> None:
-    bad = np.flatnonzero((values < 0) | (values >= stop))
-    if bad.size:
-        raise ScenarioError(
-            f"trace line {lines[bad[0]]}: {name}: {values[bad[0]]} outside 0..{stop - 1}"
-        )
-
-
-def _once_each(index: np.ndarray, size: int, lines: np.ndarray, describe) -> None:
-    """Every value in 0..size-1 occurs in ``index`` exactly once; a repeat is
-    reported at its second line, a gap by ``describe(value)``."""
-    counts = np.bincount(index, minlength=size)
-    repeated = np.flatnonzero(counts > 1)
-    if repeated.size:
-        line = lines[np.flatnonzero(index == repeated[0])[1]]
-        raise ScenarioError(f"trace line {line}: repeats the {describe(repeated[0])}")
-    missing = np.flatnonzero(counts == 0)
-    if missing.size:
-        raise ScenarioError(f"trace: no {describe(missing[0])}")
-
-
-def _blank_on_final_step(cells: list, acted: np.ndarray, lines, names, steps: int) -> None:
-    """Action cells hold a value on every step but the final one, where they
-    are blank; ``cells`` run row by row as in ``_numbers``."""
-    filled = np.fromiter(map(bool, cells), bool, len(cells)).reshape(len(lines), -1)
-    wrong = np.argwhere(filled != acted[:, None])
-    if wrong.size:
-        row, col = wrong[0]
-        want = _EXPECTED[float] if acted[row] else f"blank on the final step {steps}"
-        raise ScenarioError(
-            f"trace line {lines[row]}: {names[col]}: {want} required, "
-            f"got {cells[row * filled.shape[1] + col]!r}"
-        )
+def _blank_on_final_step(cells: list, lines, names, steps: int) -> None:
+    """The final step takes no action: its action cells are blank."""
+    filled = next((j for j, cell in enumerate(cells) if cell), None)
+    if filled is not None:
+        raise _cell_error(cells, filled, lines, names, f"blank on the final step {steps}")
 
 
 def parse_trace(text: str) -> SimulationTrace:
     """Rebuild a trace from its CSV; inverse of dump_trace.
 
-    Anything dump_trace would not have written is rejected with a
-    ScenarioError naming the line, or the row that is missing.
+    The rows must come in the writer's order, so the row count fixes the
+    step count and every row's leading cells.  Anything dump_trace would not
+    have written is rejected with a ScenarioError naming the line, or the
+    row that is missing.
     """
     lines = text.splitlines()
     if not lines:
@@ -551,87 +537,70 @@ def parse_trace(text: str) -> SimulationTrace:
     header = lines[0].split(",")
     m = sum(1 for c in header if c.startswith("vhat_"))
     n = sum(1 for c in header if c.startswith("shapley_"))
-    if m == 0 or n == 0 or header != trace_header(n, m).split(","):
+    # the column counts are matched first, so the header built to compare
+    # against is no longer than the one read
+    if m == 0 or m != num_restricted(n) or header != trace_header(n, m).split(","):
         raise ScenarioError("unrecognized trace header")
     body = lines[1:]
     if not body:
         return SimulationTrace.empty(n)
-    count = len(body)
-    line_no = np.arange(2, count + 2)
-    width = len(header) - 7  # the aggregate columns, blank in opinion rows
-    is_opinion = np.fromiter(map(str.startswith, body, ["opinion,"] * count), bool, count)
-    is_aggregate = np.fromiter(map(str.startswith, body, ["aggregate,"] * count), bool, count)
-    opinion = [line for line, keep in zip(body, is_opinion.tolist()) if keep]
-    aggregate = [line.split(",") for line, keep in zip(body, is_aggregate.tolist()) if keep]
-    op_lines, agg_lines = line_no[is_opinion], line_no[is_aggregate]
-    # an opinion row is its seven fields and then the blank aggregate columns;
-    # the fields of all of them are split in one go, seven to a row, since a
-    # list per row costs the garbage collector more the longer the file
-    heads = [line[:-width] for line in opinion]
-    well_formed = is_opinion | is_aggregate
-    well_formed[is_opinion] = np.fromiter(
-        map(str.endswith, opinion, ["," * width] * len(opinion)), bool, len(opinion)
-    ) & (np.fromiter(map(str.count, heads, [","] * len(heads)), np.intp, len(heads)) == 6)
-    well_formed[is_aggregate] = [len(f) == len(header) and not any(f[2:7]) for f in aggregate]
-    bad = np.flatnonzero(~well_formed)
-    if bad.size:
-        kind = body[bad[0]].split(",")[0]
-        if kind not in ("opinion", "aggregate"):
-            raise ScenarioError(f"trace line {line_no[bad[0]]}: unknown row kind {kind!r}")
-        blank = f"the last {width}" if kind == "opinion" else "player, entry, v, x and u"
+    nm, width = n * m, len(header) - 7  # width: the aggregate columns
+    count, per = len(body), nm + 1  # rows in the file, rows per step
+    steps = -(-count // per) - 1
+    keys = [key for step in _row_keys(n, m, steps) for key in step]
+    placed = list(map(str.startswith, body, keys))
+    if not all(placed):
+        j = placed.index(False)
+        raise ScenarioError(f"trace line {j + 2}: expected the {_row_name(keys[j])}")
+    if count < len(keys):
+        raise ScenarioError(f"trace: no {_row_name(keys[count])}")
+
+    # every row has the header's fields; an opinion row's last `width` are blank
+    opinion = np.arange(count) % per < nm
+    well_formed = (
+        np.fromiter(map(str.count, body, [","] * count), np.intp, count) == len(header) - 1
+    ) & (np.fromiter(map(str.endswith, body, ["," * width] * count), bool, count) | ~opinion)
+    if not well_formed.all():
+        j = int(np.argmin(well_formed))
+        blank = f", the last {width} blank" if opinion[j] else ""
         raise ScenarioError(
-            f"trace line {line_no[bad[0]]}: {kind} rows have {len(header)} fields, "
-            f"{blank} blank"
+            f"trace line {j + 2}: {keys[j].split(',')[0]} rows have {len(header)} fields{blank}"
         )
-    columns = ",".join(heads).split(",")
-    k, i, e, v, x, u = (columns[col::7] for col in range(1, 7))
 
-    op_k = _numbers(k, int, op_lines, ["k"])
-    op_i = _numbers(i, int, op_lines, ["player"])
-    op_e = _numbers(e, int, op_lines, ["entry"])
-    agg_k = _numbers([f[1] for f in aggregate], int, agg_lines, ["k"])
-    # k below the row count bounds the row counts below by the file's size
-    _in_range(op_k, count, op_lines, "k")
-    _in_range(agg_k, count, agg_lines, "k")
-    _in_range(op_i, n, op_lines, "player")
-    _in_range(op_e, m, op_lines, "entry")
-    steps = int(max(op_k.max(initial=0), agg_k.max(initial=0)))
-    _once_each(agg_k, steps + 1, agg_lines, lambda j: f"aggregate row for k={j}")
-    shape = (steps + 1, n, m)
-    _once_each(
-        np.ravel_multi_index((op_k, op_i, op_e), shape),
-        math.prod(shape),
-        op_lines,
-        lambda j: "opinion row for k={}, player={}, entry={}".format(*np.unravel_index(j, shape)),
-    )
-
-    trace = SimulationTrace.empty(n, steps)
-    trace.opinions[op_k, op_i, op_e] = _numbers(v, float, op_lines, ["v"])
-    acted = op_k < steps
-    at = (op_k[acted], op_i[acted], op_e[acted])
-    for name, column, out in (("x", x, trace.revealed), ("u", u, trace.deviations)):
-        _blank_on_final_step(column, acted, op_lines, [name], steps)
-        out[at] = _numbers(list(filter(None, column)), float, op_lines[acted], [name])
+    line_no = np.arange(2, count + 2)
+    agg_lines, op_lines = line_no[~opinion], line_no[opinion]
 
     # aggregate columns: the average and Shapley rows and the cumulative
     # disutility on every step; rewards and disutility on acted steps only
+    aggregate = [line.split(",") for line in body[nm::per]]
     state, action = slice(7, 7 + m + n), slice(7 + m + n, -1)
-    values = _numbers(
-        [c for f in aggregate for c in (*f[state], f[-1])],
-        float,
-        agg_lines,
-        [*header[state], header[-1]],
-    ).reshape(-1, m + n + 1)
-    trace.average[agg_k] = values[:, :m]
-    trace.shapley[agg_k] = values[:, m : m + n]
-    acted = agg_k < steps
-    cells = [c for f in aggregate for c in f[action]]
-    _blank_on_final_step(cells, acted, agg_lines, header[action], steps)
-    values = _numbers(list(filter(None, cells)), float, agg_lines[acted], header[action])
-    values = values.reshape(-1, n + 1)
-    trace.rewards[agg_k[acted]] = values[:, :n]
-    trace.disutility[agg_k[acted]] = values[:, n]
-    return trace
+    names = [*header[state], header[-1]]
+    states = [c for f in aggregate for c in (*f[state], f[-1])]
+    states = _numbers(states, agg_lines, names).reshape(-1, m + n + 1)
+    _blank_on_final_step(aggregate[-1][action], agg_lines[-1:], header[action], steps)
+    acts = [c for f in aggregate[:-1] for c in f[action]]
+    acts = _numbers(acts, agg_lines, header[action]).reshape(-1, n + 1)
+
+    del body[nm::per], keys[nm::per]  # the opinion rows and their keys remain
+    # the v, x and u of all opinion rows are split in one go, since a list
+    # per row costs the garbage collector more the longer the file
+    values = [line[len(key) : -width] for line, key in zip(body, keys)]
+    cells = ",".join(values).split(",")
+    v, x, u = cells[0::3], cells[1::3], cells[2::3]
+    for name, column in (("x", x), ("u", u)):
+        _blank_on_final_step(column[-nm:], op_lines[-nm:], [name], steps)
+    shape = (-1, n, m)
+    return SimulationTrace(
+        n=n,
+        steps=steps,
+        opinions=_numbers(v, op_lines, ["v"]).reshape(shape),
+        revealed=_numbers(x[:-nm], op_lines, ["x"]).reshape(shape),
+        deviations=_numbers(u[:-nm], op_lines, ["u"]).reshape(shape),
+        average=states[:, :m],
+        shapley=states[:, m : m + n],
+        rewards=acts[:, :n],
+        disutility=acts[:, n],
+    )
 
 
 def read_trace(path) -> SimulationTrace:
@@ -647,7 +616,9 @@ def random_primitive_influence(n: int, rng: np.random.Generator) -> np.ndarray:
     return w / w.sum(axis=1, keepdims=True)
 
 
-def load_scenario(path) -> Scenario:
+def load_scenario(path, seed: int | None = None) -> Scenario:
+    """Read and resolve a scenario file; a ``seed`` other than None stands in
+    for the file's own, for the inputs generated from it as well."""
     try:
         raw = json.loads(read_text(path, ScenarioError))
     except json.JSONDecodeError as exc:
@@ -656,6 +627,8 @@ def load_scenario(path) -> Scenario:
         ) from exc
     except OSError as exc:
         raise ScenarioError(f"cannot read scenario {path}: {exc}") from exc
+    if seed is not None and isinstance(raw, dict):
+        raw = {**raw, "seed": seed}
     return scenario_from_dict(raw, source=str(path))
 
 

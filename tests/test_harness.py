@@ -363,13 +363,19 @@ def _cell(line: str, col: int, value: str) -> str:
 MALFORMED_TRACES = {
     "dropped-opinion-row": (
         lambda L: L[:7] + L[8:],
-        r"^trace: no opinion row for k=1, player=0, entry=1$",
+        r"^trace line 8: expected the opinion row for k=1, player=0, entry=1$",
     ),
-    "dropped-aggregate-row": (lambda L: L[:5] + L[6:], r"^trace: no aggregate row for k=0$"),
-    "truncated-last-step": (lambda L: L[:-2], r"^trace: no aggregate row for k=500$"),
+    "dropped-aggregate-row": (
+        lambda L: L[:5] + L[6:],
+        r"^trace line 6: expected the aggregate row for k=0$",
+    ),
+    "truncated-last-step": (
+        lambda L: L[:-2],
+        r"^trace: no opinion row for k=500, player=1, entry=1$",
+    ),
     "entry-minus-one": (
         lambda L: [*L[:6], _cell(L[6], 3, "-1"), *L[7:]],
-        r"^trace line 7: entry: -1 outside 0..1$",
+        r"^trace line 7: expected the opinion row for k=1, player=0, entry=0$",
     ),
     "nan-value": (
         lambda L: [*L[:6], _cell(L[6], 4, "nan"), *L[7:]],
@@ -377,11 +383,47 @@ MALFORMED_TRACES = {
     ),
     "duplicated-row": (
         lambda L: [*L[:7], L[6], *L[7:]],
-        r"^trace line 8: repeats the opinion row for k=1, player=0, entry=0$",
+        r"^trace line 8: expected the opinion row for k=1, player=0, entry=1$",
     ),
     "short-row": (
         lambda L: [*L[:6], "opinion,1,0\n", *L[7:]],
+        r"^trace line 7: expected the opinion row for k=1, player=0, entry=0$",
+    ),
+    "short-tail": (
+        lambda L: [*L[:6], L[6].replace(",,", ",", 1), *L[7:]],
         r"^trace line 7: opinion rows have 15 fields, the last 8 blank$",
+    ),
+    "swapped-neighbours": (
+        lambda L: [*L[:6], L[7], L[6], *L[8:]],
+        r"^trace line 7: expected the opinion row for k=1, player=0, entry=0$",
+    ),
+    "reversed-body": (
+        lambda L: [L[0], *reversed(L[1:])],
+        r"^trace line 2: expected the opinion row for k=0, player=0, entry=0$",
+    ),
+    "k-with-underscore": (
+        lambda L: [*L[:6], _cell(L[6], 1, "0_1"), *L[7:]],
+        r"^trace line 7: expected the opinion row for k=1, player=0, entry=0$",
+    ),
+    "long-aggregate-row": (
+        lambda L: [*L[:5], L[5].replace("\n", ",\n"), *L[6:]],
+        r"^trace line 6: aggregate rows have 15 fields$",
+    ),
+    "blank-acted-x": (
+        lambda L: [*L[:6], _cell(L[6], 5, ""), *L[7:]],
+        r"^trace line 7: x: finite number required, got ''$",
+    ),
+    "final-step-x-filled": (
+        lambda L: [*L[:-2], _cell(L[-2], 5, "0.5"), L[-1]],
+        r"^trace line 2505: x: blank on the final step 500 required, got '0.5'$",
+    ),
+    "final-step-reward-filled": (
+        lambda L: [*L[:-1], _cell(L[-1], 11, "0.5")],
+        r"^trace line 2506: reward_0: blank on the final step 500 required, got '0.5'$",
+    ),
+    "header-vhat-count": (
+        lambda L: [trace_header(2, 3) + "\n", *L[1:]],
+        r"^unrecognized trace header$",
     ),
     "abc-value": (
         lambda L: [*L[:6], _cell(L[6], 5, "abc"), *L[7:]],
@@ -409,6 +451,20 @@ class TestTraceRoundTrip:
         lines = dump_trace(ORACLE_TRACES["two_player_learning_gamma05"]()).splitlines(keepends=True)
         with pytest.raises(ScenarioError, match=message):
             parse_trace("".join(edit(lines)))
+
+    @pytest.mark.parametrize("edit", ["drop", "repeat", "swap"])
+    def test_any_dropped_repeated_or_swapped_row_is_rejected(self, edit):
+        header, *body = dump_trace(run_simulation(base_scenario(horizon=3))).splitlines(True)
+        assert len(body) == 4 * 5
+        for j in range(len(body) - (edit == "swap")):
+            if edit == "drop":
+                edited = body[:j] + body[j + 1 :]
+            elif edit == "repeat":
+                edited = body[: j + 1] + body[j:]
+            else:
+                edited = body[:j] + [body[j + 1], body[j]] + body[j + 2 :]
+            with pytest.raises(ScenarioError, match=r"^trace( line \d+)?: "):
+                parse_trace(header + "".join(edited))
 
     def test_trace_file_that_is_not_utf8_is_rejected_naming_it(self, tmp_path):
         # no subcommand reads a trace, so read_trace is checked directly
@@ -1027,6 +1083,30 @@ class TestCli:
         assert cli_main(["--seed", "1", "--out", str(out1), "simulate", str(scenario)]) == 0
         assert cli_main(["--seed", "2", "--out", str(out2), "simulate", str(scenario)]) == 0
         assert out1.read_bytes() != out2.read_bytes()
+
+    @pytest.mark.parametrize(
+        "command, name",
+        [
+            ("exp-efficiency", "efficiency_demo"),
+            ("exp-po-sweep", "po_sweep_demo"),
+            ("simulate", "random_supermodular"),
+        ],
+    )
+    def test_seed_flag_acts_as_the_file_seed(self, tmp_path, command, name):
+        # the seed also drives the generated influence matrix and opinions
+        if name == "random_supermodular":
+            raw = {**FUZZ_BASES[0], "horizon": 20}
+        else:
+            raw = json.loads((SCENARIOS / f"{name}.json").read_text())
+        outputs = []
+        for seed, flags in ((raw["seed"], []), (raw["seed"], ["--seed", "7"]), (7, [])):
+            path = tmp_path / f"scenario{len(outputs)}.json"
+            path.write_text(json.dumps({**raw, "seed": seed}))
+            out = tmp_path / f"out{len(outputs)}"
+            assert cli_main([command, str(path), "--out", str(out), *flags]) in (0, 1)
+            outputs.append(out.read_bytes())
+        unseeded, flagged, edited = outputs
+        assert flagged == edited != unseeded
 
 
 # --- scenario fuzzing ----------------------------------------------------------

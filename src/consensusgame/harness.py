@@ -1,10 +1,10 @@
 """Scenario configs, the simulation driver, trace I/O, and experiments.
 
-A scenario is a JSON document naming the game (player count, trust matrix,
-trust parameter, horizon, per-player strategies, master seed) and the
-experiment kind.  Everything downstream is deterministic given the seed:
-Monte-Carlo trials draw from streams derived from (seed, trial key), so
-results do not depend on execution order.
+A scenario is a JSON document whose experiment kind picks the table of keys
+it is read by (SCHEMAS): a master seed, and the game the dynamics run or the
+sampling setup of core-emptiness.  Everything downstream is deterministic
+given the seed: Monte-Carlo trials draw from streams derived from (seed,
+trial key), so results do not depend on execution order.
 
 Trace CSV layout (one file, fixed header, full-precision floats):
 
@@ -30,7 +30,9 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, fields, replace
+from collections.abc import Callable
+from dataclasses import dataclass, replace
+from typing import NamedTuple
 
 import numpy as np
 
@@ -60,35 +62,29 @@ from .shapley import LINEAR_FORM_MAX_PLAYERS, shapley_linear_form
 
 CONVERGENCE_TOL = 1e-10
 
-EXPERIMENT_KINDS = ("simulate", "efficiency", "core-emptiness", "po-sweep")
-SIMULATING_KINDS = ("simulate", "efficiency", "po-sweep")
-
 
 class ScenarioError(ValueError):
     """Scenario file rejected; message names the offending key."""
 
 
-_EXPECTED = {int: "integer", float: "finite number", str: "string", bool: "true or false"}
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, kw_only=True)
 class Scenario:
-    """Fully resolved, runnable experiment description."""
+    """Fully resolved, runnable experiment description; SCHEMAS says what each kind reads."""
 
     kind: str
-    n: int
-    theta: float
-    horizon: int
+    n: int | None = None
+    theta: float | None = None
+    horizon: int | None = None
     seed: int
-    influence: np.ndarray
+    influence: np.ndarray | None = None
     initial_opinions: tuple[SetFunction, ...] | None = None
     players: tuple[PlayerParams, ...] | None = None
     p_o: float = 1.0
-    po_values: tuple[float, ...] = ()
-    trials: int = 0
+    po_values: tuple[float, ...] | None = None
+    trials: int | None = None
     n_min: int = 2
     n_max: int = 8
-    sigma: float = 0.0
+    sigma: float | None = None
     truth_family: str = "quadratic"
     perturb_grand: bool = True
 
@@ -118,33 +114,25 @@ class SimulationTrace:
         return num_restricted(self.n)
 
     @staticmethod
-    def empty(n: int, steps: int = -1) -> "SimulationTrace":
-        """Zero-filled trace of ``steps`` steps; the default -1 has no
-        recorded snapshots at all and emits a header-only CSV."""
+    def empty(n: int) -> "SimulationTrace":
+        """A trace with no recorded snapshots at all; it emits a header-only CSV."""
         m = num_restricted(n)
-        acted = max(steps, 0)
         return SimulationTrace(
             n=n,
-            steps=steps,
-            opinions=np.zeros((steps + 1, n, m)),
-            revealed=np.zeros((acted, n, m)),
-            deviations=np.zeros((acted, n, m)),
-            average=np.zeros((steps + 1, m)),
-            shapley=np.zeros((steps + 1, n)),
-            rewards=np.zeros((acted, n)),
-            disutility=np.zeros(acted),
+            steps=-1,
+            opinions=np.zeros((0, n, m)),
+            revealed=np.zeros((0, n, m)),
+            deviations=np.zeros((0, n, m)),
+            average=np.zeros((0, m)),
+            shapley=np.zeros((0, n)),
+            rewards=np.zeros((0, n)),
+            disutility=np.zeros(0),
         )
 
     def cumulative_disutility(self) -> np.ndarray:
         out = np.zeros(max(self.steps + 1, 0))
         np.cumsum(self.disutility, out=out[1:])
         return out
-
-    def final_opinions(self) -> tuple[SetFunction, ...]:
-        return tuple(
-            SetFunction.from_restricted(self.n, row, grand=1.0)
-            for row in self.opinions[-1]
-        )
 
 
 def run_simulation(scenario: Scenario) -> SimulationTrace:
@@ -155,15 +143,7 @@ def run_simulation(scenario: Scenario) -> SimulationTrace:
     scenario seed.  A run whose trace arrays would not fit in physical
     memory is rejected before anything is allocated.
     """
-    if scenario.players is None or len(scenario.players) != scenario.n:
-        raise ScenarioError("players: one strategy config per player is required")
-    if scenario.initial_opinions is None:
-        raise ScenarioError("initial_opinions: required for simulation")
-    for i, f in enumerate(scenario.initial_opinions):
-        if not f.is_normalized(tol=1e-9):
-            raise ScenarioError(
-                f"initial_opinions[{i}]: must be normalized (grand value 1)"
-            )
+    check_scenario(scenario, "simulate")
     n, m = scenario.n, num_restricted(scenario.n)
     horizon = scenario.horizon
     # float64 trace arrays: opinions, reveals and lies; average and Shapley
@@ -274,6 +254,7 @@ def experiment_efficiency(scenario: Scenario, tol: float = 1e-9) -> dict:
     A single player has nobody to lie to: the report flags the case as
     degenerate with zero drift everywhere.
     """
+    check_scenario(scenario)
     if scenario.n == 1:
         drift = control_drift = 0.0
         degenerate = True
@@ -317,6 +298,11 @@ def mixed_truth(n: int) -> SetFunction:
 TRUTH_FAMILIES = {"quadratic": quadratic_truth, "mixed": mixed_truth}
 
 
+def truth_spec(family: str, n: int, sigma: float) -> GroundTruthSpec:
+    """The named family's truth at n players, with noise level sigma."""
+    return GroundTruthSpec(TRUTH_FAMILIES[family](n), sigma)
+
+
 def experiment_core_emptiness(scenario: Scenario) -> list[dict]:
     """Per-n frequency of an empty Bayesian core over sampled opinions.
 
@@ -330,20 +316,10 @@ def experiment_core_emptiness(scenario: Scenario) -> list[dict]:
     failures, not as data; a player count where every trial fails has no
     data at all and is rejected.
     """
-    if scenario.trials < 1:
-        raise ScenarioError("trials: must be >= 1 for core-emptiness")
-    if scenario.sigma <= 0:
-        raise ScenarioError("sigma: must be > 0 for core-emptiness")
-    family = TRUTH_FAMILIES.get(scenario.truth_family)
-    if family is None:
-        raise ScenarioError(
-            f"truth_family: unknown {scenario.truth_family!r}; "
-            f"options: {sorted(TRUTH_FAMILIES)}"
-        )
+    check_scenario(scenario)
     rows = []
     for n in range(scenario.n_min, scenario.n_max + 1):
-        truth = family(n)
-        gts = GroundTruthSpec(truth, scenario.sigma)
+        gts = truth_spec(scenario.truth_family, n, scenario.sigma)
         empty = 0
         failures = 0
         for trial in range(scenario.trials):
@@ -391,17 +367,14 @@ def experiment_po_sweep(scenario: Scenario) -> list[dict]:
     p_i = p_o * t_i, measures how far the per-player limits sit from the
     average opinion, and checks the Bayesian core of the limit profile.
     """
-    if not scenario.po_values:
-        raise ScenarioError("po_values: at least one sweep point is required")
-    influence = InfluenceMatrix.from_matrix(scenario.influence)
-    t = influence.t
+    check_scenario(scenario)
+    t = InfluenceMatrix.from_matrix(scenario.influence).t
     rows = []
     for p_o in scenario.po_values:
-        trace = run_simulation(
-            replace(scenario, p_o=p_o, players=nash_players(scenario.n, t, p_o))
-        )
+        trace = run_simulation(replace(scenario, players=nash_players(scenario.n, t, p_o)))
         spread = float(np.max(np.abs(trace.opinions[-1] - trace.average[-1])))
-        empty, _ = bayesian_core_is_empty(list(trace.final_opinions()))
+        limits = [SetFunction.from_restricted(scenario.n, row) for row in trace.opinions[-1]]
+        empty, _ = bayesian_core_is_empty(limits)
         rows.append(
             {
                 "p_o": p_o,
@@ -529,7 +502,8 @@ def parse_trace(text: str) -> SimulationTrace:
     The rows must come in the writer's order, so the row count fixes the
     step count and every row's leading cells.  Anything dump_trace would not
     have written is rejected with a ScenarioError naming the line, or the
-    row that is missing.
+    row that is missing.  The CSV does not record convergence, so the trace
+    read back always has ``converged_at`` None.
     """
     lines = text.splitlines()
     if not lines:
@@ -632,200 +606,225 @@ def load_scenario(path, seed: int | None = None) -> Scenario:
     return scenario_from_dict(raw, source=str(path))
 
 
-def scenario_from_dict(raw: dict, source: str = "<scenario>") -> Scenario:
-    """Validate and resolve a scenario document.
+def _fail(key: str, msg: str):
+    raise ScenarioError(f"{key}: {msg}")
 
-    Generator shorthands ("random_primitive" influence, "random_supermodular"
-    opinions) are expanded deterministically from the master seed.
-    """
 
-    def fail(key: str, msg: str):
-        raise ScenarioError(f"{source}: {key}: {msg}")
+def _known(obj: dict, where: str, keys) -> None:
+    if unknown := set(obj) - set(keys):
+        _fail(where, f"unknown keys {sorted(unknown, key=str)}")
 
-    def check(key: str, kind: type, value):
-        """Typed scalar of kind int, float (finite), str or bool.
 
-        A JSON bool is an int to Python; it is accepted only as a bool.
-        """
-        if kind is float:
-            ok = isinstance(value, (int, float)) and math.isfinite(value)
-        else:
-            ok = isinstance(value, kind)
-        if not ok or isinstance(value, bool) != (kind is bool):
-            fail(key, f"{_EXPECTED[kind]} required, got {value!r}")
-        return kind(value)
-
-    def read(key: str, kind: type, default):
-        return check(key, kind, raw.get(key, default))
-
-    def known_keys(obj: dict, where: str, keys) -> None:
-        unknown = set(obj) - set(keys)
-        if unknown:
-            fail(where, f"unknown keys {sorted(unknown, key=str)}")
-
-    def finite_array(key: str, value, shape: tuple) -> np.ndarray:
-        """Nested lists of JSON numbers; true/false and strings are not numbers."""
-
-        def numeric(v) -> bool:
-            if isinstance(v, list):
-                return all(map(numeric, v))
-            return isinstance(v, (int, float)) and not isinstance(v, bool)
-
-        if not numeric(value):
-            fail(key, "numeric array required (JSON numbers only)")
-        try:
-            arr = np.asarray(value, dtype=float)
-        except (TypeError, ValueError):
-            fail(key, "numeric array required")
-        if arr.shape != shape:
-            fail(key, f"expected shape {shape}, got {arr.shape}")
-        if not np.all(np.isfinite(arr)):
-            fail(key, "values must be finite")
-        return arr
-
-    if not isinstance(raw, dict):
-        raise ScenarioError(f"{source}: scenario must be a JSON object")
-    known_keys(raw, "scenario", (f.name for f in fields(Scenario)))
-    kind = raw.get("kind", "simulate")
-    if kind not in EXPERIMENT_KINDS:
-        fail("kind", f"must be one of {EXPERIMENT_KINDS}, got {kind!r}")
-
-    n = read("n", int, None)
-    if n < 1:
-        fail("n", f"positive integer player count required, got {n!r}")
-    if kind in ("simulate", "po-sweep") and n < 2:
-        # efficiency reports the one-player game as degenerate instead
-        fail("n", f"kind {kind!r} needs at least 2 players, got {n}")
-    if kind in SIMULATING_KINDS and n > LINEAR_FORM_MAX_PLAYERS:
-        fail("n", f"kind {kind!r} supports at most {LINEAR_FORM_MAX_PLAYERS} players, got {n}")
-    theta = read("theta", float, None)
-    if not 0.0 < theta < 1.0:
-        fail("theta", f"trust parameter in (0, 1) required, got {theta!r}")
-    horizon = read("horizon", int, None)
-    if horizon < 0:
-        fail("horizon", f"nonnegative integer required, got {horizon!r}")
-    seed = read("seed", int, None)
-    if seed < 0:
-        fail("seed", f"nonnegative integer required, got {seed}")
-    n_min = read("n_min", int, 2)
-    if not 1 <= n_min <= MAX_PLAYERS:
-        fail("n_min", f"player count in [1, {MAX_PLAYERS}] required, got {n_min}")
-    n_max = read("n_max", int, 8)
-    if not n_min <= n_max <= MAX_PLAYERS:
-        fail("n_max", f"player count in [n_min={n_min}, {MAX_PLAYERS}] required, got {n_max}")
-
-    influence_raw = raw.get("influence")
-    if influence_raw == "random_primitive":
-        influence = random_primitive_influence(n, np.random.default_rng([seed, 1]))
-    elif isinstance(influence_raw, list):
-        influence = finite_array("influence", influence_raw, (n, n))
-        if np.any(influence < 0) or np.max(np.abs(influence.sum(axis=1) - 1.0)) > 1e-9:
-            fail("influence", "rows must be nonnegative and sum to 1")
+def _scalar(key: str, kind: type, value):
+    """Typed scalar of kind int, float (finite, so no integer beyond float range), str
+    or bool; a JSON bool is an int to Python, and is accepted only as a bool."""
+    if kind is float:
+        ok = isinstance(value, (int, float)) and abs(value) <= float(np.finfo(float).max)
     else:
-        fail("influence", 'matrix rows or the string "random_primitive" required')
+        ok = isinstance(value, kind)
+    if not ok or isinstance(value, bool) != (kind is bool):
+        expected = {int: "integer", float: "finite number", str: "string", bool: "true or false"}
+        _fail(key, f"{expected[kind]} required, got {value!r}")
+    return kind(value)
 
-    opinions_raw = raw.get("initial_opinions")
-    initial_opinions: tuple[SetFunction, ...] | None
-    if opinions_raw is None:
-        initial_opinions = None
-        if kind in SIMULATING_KINDS:
-            fail("initial_opinions", f"required for kind {kind!r}")
-    elif opinions_raw == "random_supermodular":
-        initial_opinions = tuple(
-            random_supermodular(n, np.random.default_rng([seed, 2, i]))
-            for i in range(n)
-        )
-    elif isinstance(opinions_raw, dict) and "ground_truth" in opinions_raw:
-        spec = opinions_raw["ground_truth"]
+
+def _array(key: str, value, shape: tuple) -> np.ndarray:
+    """Nested lists of JSON numbers; true/false and strings are not numbers."""
+
+    def numeric(v) -> bool:
+        if isinstance(v, list):
+            return all(map(numeric, v))
+        return isinstance(v, (int, float)) and not isinstance(v, bool)
+
+    if not numeric(value):
+        _fail(key, "numeric array required (JSON numbers only)")
+    try:
+        arr = np.asarray(value, dtype=float)
+    except (ValueError, OverflowError):  # ragged, or an integer beyond float range
+        _fail(key, "numeric array required")
+    if arr.shape != shape:
+        _fail(key, f"expected shape {shape}, got {arr.shape}")
+    if not np.all(np.isfinite(arr)):
+        _fail(key, "values must be finite")
+    return arr
+
+
+def _read_influence(name: str, value, values: dict) -> np.ndarray:
+    if (n := values["n"]) is None:
+        _fail(name, "needs the player count n")
+    if value == "random_primitive":
+        return random_primitive_influence(n, np.random.default_rng([values["seed"], 1]))
+    if not isinstance(value, list):
+        _fail(name, 'matrix rows or the string "random_primitive" required')
+    w = _array(name, value, (n, n))
+    if np.any(w < 0) or np.max(np.abs(w.sum(axis=1) - 1.0)) > 1e-9:
+        _fail(name, "rows must be nonnegative and sum to 1")
+    return w
+
+
+def _read_opinions(name: str, value, values: dict) -> tuple[SetFunction, ...]:
+    n, seed = values["n"], values["seed"]
+    if value == "random_supermodular":
+        return tuple(random_supermodular(n, np.random.default_rng([seed, 2, i])) for i in range(n))
+    if isinstance(value, dict):
+        _known(value, name, ("ground_truth",))
+        where, spec = f"{name}.ground_truth", value.get("ground_truth")
         if not isinstance(spec, dict):
-            fail("initial_opinions.ground_truth", "object required")
-        known_keys(spec, "initial_opinions.ground_truth", ("family", "sigma"))
-        family_name = spec.get("family", "quadratic")
-        family = TRUTH_FAMILIES.get(family_name) if isinstance(family_name, str) else None
-        if family is None:
-            fail(
-                "initial_opinions.ground_truth.family",
-                f"unknown {spec.get('family')!r}; options: {sorted(TRUTH_FAMILIES)}",
-            )
-        sigma = check("initial_opinions.ground_truth.sigma", float, spec.get("sigma"))
-        if sigma < 0:
-            fail("initial_opinions.ground_truth.sigma", "nonnegative number required")
-        truth_spec = GroundTruthSpec(family(n), sigma)
+            _fail(where, "object required")
+        _known(spec, where, _GROUND_TRUTH)
+        read = {"family": Scenario.truth_family, "sigma": None}
+        _hold(_GROUND_TRUTH, read, values["kind"], spec, f"{where}.")
+        truth = truth_spec(read["family"], n, read["sigma"])
         # the dynamics keep the grand value fixed, so sampling leaves it at
         # the truth's (normalized) value; each player draws from its own stream
         sampled = []
         for i in range(n):
             try:
                 sampled += sample_supermodular_opinions(
-                    truth_spec, np.random.default_rng([seed, 3, i]), 1, perturb_grand=False
+                    truth, np.random.default_rng([seed, 3, i]), 1, perturb_grand=False
                 )
             except SamplerError as exc:
-                fail("initial_opinions.ground_truth.sigma", f"player {i}: {exc}")
-        initial_opinions = tuple(sampled)
-    elif isinstance(opinions_raw, list):
-        if len(opinions_raw) != n:
-            fail("initial_opinions", f"expected {n} entries, got {len(opinions_raw)}")
-        parsed = []
-        for i, item in enumerate(opinions_raw):
-            if not isinstance(item, dict) or "restricted" not in item:
-                fail(f"initial_opinions[{i}]", 'object with "restricted" list required')
-            known_keys(item, f"initial_opinions[{i}]", ("restricted", "grand"))
-            restricted = finite_array(
-                f"initial_opinions[{i}].restricted", item["restricted"], (num_restricted(n),)
-            )
-            grand = check(f"initial_opinions[{i}].grand", float, item.get("grand", 1.0))
-            parsed.append(SetFunction.from_restricted(n, restricted, grand))
-        initial_opinions = tuple(parsed)
-    else:
-        fail("initial_opinions", "list of opinions or 'random_supermodular' required")
+                _fail(f"{where}.sigma", f"player {i}: {exc}")
+        return tuple(sampled)
+    if not isinstance(value, list):
+        _fail(name, "list of opinions or 'random_supermodular' required")
+    opinions = []
+    for i, item in enumerate(value):
+        if not isinstance(item, dict) or "restricted" not in item:
+            _fail(f"{name}[{i}]", 'object with "restricted" list required')
+        _known(item, f"{name}[{i}]", ("restricted", "grand"))
+        restricted = _array(f"{name}[{i}].restricted", item["restricted"], (num_restricted(n),))
+        grand = _scalar(f"{name}[{i}].grand", float, item.get("grand", 1.0))
+        opinions.append(SetFunction.from_restricted(n, restricted, grand))
+    return tuple(opinions)
 
-    players_raw = raw.get("players")
-    players: tuple[PlayerParams, ...] | None = None
-    if players_raw is not None:
-        if not isinstance(players_raw, list) or len(players_raw) != n:
-            fail("players", f"expected a list of {n} player configs")
-        parsed_players = []
-        param_kinds = {"kind": str, **dict.fromkeys(FLOAT_PARAMS, float)}
-        for i, item in enumerate(players_raw):
-            if not isinstance(item, dict):
-                fail(f"players[{i}]", "object required")
-            known_keys(item, f"players[{i}]", param_kinds)
-            params = {
-                name: check(f"players[{i}]: {name}", param_kinds[name], value)
-                for name, value in item.items()
-            }
-            try:
-                parsed_players.append(PlayerParams(**params))
-            except (TypeError, ValueError) as exc:
-                fail(f"players[{i}]", str(exc))
-        players = tuple(parsed_players)
-    elif kind == "simulate":
-        fail("players", "required for kind 'simulate'")
 
-    po_values = raw.get("po_values", [])
-    if not isinstance(po_values, list):
-        fail("po_values", f"list of numbers required, got {po_values!r}")
-    for p in po_values:  # kept as written: the sweep CSV echoes them with repr
-        if check("po_values", float, p) <= 0:
-            fail("po_values", f"entries must be > 0, got {p!r}")
-    p_o = read("p_o", float, 1.0)
-    if p_o <= 0:
-        fail("p_o", f"risk-aversion scale must be > 0, got {p_o!r}")
-    return Scenario(
-        kind=kind,
-        n=n,
-        theta=theta,
-        horizon=horizon,
-        seed=seed,
-        influence=influence,
-        initial_opinions=initial_opinions,
-        players=players,
-        p_o=p_o,
-        po_values=tuple(po_values),
-        trials=read("trials", int, 0),
-        n_min=n_min,
-        n_max=n_max,
-        sigma=read("sigma", float, 0.0),
-        truth_family=read("truth_family", str, "quadratic"),
-        perturb_grand=read("perturb_grand", bool, True),
-    )
+def _read_players(name: str, value, values: dict) -> tuple[PlayerParams, ...]:
+    if not isinstance(value, list):
+        _fail(name, "list of player configs required")
+    kinds = {"kind": str, **dict.fromkeys(FLOAT_PARAMS, float)}
+    players = []
+    for i, item in enumerate(value):
+        if not isinstance(item, dict):
+            _fail(f"{name}[{i}]", "object required")
+        _known(item, f"{name}[{i}]", kinds)
+        params = {k: _scalar(f"{name}[{i}]: {k}", kinds[k], v) for k, v in item.items()}
+        try:
+            players.append(PlayerParams(**params))
+        except (TypeError, ValueError) as exc:
+            _fail(f"{name}[{i}]", str(exc))
+    return tuple(players)
+
+
+def _read_points(name: str, value, values: dict) -> tuple:
+    if not isinstance(value, list):
+        _fail(name, f"list of numbers required, got {value!r}")
+    _array(name, value, (len(value),))
+    return tuple(value)  # kept as written: the sweep CSV echoes them with repr
+
+
+class Key(NamedTuple):
+    """One key of a kind's table: its scalar type or its reader ``(name, value,
+    values)``, its rule ``ok(value, values)`` worded by ``need``, and whether it is required."""
+
+    form: type | Callable
+    ok: Callable = lambda value, values: True
+    need: str = ""
+    required: bool = True
+
+
+def _count(lo: int | str, hi: int, required: bool = True) -> Key:
+    """A player count in [lo, hi]; ``lo`` may name the key that holds it."""
+    need = f"player count in [{lo}, {hi}] required"
+    return Key(int, lambda v, vs: vs.get(lo, lo) <= v <= hi, need, required)
+
+
+_FAMILY = Key(str, lambda v, _: v in TRUTH_FAMILIES, f"one of {sorted(TRUTH_FAMILIES)}", False)
+_GAME = {  # the keys of a game the dynamics run
+    "n": _count(2, LINEAR_FORM_MAX_PLAYERS),
+    "theta": Key(float, lambda v, _: 0 < v < 1, "trust parameter in (0, 1) required"),
+    "horizon": Key(int, lambda v, _: v >= 0, "nonnegative integer required"),
+    "seed": Key(int, lambda v, _: v >= 0, "nonnegative integer required"),
+    "influence": Key(_read_influence),
+    "initial_opinions": Key(
+        _read_opinions,
+        lambda fs, vs: len(fs) == vs["n"] and all(f.is_normalized(tol=1e-9) for f in fs),
+        "one normalized opinion (grand value 1) per player required",
+    ),
+}
+# One table per kind: the keys it reads, in reading order.  core-emptiness reads
+# no n, theta, horizon or influence, but accepts and checks them for older files.
+SCHEMAS = {
+    "simulate": {
+        **_GAME,
+        "players": Key(_read_players, lambda v, vs: len(v) == vs["n"], "one config per player"),
+    },
+    "efficiency": {
+        **_GAME,
+        "n": _count(1, LINEAR_FORM_MAX_PLAYERS),
+        "p_o": Key(float, lambda v, _: v > 0, "risk-aversion scale > 0 required", required=False),
+    },
+    "core-emptiness": {
+        "n": Key(int, lambda v, _: v >= 1, "positive player count required", required=False),
+        "theta": _GAME["theta"]._replace(required=False),
+        "horizon": _GAME["horizon"]._replace(required=False),
+        "seed": _GAME["seed"],
+        "n_min": _count(1, MAX_PLAYERS, required=False),
+        "n_max": _count("n_min", MAX_PLAYERS, required=False),
+        "influence": _GAME["influence"]._replace(required=False),
+        "trials": Key(int, lambda v, _: v >= 1, "at least 1 trial required"),
+        "sigma": Key(float, lambda v, _: v > 0, "noise level > 0 required"),
+        "truth_family": _FAMILY,
+        "perturb_grand": Key(bool, required=False),
+    },
+    "po-sweep": {
+        **_GAME,
+        "po_values": Key(_read_points, lambda v, _: v and min(v) > 0, "one or more points > 0"),
+    },
+}
+_GROUND_TRUTH = {  # the keys of initial_opinions.ground_truth
+    "family": _FAMILY,
+    "sigma": Key(float, lambda v, _: v >= 0, "nonnegative number required"),
+}
+
+
+def _hold(table: dict, values: dict, kind: str, obj: dict | None = None, prefix: str = "") -> dict:
+    """Hold ``values`` to ``table`` key by key, reading each key the JSON object
+    ``obj`` gives first: each required key given, each given one within its rule."""
+    for key, spec in table.items():
+        name = prefix + key
+        scalar = isinstance(spec.form, type)
+        if obj is not None and key in obj:
+            form, raw = spec.form, obj[key]
+            values[key] = _scalar(name, form, raw) if scalar else form(name, raw, values)
+        value = values.setdefault(key, getattr(Scenario, key, None))
+        if value is None:
+            if spec.required:
+                _fail(name, f"required for kind {kind!r}")
+        elif not spec.ok(value, values):
+            _fail(name, spec.need + (f", got {value!r}" if scalar else ""))
+    return values
+
+
+def check_scenario(scenario: Scenario, kind: str | None = None) -> None:
+    """Hold a Scenario built in code to the table of ``kind``, by default its own."""
+    _hold(SCHEMAS[kind or scenario.kind], dict(vars(scenario)), kind or scenario.kind)
+
+
+def scenario_from_dict(raw: dict, source: str = "<scenario>") -> Scenario:
+    """Validate and resolve a scenario document against its kind's table,
+    refusing the keys only other kinds read.  Generated inputs ("random_primitive",
+    "random_supermodular", "ground_truth") are expanded from the master seed."""
+    try:
+        if not isinstance(raw, dict):
+            raise ScenarioError("scenario must be a JSON object")
+        _known(raw, "scenario", {"kind"}.union(*SCHEMAS.values()))
+        kind = raw.get("kind", "simulate")
+        if not isinstance(kind, str) or kind not in SCHEMAS:
+            _fail("kind", f"must be one of {tuple(SCHEMAS)}, got {kind!r}")
+        values = _hold(SCHEMAS[kind], {"kind": kind}, kind, raw)
+        if unread := sorted(set(raw) - set(SCHEMAS[kind]) - {"kind"}):
+            _fail(unread[0], f"not read by kind {kind!r}")
+    except ScenarioError as exc:
+        raise ScenarioError(f"{source}: {exc}") from None
+    return Scenario(**values)

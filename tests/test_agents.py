@@ -70,6 +70,30 @@ class TestNashBestResponse:
             response = nash_best_response(rows[i], theta, p[i], float(inf.t[i]), others)
             np.testing.assert_allclose(response, profile[i], atol=1e-14)
 
+    @pytest.mark.parametrize("n", [2, 3, 5])
+    def test_common_shift_of_the_equilibrium_is_an_equilibrium(self, n):
+        # with p proportional to t, every profile nash + 1 (x) c (one vector c
+        # added to every player's lie) is a best-response fixed point: a line
+        # of equilibria, along which nothing pulls c back to 0
+        rng = np.random.default_rng(307 + n)
+        w = rng.uniform(0.1, 1.0, size=(n, n))
+        inf = InfluenceMatrix.from_matrix(w / w.sum(axis=1, keepdims=True))
+        rows = shapley_linear_form(n).rows
+        theta, p = 0.1, 2.0 * inf.t
+        nash = equilibrium_profile(rows, theta, p)
+        for _ in range(5):
+            profile = nash + 1e-3 * rng.normal(size=rows.shape[1])
+            for i in range(n):
+                others = inf.t @ profile - inf.t[i] * profile[i]
+                response = nash_best_response(rows[i], theta, p[i], float(inf.t[i]), others)
+                np.testing.assert_allclose(response, profile[i], rtol=0, atol=1e-15)
+        # a shift of one player's lie alone is not: the others respond to it
+        profile = nash.copy()
+        profile[0] += 1e-3
+        others = inf.t @ profile - inf.t[1] * profile[1]
+        response = nash_best_response(rows[1], theta, p[1], float(inf.t[1]), others)
+        assert np.max(np.abs(response - profile[1])) > 1e-6
+
     def test_null_player_with_idle_opponents_stays_honest(self):
         u = nash_best_response(np.zeros(2), 0.1, 1.0, 0.3, np.zeros(2))
         np.testing.assert_array_equal(u, 0.0)

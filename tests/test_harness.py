@@ -2,6 +2,7 @@
 
 import argparse
 import copy
+import dataclasses
 import json
 import tracemalloc
 from pathlib import Path
@@ -48,6 +49,7 @@ from consensusgame.setfn import SetFunction, dump_setfn, random_supermodular
 from consensusgame.shapley import shapley_linear_form
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
+README = Path(__file__).resolve().parent.parent / "README.md"
 
 DEMO_W = np.array([[0.3, 0.7], [0.4, 0.6]])
 
@@ -605,6 +607,35 @@ class TestScenarioLoading:
         with pytest.raises(ScenarioError, match=needle):
             scenario_from_dict(raw)
 
+    def test_readme_key_table_matches_the_schemas(self):
+        # the "Scenario files" table: one row per key, one column per kind,
+        # each cell "required", "optional", "default `<json>`" or "—"
+        section = README.read_text(encoding="utf-8").split("## Scenario files")[1]
+        section = section.split("\n## ")[0]
+        lines = [line for line in section.splitlines() if line.startswith("| ")]
+        header, rows = lines[0], lines[1:]
+        kinds = [cell.strip() for cell in header.split("|")[2:-2]]
+        assert sorted(kinds) == sorted(harness.SCHEMAS)
+        table = {}
+        for row in rows:
+            key, *cells, _ = (cell.strip() for cell in row.split("|")[1:-1])
+            table[key.strip("`")] = dict(zip(kinds, cells))
+        fields = {f.name: f for f in dataclasses.fields(Scenario)}
+        assert set(table) == set(fields) - {"kind"}
+        assert set(table) == set().union(*harness.SCHEMAS.values())
+        for key, cells in table.items():
+            for kind, cell in cells.items():
+                spec = harness.SCHEMAS[kind].get(key)
+                if spec is None:
+                    expected = "—"
+                elif spec.required:
+                    expected = "required"
+                elif fields[key].default is None:
+                    expected = "optional"
+                else:
+                    expected = f"default `{json.dumps(fields[key].default)}`"
+                assert cell == expected, (key, kind)
+
     def test_influence_shape_validated_at_load(self):
         with pytest.raises(ScenarioError, match="influence"):
             scenario_from_dict(self._raw(influence=[[1.0]]))
@@ -753,6 +784,35 @@ class TestExperiments:
         with pytest.raises(ScenarioError, match="sigma"):
             experiment_core_emptiness(sc)
 
+    @pytest.mark.parametrize(
+        "kind, patch, key",
+        [
+            ("core-emptiness", {"trials": 0, "sigma": 0.01}, "trials"),
+            ("core-emptiness", {"trials": 5}, "sigma"),
+            ("core-emptiness", {"trials": 5, "sigma": 0.01, "truth_family": "cube"}, "truth_family"),
+            ("po-sweep", {"po_values": ()}, "po_values"),
+            ("po-sweep", {"po_values": (1.0, 0.0)}, "po_values"),
+            ("efficiency", {"p_o": -1.0}, "p_o"),
+        ],
+    )
+    def test_scenarios_built_in_code_are_held_to_their_table(self, kind, patch, key):
+        # the experiment refuses the scenario before any trial or run, with
+        # the same rule the reader applies to a file; core-emptiness needs no game
+        game = dict(n=2, theta=0.1, horizon=10, influence=DEMO_W, initial_opinions=demo_opinions())
+        sc = Scenario(kind=kind, seed=10, **(game if kind != "core-emptiness" else {}), **patch)
+        run = {
+            "core-emptiness": experiment_core_emptiness,
+            "po-sweep": experiment_po_sweep,
+            "efficiency": experiment_efficiency,
+        }[kind]
+        with pytest.raises(ScenarioError, match=rf"^{key}: "):
+            run(sc)
+
+    def test_simulation_needs_the_simulate_keys_whatever_the_kind(self):
+        sc = base_scenario(kind="efficiency", players=None)
+        with pytest.raises(ScenarioError, match=r"^players: required for kind 'simulate'"):
+            run_simulation(sc)
+
     def test_verdicts_over_rows(self):
         def freq_rows(*freqs):
             return [{"frequency": f} for f in freqs]
@@ -799,6 +859,13 @@ class TestCli:
                 {"kind": "nash", "risk_aversion": 0.6363636363636364},
             ],
         }
+        # the base is a simulate game: other kinds do not read its players,
+        # and core-emptiness does not read its opinions either
+        kind = kw.get("kind", "simulate")
+        if kind != "simulate":
+            del raw["players"]
+        if kind == "core-emptiness":
+            del raw["initial_opinions"]
         raw.update(kw)
         path = tmp_path / "scenario.json"
         path.write_text(json.dumps(raw))
@@ -839,7 +906,7 @@ class TestCli:
 
     @pytest.mark.parametrize("command", ["simulate", "exp-efficiency"])
     def test_unwritable_out_exits_two_naming_the_path(self, tmp_path, capsys, command):
-        scenario = self._scenario_file(tmp_path, kind="efficiency")
+        scenario = self._scenario_file(tmp_path, kind=command.removeprefix("exp-"))
         out = tmp_path / "no" / "such" / "out.csv"
         assert cli_main(["--out", str(out), command, str(scenario)]) == 2
         err = capsys.readouterr().err
@@ -945,6 +1012,22 @@ class TestCli:
         assert summary["frequencies"] == [0.0, 0.0]
         assert code == 1
 
+    def test_core_emptiness_reads_no_game_keys(self, tmp_path):
+        # the shipped demo carries no n, theta, horizon or influence; a file
+        # that still carries them writes the same rows
+        demo = json.loads((SCENARIOS / "core_emptiness_demo.json").read_text())
+        assert not {"n", "theta", "horizon", "influence"} & set(demo)
+        small = {**demo, "trials": 20, "n_max": 4}
+        game = {"n": 2, "theta": 0.1, "horizon": 1, "influence": [[0.3, 0.7], [0.4, 0.6]]}
+        outputs = []
+        for doc in (small, {**small, **game}):
+            path, out = tmp_path / "core.json", tmp_path / f"rows{len(outputs)}.csv"
+            path.write_text(json.dumps(doc))
+            assert cli_main(["exp-core-emptiness", str(path), "--out", str(out)]) == 1
+            outputs.append(out.read_bytes())
+        assert outputs[0] == outputs[1]
+        assert outputs[0].startswith(b"n,trials,sampler_failures,empty,frequency\n2,20,")
+
     def test_exp_core_emptiness_without_data_exits_two(self, tmp_path, capsys):
         # at this sigma every trial from some n on exhausts the sampler
         scenario = self._scenario_file(
@@ -1044,6 +1127,42 @@ class TestCli:
             ({"p_o": 0.0}, "p_o"),
             ({"p_o": -1.0}, "p_o"),
             ({"po_values": [1.0, -1.0]}, "po_values"),
+            (
+                {"initial_opinions": {"ground_truth": {"sigma": 0.01}, "sigma": 0.01}},
+                "initial_opinions",
+            ),
+            # integers beyond float range
+            ({"theta": 10**400}, "theta"),
+            ({"influence": [[0.3, 0.7], [0.4, 10**400]]}, "influence"),
+            # keys another kind reads, refused by the kind that does not
+            ({"trials": 7}, "trials"),
+            ({"sigma": -3.0}, "sigma"),
+            ({"po_values": [1.0]}, "po_values"),
+            ({"n_max": 3}, "n_max"),
+            ({"trials": 7, "sigma": -3.0, "po_values": [1.0], "n_max": 3}, "n_max"),
+            (
+                {"kind": "efficiency", "players": [{"kind": "nash", "risk_aversion": 1.0}] * 2},
+                "players",
+            ),
+            ({"kind": "po-sweep", "po_values": [1.0], "p_o": 5.0}, "p_o"),
+            (
+                {
+                    "kind": "core-emptiness",
+                    "trials": 2,
+                    "sigma": 0.01,
+                    "players": [{"kind": "nash", "risk_aversion": 1.0}] * 2,
+                },
+                "players",
+            ),
+            (
+                {
+                    "kind": "core-emptiness",
+                    "trials": 2,
+                    "sigma": 0.01,
+                    "initial_opinions": "random_supermodular",
+                },
+                "initial_opinions",
+            ),
         ],
     )
     def test_malformed_keys_exit_two_naming_the_key(self, tmp_path, capsys, patch, key):
@@ -1124,8 +1243,7 @@ FUZZ_BASES = (
     {"kind": "efficiency", **_GAME, "p_o": 1.0},
     {
         "kind": "core-emptiness",
-        **_GAME,
-        "initial_opinions": {"ground_truth": {"family": "quadratic", "sigma": 0.01}},
+        "seed": 3,
         "trials": 3,
         "n_min": 2,
         "n_max": 3,

@@ -114,25 +114,33 @@ class SimulationTrace:
         return num_restricted(self.n)
 
     @staticmethod
-    def empty(n: int) -> "SimulationTrace":
-        """A trace with no recorded snapshots at all; it emits a header-only CSV."""
+    def empty(n: int, steps: int = -1) -> "SimulationTrace":
+        """Zero-filled trace of ``steps`` steps; the default -1 has no
+        recorded snapshots at all and emits a header-only CSV."""
         m = num_restricted(n)
+        acted = max(steps, 0)
         return SimulationTrace(
             n=n,
-            steps=-1,
-            opinions=np.zeros((0, n, m)),
-            revealed=np.zeros((0, n, m)),
-            deviations=np.zeros((0, n, m)),
-            average=np.zeros((0, m)),
-            shapley=np.zeros((0, n)),
-            rewards=np.zeros((0, n)),
-            disutility=np.zeros(0),
+            steps=steps,
+            opinions=np.zeros((steps + 1, n, m)),
+            revealed=np.zeros((acted, n, m)),
+            deviations=np.zeros((acted, n, m)),
+            average=np.zeros((steps + 1, m)),
+            shapley=np.zeros((steps + 1, n)),
+            rewards=np.zeros((acted, n)),
+            disutility=np.zeros(acted),
         )
 
     def cumulative_disutility(self) -> np.ndarray:
         out = np.zeros(max(self.steps + 1, 0))
         np.cumsum(self.disutility, out=out[1:])
         return out
+
+    def final_opinions(self) -> tuple[SetFunction, ...]:
+        return tuple(
+            SetFunction.from_restricted(self.n, row, grand=1.0)
+            for row in self.opinions[-1]
+        )
 
 
 def run_simulation(scenario: Scenario) -> SimulationTrace:
@@ -254,7 +262,7 @@ def experiment_efficiency(scenario: Scenario, tol: float = 1e-9) -> dict:
     A single player has nobody to lie to: the report flags the case as
     degenerate with zero drift everywhere.
     """
-    check_scenario(scenario)
+    check_scenario(scenario, "efficiency")
     if scenario.n == 1:
         drift = control_drift = 0.0
         degenerate = True
@@ -316,7 +324,7 @@ def experiment_core_emptiness(scenario: Scenario) -> list[dict]:
     failures, not as data; a player count where every trial fails has no
     data at all and is rejected.
     """
-    check_scenario(scenario)
+    check_scenario(scenario, "core-emptiness")
     rows = []
     for n in range(scenario.n_min, scenario.n_max + 1):
         gts = truth_spec(scenario.truth_family, n, scenario.sigma)
@@ -367,14 +375,13 @@ def experiment_po_sweep(scenario: Scenario) -> list[dict]:
     p_i = p_o * t_i, measures how far the per-player limits sit from the
     average opinion, and checks the Bayesian core of the limit profile.
     """
-    check_scenario(scenario)
+    check_scenario(scenario, "po-sweep")
     t = InfluenceMatrix.from_matrix(scenario.influence).t
     rows = []
     for p_o in scenario.po_values:
         trace = run_simulation(replace(scenario, players=nash_players(scenario.n, t, p_o)))
         spread = float(np.max(np.abs(trace.opinions[-1] - trace.average[-1])))
-        limits = [SetFunction.from_restricted(scenario.n, row) for row in trace.opinions[-1]]
-        empty, _ = bayesian_core_is_empty(limits)
+        empty, _ = bayesian_core_is_empty(list(trace.final_opinions()))
         rows.append(
             {
                 "p_o": p_o,
@@ -733,10 +740,9 @@ class Key(NamedTuple):
     required: bool = True
 
 
-def _count(lo: int | str, hi: int, required: bool = True) -> Key:
-    """A player count in [lo, hi]; ``lo`` may name the key that holds it."""
-    need = f"player count in [{lo}, {hi}] required"
-    return Key(int, lambda v, vs: vs.get(lo, lo) <= v <= hi, need, required)
+def _count(lo: int, hi: int, required: bool = True) -> Key:
+    """A player count in [lo, hi]."""
+    return Key(int, lambda v, _: lo <= v <= hi, f"player count in [{lo}, {hi}] required", required)
 
 
 _FAMILY = Key(str, lambda v, _: v in TRUTH_FAMILIES, f"one of {sorted(TRUTH_FAMILIES)}", False)
@@ -770,7 +776,12 @@ SCHEMAS = {
         "horizon": _GAME["horizon"]._replace(required=False),
         "seed": _GAME["seed"],
         "n_min": _count(1, MAX_PLAYERS, required=False),
-        "n_max": _count("n_min", MAX_PLAYERS, required=False),
+        "n_max": Key(
+            int,
+            lambda v, vs: vs["n_min"] <= v <= MAX_PLAYERS,
+            f"player count in [n_min, {MAX_PLAYERS}] required",
+            False,
+        ),
         "influence": _GAME["influence"]._replace(required=False),
         "trials": Key(int, lambda v, _: v >= 1, "at least 1 trial required"),
         "sigma": Key(float, lambda v, _: v > 0, "noise level > 0 required"),
@@ -806,9 +817,9 @@ def _hold(table: dict, values: dict, kind: str, obj: dict | None = None, prefix:
     return values
 
 
-def check_scenario(scenario: Scenario, kind: str | None = None) -> None:
-    """Hold a Scenario built in code to the table of ``kind``, by default its own."""
-    _hold(SCHEMAS[kind or scenario.kind], dict(vars(scenario)), kind or scenario.kind)
+def check_scenario(scenario: Scenario, kind: str) -> None:
+    """Hold a Scenario built in code to the table of the experiment ``kind`` it is run as."""
+    _hold(SCHEMAS[kind], dict(vars(scenario)), kind)
 
 
 def scenario_from_dict(raw: dict, source: str = "<scenario>") -> Scenario:

@@ -1174,6 +1174,21 @@ class TestCli:
         err = capsys.readouterr().err
         assert f": {key}:" in err and "Traceback" not in err
 
+    @pytest.mark.parametrize(
+        "command, name, key",
+        [
+            ("exp-core-emptiness", "two_player_learning_gamma05", "trials"),
+            ("exp-po-sweep", "two_player_learning_gamma05", "po_values"),
+            ("exp-po-sweep", "efficiency_demo", "po_values"),
+            ("exp-efficiency", "core_emptiness_demo", "n"),
+        ],
+    )
+    def test_experiment_on_a_file_of_another_kind_exits_two(self, capsys, command, name, key):
+        # each experiment holds the scenario to its own table, whatever kind the file names
+        assert cli_main([command, str(SCENARIOS / f"{name}.json")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {key}: required for kind '{command.removeprefix('exp-')}'")
+
     def test_horizon_beyond_physical_memory_exits_two(self, tmp_path, capsys):
         raw = json.loads((SCENARIOS / "two_player_learning_gamma05.json").read_text())
         path = tmp_path / "long.json"
@@ -1243,6 +1258,7 @@ FUZZ_BASES = (
     {"kind": "efficiency", **_GAME, "p_o": 1.0},
     {
         "kind": "core-emptiness",
+        **{k: _GAME[k] for k in ("n", "theta", "horizon", "influence")},
         "seed": 3,
         "trials": 3,
         "n_min": 2,

@@ -31,9 +31,11 @@ def influence_weights(w: np.ndarray) -> np.ndarray:
 
     Power iteration by repeated squaring: W^(2^k) must converge to a
     rank-one matrix with identical rows, which requires a single eigenvalue
-    at 1 and the rest strictly inside the unit disk.  Reducible matrices
-    (rows never agree) and periodic ones (no convergence within the power
-    budget) are rejected.
+    at 1 and the rest strictly inside the unit disk.  Reducible or periodic
+    matrices are rejected: either W^(2^k) settles with rows that disagree
+    (several closed classes, or a period that is a power of two, as W^2 = I
+    for [[0, 1], [1, 0]]), or it never settles within the power budget
+    (any other period).
     """
     w = _check_stochastic(w)
     n = w.shape[0]
@@ -57,7 +59,7 @@ def influence_weights(w: np.ndarray) -> np.ndarray:
     spread = power.max(axis=0) - power.min(axis=0)
     if np.max(spread) > 1e-8:
         raise ConsensusError(
-            "W^k converged but rows disagree: eigenvalue 1 is not simple, "
+            "W^k converged but rows disagree: W is reducible or periodic, "
             "no consensus is reached"
         )
     t = power.mean(axis=0)

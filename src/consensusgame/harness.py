@@ -44,7 +44,7 @@ from .agents import (
     respond,
     step_reward,
 )
-from .consensus import InfluenceMatrix, deviation_disutility, strategic_update
+from .consensus import ConsensusError, InfluenceMatrix, deviation_disutility, strategic_update
 from .core import bayesian_core_is_empty
 from .setfn import (
     MAX_PLAYERS,
@@ -115,21 +115,41 @@ class SimulationTrace:
 
     @staticmethod
     def empty(n: int, steps: int = -1) -> "SimulationTrace":
-        """Zero-filled trace of ``steps`` steps; the default -1 has no
-        recorded snapshots at all and emits a header-only CSV."""
+        """Trace of ``steps`` steps whose arrays are allocated, not filled in
+        (run_simulation fills them, so rows a converged run never reaches
+        cost nothing); the default -1 has no snapshots and emits a
+        header-only CSV.
+
+        The one place that knows the array shapes: a trace whose float64
+        arrays would not fit in physical memory is refused, as the horizon
+        of the run that asked for it, before anything is allocated.
+        """
         m = num_restricted(n)
         acted = max(steps, 0)
-        return SimulationTrace(
-            n=n,
-            steps=steps,
-            opinions=np.zeros((steps + 1, n, m)),
-            revealed=np.zeros((acted, n, m)),
-            deviations=np.zeros((acted, n, m)),
-            average=np.zeros((steps + 1, m)),
-            shapley=np.zeros((steps + 1, n)),
-            rewards=np.zeros((acted, n)),
-            disutility=np.zeros(acted),
+        shapes = {
+            "opinions": (steps + 1, n, m),
+            "revealed": (acted, n, m),
+            "deviations": (acted, n, m),
+            "average": (steps + 1, m),
+            "shapley": (steps + 1, n),
+            "rewards": (acted, n),
+            "disutility": (acted,),
+        }
+        nbytes = 8 * sum(math.prod(shape) for shape in shapes.values())
+        check_fits_in_memory(
+            nbytes, f"horizon: the trace arrays of {steps} steps at n={n}", ScenarioError
         )
+        return SimulationTrace(
+            n=n, steps=steps, **{name: np.empty(shape) for name, shape in shapes.items()}
+        )
+
+    def cut(self, steps: int) -> "SimulationTrace":
+        """The trace of its first ``steps`` steps, as views of its arrays."""
+        drop = self.steps - steps  # every array has steps or steps + 1 rows
+        arrays = {
+            k: a[: len(a) - drop] for k, a in vars(self).items() if isinstance(a, np.ndarray)
+        }
+        return replace(self, steps=steps, **arrays)
 
     def cumulative_disutility(self) -> np.ndarray:
         out = np.zeros(max(self.steps + 1, 0))
@@ -146,20 +166,18 @@ class SimulationTrace:
 def run_simulation(scenario: Scenario) -> SimulationTrace:
     """Drive the strategic dynamics: agents act, the update law advances.
 
-    Stops at the horizon or as soon as the largest per-player opinion
-    change falls below the convergence tolerance.  Deterministic given the
-    scenario seed.  A run whose trace arrays would not fit in physical
-    memory is rejected before anything is allocated.
+    The opinion profile is the (n, m) block of restricted values: lies move
+    only the proper coalitions, the update law treats each coalition on its
+    own, and the grand value stays at 1.  Stops at the horizon or as soon
+    as the largest per-player opinion change falls below the convergence
+    tolerance, and refuses a step whose opinions, disutility or rewards are
+    not finite.  Deterministic given the scenario seed.  A run whose trace
+    arrays would not fit in physical memory is rejected before anything is
+    allocated.
     """
     check_scenario(scenario, "simulate")
     n, m = scenario.n, num_restricted(scenario.n)
-    horizon = scenario.horizon
-    # float64 trace arrays: opinions, reveals and lies; average and Shapley
-    # rows; rewards and disutility
-    nbytes = 8 * ((3 * horizon + 1) * n * m + (horizon + 1) * (m + n) + horizon * (n + 1))
-    check_fits_in_memory(
-        nbytes, f"horizon: the trace arrays of {horizon} steps at n={n}", ScenarioError
-    )
+    trace = SimulationTrace.empty(n, scenario.horizon)
     influence = InfluenceMatrix.from_matrix(scenario.influence)
     theta = scenario.theta
     form = shapley_linear_form(n)
@@ -178,28 +196,16 @@ def run_simulation(scenario: Scenario) -> SimulationTrace:
     model = EnvironmentModel(m, len(learners)) if learners else None
     rng = np.random.default_rng(scenario.seed)
 
-    opinions = np.empty((horizon + 1, n, m))
-    revealed = np.empty((horizon, n, m))
-    deviations = np.empty((horizon, n, m))
-    average = np.empty((horizon + 1, m))
-    shapley = np.empty((horizon + 1, n))
-    rewards = np.empty((horizon, n))
-    disutility = np.empty(horizon)
-
-    # the value stack: full coalition-value rows, one per player; the trace
-    # keeps the restricted columns
-    v = np.stack([f.values for f in scenario.initial_opinions])
+    v = np.stack([f.values[1:-1] for f in scenario.initial_opinions])
     state = np.zeros(m)  # broadcast mean revealed opinion; nothing revealed yet
-    converged_at = None
-    steps = horizon
 
     def snapshot(k: int, v: np.ndarray) -> None:
-        opinions[k] = v[:, 1:-1]
-        average[k] = t @ opinions[k]
-        shapley[k] = form.apply_restricted(average[k])
+        trace.opinions[k] = v
+        trace.average[k] = t @ v
+        trace.shapley[k] = form.apply_restricted(trace.average[k])
 
     snapshot(0, v)
-    for k in range(horizon):
+    for k in range(scenario.horizon):
         us = base.copy()
         if learners:
             # one prediction per learner, used for its lie and its error
@@ -207,39 +213,27 @@ def run_simulation(scenario: Scenario) -> SimulationTrace:
             for i, prediction in zip(learners, predictions):
                 params = scenario.players[i]
                 us[i] = respond(form.rows[i], theta, float(t[i]), params, prediction, k, rng)
-        x = v.copy()
-        x[:, 1:-1] += us
-        v = strategic_update(v, x, influence.w, theta)
-        if not (np.all(np.isfinite(x)) and np.all(np.isfinite(v))):
+        with np.errstate(over="ignore", invalid="ignore"):  # an overflow is refused below
+            x = v + us
+            v = strategic_update(v, x, influence.w, theta)
+            disutility = deviation_disutility(us, t)
+            rewards = step_reward(us, t, p, theta, form.rows, disutility)
+        if not all(np.isfinite(a).all() for a in (x, v, disutility, rewards)):
             raise SetFunctionError("payoff values must be finite")
-        revealed[k] = x[:, 1:-1]
-        deviations[k] = us
-        disutility[k] = deviation_disutility(us, t)
-        rewards[k] = step_reward(us, t, p, theta, form.rows, disutility[k])
+        trace.revealed[k] = x
+        trace.deviations[k] = us
+        trace.disutility[k] = disutility
+        trace.rewards[k] = rewards
         if learners:
             # each learner's target: its opponents' weighted mean lie
             mean_dev = t @ us
             targets = [(mean_dev - t[i] * us[i]) / (1.0 - t[i]) for i in learners]
             model.update(state, [y - y_hat for y, y_hat in zip(targets, predictions)])
-        state = t @ revealed[k]
+        state = t @ x
         snapshot(k + 1, v)
-        if np.max(np.abs(opinions[k + 1] - opinions[k])) < CONVERGENCE_TOL:
-            converged_at = k + 1
-            steps = k + 1
-            break
-
-    return SimulationTrace(
-        n=n,
-        steps=steps,
-        opinions=opinions[: steps + 1],
-        revealed=revealed[:steps],
-        deviations=deviations[:steps],
-        average=average[: steps + 1],
-        shapley=shapley[: steps + 1],
-        rewards=rewards[:steps],
-        disutility=disutility[:steps],
-        converged_at=converged_at,
-    )
+        if np.max(np.abs(trace.opinions[k + 1] - trace.opinions[k])) < CONVERGENCE_TOL:
+            return replace(trace.cut(k + 1), converged_at=k + 1)
+    return trace
 
 
 # --- experiments -------------------------------------------------------------
@@ -664,8 +658,10 @@ def _read_influence(name: str, value, values: dict) -> np.ndarray:
     if not isinstance(value, list):
         _fail(name, 'matrix rows or the string "random_primitive" required')
     w = _array(name, value, (n, n))
-    if np.any(w < 0) or np.max(np.abs(w.sum(axis=1) - 1.0)) > 1e-9:
-        _fail(name, "rows must be nonnegative and sum to 1")
+    try:
+        InfluenceMatrix.from_matrix(w)  # the check the run applies
+    except ConsensusError as exc:
+        _fail(name, str(exc))
     return w
 
 

@@ -73,7 +73,8 @@ class TestInfluenceWeights:
             influence_weights(np.eye(2))
 
     def test_periodic_matrix_rejected(self):
-        with pytest.raises(ConsensusError):
+        # W^2 = I: the squarings settle on rows that disagree
+        with pytest.raises(ConsensusError, match="rows disagree: W is reducible or periodic"):
             influence_weights(np.array([[0.0, 1.0], [1.0, 0.0]]))
 
     def test_non_stochastic_rejected(self):

@@ -168,12 +168,34 @@ class TestRunSimulation:
     @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
     @pytest.mark.parametrize("seed", [1, 2, 701])
     def test_learner_loop_matches_per_player_reference(self, n, seed):
-        scenario = mixed_scenario(n, seed, horizon=60)
+        self._matches_reference(mixed_scenario(n, seed, horizon=60))
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5])
+    @pytest.mark.parametrize("seed", [1, 2])
+    @pytest.mark.parametrize("lineup", ["nash", "truthful"])
+    def test_convergence_cut_matches_per_player_reference(self, n, seed, lineup):
+        # without explorers the runs converge well inside the horizon, so the
+        # trace is cut at convergence
+        scenario = mixed_scenario(n, seed, horizon=3000)
+        t = InfluenceMatrix.from_matrix(scenario.influence).t
+        players = {
+            "nash": nash_players(n, t, 1.0),
+            "truthful": (PlayerParams(1.0, "truthful"),) * n,
+        }[lineup]
+        trace = self._matches_reference(dataclasses.replace(scenario, players=players))
+        assert trace.converged_at is not None
+
+    def test_convergence_cut_of_the_base_game_matches_per_player_reference(self):
+        assert self._matches_reference(base_scenario(horizon=3000)).converged_at is not None
+
+    @staticmethod
+    def _matches_reference(scenario):
         trace = run_simulation(scenario)
         reference = reference_simulation(scenario)
         assert (trace.steps, trace.converged_at) == (reference.steps, reference.converged_at)
         for name in TRACE_ARRAYS:
             assert np.array_equal(getattr(trace, name), getattr(reference, name)), name
+        return trace
 
     def test_one_gain_downdate_per_step(self, monkeypatch):
         calls = []
@@ -586,6 +608,11 @@ class TestScenarioLoading:
             ({"theta": 1.5}, "theta"),
             ({"kind": "dance"}, "kind"),
             ({"influence": [[1.0, 0.1], [0.4, 0.6]]}, "influence"),
+            # checked at load as the run checks it: reducible, periodic, and
+            # rows off 1 by more than the consensus tolerance
+            ({"influence": [[1, 0], [0, 1]]}, "^<scenario>: influence: .*rows disagree"),
+            ({"influence": [[0, 1], [1, 0]]}, "^<scenario>: influence: .*rows disagree"),
+            ({"influence": [[0.3, 0.7 + 5e-10], [0.4, 0.6]]}, "^<scenario>: influence: rows must"),
             ({"players": [{"kind": "truthful", "risk_aversion": 1.0}]}, "players"),
             (
                 {
@@ -1044,18 +1071,25 @@ class TestCli:
         assert cli_main(["simulate", str(path)]) == 2
         assert "error:" in capsys.readouterr().err
 
-    def test_diverging_run_exits_two(self, tmp_path, capsys):
-        # theta / (2 p) overflows to inf, so the first revealed opinion is
-        # not finite
+    @pytest.mark.parametrize(
+        "risk_aversion",
+        [
+            # theta / (2 p) overflows to inf, so the first revealed opinion
+            # is not finite
+            (1e-310, 0.6363636363636364),
+            # the lies stay finite, but their squares in the disutility do not
+            (1e-160, 1e-160),
+        ],
+        ids=["lie", "disutility"],
+    )
+    def test_diverging_run_exits_two(self, tmp_path, capsys, risk_aversion):
         scenario = self._scenario_file(
-            tmp_path,
-            players=[
-                {"kind": "nash", "risk_aversion": 1e-310},
-                {"kind": "nash", "risk_aversion": 0.6363636363636364},
-            ],
+            tmp_path, players=[{"kind": "nash", "risk_aversion": p} for p in risk_aversion]
         )
-        assert cli_main(["simulate", str(scenario)]) == 2
+        out = tmp_path / "trace.csv"
+        assert cli_main(["simulate", str(scenario), "--out", str(out)]) == 2
         assert "payoff values must be finite" in capsys.readouterr().err
+        assert not out.exists()
 
     @pytest.mark.parametrize(
         "patch,key",

@@ -26,6 +26,7 @@ from .core import (
     FeasibilityResult,
     bayesian_core_contains,
     bayesian_core_is_empty,
+    bayesian_core_verdicts,
     core_contains,
     core_is_empty,
     core_witness,
@@ -51,6 +52,7 @@ from .setfn import (
     is_supermodular,
     random_supermodular,
     read_setfn,
+    sample_opinion_streams,
     sample_supermodular_opinions,
     weighted_average,
 )
@@ -73,6 +75,7 @@ __all__ = [
     "SimulationTrace",
     "bayesian_core_contains",
     "bayesian_core_is_empty",
+    "bayesian_core_verdicts",
     "core_contains",
     "core_is_empty",
     "core_witness",
@@ -90,6 +93,7 @@ __all__ = [
     "read_setfn",
     "read_trace",
     "run_simulation",
+    "sample_opinion_streams",
     "sample_supermodular_opinions",
     "scenario_from_dict",
     "shapley_linear_form",

@@ -35,7 +35,10 @@ def influence_weights(w: np.ndarray) -> np.ndarray:
     matrices are rejected: either W^(2^k) settles with rows that disagree
     (several closed classes, or a period that is a power of two, as W^2 = I
     for [[0, 1], [1, 0]]), or it never settles within the power budget
-    (any other period).
+    (any other period).  A matrix whose powers do settle on identical rows
+    but that has a transient player, as [[1, 0], [0.5, 0.5]], is refused as
+    not primitive: that player's weight would be a rounding residue (1.5e-39
+    there) instead of 0.
     """
     w = _check_stochastic(w)
     n = w.shape[0]
@@ -62,6 +65,11 @@ def influence_weights(w: np.ndarray) -> np.ndarray:
             "W^k converged but rows disagree: W is reducible or periodic, "
             "no consensus is reached"
         )
+    if not _is_primitive(w):
+        raise ConsensusError(
+            "W is not primitive: some player's opinion never reaches some other "
+            "player, so its stationary weight is 0"
+        )
     t = power.mean(axis=0)
     t = t / t.sum()
     for _ in range(100):  # polish to machine precision
@@ -71,6 +79,20 @@ def influence_weights(w: np.ndarray) -> np.ndarray:
         t = t @ w
         t = t / t.sum()
     return t
+
+
+def _is_primitive(w: np.ndarray) -> bool:
+    """Whether some power of W is positive, decided on its support pattern:
+    by Wielandt's bound a primitive n x n matrix has a positive power
+    (n - 1)^2 + 1 and every later one, so squaring the 0/1 pattern (exact in
+    floats) until the power reaches the bound settles it."""
+    n = w.shape[0]
+    support = (w > 0).astype(float)
+    power = 1
+    while power < (n - 1) ** 2 + 1:
+        support = (support @ support > 0).astype(float)
+        power *= 2
+    return bool(support.all())
 
 
 def _check_stochastic(w) -> np.ndarray:

@@ -34,7 +34,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .setfn import SetFunction, SetFunctionError, grand_mask, membership_matrix
+from .setfn import SetFunction, SetFunctionError, grand_mask, membership_matrix, num_restricted
 from .shapley import shapley_payoffs
 
 _PIVOT_EPS = 1e-10
@@ -79,9 +79,9 @@ def core_is_empty(f: SetFunction, tol: float = DEFAULT_TOL) -> bool:
 
 @lru_cache(maxsize=64)
 def _coalition_rows(n: int) -> np.ndarray:
-    """Float membership rows of every nonempty coalition, built once per n:
-    row S - 1 is coalition S, so the grand coalition comes last."""
-    rows = membership_matrix(n)[1:].astype(float)
+    """Float membership rows of the proper coalitions, built once per n:
+    row S - 1 is coalition S."""
+    rows = membership_matrix(n)[1:-1].astype(float)
     rows.setflags(write=False)
     return rows
 
@@ -89,18 +89,11 @@ def _coalition_rows(n: int) -> np.ndarray:
 def bayesian_core_is_empty(
     opinions: list[SetFunction], tol: float = DEFAULT_TOL
 ) -> FeasibilityResult:
-    """Emptiness verdict plus a witness allocation when nonempty.
+    """Emptiness verdict plus a witness allocation when nonempty: the
+    one-profile case of ``bayesian_core_verdicts``.
 
     Returns ``(empty, witness)``; the witness is only present when the
     Bayesian core is nonempty.
-
-    A candidate witness is tried before the LP: the Shapley allocation of
-    the aggregated bound function (per-coalition maxima, budget as grand
-    value) splits the budget exactly, so if it also covers every coalition
-    bound the core is nonempty without running the simplex.  Opinion
-    profiles near a shared supermodular function almost always pass this,
-    which keeps Monte-Carlo experiments cheap; the balancedness dual
-    decides the rest.
     """
     if not opinions:
         raise SetFunctionError("need at least one opinion")
@@ -109,18 +102,52 @@ def bayesian_core_is_empty(
         raise SetFunctionError("opinions disagree on player count")
     if len(opinions) != n:
         raise SetFunctionError(f"expected one opinion per player ({n}), got {len(opinions)}")
-    stack = np.array([f.values for f in opinions])
-    # the bound function: coalition bounds, the budget as grand value
-    values = stack.max(axis=0)
-    values[0] = 0.0
-    values[-1] = stack[:, -1].min()
-    bounds, budget = values[1:-1], values[-1]
-    candidate = shapley_payoffs(values, n)
-    sums = _coalition_rows(n) @ candidate
-    if (sums[:-1] >= bounds - tol).all() and sums[-1] <= budget + tol:
-        return FeasibilityResult(False, candidate)
-    witness, _ = _balanced_dual(n, bounds, budget + tol)
-    return FeasibilityResult(witness is None, witness)
+    (empty,), (witness,) = bayesian_core_verdicts(np.array([[f.values for f in opinions]]), tol)
+    return FeasibilityResult(bool(empty), None if empty else witness)
+
+
+def bayesian_core_verdicts(
+    stacks: np.ndarray, tol: float = DEFAULT_TOL
+) -> tuple[np.ndarray, np.ndarray]:
+    """Emptiness verdicts of a (T, n, 2^n) batch of opinion profiles, one
+    value stack each, and a (T, n) array of witness allocations, NaN rows
+    for the empty ones.
+
+    A candidate witness is tried before the LP: the Shapley allocation of
+    the aggregated bound function (per-coalition maxima, budget as grand
+    value) splits the budget exactly, so if it also covers every coalition
+    bound the core is nonempty without running the simplex.  Opinion
+    profiles near a shared supermodular function almost always pass this,
+    which keeps Monte-Carlo experiments cheap; the balancedness dual
+    decides the rest.  Each profile's verdict and witness are those of
+    checking it alone.
+    """
+    if stacks.ndim != 3 or stacks.shape[2] != 1 << stacks.shape[1]:
+        raise SetFunctionError(f"expected a (T, n, 2^n) stack of profiles, got shape {stacks.shape}")
+    n = stacks.shape[1]
+    # the bound functions: coalition bounds, the budget as grand value
+    values = stacks.max(axis=1)
+    values[:, 0] = 0.0
+    values[:, -1] = stacks[:, :, -1].min(axis=1)
+    bounds, budgets = values[:, 1:-1], values[:, -1]
+    witnesses = shapley_payoffs(values, n)
+    # every coalition's payoff sum, adding its members in player order
+    sums = np.zeros_like(values)
+    for i in range(n):
+        sums[:, 1 << i : 2 << i] = sums[:, : 1 << i] + witnesses[:, i : i + 1]
+    covered = (sums[:, 1:-1] >= bounds - tol).all(axis=1) & (sums[:, -1] <= budgets + tol)
+    empty = np.zeros(len(stacks), dtype=bool)
+    for t in np.flatnonzero(~covered).tolist():
+        witness, _ = _balanced_dual(n, bounds[t], budgets[t] + tol)
+        empty[t] = witness is None
+        witnesses[t] = np.nan if witness is None else witness
+    return empty, witnesses
+
+
+def _pivot_cap(n: int) -> int:
+    """Pivots the balancedness dual may take before it counts as cycling
+    numerically: 10 per player and proper coalition."""
+    return 10 * n * num_restricted(n)
 
 
 def _balanced_dual(n: int, bounds: np.ndarray, limit: float) -> tuple[np.ndarray | None, int]:
@@ -129,8 +156,8 @@ def _balanced_dual(n: int, bounds: np.ndarray, limit: float) -> tuple[np.ndarray
     Returns the simplex multipliers at its optimum when that is at most
     ``limit``, else None, and the number of pivots taken.
     """
-    rows = _coalition_rows(n)[:-1]
-    max_pivots = 10 * n * rows.shape[0]
+    rows = _coalition_rows(n)
+    max_pivots = _pivot_cap(n)
     basis = (1 << np.arange(n)) - 1
     inverse = np.eye(n)
     weights = np.ones(n)

@@ -45,9 +45,10 @@ from .agents import (
     step_reward,
 )
 from .consensus import ConsensusError, InfluenceMatrix, deviation_disutility, strategic_update
-from .core import bayesian_core_is_empty
+from .core import bayesian_core_is_empty, bayesian_core_verdicts
 from .setfn import (
     MAX_PLAYERS,
+    SAMPLER_ATTEMPTS,
     GroundTruthSpec,
     SamplerError,
     SetFunction,
@@ -56,7 +57,8 @@ from .setfn import (
     num_restricted,
     random_supermodular,
     read_text,
-    sample_supermodular_opinions,
+    round_candidates,
+    sample_opinion_streams,
 )
 from .shapley import LINEAR_FORM_MAX_PLAYERS, shapley_linear_form
 
@@ -310,10 +312,12 @@ def experiment_core_emptiness(scenario: Scenario) -> list[dict]:
 
     For each player count, every trial draws one truncated-normal opinion
     per player around the per-n ground truth (grand value included), all
-    from the trial's own generator in one block-sampler call, and makes one
-    Bayesian-core check of the profile: the Shapley allocation of the
-    coalition bounds settles nonemptiness when it covers them, and the
-    balancedness dual decides the rest.
+    from the trial's own generator, and makes one Bayesian-core check of
+    the profile: the Shapley allocation of the coalition bounds settles
+    nonemptiness when it covers them, and the balancedness dual decides the
+    rest.  Trials are sampled and checked in groups whose first blocks fit
+    one sampler round, so a group's arrays stay within a few gather chunks;
+    each trial's opinions and verdict are those of running it alone.
     Trials whose rejection sampler exhausts its budget are counted as
     failures, not as data; a player count where every trial fails has no
     data at all and is rejected.
@@ -322,20 +326,17 @@ def experiment_core_emptiness(scenario: Scenario) -> list[dict]:
     rows = []
     for n in range(scenario.n_min, scenario.n_max + 1):
         gts = truth_spec(scenario.truth_family, n, scenario.sigma)
+        group = max(1, round_candidates(n) // n)
         empty = 0
         failures = 0
-        for trial in range(scenario.trials):
-            rng = np.random.default_rng([scenario.seed, n, trial])
-            try:
-                opinions = sample_supermodular_opinions(
-                    gts, rng, n, perturb_grand=scenario.perturb_grand
-                )
-            except SamplerError:
-                failures += 1
-                continue
-            is_empty, _ = bayesian_core_is_empty(opinions)
-            if is_empty:
-                empty += 1
+        for lo in range(0, scenario.trials, group):
+            trials = range(lo, min(lo + group, scenario.trials))
+            rngs = [np.random.default_rng([scenario.seed, n, trial]) for trial in trials]
+            stacks, exhausted = sample_opinion_streams(
+                gts, rngs, n, perturb_grand=scenario.perturb_grand
+            )
+            failures += int(exhausted.sum())
+            empty += int(bayesian_core_verdicts(stacks[~exhausted])[0].sum())
         if failures == scenario.trials:
             raise ScenarioError(
                 f"sigma: {scenario.sigma!r} exhausts the opinion sampler in every "
@@ -680,15 +681,15 @@ def _read_opinions(name: str, value, values: dict) -> tuple[SetFunction, ...]:
         truth = truth_spec(read["family"], n, read["sigma"])
         # the dynamics keep the grand value fixed, so sampling leaves it at
         # the truth's (normalized) value; each player draws from its own stream
-        sampled = []
-        for i in range(n):
-            try:
-                sampled += sample_supermodular_opinions(
-                    truth, np.random.default_rng([seed, 3, i]), 1, perturb_grand=False
-                )
-            except SamplerError as exc:
-                _fail(f"{where}.sigma", f"player {i}: {exc}")
-        return tuple(sampled)
+        rngs = [np.random.default_rng([seed, 3, i]) for i in range(n)]
+        try:
+            stacks, exhausted = sample_opinion_streams(truth, rngs, 1, perturb_grand=False)
+        except SetFunctionError as exc:  # noise beyond the float range
+            _fail(f"{where}.sigma", str(exc))
+        if exhausted.any():
+            exc = SamplerError.exhausted(truth.sigma, SAMPLER_ATTEMPTS)
+            _fail(f"{where}.sigma", f"player {int(exhausted.argmax())}: {exc}")
+        return tuple(SetFunction(n, values) for (values,) in stacks)
     if not isinstance(value, list):
         _fail(name, "list of opinions or 'random_supermodular' required")
     opinions = []

@@ -28,6 +28,13 @@ class SetFunctionError(ValueError):
 class SamplerError(RuntimeError):
     """Rejection sampler exhausted its attempt budget."""
 
+    @classmethod
+    def exhausted(cls, sigma: float, max_attempts: int) -> "SamplerError":
+        return cls(
+            f"no supermodular sample in {max_attempts} attempts; sigma={sigma} "
+            "is likely too large for the truth's strictness margin"
+        )
+
 
 def grand_mask(n: int) -> int:
     return (1 << n) - 1
@@ -140,8 +147,16 @@ def _local_increment_index(n: int):
 # the largest temporary a batched gather allocates at once (always at least
 # one candidate or player), so checking a block of functions never costs
 # more memory than checking one, and all players' Shapley sums no more than
-# one player's; also the largest block of candidates the sampler draws
+# one player's; also the largest block of candidates one stream draws
 GATHER_CHUNK_BYTES = 1 << 20
+
+
+def round_candidates(n: int) -> int:
+    """The most candidates a sampler round draws across streams: their
+    values fit one GATHER_CHUNK_BYTES, and so do the gap kernel's two live
+    arrays for them, the running sum and the term added to it."""
+    gaps = _local_increment_index(n)[0].size
+    return max(1, GATHER_CHUNK_BYTES // (8 * max(1 << n, 2 * gaps)))
 
 
 def _supermodular_columns(block: np.ndarray, n: int, floor: float) -> np.ndarray:
@@ -154,12 +169,11 @@ def _supermodular_columns(block: np.ndarray, n: int, floor: float) -> np.ndarray
         return np.concatenate(
             [_supermodular_columns(block[:, lo : lo + step], n, floor) for lo in range(0, k, step)]
         )
-    gaps = (
-        block.take(sij, axis=0)
-        + block.take(s, axis=0)
-        - block.take(si, axis=0)
-        - block.take(sj, axis=0)
-    )
+    # summed in place, in the order of (f(S+i+j) + f(S)) - f(S+i) - f(S+j)
+    gaps = block.take(sij, axis=0)
+    gaps += block.take(s, axis=0)
+    gaps -= block.take(si, axis=0)
+    gaps -= block.take(sj, axis=0)
     return (gaps >= floor).all(axis=0)
 
 
@@ -217,67 +231,120 @@ class GroundTruthSpec:
             raise SetFunctionError("ground truth must be strictly supermodular")
 
 
-def sample_supermodular_opinions(
+SAMPLER_ATTEMPTS = 100_000  # rejections one opinion may take by default
+
+
+def sample_opinion_streams(
     spec: GroundTruthSpec,
-    rng: np.random.Generator,
+    rngs: list[np.random.Generator],
     count: int,
     perturb_grand: bool = True,
-    max_attempts: int = 100_000,
-) -> list[SetFunction]:
-    """Draw ``count`` private opinions: truth plus i.i.d. normal noise,
-    rejected until supermodular.
+    max_attempts: int = SAMPLER_ATTEMPTS,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Draw ``count`` private opinions from each generator of ``rngs``: truth
+    plus i.i.d. normal noise, rejected until supermodular.
+
+    Returns a (streams, count, 2^n) stack of opinion values and the mask of
+    the streams that exhausted their budget, whose rows are NaN.
 
     Rejection realizes a normal distribution truncated to the supermodular
     cone exactly.  Noise hits every proper nonempty coalition; the grand
     coalition is perturbed too when ``perturb_grand`` (the empty coalition
     never is).  With sigma 0 every opinion is the truth and nothing is
-    drawn.  Raises SamplerError once one opinion has been rejected
+    drawn.  A stream is exhausted once one of its opinions has been rejected
     ``max_attempts`` times, which signals a noise level too large for the
     truth's strictness margin.
 
-    Candidates are drawn in blocks, one normal row each, and each block is
-    checked at once.  A block holds as many rows as opinions are still
-    needed, or as the waiting opinion has missed if that is more, capped by
-    its remaining budget and by GATHER_CHUNK_BYTES.  Accepted candidates are
-    taken in draw order, so the opinions, and any SamplerError, are those of
-    drawing one candidate at a time; rows past the last opinion are dropped.
+    Each stream draws its candidates in blocks, one normal row each: as many
+    rows as it still needs opinions, or as its waiting opinion has missed if
+    that is more, capped by that opinion's remaining budget and by
+    GATHER_CHUNK_BYTES.  A round draws the next block of as many live
+    streams, in order, as fit ``round_candidates`` (at least one) and checks
+    them with one gap kernel.  Each stream takes its accepted candidates in
+    draw order, so its opinions, and its exhaustion, are those of drawing
+    one candidate at a time from it, whatever streams share its rounds; rows
+    past its last opinion are dropped.  A nonfinite candidate among those a
+    stream would have drawn one at a time raises SetFunctionError.
     """
     truth = spec.truth
+    size = truth.values.size
+    exhausted = np.zeros(len(rngs), dtype=bool)
     if spec.sigma == 0.0:
-        return [SetFunction(truth.n, truth.values) for _ in range(count)]
+        return np.tile(truth.values, (len(rngs), count, 1)), exhausted
     width = num_restricted(truth.n) + (1 if perturb_grand else 0)
-    fit = max(1, GATHER_CHUNK_BYTES // (8 * truth.values.size))
-    opinions: list[SetFunction] = []
-    misses = 0  # rejected candidates of the opinion now waiting
-    while len(opinions) < count:
-        if misses >= max_attempts:
-            raise SamplerError(
-                f"no supermodular sample in {max_attempts} attempts; sigma={spec.sigma} "
-                "is likely too large for the truth's strictness margin"
-            )
-        needed = count - len(opinions)
-        k = min(max(needed, misses), max_attempts - misses, fit)
-        # one candidate per column, its noise one row of the draw
-        noise = rng.normal(0.0, spec.sigma, size=(k, width))
-        block = np.empty((truth.values.size, k))
+    fit = max(1, GATHER_CHUNK_BYTES // (8 * size))
+    cap = round_candidates(truth.n)
+    taken = [0] * len(rngs)  # opinions each stream has
+    misses = [0] * len(rngs)  # rejected candidates of its waiting opinion
+    live = list(range(len(rngs))) if count else []
+    # the opinions each round takes, as (streams, slots, values): the stack
+    # is built after the last round, so a round holds only its own block
+    # besides the opinions already taken
+    taken_by_round = []
+    while live:
+        batch, total = [], 0  # (stream, block rows) of this round
+        for s in live:
+            if misses[s] >= max_attempts:
+                exhausted[s] = True
+                continue
+            k = min(max(count - taken[s], misses[s]), max_attempts - misses[s], fit)
+            if batch and total + k > cap:
+                break
+            batch.append((s, k))
+            total += k
+        if not batch:  # every live stream is exhausted
+            break
+        # one candidate per column, its noise one row of its stream's draw
+        noise = np.concatenate([rngs[s].normal(0.0, spec.sigma, size=(k, width)) for s, k in batch])
+        block = np.empty((size, total))
         block[:] = truth.values[:, None]
         block[1 : 1 + width] += noise.T
         del noise  # freed before the gap temporaries are made
         finite = np.isfinite(block).all()
-        verdicts = _supermodular_columns(block, truth.n, -DEFAULT_STRICT_TOL)
-        hits = verdicts.nonzero()[0][:needed].tolist()
-        # drawing one at a time would build every candidate up to the last
-        # one taken as a SetFunction, so a nonfinite one among them raises;
-        # a block that is finite throughout needs no second look
-        used = hits[-1] + 1 if len(hits) == needed else k
-        if not (finite or np.isfinite(block[:, :used]).all()):
-            raise SetFunctionError("payoff values must be finite")
-        for column in hits:
-            opinions.append(SetFunction(truth.n, block[:, column]))
-        # a block never outruns the waiting opinion's budget, so only the
-        # misses after the last hit can exhaust it
-        misses = used - 1 - hits[-1] if hits else misses + k
-    return opinions
+        hits = _supermodular_columns(block, truth.n, -DEFAULT_STRICT_TOL).nonzero()[0]
+        # each stream's hits, as positions in the round
+        ends = np.cumsum([0] + [k for _, k in batch])
+        cuts = np.searchsorted(hits, ends).tolist()
+        hits = hits.tolist()
+        rows, slots, columns = [], [], []
+        for (s, k), lo, first, last in zip(batch, ends.tolist(), cuts, cuts[1:]):
+            needed = count - taken[s]
+            mine = hits[first : min(last, first + needed)]
+            # drawing one at a time would build every candidate up to the
+            # last one taken as a SetFunction, so a nonfinite one among them
+            # raises; a round that is finite throughout needs no second look
+            used = mine[-1] + 1 - lo if len(mine) == needed else k
+            if not (finite or np.isfinite(block[:, lo : lo + used]).all()):
+                raise SetFunctionError("payoff values must be finite")
+            rows += [s] * len(mine)
+            slots += range(taken[s], taken[s] + len(mine))
+            columns += mine
+            taken[s] += len(mine)
+            # a block never outruns the waiting opinion's budget, so only the
+            # misses after the last hit can exhaust it
+            misses[s] = used - 1 - (mine[-1] - lo) if mine else misses[s] + k
+        taken_by_round.append((rows, slots, block[:, columns].T))
+        live = [s for s in live if taken[s] < count and not exhausted[s]]
+    stack = np.empty((len(rngs), count, size))
+    for rows, slots, values in taken_by_round:
+        stack[rows, slots] = values
+    stack[exhausted] = np.nan
+    return stack, exhausted
+
+
+def sample_supermodular_opinions(
+    spec: GroundTruthSpec,
+    rng: np.random.Generator,
+    count: int,
+    perturb_grand: bool = True,
+    max_attempts: int = SAMPLER_ATTEMPTS,
+) -> list[SetFunction]:
+    """``count`` opinions from one generator, as ``sample_opinion_streams``
+    draws them; raises SamplerError when the stream is exhausted."""
+    stack, exhausted = sample_opinion_streams(spec, [rng], count, perturb_grand, max_attempts)
+    if exhausted[0]:
+        raise SamplerError.exhausted(spec.sigma, max_attempts)
+    return [SetFunction(spec.truth.n, values) for values in stack[0]]
 
 
 def random_supermodular(

@@ -68,16 +68,22 @@ def _shapley_gathers(n: int) -> tuple:
 
 
 def shapley_payoffs(values: np.ndarray, n: int) -> np.ndarray:
-    """Shapley payoffs of the dense payoff vector ``values`` of n players:
-    g_i = sum over coalitions C not containing i of
-    |C|! (n-|C|-1)! / n! * (f(C+i) - f(C)), as many players per gather as
-    fit in GATHER_CHUNK_BYTES."""
+    """Shapley payoffs of dense payoff vectors of n players, the last axis
+    of ``values``: g_i = sum over coalitions C not containing i of
+    |C|! (n-|C|-1)! / n! * (f(C+i) - f(C)), as many players of every vector
+    per gather as fit in GATHER_CHUNK_BYTES.  Each vector's payoffs are
+    those of gathering it alone."""
     without, with_i, weights = _shapley_gathers(n)
-    step = max(1, GATHER_CHUNK_BYTES // (8 * without.shape[1]))
+    vectors = max(1, values.size // values.shape[-1])
+    step = max(1, GATHER_CHUNK_BYTES // (8 * without.shape[1] * vectors))
     chunks = [slice(lo, lo + step) for lo in range(0, n, step)]
-    return np.concatenate(
-        [(weights[c] * (values[with_i[c]] - values[without[c]])).sum(axis=1) for c in chunks]
-    )
+    sums = []
+    for c in chunks:
+        # take, not indexing, keeps the gathered rows contiguous, so each sum
+        # runs along its row in the same order whatever the batch
+        gains = values.take(with_i[c], axis=-1) - values.take(without[c], axis=-1)
+        sums.append((weights[c] * gains).sum(axis=-1))
+    return np.concatenate(sums, axis=-1)
 
 
 def shapley_value(f: SetFunction) -> Allocation:

@@ -9,6 +9,7 @@ import pytest
 from consensusgame.consensus import (
     ConsensusError,
     InfluenceMatrix,
+    _is_primitive,
     deviation_disutility,
     influence_weights,
     strategic_update,
@@ -76,6 +77,37 @@ class TestInfluenceWeights:
         # W^2 = I: the squarings settle on rows that disagree
         with pytest.raises(ConsensusError, match="rows disagree: W is reducible or periodic"):
             influence_weights(np.array([[0.0, 1.0], [1.0, 0.0]]))
+
+    def test_reducible_matrix_with_one_closed_class_rejected(self):
+        # W^k settles on identical rows (1, 0), but player 1's opinion never
+        # reaches player 0: its weight would be a rounding residue, not 0
+        for w in ([[1.0, 0.0], [0.5, 0.5]], [[0.5, 0.5, 0.0], [0.5, 0.5, 0.0], [0.2, 0.3, 0.5]]):
+            with pytest.raises(ConsensusError, match="W is not primitive"):
+                InfluenceMatrix.from_matrix(w)
+
+    def test_primitivity_against_powers_up_to_wielandts_bound(self):
+        # a nonnegative matrix is primitive when some power is positive, and
+        # Wielandt's (n - 1)^2 + 1 bounds the first such power
+        rng = np.random.default_rng(17)
+        seen = {True: 0, False: 0}
+        for _ in range(300):
+            n = int(rng.integers(1, 6))
+            support = rng.random((n, n)) < rng.uniform(0.15, 0.6)
+            power, positive = np.eye(n, dtype=int), False
+            for _ in range((n - 1) ** 2 + 1):
+                power = np.minimum(power @ support.astype(int), 1)
+                positive |= bool(power.all())
+            w = support * rng.uniform(0.1, 1.0, size=(n, n))
+            assert _is_primitive(w) == positive
+            seen[positive] += 1
+        # Wielandt's own matrix: a cycle plus one chord, first positive at
+        # power (n - 1)^2 + 1
+        n = 5
+        wielandt = np.roll(np.eye(n), 1, axis=1)
+        wielandt[-1, 1] = 1.0
+        assert _is_primitive(wielandt)
+        assert np.linalg.matrix_power(wielandt, (n - 1) ** 2).min() == 0
+        assert seen[True] > 30 and seen[False] > 30
 
     def test_non_stochastic_rejected(self):
         with pytest.raises(ConsensusError):

@@ -6,11 +6,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from consensusgame import cli
+from consensusgame import cli, core
 from consensusgame.core import (
     _balanced_dual,
+    _pivot_cap,
     bayesian_core_contains,
     bayesian_core_is_empty,
+    bayesian_core_verdicts,
     core_contains,
     core_is_empty,
     core_witness,
@@ -206,6 +208,26 @@ class TestBalancednessDual:
         assert optimum.sum() == pytest.approx(1.4)
         assert np.all(membership_matrix(4)[1:-1] @ optimum >= bounds - 1e-9)
 
+    def test_cli_exits_three_when_the_dual_reaches_its_pivot_cap(self, tmp_path, capsys, monkeypatch):
+        # the Shapley value of this game leaves player 0's coalitions short,
+        # so the dual decides, and it takes two pivots; capped at one, it
+        # stops there as if cycling, an internal error rather than a verdict
+        values = np.zeros(16)
+        sizes = membership_matrix(4).sum(axis=1)
+        values[(sizes == 2) & (np.arange(16) & 1 == 1)] = 0.55
+        values[(sizes == 3) & (np.arange(16) & 1 == 1)] = 0.9
+        values[15] = 1.0
+        f = SetFunction(4, values)
+        assert _pivot_cap(4) == 10 * 4 * (2**4 - 2)
+        witness, pivots = _balanced_dual(4, f.values[1:-1], 1.0 + 1e-9)
+        assert witness is not None and pivots == 2
+        path = tmp_path / "game.setfn"
+        path.write_text(dump_setfn(f))
+        monkeypatch.setattr(core, "_pivot_cap", lambda n: pivots - 1)
+        assert cli.main(["core-check", str(path)]) == 3
+        err = capsys.readouterr().err
+        assert "internal error: RuntimeError: the balancedness dual did not terminate within 1 pivots" in err
+
     def test_core_check_prints_empty_for_nine_costly_singletons(self, tmp_path, capsys):
         # nine singletons worth 0.2 each against a grand value of 1: the
         # Shapley shortcut fails, so the dual decides
@@ -360,6 +382,45 @@ class TestCoreIsEmpty:
 
 
 class TestBayesianCore:
+    def test_batched_verdicts_are_those_of_each_profile_alone(self, monkeypatch):
+        # fast-path hits, dual-decided nonempty cores and empty ones share a
+        # batch; each row is the one-profile call's, bit for bit, and each
+        # verdict the tableau oracle's
+        duals = []
+
+        def counted(*args):
+            duals.append(args)
+            return _balanced_dual(*args)
+
+        monkeypatch.setattr(core, "_balanced_dual", counted)
+        rng = np.random.default_rng(79)
+        checked = {True: 0, False: 0}
+        for n in range(2, 7):
+            profiles = [_noisy_opinions(n, rng, noise) for noise in (0.01, 0.1, 0.3) for _ in range(6)]
+            batch_duals = len(duals)
+            empty, witnesses = bayesian_core_verdicts(np.array([[f.values for f in p] for p in profiles]))
+            batch_duals = len(duals) - batch_duals
+            assert witnesses.shape == (len(profiles), n)
+            for opinions, is_empty, witness in zip(profiles, empty, witnesses):
+                alone = bayesian_core_is_empty(opinions)
+                assert is_empty == alone.empty == (not dense_lp_feasible(*core_system(opinions))[0])
+                if is_empty:
+                    assert np.isnan(witness).all()
+                else:
+                    assert witness.tobytes() == alone.witness.tobytes()
+                    assert bayesian_core_contains(opinions, witness, tol=1e-9)
+                checked[bool(is_empty)] += 1
+            # only the fast path's misses reach the dual
+            assert 0 < batch_duals < len(profiles) or n == 2
+        assert checked[True] > 10 and checked[False] > 10
+
+    def test_empty_batch_and_malformed_batches(self):
+        empty, witnesses = bayesian_core_verdicts(np.empty((0, 3, 8)))
+        assert empty.shape == (0,) and witnesses.shape == (0, 3)
+        for shape in ((3, 8), (2, 3, 7)):
+            with pytest.raises(SetFunctionError, match="stack of profiles"):
+                bayesian_core_verdicts(np.zeros(shape))
+
     def test_shared_opinion_reduces_to_classical_core(self):
         rng = np.random.default_rng(59)
         for n in (2, 3, 4):

@@ -13,6 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from consensusgame import cli, harness, setfn
+from consensusgame.core import bayesian_core_contains, bayesian_core_is_empty, bayesian_core_verdicts
 from consensusgame.agents import (
     FLOAT_PARAMS,
     EnvironmentModel,
@@ -44,8 +45,18 @@ from consensusgame.harness import (
     scenario_from_dict,
     trace_chunks,
     trace_header,
+    truth_spec,
 )
-from consensusgame.setfn import SetFunction, dump_setfn, random_supermodular
+from consensusgame.setfn import (
+    GATHER_CHUNK_BYTES,
+    SamplerError,
+    SetFunction,
+    dump_setfn,
+    is_supermodular,
+    random_supermodular,
+    sample_opinion_streams,
+    sample_supermodular_opinions,
+)
 from consensusgame.shapley import shapley_linear_form
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
@@ -611,6 +622,7 @@ class TestScenarioLoading:
             # checked at load as the run checks it: reducible, periodic, and
             # rows off 1 by more than the consensus tolerance
             ({"influence": [[1, 0], [0, 1]]}, "^<scenario>: influence: .*rows disagree"),
+            ({"influence": [[1, 0], [0.5, 0.5]]}, "^<scenario>: influence: W is not primitive"),
             ({"influence": [[0, 1], [1, 0]]}, "^<scenario>: influence: .*rows disagree"),
             ({"influence": [[0.3, 0.7 + 5e-10], [0.4, 0.6]]}, "^<scenario>: influence: rows must"),
             ({"players": [{"kind": "truthful", "risk_aversion": 1.0}]}, "players"),
@@ -858,6 +870,123 @@ class TestExperiments:
         assert verdict["monotone"] and verdict["nonempty_at_largest"] and verdict["pass"]
         assert not po_sweep_verdict(sweep_rows([1.0, 0.1, 0.2], False))["pass"]
         assert not po_sweep_verdict(sweep_rows([1.0, 0.1, 0.01], True))["pass"]
+
+
+def one_trial_at_a_time(scenario: Scenario) -> list[dict]:
+    """Oracle: the core-emptiness rows from one sampler call and one
+    Bayesian-core check per trial, one trial after another."""
+    rows = []
+    for n in range(scenario.n_min, scenario.n_max + 1):
+        gts = truth_spec(scenario.truth_family, n, scenario.sigma)
+        empty = failures = 0
+        for trial in range(scenario.trials):
+            rng = np.random.default_rng([scenario.seed, n, trial])
+            try:
+                opinions = sample_supermodular_opinions(
+                    gts, rng, n, perturb_grand=scenario.perturb_grand
+                )
+            except SamplerError:
+                failures += 1
+                continue
+            empty += bayesian_core_is_empty(opinions).empty
+        if failures == scenario.trials:
+            raise ScenarioError(
+                f"sigma: {scenario.sigma!r} exhausts the opinion sampler in every "
+                f"trial at n={n}; no data for the verdict"
+            )
+        rows.append(
+            {
+                "n": n,
+                "trials": scenario.trials,
+                "sampler_failures": failures,
+                "empty": empty,
+                "frequency": empty / (scenario.trials - failures),
+            }
+        )
+    return rows
+
+
+def core_mc_scenario(seed: int, **kw) -> Scenario:
+    """The benchmark's core-emptiness regime: 200 trials at each n = 2..8,
+    sigma 0.004 on every coalition but the empty one."""
+    raw = {
+        "kind": "core-emptiness",
+        "seed": seed,
+        "trials": 200,
+        "n_min": 2,
+        "n_max": 8,
+        "sigma": 0.004,
+        "truth_family": "quadratic",
+        "perturb_grand": True,
+    }
+    return scenario_from_dict({**raw, **kw})
+
+
+class TestCoreEmptinessInGroups:
+    @pytest.mark.parametrize("seed", [1, 2, 701])
+    def test_rows_are_those_of_one_trial_at_a_time(self, seed):
+        sc = core_mc_scenario(seed)
+        assert experiment_core_emptiness(sc) == one_trial_at_a_time(sc)
+
+    def test_rows_with_some_trials_exhausting_the_sampler(self):
+        sc = core_mc_scenario(39, trials=4, n_max=4, sigma=0.08, truth_family="mixed")
+        rows = experiment_core_emptiness(sc)
+        assert rows == one_trial_at_a_time(sc)
+        assert 0 < rows[-1]["sampler_failures"] < 4
+
+    def test_every_trial_exhausting_the_sampler(self):
+        sc = core_mc_scenario(1, trials=2, sigma=0.01, truth_family="mixed")
+        with pytest.raises(ScenarioError) as got:
+            experiment_core_emptiness(sc)
+        with pytest.raises(ScenarioError) as want:
+            one_trial_at_a_time(sc)
+        assert str(got.value) == str(want.value)
+
+    def test_opinions_are_supermodular_and_witnesses_in_the_core(self, monkeypatch):
+        # every sampled opinion, and every nonempty verdict's witness, of the
+        # benchmark's regime, checked on its own
+        sampled, decided = [], []
+
+        def sample(*args, **kw):
+            sampled.append(sample_opinion_streams(*args, **kw))
+            return sampled[-1]
+
+        def decide(stacks, *args):
+            decided.append((stacks, bayesian_core_verdicts(stacks, *args)))
+            return decided[-1][1]
+
+        monkeypatch.setattr(harness, "sample_opinion_streams", sample)
+        monkeypatch.setattr(harness, "bayesian_core_verdicts", decide)
+        rows = experiment_core_emptiness(core_mc_scenario(1))
+        opinions = [
+            SetFunction(stack.shape[1], values)
+            for stack, exhausted in sampled
+            for profile in stack[~exhausted]
+            for values in profile
+        ]
+        assert len(opinions) == sum(r["n"] * (r["trials"] - r["sampler_failures"]) for r in rows)
+        assert all(is_supermodular(f) for f in opinions)
+        nonempty = 0
+        for stacks, (empty, witnesses) in decided:
+            for profile, is_empty, witness in zip(stacks, empty, witnesses):
+                if not is_empty:
+                    n = len(profile)
+                    assert bayesian_core_contains([SetFunction(n, v) for v in profile], witness)
+                    nonempty += 1
+        assert nonempty == sum(r["trials"] - r["sampler_failures"] - r["empty"] for r in rows)
+
+    def test_memory_stays_within_two_gather_chunks(self):
+        # the 200 opinion profiles at n = 8 take 3.2 MB; sampled and checked
+        # a group at a time, the experiment never holds them all
+        sc = core_mc_scenario(1, n_min=8, n_max=8)
+        experiment_core_emptiness(sc)  # index tables are cached once per n
+        tracemalloc.start()
+        try:
+            experiment_core_emptiness(sc)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * GATHER_CHUNK_BYTES, peak
 
 
 ONE_PLAYER_GAME = {
@@ -1207,6 +1336,46 @@ class TestCli:
         assert cli_main(["simulate", str(scenario), *flags]) == 2
         err = capsys.readouterr().err
         assert f": {key}:" in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("command, kind", [("simulate", "simulate"), ("exp-efficiency", "efficiency")])
+    def test_influence_that_is_not_primitive_exits_two(self, tmp_path, capsys, command, kind):
+        # powers of this matrix settle on identical rows, but player 1's
+        # weight would be a rounding residue
+        scenario = self._scenario_file(tmp_path, kind=kind, influence=[[1, 0], [0.5, 0.5]])
+        assert cli_main([command, str(scenario)]) == 2
+        err = capsys.readouterr().err
+        assert ": influence: W is not primitive" in err and "Traceback" not in err
+
+    def test_ground_truth_noise_beyond_the_float_range_exits_two(self, tmp_path, capsys):
+        scenario = self._scenario_file(
+            tmp_path,
+            n=3,
+            influence="random_primitive",
+            initial_opinions={"ground_truth": {"sigma": 1e308}},
+            players=[{"kind": "nash", "risk_aversion": 1.0}] * 3,
+        )
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert cli_main(["simulate", str(scenario)]) == 2
+        err = capsys.readouterr().err
+        assert ": initial_opinions.ground_truth.sigma: payoff values must be finite" in err
+
+    def test_ground_truth_players_draw_from_their_own_streams(self, tmp_path):
+        # one sampler call for all players gives each the opinion its own
+        # stream gives alone
+        scenario = self._scenario_file(
+            tmp_path,
+            n=4,
+            influence="random_primitive",
+            initial_opinions={"ground_truth": {"sigma": 0.02}},
+            players=[{"kind": "nash", "risk_aversion": 1.0}] * 4,
+        )
+        sc = load_scenario(scenario)
+        truth = truth_spec("quadratic", 4, 0.02)
+        for i, f in enumerate(sc.initial_opinions):
+            (alone,) = sample_supermodular_opinions(
+                truth, np.random.default_rng([sc.seed, 3, i]), 1, perturb_grand=False
+            )
+            assert f.values.tobytes() == alone.values.tobytes()
 
     @pytest.mark.parametrize(
         "command, name, key",

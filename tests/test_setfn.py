@@ -18,6 +18,8 @@ from consensusgame.setfn import (
     num_restricted,
     parse_setfn,
     random_supermodular,
+    round_candidates,
+    sample_opinion_streams,
     sample_supermodular_opinions,
     weighted_average,
 )
@@ -368,6 +370,97 @@ class TestSamplerAgainstOneAtATimeOracle:
             sample_supermodular_opinions(spec, rng, 4, max_attempts=30)
             largest = max(largest, *rng.blocks)
         assert largest > 4
+
+
+def oracle_outcome(spec, seed, count, **kw):
+    """One stream through the one-at-a-time oracle: its opinions' bytes, or
+    the repr of the error it raises."""
+    try:
+        opinions = sample_one_at_a_time(spec, np.random.default_rng(seed), count, **kw)
+    except (SamplerError, SetFunctionError) as exc:
+        return repr(exc)
+    return [f.values.tobytes() for f in opinions]
+
+
+def assert_streams_match_oracle(spec, seeds, count, **kw) -> list:
+    """The many-stream sampler over ``seeds`` against the oracle run on each
+    stream alone: a stream is exhausted exactly where the oracle raises
+    SamplerError, every other stream holds the oracle's opinions byte for
+    byte, and the call raises SetFunctionError exactly where some stream's
+    oracle does.  Returns the oracle outcomes."""
+    want = [oracle_outcome(spec, seed, count, **kw) for seed in seeds]
+    rngs = [np.random.default_rng(seed) for seed in seeds]
+    if any(isinstance(w, str) and "SetFunctionError" in w for w in want):
+        with pytest.raises(SetFunctionError, match="finite"):
+            sample_opinion_streams(spec, rngs, count, **kw)
+        return want
+    stack, exhausted = sample_opinion_streams(spec, rngs, count, **kw)
+    assert stack.shape == (len(seeds), count, 1 << spec.truth.n)
+    for values, gone, w in zip(stack, exhausted, want):
+        if gone:
+            assert isinstance(w, str) and "SamplerError" in w
+            assert np.isnan(values).all()
+        else:
+            assert [row.tobytes() for row in values] == w
+    return want
+
+
+class TestStreamsAgainstOneAtATimeOracle:
+    def test_exhausting_and_accepting_streams_share_rounds(self):
+        # at n = 8 a round holds the first blocks of only a few streams, and
+        # with one attempt per opinion every rejection exhausts its stream
+        spec = quadratic_spec(8, 0.004)
+        assert round_candidates(8) < 30 * 8
+        want = assert_streams_match_oracle(spec, [[9, t] for t in range(30)], 8, max_attempts=1)
+        exhausted = sum(isinstance(w, str) for w in want)
+        assert 0 < exhausted < len(want)
+
+    @pytest.mark.parametrize(
+        "n, sigma, attempts", [(4, 0.05, 30), (6, 0.01, 2), (6, 0.01, 4), (5, 0.02, 100_000)]
+    )
+    def test_streams_with_rejections(self, n, sigma, attempts):
+        # blocks that grow past the opinions still needed, misses after an
+        # opinion taken mid-block, and streams that finish in different rounds
+        spec = quadratic_spec(n, sigma)
+        assert_streams_match_oracle(spec, [[n, t] for t in range(20)], n, max_attempts=attempts)
+
+    @pytest.mark.parametrize("n", [3, 8])
+    def test_one_stream(self, n):
+        for trial in range(5):
+            want = assert_streams_match_oracle(quadratic_spec(n, 0.004), [[11, n, trial]], n)
+            assert not isinstance(want[0], str)
+        spec = quadratic_spec(5, 1.0)
+        (want,) = assert_streams_match_oracle(spec, [[12]], 1, max_attempts=50)
+        assert "SamplerError" in want
+
+    def test_nonfinite_candidates_raise_where_a_stream_draws_them(self):
+        # noise this large overflows to inf in some coalitions; streams are
+        # grouped in threes, and a group raises exactly when one of its
+        # streams would raise alone
+        spec = quadratic_spec(2, 1e308)
+        outcomes = []
+        with np.errstate(over="ignore", invalid="ignore"):
+            for group in range(20):
+                seeds = [[8, 3 * group + k] for k in range(3)]
+                want = assert_streams_match_oracle(spec, seeds, 2)
+                outcomes.append(any(isinstance(w, str) for w in want))
+        assert any(outcomes) and not all(outcomes)
+
+    def test_no_streams_and_no_opinions(self):
+        spec = quadratic_spec(3, 0.01)
+        stack, exhausted = sample_opinion_streams(spec, [], 3)
+        assert stack.shape == (0, 3, 8) and exhausted.shape == (0,)
+        rng = np.random.default_rng(0)
+        state = rng.bit_generator.state
+        stack, exhausted = sample_opinion_streams(spec, [rng], 0)
+        assert stack.shape == (1, 0, 8) and not exhausted.any()
+        assert rng.bit_generator.state == state
+
+    def test_noiseless_streams_hold_the_truth(self):
+        spec = quadratic_spec(4, 0.0)
+        stack, exhausted = sample_opinion_streams(spec, [np.random.default_rng(t) for t in range(3)], 4)
+        assert not exhausted.any()
+        assert all(row.tobytes() == spec.truth.values.tobytes() for row in stack.reshape(-1, 16))
 
 
 def test_block_check_memory_stays_within_one_row_check_plus_one_block():

@@ -114,14 +114,16 @@ def step_reward(
     p: float | np.ndarray,
     theta: float,
     d: np.ndarray,
-    disutility: float | None = None,
+    disutility: float | np.ndarray | None = None,
 ) -> float | np.ndarray:
     """Stage reward: fraud disutility traded against the Shapley-shift gain.
 
     One player (scalar risk aversion ``p``, linear-form row ``d``) gets a
     float; all players (vector ``p``, the ``(n, m)`` rows ``d``) get a
-    vector.  ``disutility`` is the step's ``deviation_disutility`` when the
-    caller has it already.
+    vector.  A stack of lie profiles ``(..., n, m)`` adds its leading axes
+    to either, each step's rewards those of its profile alone.
+    ``disutility`` is the ``deviation_disutility`` of ``deviations`` when
+    the caller has it already.
     """
     u = np.asarray(deviations, dtype=float)
     t = np.asarray(t, dtype=float)
@@ -130,10 +132,11 @@ def step_reward(
     mean_dev = t @ u
     d = np.asarray(d, dtype=float)
     if d.ndim == 1:
-        return float(-p * disutility + theta * (d @ mean_dev))
+        reward = -p * disutility + theta * np.vecdot(d, mean_dev)
+        return float(reward) if u.ndim <= 2 else reward
     # one dot product per row: a matrix-vector product rounds differently
-    shift = np.array([row @ mean_dev for row in d])
-    return -np.asarray(p, dtype=float) * disutility + theta * shift
+    shift = np.vecdot(d, mean_dev[..., None, :])
+    return -np.asarray(p, dtype=float) * np.asarray(disutility)[..., None] + theta * shift
 
 
 def stage_cost(

@@ -137,17 +137,19 @@ def strategic_update(
     return theta * (w @ x) + (1.0 - theta) * v
 
 
-def deviation_disutility(deviations: np.ndarray, t: np.ndarray) -> float:
+def deviation_disutility(deviations: np.ndarray, t: np.ndarray) -> float | np.ndarray:
     """Summed per-entry weighted variance of the lie vectors.
 
     var[u] = sum_i t_i u_i^2 - (sum_i t_i u_i)^2 holds entrywise; the
-    disutility is its sum over the restricted entries.
+    disutility is its sum over the restricted entries.  One ``(n, m)``
+    profile gives a float; a stack ``(..., n, m)`` gives one value per
+    profile, each that of its profile alone.
     """
     u = np.atleast_2d(np.asarray(deviations, dtype=float))
     t = np.asarray(t, dtype=float)
-    if t.shape != (u.shape[0],):
+    if t.shape != (u.shape[-2],):
         raise ConsensusError("one weight per player required")
     mean = t @ u
     second = t @ (u * u)
-    return float(np.sum(second - mean * mean))
-
+    out = np.sum(second - mean * mean, axis=-1)
+    return float(out) if u.ndim == 2 else out

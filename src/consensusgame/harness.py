@@ -47,6 +47,7 @@ from .agents import (
 from .consensus import ConsensusError, InfluenceMatrix, deviation_disutility, strategic_update
 from .core import bayesian_core_is_empty, bayesian_core_verdicts
 from .setfn import (
+    GATHER_CHUNK_BYTES,
     MAX_PLAYERS,
     SAMPLER_ATTEMPTS,
     GroundTruthSpec,
@@ -60,7 +61,7 @@ from .setfn import (
     round_candidates,
     sample_opinion_streams,
 )
-from .shapley import LINEAR_FORM_MAX_PLAYERS, shapley_linear_form
+from .shapley import LINEAR_FORM_MAX_PLAYERS, ShapleyLinearForm, shapley_linear_form
 
 CONVERGENCE_TOL = 1e-10
 
@@ -118,9 +119,10 @@ class SimulationTrace:
     @staticmethod
     def empty(n: int, steps: int = -1) -> "SimulationTrace":
         """Trace of ``steps`` steps whose arrays are allocated, not filled in
-        (run_simulation fills them, so rows a converged run never reaches
-        cost nothing); the default -1 has no snapshots and emits a
-        header-only CSV.
+        (run_simulation's loop fills the opinions, reveals and lies step by
+        step, and its derivation pass the rest, so rows a converged run
+        never reaches cost nothing); the default -1 has no snapshots and
+        emits a header-only CSV.
 
         The one place that knows the array shapes: a trace whose float64
         arrays would not fit in physical memory is refused, as the horizon
@@ -172,19 +174,37 @@ def run_simulation(scenario: Scenario) -> SimulationTrace:
     only the proper coalitions, the update law treats each coalition on its
     own, and the grand value stays at 1.  Stops at the horizon or as soon
     as the largest per-player opinion change falls below the convergence
-    tolerance, and refuses a step whose opinions, disutility or rewards are
-    not finite.  Deterministic given the scenario seed.  A run whose trace
+    tolerance.  Deterministic given the scenario seed.  A run whose trace
     arrays would not fit in physical memory is rejected before anything is
     allocated.
+
+    The run has two parts: ``_recur`` steps the dynamics and records only
+    what the next step reads, and ``_derive_columns`` then fills in the
+    columns no step reads.  The recurrence returns first, so the learners'
+    model is freed before the derivation allocates its blocks.  A step whose
+    opinions are not finite is refused as it is taken; a disutility or
+    reward that is not finite, once the last step is taken.
     """
     check_scenario(scenario, "simulate")
-    n, m = scenario.n, num_restricted(scenario.n)
-    trace = SimulationTrace.empty(n, scenario.horizon)
+    trace = SimulationTrace.empty(scenario.n, scenario.horizon)
     influence = InfluenceMatrix.from_matrix(scenario.influence)
-    theta = scenario.theta
-    form = shapley_linear_form(n)
-    t = influence.t
+    form = shapley_linear_form(scenario.n)
+    trace = _recur(scenario, trace, influence, form)
     p = np.array([params.risk_aversion for params in scenario.players])
+    _derive_columns(trace, influence.t, p, scenario.theta, form)
+    return trace
+
+
+def _recur(
+    scenario: Scenario, trace: SimulationTrace, influence: InfluenceMatrix, form: ShapleyLinearForm
+) -> SimulationTrace:
+    """Step the dynamics into ``trace``, each step recording the lies, the
+    revealed and the next true opinions, and refusing a step whose revealed
+    or true opinions are not finite; returns the trace, cut at convergence
+    when the run converges."""
+    n, m = scenario.n, trace.m
+    theta = scenario.theta
+    t = influence.t
     # the lineup: one row of lies per player, constant for the fixed
     # strategies (zeros when truthful, the closed-form lie when Nash); each
     # step the learners fill in their own rows from one shared opponent model
@@ -198,44 +218,61 @@ def run_simulation(scenario: Scenario) -> SimulationTrace:
     model = EnvironmentModel(m, len(learners)) if learners else None
     rng = np.random.default_rng(scenario.seed)
 
-    v = np.stack([f.values[1:-1] for f in scenario.initial_opinions])
+    v = trace.opinions[0]
+    v[:] = [f.values[1:-1] for f in scenario.initial_opinions]
     state = np.zeros(m)  # broadcast mean revealed opinion; nothing revealed yet
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow is refused below
+        for k in range(scenario.horizon):
+            us = trace.deviations[k]
+            us[:] = base
+            if learners:
+                # one prediction per learner, used for its lie and its error
+                predictions = model.predict(state)
+                for i, prediction in zip(learners, predictions):
+                    params = scenario.players[i]
+                    us[i] = respond(form.rows[i], theta, float(t[i]), params, prediction, k, rng)
+            x = np.add(v, us, out=trace.revealed[k])
+            v_next = trace.opinions[k + 1]
+            v_next[:] = strategic_update(v, x, influence.w, theta)
+            if not (np.isfinite(x).all() and np.isfinite(v_next).all()):
+                raise SetFunctionError("payoff values must be finite")
+            if learners:
+                # each learner's target: its opponents' weighted mean lie
+                mean_dev = t @ us
+                targets = [(mean_dev - t[i] * us[i]) / (1.0 - t[i]) for i in learners]
+                model.update(state, [y - y_hat for y, y_hat in zip(targets, predictions)])
+            state = t @ x
+            if np.max(np.abs(v_next - v)) < CONVERGENCE_TOL:
+                return replace(trace.cut(k + 1), converged_at=k + 1)
+            v = v_next
+    return trace
 
-    def snapshot(k: int, v: np.ndarray) -> None:
-        trace.opinions[k] = v
-        trace.average[k] = t @ v
-        trace.shapley[k] = form.apply_restricted(trace.average[k])
 
-    snapshot(0, v)
-    for k in range(scenario.horizon):
-        us = base.copy()
-        if learners:
-            # one prediction per learner, used for its lie and its error
-            predictions = model.predict(state)
-            for i, prediction in zip(learners, predictions):
-                params = scenario.players[i]
-                us[i] = respond(form.rows[i], theta, float(t[i]), params, prediction, k, rng)
+def _derive_columns(
+    trace: SimulationTrace, t: np.ndarray, p: np.ndarray, theta: float, form: ShapleyLinearForm
+) -> None:
+    """Fill in the columns no step of the dynamics reads from the recorded
+    opinions and lies: the weighted average opinion and its Shapley row on
+    every step, the disutility and rewards on every acted step.
+
+    Works through blocks of steps whose (block, n, m) stack fits
+    GATHER_CHUNK_BYTES, so its temporaries stay within a few gather chunks
+    whatever the horizon; every value is that of the per-step call.
+    Raises SetFunctionError when a disutility or reward is not finite.
+    """
+    block = max(1, GATHER_CHUNK_BYTES // (8 * trace.n * trace.m))
+    for lo in range(0, trace.steps + 1, block):
+        blk = slice(lo, lo + block)
+        average = np.matmul(t, trace.opinions[blk], out=trace.average[blk])
+        trace.shapley[blk] = form.apply_restricted(average)
+        us = trace.deviations[blk]  # one row fewer: the final step takes no action
         with np.errstate(over="ignore", invalid="ignore"):  # an overflow is refused below
-            x = v + us
-            v = strategic_update(v, x, influence.w, theta)
             disutility = deviation_disutility(us, t)
             rewards = step_reward(us, t, p, theta, form.rows, disutility)
-        if not all(np.isfinite(a).all() for a in (x, v, disutility, rewards)):
+        if not (np.isfinite(disutility).all() and np.isfinite(rewards).all()):
             raise SetFunctionError("payoff values must be finite")
-        trace.revealed[k] = x
-        trace.deviations[k] = us
-        trace.disutility[k] = disutility
-        trace.rewards[k] = rewards
-        if learners:
-            # each learner's target: its opponents' weighted mean lie
-            mean_dev = t @ us
-            targets = [(mean_dev - t[i] * us[i]) / (1.0 - t[i]) for i in learners]
-            model.update(state, [y - y_hat for y, y_hat in zip(targets, predictions)])
-        state = t @ x
-        snapshot(k + 1, v)
-        if np.max(np.abs(trace.opinions[k + 1] - trace.opinions[k])) < CONVERGENCE_TOL:
-            return replace(trace.cut(k + 1), converged_at=k + 1)
-    return trace
+        trace.disutility[blk] = disutility
+        trace.rewards[blk] = rewards
 
 
 # --- experiments -------------------------------------------------------------
@@ -267,8 +304,10 @@ def experiment_efficiency(scenario: Scenario, tol: float = 1e-9) -> dict:
         drifts = []
         for weights in (t, np.ones(scenario.n)):  # p_i = p_o * t_i; control: p_i = p_o
             lineup = nash_players(scenario.n, weights, scenario.p_o)
-            trace = run_simulation(replace(scenario, players=lineup))
-            drifts.append(float(np.max(np.abs(trace.average - trace.average[0]))))
+            # only the average is kept, so a run's other arrays are freed
+            # before the next run fills its own
+            average = run_simulation(replace(scenario, players=lineup)).average
+            drifts.append(float(np.max(np.abs(average - average[0]))))
         drift, control_drift = drifts
         degenerate = float(np.ptp(t)) < 1e-12
 
@@ -320,7 +359,8 @@ def experiment_core_emptiness(scenario: Scenario) -> list[dict]:
     each trial's opinions and verdict are those of running it alone.
     Trials whose rejection sampler exhausts its budget are counted as
     failures, not as data; a player count where every trial fails has no
-    data at all and is rejected.
+    data at all and is rejected, as is a sigma whose noise draws a
+    candidate beyond the float range.
     """
     check_scenario(scenario, "core-emptiness")
     rows = []
@@ -332,9 +372,12 @@ def experiment_core_emptiness(scenario: Scenario) -> list[dict]:
         for lo in range(0, scenario.trials, group):
             trials = range(lo, min(lo + group, scenario.trials))
             rngs = [np.random.default_rng([scenario.seed, n, trial]) for trial in trials]
-            stacks, exhausted = sample_opinion_streams(
-                gts, rngs, n, perturb_grand=scenario.perturb_grand
-            )
+            try:
+                stacks, exhausted = sample_opinion_streams(
+                    gts, rngs, n, perturb_grand=scenario.perturb_grand
+                )
+            except SetFunctionError as exc:  # noise beyond the float range
+                _fail("sigma", f"{scenario.sigma!r} at n={n}: {exc}")
             failures += int(exhausted.sum())
             empty += int(bayesian_core_verdicts(stacks[~exhausted])[0].sum())
         if failures == scenario.trials:

@@ -169,11 +169,14 @@ def _supermodular_columns(block: np.ndarray, n: int, floor: float) -> np.ndarray
         return np.concatenate(
             [_supermodular_columns(block[:, lo : lo + step], n, floor) for lo in range(0, k, step)]
         )
-    # summed in place, in the order of (f(S+i+j) + f(S)) - f(S+i) - f(S+j)
-    gaps = block.take(sij, axis=0)
-    gaps += block.take(s, axis=0)
-    gaps -= block.take(si, axis=0)
-    gaps -= block.take(sj, axis=0)
+    # summed in place, in the order of (f(S+i+j) + f(S)) - f(S+i) - f(S+j);
+    # candidates near the float range overflow here without a numpy warning,
+    # since the sampler refuses nonfinite candidates itself
+    with np.errstate(over="ignore", invalid="ignore"):
+        gaps = block.take(sij, axis=0)
+        gaps += block.take(s, axis=0)
+        gaps -= block.take(si, axis=0)
+        gaps -= block.take(sj, axis=0)
     return (gaps >= floor).all(axis=0)
 
 

@@ -125,8 +125,11 @@ class ShapleyLinearForm:
         return Allocation(self.n, self.apply_restricted(f.restricted()))
 
     def apply_restricted(self, restricted: np.ndarray) -> np.ndarray:
-        """Payoffs for a normalized function given only its m-vector."""
-        return self.offset + self.rows @ np.asarray(restricted, dtype=float)
+        """Payoffs for a normalized function given only its m-vector; a
+        stack ``(..., m)`` gives one row of payoffs per vector, each a
+        matrix-vector product as for that vector alone."""
+        restricted = np.asarray(restricted, dtype=float)
+        return self.offset + (self.rows @ restricted[..., None])[..., 0]
 
 
 def shapley_linear_form(n: int) -> ShapleyLinearForm:

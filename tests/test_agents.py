@@ -138,6 +138,24 @@ class TestStepReward:
             for i in range(n):
                 assert together[i] == step_reward(u, t, p[i], 0.3, rows[i])
 
+    @pytest.mark.parametrize("n", [2, 5, 9])
+    def test_stack_of_profiles_matches_one_call_per_profile(self, n):
+        rng = np.random.default_rng([29, n])
+        rows = shapley_linear_form(n).rows
+        t = rng.dirichlet(np.ones(n))
+        p = rng.uniform(0.5, 3.0, size=n)
+        stack = rng.normal(0, 0.1, size=(6, *rows.shape))
+        together = step_reward(stack, t, p, 0.3, rows)
+        assert together.shape == (6, n)
+        assert np.array_equal(together, [step_reward(u, t, p, 0.3, rows) for u in stack])
+        given = step_reward(stack, t, p, 0.3, rows, deviation_disutility(stack, t))
+        assert np.array_equal(given, together)
+        one = step_reward(stack, t, p[0], 0.3, rows[0])
+        assert one.shape == (6,)
+        assert np.array_equal(one, [step_reward(u, t, p[0], 0.3, rows[0]) for u in stack])
+        assert type(step_reward(stack[0], t, p[0], 0.3, rows[0])) is float
+        assert step_reward(stack[:0], t, p, 0.3, rows).shape == (0, n)
+
 
 class TestMyopicDecomposition:
     def test_multistep_objective_splits_into_stage_costs(self):

@@ -246,6 +246,17 @@ class TestDeviationDisutility:
             u = rng.normal(size=(n, 4))
             assert deviation_disutility(u, t) >= -1e-15
 
+    @pytest.mark.parametrize("n", [2, 5, 9])
+    def test_stack_of_profiles_matches_one_call_per_profile(self, n):
+        rng = np.random.default_rng([23, n])
+        t = rng.dirichlet(np.ones(n))
+        stack = rng.normal(0, 0.1, size=(7, n, (1 << n) - 2))
+        stacked = deviation_disutility(stack, t)
+        assert stacked.shape == (7,)
+        assert np.array_equal(stacked, [deviation_disutility(u, t) for u in stack])
+        assert type(deviation_disutility(stack[0], t)) is float
+        assert deviation_disutility(stack[:0], t).shape == (0,)
+
 
 class TestDriftIdentity:
     def test_average_shift_equals_theta_times_deviation_sums(self):

@@ -5,6 +5,7 @@ import copy
 import dataclasses
 import json
 import tracemalloc
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -198,6 +199,33 @@ class TestRunSimulation:
 
     def test_convergence_cut_of_the_base_game_matches_per_player_reference(self):
         assert self._matches_reference(base_scenario(horizon=3000)).converged_at is not None
+
+    def test_control_run_across_derivation_blocks_matches_per_player_reference(self):
+        # equal risk aversion under unequal influence: the average drifts on,
+        # so the run takes its whole horizon, many derivation blocks long
+        n = 9
+        scenario = mixed_scenario(n, 1, horizon=200)
+        scenario = dataclasses.replace(scenario, players=nash_players(n, np.ones(n), 1.0))
+        trace = self._matches_reference(scenario)
+        assert trace.converged_at is None and trace.steps == 200
+        block = harness.GATHER_CHUNK_BYTES // (8 * n * trace.m)  # steps per block
+        assert -(-(trace.steps + 1) // block) >= 7
+
+    def test_derivation_blocks_read_the_chunk_size_at_call_time(self, monkeypatch):
+        scenario = mixed_scenario(5, 2, horizon=40)
+        per_step = 8 * 5 * 30  # bytes of one (n, m) profile at n = 5
+        monkeypatch.setattr(harness, "GATHER_CHUNK_BYTES", 4 * per_step - 1)
+        blocks = []
+
+        def spy(deviations, t):
+            blocks.append(len(deviations))
+            return deviation_disutility(deviations, t)
+
+        monkeypatch.setattr(harness, "deviation_disutility", spy)
+        trace = self._matches_reference(scenario)
+        steps = trace.steps
+        assert blocks == [len(range(lo, min(lo + 3, steps))) for lo in range(0, steps + 1, 3)]
+        assert len(blocks) > 10
 
     @staticmethod
     def _matches_reference(scenario):
@@ -1354,10 +1382,27 @@ class TestCli:
             initial_opinions={"ground_truth": {"sigma": 1e308}},
             players=[{"kind": "nash", "risk_aversion": 1.0}] * 3,
         )
-        with np.errstate(over="ignore", invalid="ignore"):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
             assert cli_main(["simulate", str(scenario)]) == 2
+        assert caught == []
         err = capsys.readouterr().err
         assert ": initial_opinions.ground_truth.sigma: payoff values must be finite" in err
+
+    def test_core_emptiness_noise_beyond_the_float_range_exits_two_naming_sigma(
+        self, tmp_path, capsys
+    ):
+        path = tmp_path / "scenario.json"
+        raw = {"kind": "core-emptiness", "seed": 1, "trials": 3, "n_min": 2, "n_max": 3}
+        path.write_text(json.dumps({**raw, "sigma": 1e308}))
+        out = tmp_path / "rows.csv"
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert cli_main(["exp-core-emptiness", str(path), "--out", str(out)]) == 2
+        assert caught == []
+        captured = capsys.readouterr()
+        assert captured.err == "error: sigma: 1e+308 at n=2: payoff values must be finite\n"
+        assert captured.out == "" and not out.exists()
 
     def test_ground_truth_players_draw_from_their_own_streams(self, tmp_path):
         # one sampler call for all players gives each the opinion its own

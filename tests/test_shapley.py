@@ -174,6 +174,16 @@ class TestLinearForm:
                 atol=1e-12,
             )
 
+    @pytest.mark.parametrize("n", [2, 5, 9])
+    def test_stack_of_vectors_matches_one_call_per_vector(self, n):
+        form = shapley_linear_form(n)
+        stack = np.random.default_rng([31, n]).uniform(size=(5, (1 << n) - 2))
+        stacked = form.apply_restricted(stack)
+        assert stacked.shape == (5, n)
+        assert np.array_equal(stacked, [form.apply_restricted(r) for r in stack])
+        # one vector: a matrix-vector product, as it always was
+        assert np.array_equal(form.apply_restricted(stack[0]), form.offset + form.rows @ stack[0])
+
     def test_rejects_unnormalized_function(self):
         form = shapley_linear_form(2)
         with pytest.raises(SetFunctionError):

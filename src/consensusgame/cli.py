@@ -1,19 +1,21 @@
-"""Command-line interface.
+"""Run one of the paper's claims from the command line.
 
-One subcommand per claim the library backs:
+Commands, one per claim the library backs:
 
-    simulate            run a scenario, write the trace CSV
-    shapley             allocation of a payoff-function file
+    simulate            run a scenario file, write the trace CSV
+    shapley             Shapley allocation of a payoff-function file
     core-check          classical core emptiness of a payoff-function file
-    bayesian-core       Bayesian-core emptiness across opinion files
+    bayesian-core       Bayesian-core emptiness, one opinion file per player
     exp-efficiency      average-opinion drift with and without p_i ~ t_i
     exp-core-emptiness  per-n empty-core frequency over sampled opinions
     exp-po-sweep        opinion spread and core verdict across p_o
 
+Every command but bayesian-core reads exactly one file.  The flags may
+stand before or after the command, or between it and its files.
+
 Exit status: 0 when the run's verdict passes, 1 when it fails, 2 on bad
 input or a run that cannot be decided, 3 on an internal error (a fault in
 the program rather than in its input).  Errors are reported on stderr.
-Verdicts are decided by the harness; this module only formats them.
 """
 
 from __future__ import annotations
@@ -21,9 +23,10 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from functools import partial
 
 from .consensus import ConsensusError
-from .core import bayesian_core_is_empty, core_witness
+from .core import DEFAULT_TOL, bayesian_core_is_empty, core_witness
 from .harness import (
     ScenarioError,
     core_emptiness_verdict,
@@ -39,68 +42,27 @@ from .setfn import SamplerError, SetFunctionError, read_setfn
 from .shapley import shapley_value
 
 
-def _common_flags(default: bool) -> argparse.ArgumentParser:
-    # the same flags hang off the main parser and every subcommand, so they
-    # are accepted on either side of the command word; the subcommand copy
-    # suppresses defaults to avoid clobbering values parsed up front
-    holder = argparse.ArgumentParser(add_help=False)
-    suppress = argparse.SUPPRESS
-    holder.add_argument(
-        "--seed",
-        type=int,
-        default=None if default else suppress,
-        help="override the scenario seed",
-    )
-    holder.add_argument(
-        "--out",
-        default=None if default else suppress,
-        help="output file (default: stdout)",
-    )
-    holder.add_argument(
-        "--tol",
-        type=float,
-        default=1e-9 if default else suppress,
-        help="feasibility tolerance",
-    )
-    holder.add_argument(
-        "--json-summary",
-        action="store_true",
-        default=False if default else suppress,
-        help="emit a machine-readable result record on stdout",
-    )
-    return holder
-
-
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="consensusgame",
-        description="Coalitional games with strategic opinion exchange.",
-        parents=[_common_flags(default=True)],
+        description=__doc__,
+        formatter_class=argparse.RawDescriptionHelpFormatter,
     )
-    sub = parser.add_subparsers(dest="command", required=True)
-    shared = [_common_flags(default=False)]
-
-    p = sub.add_parser("simulate", parents=shared, help="run a scenario and emit its trace CSV")
-    p.add_argument("scenario")
-
-    p = sub.add_parser("shapley", parents=shared, help="Shapley allocation of a payoff-function file")
-    p.add_argument("setfn")
-
-    p = sub.add_parser("core-check", parents=shared, help="classical core emptiness")
-    p.add_argument("setfns", nargs=1, metavar="setfn")
-
-    p = sub.add_parser("bayesian-core", parents=shared, help="Bayesian-core emptiness over opinions")
-    p.add_argument("setfns", nargs="+")
-
-    p = sub.add_parser("exp-efficiency", parents=shared, help="average-opinion drift experiment")
-    p.add_argument("scenario")
-
-    p = sub.add_parser("exp-core-emptiness", parents=shared, help="empty-core frequency experiment")
-    p.add_argument("scenario")
-
-    p = sub.add_parser("exp-po-sweep", parents=shared, help="risk-aversion sweep experiment")
-    p.add_argument("scenario")
-
+    parser.add_argument("command", choices=_COMMANDS, metavar="command", help="one of the above")
+    parser.add_argument("files", nargs="+", metavar="file", help="scenario or payoff-function file")
+    parser.add_argument("--seed", type=int, help="stands in for the scenario's seed")
+    parser.add_argument("--out", help="output file (default: stdout)")
+    parser.add_argument(
+        "--tol",
+        type=float,
+        default=DEFAULT_TOL,
+        help="core feasibility tolerance; exp-efficiency's drift tolerance",
+    )
+    parser.add_argument(
+        "--json-summary",
+        action="store_true",
+        help="emit a machine-readable result record on stdout",
+    )
     return parser
 
 
@@ -117,9 +79,10 @@ def _write(args, chunks) -> None:
 
 
 def _finish(args, record: dict) -> int:
-    """Print the result record if asked; map its pass flag to the exit status."""
+    """Print the result record, stamped with the command, if asked; map its
+    pass flag to the exit status.  The harness decides every verdict."""
     if args.json_summary:
-        print(json.dumps(record, sort_keys=True))
+        print(json.dumps({"command": args.command, **record}, sort_keys=True))
     return 0 if record["pass"] else 1
 
 
@@ -131,17 +94,12 @@ def _check_flags(args) -> None:
 
 
 def _cmd_simulate(args) -> int:
-    scenario = load_scenario(args.scenario, seed=args.seed)
+    scenario = load_scenario(args.files[0], seed=args.seed)
     trace = run_simulation(scenario)
     _write(args, trace_chunks(trace))
     return _finish(
         args,
-        {
-            "command": "simulate",
-            "steps": trace.steps,
-            "converged_at": trace.converged_at,
-            "pass": True,
-        },
+        {"steps": trace.steps, "converged_at": trace.converged_at, "pass": True},
     )
 
 
@@ -153,18 +111,15 @@ def _rows_csv(rows: list[dict]) -> str:
 
 
 def _cmd_shapley(args) -> int:
-    allocation = shapley_value(read_setfn(args.setfn))
+    allocation = shapley_value(read_setfn(args.files[0]))
     payoffs = [float(p) for p in allocation.payoffs]
     _write(args, [_rows_csv([{"player": i, "payoff": p} for i, p in enumerate(payoffs)])])
-    return _finish(
-        args,
-        {"command": "shapley", "payoffs": payoffs, "pass": True},
-    )
+    return _finish(args, {"payoffs": payoffs, "pass": True})
 
 
 def _cmd_core(args) -> int:
     """core-check (one payoff file) and bayesian-core (one opinion per player)."""
-    opinions = [read_setfn(p) for p in args.setfns]
+    opinions = [read_setfn(p) for p in args.files]
     if args.command == "core-check":
         witness = core_witness(opinions[0], tol=args.tol)
     else:
@@ -174,30 +129,24 @@ def _cmd_core(args) -> int:
     if witness is not None:
         text += _rows_csv([{"player": i, "payoff": float(p)} for i, p in enumerate(witness)])
     _write(args, [text])
-    return _finish(args, {"command": args.command, "verdict": verdict, "pass": True})
+    return _finish(args, {"verdict": verdict, "pass": True})
 
 
 def _cmd_exp_efficiency(args) -> int:
-    scenario = load_scenario(args.scenario, seed=args.seed)
+    scenario = load_scenario(args.files[0], seed=args.seed)
     report = experiment_efficiency(scenario, tol=args.tol)
     lines = ["key,value"]
     lines += [f"{k},{v!r}" for k, v in report.items()]
     _write(args, ["\n".join(lines) + "\n"])
-    return _finish(args, {"command": "exp-efficiency", **report})
+    return _finish(args, report)
 
 
-def _cmd_exp_core_emptiness(args) -> int:
-    scenario = load_scenario(args.scenario, seed=args.seed)
-    rows = experiment_core_emptiness(scenario)
+def _cmd_exp_rows(experiment, verdict, args) -> int:
+    """An experiment that reports one CSV row per point, and its verdict on the rows."""
+    scenario = load_scenario(args.files[0], seed=args.seed)
+    rows = experiment(scenario, tol=args.tol)
     _write(args, [_rows_csv(rows)])
-    return _finish(args, {"command": "exp-core-emptiness", **core_emptiness_verdict(rows)})
-
-
-def _cmd_exp_po_sweep(args) -> int:
-    scenario = load_scenario(args.scenario, seed=args.seed)
-    rows = experiment_po_sweep(scenario)
-    _write(args, [_rows_csv(rows)])
-    return _finish(args, {"command": "exp-po-sweep", **po_sweep_verdict(rows)})
+    return _finish(args, verdict(rows))
 
 
 _COMMANDS = {
@@ -206,13 +155,16 @@ _COMMANDS = {
     "core-check": _cmd_core,
     "bayesian-core": _cmd_core,
     "exp-efficiency": _cmd_exp_efficiency,
-    "exp-core-emptiness": _cmd_exp_core_emptiness,
-    "exp-po-sweep": _cmd_exp_po_sweep,
+    "exp-core-emptiness": partial(_cmd_exp_rows, experiment_core_emptiness, core_emptiness_verdict),
+    "exp-po-sweep": partial(_cmd_exp_rows, experiment_po_sweep, po_sweep_verdict),
 }
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
+    parser = _build_parser()
+    args = parser.parse_args(argv)
+    if args.command != "bayesian-core" and len(args.files) > 1:
+        parser.error(f"unrecognized arguments: {' '.join(args.files[1:])}")
     try:
         _check_flags(args)
         return _COMMANDS[args.command](args)

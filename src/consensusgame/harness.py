@@ -45,7 +45,7 @@ from .agents import (
     step_reward,
 )
 from .consensus import ConsensusError, InfluenceMatrix, deviation_disutility, strategic_update
-from .core import bayesian_core_is_empty, bayesian_core_verdicts
+from .core import DEFAULT_TOL, bayesian_core_is_empty, bayesian_core_verdicts
 from .setfn import (
     GATHER_CHUNK_BYTES,
     MAX_PLAYERS,
@@ -346,7 +346,7 @@ def truth_spec(family: str, n: int, sigma: float) -> GroundTruthSpec:
     return GroundTruthSpec(TRUTH_FAMILIES[family](n), sigma)
 
 
-def experiment_core_emptiness(scenario: Scenario) -> list[dict]:
+def experiment_core_emptiness(scenario: Scenario, tol: float = DEFAULT_TOL) -> list[dict]:
     """Per-n frequency of an empty Bayesian core over sampled opinions.
 
     For each player count, every trial draws one truncated-normal opinion
@@ -354,9 +354,10 @@ def experiment_core_emptiness(scenario: Scenario) -> list[dict]:
     from the trial's own generator, and makes one Bayesian-core check of
     the profile: the Shapley allocation of the coalition bounds settles
     nonemptiness when it covers them, and the balancedness dual decides the
-    rest.  Trials are sampled and checked in groups whose first blocks fit
-    one sampler round, so a group's arrays stay within a few gather chunks;
-    each trial's opinions and verdict are those of running it alone.
+    rest, to the feasibility tolerance ``tol``.  Trials are sampled and
+    checked in groups whose first blocks fit one sampler round, so a group's
+    arrays stay within a few gather chunks; each trial's opinions and
+    verdict are those of running it alone.
     Trials whose rejection sampler exhausts its budget are counted as
     failures, not as data; a player count where every trial fails has no
     data at all and is rejected, as is a sigma whose noise draws a
@@ -379,7 +380,7 @@ def experiment_core_emptiness(scenario: Scenario) -> list[dict]:
             except SetFunctionError as exc:  # noise beyond the float range
                 _fail("sigma", f"{scenario.sigma!r} at n={n}: {exc}")
             failures += int(exhausted.sum())
-            empty += int(bayesian_core_verdicts(stacks[~exhausted])[0].sum())
+            empty += int(bayesian_core_verdicts(stacks[~exhausted], tol)[0].sum())
         if failures == scenario.trials:
             raise ScenarioError(
                 f"sigma: {scenario.sigma!r} exhausts the opinion sampler in every "
@@ -406,12 +407,13 @@ def core_emptiness_verdict(rows: list[dict]) -> dict:
     return {"frequencies": freqs, "pass": freqs[-1] > freqs[0] and inversions == 0}
 
 
-def experiment_po_sweep(scenario: Scenario) -> list[dict]:
+def experiment_po_sweep(scenario: Scenario, tol: float = DEFAULT_TOL) -> list[dict]:
     """Opinion spread and Bayesian-core verdict across risk-aversion scales.
 
     Every sweep point runs the all-rational game to convergence with
     p_i = p_o * t_i, measures how far the per-player limits sit from the
-    average opinion, and checks the Bayesian core of the limit profile.
+    average opinion, and checks the Bayesian core of the limit profile to
+    the feasibility tolerance ``tol``.
     """
     check_scenario(scenario, "po-sweep")
     t = InfluenceMatrix.from_matrix(scenario.influence).t
@@ -419,7 +421,7 @@ def experiment_po_sweep(scenario: Scenario) -> list[dict]:
     for p_o in scenario.po_values:
         trace = run_simulation(replace(scenario, players=nash_players(scenario.n, t, p_o)))
         spread = float(np.max(np.abs(trace.opinions[-1] - trace.average[-1])))
-        empty, _ = bayesian_core_is_empty(list(trace.final_opinions()))
+        empty, _ = bayesian_core_is_empty(list(trace.final_opinions()), tol=tol)
         rows.append(
             {
                 "p_o": p_o,
@@ -811,7 +813,7 @@ SCHEMAS = {
         "p_o": Key(float, lambda v, _: v > 0, "risk-aversion scale > 0 required", required=False),
     },
     "core-emptiness": {
-        "n": Key(int, lambda v, _: v >= 1, "positive player count required", required=False),
+        "n": _GAME["n"]._replace(required=False),
         "theta": _GAME["theta"]._replace(required=False),
         "horizon": _GAME["horizon"]._replace(required=False),
         "seed": _GAME["seed"],

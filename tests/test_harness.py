@@ -1490,6 +1490,112 @@ class TestCli:
         unseeded, flagged, edited = outputs
         assert flagged == edited != unseeded
 
+    # --- the one flat parser
+
+    def test_main_builds_one_parser_per_call(self, tmp_path, monkeypatch):
+        built, init = [], argparse.ArgumentParser.__init__
+
+        def counting(self, *args, **kwargs):
+            built.append(self)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting)
+        assert cli_main(["--json-summary", "simulate", str(self._scenario_file(tmp_path))]) == 0
+        assert len(built) == 1
+
+    @pytest.mark.parametrize(
+        "argv, command, files, flags",
+        [
+            (["--out", "o", "simulate", "s"], "simulate", ["s"], {"out": "o"}),
+            (["simulate", "s", "--out", "o"], "simulate", ["s"], {"out": "o"}),
+            (["simulate", "--seed", "3", "s"], "simulate", ["s"], {"seed": 3}),
+            (["--seed=-3", "simulate", "s"], "simulate", ["s"], {"seed": -3}),
+            (["simulate", "s", "--seed", "7", "--out", "o"], "simulate", ["s"], {"seed": 7, "out": "o"}),
+            (
+                ["--seed", "1", "--out", "o", "simulate", "s"],
+                "simulate", ["s"], {"seed": 1, "out": "o"},
+            ),
+            (
+                ["simulate", "s", "--out", "o", "--json-summary"],
+                "simulate", ["s"], {"out": "o", "json_summary": True},
+            ),
+            (["--json-summary", "exp-efficiency", "s"], "exp-efficiency", ["s"], {"json_summary": True}),
+            (
+                ["--json-summary", "exp-core-emptiness", "s", "--out", "o"],
+                "exp-core-emptiness", ["s"], {"out": "o", "json_summary": True},
+            ),
+            (["core-check", "g", "--tol", "0"], "core-check", ["g"], {"tol": 0.0}),
+            (["shapley", "--tol", "0.5", "g"], "shapley", ["g"], {"tol": 0.5}),
+            (["bayesian-core", "a", "b"], "bayesian-core", ["a", "b"], {}),
+            (
+                ["--tol", "1e-6", "bayesian-core", "a", "b", "c", "--json-summary"],
+                "bayesian-core", ["a", "b", "c"], {"tol": 1e-6, "json_summary": True},
+            ),
+        ],
+    )
+    def test_flags_on_either_side_of_the_command(self, monkeypatch, argv, command, files, flags):
+        seen = []
+        monkeypatch.setattr(cli, "_check_flags", seen.append)
+        monkeypatch.setitem(cli._COMMANDS, command, lambda args: 0)
+        assert cli_main(argv) == 0
+        (args,) = seen
+        defaults = {"seed": None, "out": None, "tol": 1e-9, "json_summary": False}
+        assert vars(args) == {"command": command, "files": files, **defaults, **flags}
+
+    @pytest.mark.parametrize("command", ["core-check", "simulate"])
+    def test_a_second_file_is_refused(self, capsys, command):
+        with pytest.raises(SystemExit) as exc:
+            cli_main([command, "a", "b"])
+        assert exc.value.code == 2
+        assert capsys.readouterr().err.endswith("error: unrecognized arguments: b\n")
+
+    def test_readme_cli_block_and_help_name_every_command(self, capsys):
+        section = README.read_text(encoding="utf-8").split("## CLI")[1]
+        block = section.split("```sh")[1].split("```")[0]
+        named = [line.split()[1] for line in block.splitlines() if line.startswith("consensusgame ")]
+        assert sorted(named) == sorted(cli._COMMANDS)
+        with pytest.raises(SystemExit) as exc:
+            cli_main(["-h"])
+        assert exc.value.code == 0
+        printed = capsys.readouterr().out
+        for command in cli._COMMANDS:
+            assert f"\n    {command} " in printed, command
+
+    # --- the core verdicts read --tol
+
+    def test_huge_tol_empties_no_po_sweep_core(self, capsys):
+        demo = SCENARIOS / "po_sweep_demo.json"
+        verdicts = []
+        for flags in ([], ["--tol", "1e300"]):
+            assert cli_main(["exp-po-sweep", str(demo), *flags]) == 0
+            rows = capsys.readouterr().out.splitlines()[1:]
+            verdicts.append([row.split(",")[2] for row in rows])
+        assert verdicts[0][0] == "1"  # empty at p_o = 0.1 to the default tolerance
+        assert verdicts[1] == ["0"] * len(verdicts[0])
+
+    def test_huge_tol_empties_no_sampled_core(self, tmp_path, capsys):
+        path = tmp_path / "core.json"
+        raw = {"kind": "core-emptiness", "seed": 7, "trials": 200, "n_min": 3, "n_max": 4, "sigma": 0.1}
+        path.write_text(json.dumps(raw))
+        empties = []
+        for flags in ([], ["--tol", "1e300"]):
+            assert cli_main(["exp-core-emptiness", str(path), *flags]) in (0, 1)
+            rows = capsys.readouterr().out.splitlines()[1:]
+            empties.append([int(row.split(",")[3]) for row in rows])
+        assert min(empties[0]) > 0
+        assert empties[1] == [0, 0]
+
+    def test_core_emptiness_bounds_the_n_it_does_not_read(self, tmp_path, capsys):
+        # n sizes the generated influence matrix at load, so it is held to
+        # the same 2..12 as the other kinds
+        scenario = self._scenario_file(
+            tmp_path, kind="core-emptiness", n=13, influence="random_primitive",
+            trials=2, n_max=3, sigma=0.01,
+        )
+        assert cli_main(["exp-core-emptiness", str(scenario)]) == 2
+        err = capsys.readouterr().err
+        assert ": n: player count in [2, 12] required, got 13" in err
+
 
 # --- scenario fuzzing ----------------------------------------------------------
 

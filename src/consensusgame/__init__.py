@@ -46,14 +46,12 @@ from .harness import (
 )
 from .setfn import (
     GroundTruthSpec,
-    SamplerError,
     SetFunction,
     SetFunctionError,
     is_supermodular,
     random_supermodular,
     read_setfn,
     sample_opinion_streams,
-    sample_supermodular_opinions,
     weighted_average,
 )
 from .shapley import Allocation, ShapleyLinearForm, shapley_linear_form, shapley_value
@@ -66,7 +64,6 @@ __all__ = [
     "GroundTruthSpec",
     "InfluenceMatrix",
     "PlayerParams",
-    "SamplerError",
     "Scenario",
     "ScenarioError",
     "SetFunction",
@@ -94,7 +91,6 @@ __all__ = [
     "read_trace",
     "run_simulation",
     "sample_opinion_streams",
-    "sample_supermodular_opinions",
     "scenario_from_dict",
     "shapley_linear_form",
     "shapley_value",

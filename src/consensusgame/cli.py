@@ -11,7 +11,7 @@ Commands, one per claim the library backs:
     exp-po-sweep        opinion spread and core verdict across p_o
 
 Every command but bayesian-core reads exactly one file.  The flags may
-stand before or after the command, or between it and its files.
+stand before or after the command, or among its files.
 
 Exit status: 0 when the run's verdict passes, 1 when it fails, 2 on bad
 input or a run that cannot be decided, 3 on an internal error (a fault in
@@ -38,7 +38,7 @@ from .harness import (
     run_simulation,
     trace_chunks,
 )
-from .setfn import SamplerError, SetFunctionError, read_setfn
+from .setfn import SetFunctionError, read_setfn
 from .shapley import shapley_value
 
 
@@ -162,13 +162,13 @@ _COMMANDS = {
 
 def main(argv=None) -> int:
     parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = parser.parse_intermixed_args(argv)
     if args.command != "bayesian-core" and len(args.files) > 1:
         parser.error(f"unrecognized arguments: {' '.join(args.files[1:])}")
     try:
         _check_flags(args)
         return _COMMANDS[args.command](args)
-    except (ScenarioError, SetFunctionError, ConsensusError, SamplerError, OSError) as exc:
+    except (ScenarioError, SetFunctionError, ConsensusError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:

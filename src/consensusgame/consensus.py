@@ -7,8 +7,9 @@ row-stochastic trust matrix W with trust weight theta:
     v_i[k] = theta * sum_j w_ij x_j[k-1] + (1 - theta) * v_i[k-1]
 
 Truth-telling is the case theta = 1 with honest reveals x = v, the linear
-mixing v[k] = W v[k-1].  The stationary weights t (t' W = t', sum 1)
-measure long-run influence and define the weighted average opinion t' v.
+mixing v[k] = W v[k-1].  The stationary weights t (t' W = t', sum 1),
+unique and positive exactly when W is primitive, measure long-run
+influence and define the weighted average opinion t' v.
 """
 
 from __future__ import annotations
@@ -19,7 +20,8 @@ import numpy as np
 
 STOCHASTIC_TOL = 1e-12
 POWER_TOL = 1e-12  # W^(2^k) has converged once a squaring moves no entry by this
-POWER_MAX_ITER = 10**6  # budget on the power 2^k before W counts as periodic
+POWER_MAX_ITER = 10**6  # budget on the power 2^k before W counts as mixing too slowly
+ROW_SPREAD_TOL = 1e-8  # W^(2^k) is rank one once its columns vary by no more than this
 
 
 class ConsensusError(ValueError):
@@ -29,46 +31,34 @@ class ConsensusError(ValueError):
 def influence_weights(w: np.ndarray) -> np.ndarray:
     """Stationary influence weights of a row-stochastic matrix.
 
-    Power iteration by repeated squaring: W^(2^k) must converge to a
-    rank-one matrix with identical rows, which requires a single eigenvalue
-    at 1 and the rest strictly inside the unit disk.  Reducible or periodic
-    matrices are rejected: either W^(2^k) settles with rows that disagree
-    (several closed classes, or a period that is a power of two, as W^2 = I
-    for [[0, 1], [1, 0]]), or it never settles within the power budget
-    (any other period).  A matrix whose powers do settle on identical rows
-    but that has a transient player, as [[1, 0], [0.5, 0.5]], is refused as
-    not primitive: that player's weight would be a rounding residue (1.5e-39
-    there) instead of 0.
+    The weights exist, are unique and give every player a share exactly
+    when W is primitive, so that one rule decides validity: a W that is not
+    (reducible, as [[1, 0], [0.5, 0.5]], or periodic, as [[0, 1], [1, 0]])
+    is refused before anything is computed.  Repeated squaring then drives
+    W^(2^k) to its rank-one limit 1 t'; it has arrived once its rows agree
+    and a squaring moves no entry by POWER_TOL.  A primitive W that mixes
+    so slowly that it has not arrived within the power budget, as
+    [[1 - 1e-6, 1e-6], [1e-6, 1 - 1e-6]], is refused too.
     """
     w = _check_stochastic(w)
-    n = w.shape[0]
-    if n == 1:
-        return np.ones(1)
-    power = w.copy()
-    steps = 1
-    converged = False
-    while steps < POWER_MAX_ITER:
-        nxt = power @ power
-        steps *= 2
-        if np.max(np.abs(nxt - power)) < POWER_TOL:
-            power = nxt
-            converged = True
-            break
-        power = nxt
-    if not converged:
-        raise ConsensusError(
-            f"W^k did not converge within power budget {POWER_MAX_ITER} (periodic W?)"
-        )
-    spread = power.max(axis=0) - power.min(axis=0)
-    if np.max(spread) > 1e-8:
-        raise ConsensusError(
-            "W^k converged but rows disagree: W is reducible or periodic, "
-            "no consensus is reached"
-        )
     if not _is_primitive(w):
         raise ConsensusError(
             "W is not primitive: some player's opinion never reaches some other "
             "player, so its stationary weight is 0"
+        )
+    power, steps = w, 1
+    while steps < POWER_MAX_ITER:
+        nxt = power @ power
+        steps *= 2
+        settled = np.max(np.abs(nxt - power)) < POWER_TOL
+        power = nxt
+        # a near-identity W settles at once, long before its rows agree
+        if settled and np.max(np.ptp(power, axis=0)) <= ROW_SPREAD_TOL:
+            break
+    else:
+        raise ConsensusError(
+            f"W^k did not converge within power budget {POWER_MAX_ITER}: "
+            "W mixes too slowly"
         )
     t = power.mean(axis=0)
     t = t / t.sum()

@@ -51,7 +51,6 @@ from .setfn import (
     MAX_PLAYERS,
     SAMPLER_ATTEMPTS,
     GroundTruthSpec,
-    SamplerError,
     SetFunction,
     SetFunctionError,
     check_fits_in_memory,
@@ -732,8 +731,12 @@ def _read_opinions(name: str, value, values: dict) -> tuple[SetFunction, ...]:
         except SetFunctionError as exc:  # noise beyond the float range
             _fail(f"{where}.sigma", str(exc))
         if exhausted.any():
-            exc = SamplerError.exhausted(truth.sigma, SAMPLER_ATTEMPTS)
-            _fail(f"{where}.sigma", f"player {int(exhausted.argmax())}: {exc}")
+            _fail(
+                f"{where}.sigma",
+                f"player {int(exhausted.argmax())}: no supermodular sample in "
+                f"{SAMPLER_ATTEMPTS} attempts; sigma={truth.sigma} is likely too large "
+                "for the truth's strictness margin",
+            )
         return tuple(SetFunction(n, values) for (values,) in stacks)
     if not isinstance(value, list):
         _fail(name, "list of opinions or 'random_supermodular' required")

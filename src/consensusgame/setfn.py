@@ -25,17 +25,6 @@ class SetFunctionError(ValueError):
     """Malformed set function or incompatible operands."""
 
 
-class SamplerError(RuntimeError):
-    """Rejection sampler exhausted its attempt budget."""
-
-    @classmethod
-    def exhausted(cls, sigma: float, max_attempts: int) -> "SamplerError":
-        return cls(
-            f"no supermodular sample in {max_attempts} attempts; sigma={sigma} "
-            "is likely too large for the truth's strictness margin"
-        )
-
-
 def grand_mask(n: int) -> int:
     return (1 << n) - 1
 
@@ -333,21 +322,6 @@ def sample_opinion_streams(
         stack[rows, slots] = values
     stack[exhausted] = np.nan
     return stack, exhausted
-
-
-def sample_supermodular_opinions(
-    spec: GroundTruthSpec,
-    rng: np.random.Generator,
-    count: int,
-    perturb_grand: bool = True,
-    max_attempts: int = SAMPLER_ATTEMPTS,
-) -> list[SetFunction]:
-    """``count`` opinions from one generator, as ``sample_opinion_streams``
-    draws them; raises SamplerError when the stream is exhausted."""
-    stack, exhausted = sample_opinion_streams(spec, [rng], count, perturb_grand, max_attempts)
-    if exhausted[0]:
-        raise SamplerError.exhausted(spec.sigma, max_attempts)
-    return [SetFunction(spec.truth.n, values) for values in stack[0]]
 
 
 def random_supermodular(

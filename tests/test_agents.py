@@ -102,6 +102,11 @@ class TestNashBestResponse:
         with pytest.raises(SetFunctionError):
             nash_best_response(D2[0], 0.1, 1.0, 1.0, np.zeros(2))
 
+    @pytest.mark.parametrize("p_i", [0.0, -1.0])
+    def test_requires_positive_risk_aversion(self, p_i):
+        with pytest.raises(SetFunctionError, match="^risk aversion must be positive$"):
+            nash_best_response(D2[0], 0.1, p_i, 0.3, np.zeros(2))
+
 
 class TestStepReward:
     def test_no_lies_no_reward(self):
@@ -212,6 +217,18 @@ class TestEquilibriumStationarity:
 
 
 class TestEnvironmentModel:
+    @pytest.mark.parametrize(
+        "kw, message",
+        [
+            ({"dim": 0}, "needs dimension >= 1"),
+            ({"intercept_scale": 0.0}, "prior scales must be positive"),
+            ({"slope_scale": -1e-3}, "prior scales must be positive"),
+        ],
+    )
+    def test_rejects_empty_states_and_nonpositive_priors(self, kw, message):
+        with pytest.raises(SetFunctionError, match=message):
+            EnvironmentModel(**{"dim": 2, "learners": 1, **kw})
+
     def test_untrained_model_predicts_zero(self):
         model = EnvironmentModel(3, 2)
         for prediction in model.predict(np.array([0.2, -0.1, 0.4])):
@@ -356,6 +373,9 @@ class TestRLearningAgent:
             PlayerParams(risk_aversion=1.0, kind="bandit")
         with pytest.raises(SetFunctionError):
             PlayerParams(risk_aversion=1.0, exploit_prob=1.5)
+        for bad in ({"explore_std": -0.1}, {"explore_decay": 0.0}, {"explore_decay": 1.5}):
+            with pytest.raises(SetFunctionError, match="^bad exploration parameters$"):
+                PlayerParams(risk_aversion=1.0, **bad)
         for name in ("risk_aversion", "exploit_prob", "explore_std", "explore_decay"):
             with pytest.raises(SetFunctionError, match=name):
                 PlayerParams(**{"risk_aversion": 1.0, name: float("nan")})

@@ -1,23 +1,32 @@
 """The byte-for-byte reproducibility contract, pinned across versions.
 
 Each case runs one CLI command and compares the sha256 of its ``--out`` file
-with a hash recorded before the dynamics loop was split into the recurrence
-and a blocked derivation pass, so a change that moves any bit of a trace or
-an experiment CSV fails here.  The hashes were recorded with numpy 2.4.6 and
-its bundled OpenBLAS; another numpy or BLAS build may round differently, and
-a mismatch there says the outputs differ from that build's, not that the
-code is wrong.
+with a recorded hash, so a change that moves any bit of a trace or an
+experiment CSV fails here.  OpenBLAS picks its kernel for the CPU it runs
+on, and its kernels round differently, so each command runs in a
+subprocess pinned to one kernel (OPENBLAS_CORETYPE=Haswell) and one thread.
+The hashes were recorded that way with numpy 2.4.6 and its bundled
+OpenBLAS 0.3.31.  They hold on any x86-64 CPU with AVX2, whatever kernel it
+would pick itself; not on ARM, where the pin does not apply, nor with
+another numpy or BLAS build.  A mismatch there says the outputs differ from
+that build's, not that the code is wrong.
 """
 
 import hashlib
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
-from consensusgame.cli import main as cli_main
+import consensusgame
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
+# the directory the package is imported from, for the subprocess to import it too
+SOURCE = str(Path(consensusgame.__file__).resolve().parent.parent)
+PINNED_BLAS = {"OPENBLAS_CORETYPE": "Haswell", "OPENBLAS_NUM_THREADS": "1"}
 
 # n = 9, all Nash: the game both experiments run in the rational benchmark
 RATIONAL_GAME = {
@@ -33,36 +42,36 @@ RATIONAL = {
     "po-sweep": {"kind": "po-sweep", "po_values": [0.1, 1.0, 10.0, 100.0], **RATIONAL_GAME},
 }
 
-CASES = {  # command, shipped scenario or scenario document, sha256 of --out
+CASES = {  # command, shipped scenario or scenario document, sha256 of --out under PINNED_BLAS
     "simulate gamma05": (
         "simulate",
         "two_player_learning_gamma05.json",
-        "0989deef96c20ca7d7521ca59aa36f571a9a8eb68ab041c592d697ec4a28ddcf",
+        "cbbb13bc478ad28d9637fd711077767998c8717dfa4d04161b66e3962417ef67",
     ),
     "simulate gamma08": (
         "simulate",
         "two_player_learning_gamma08.json",
-        "fc31827c25d979081fb963ed153a9fcd2b78c10b3249760fe4f93773e5781909",
+        "ff6a0c2ede4144bc3fb68a3761438af843371483c10345a7092ffc737d98edb9",
     ),
     "exp-efficiency demo": (
         "exp-efficiency",
         "efficiency_demo.json",
-        "e0fcbe4190db54ccee748c6868c5ec711a36a9967dfbd32f8ec7a76d594d1893",
+        "24926cd8fe78c1ded9b028ec1734e5a7b80d7b24a343e25fffd88e208ea54c83",
     ),
     "exp-po-sweep demo": (
         "exp-po-sweep",
         "po_sweep_demo.json",
-        "f79940a0864517f014ea6653353260a84313ed3724cea22f5cc3e12ca45c24bc",
+        "e1dc417dd84a68b15c10db080e3cba1006677a39e9eac54c9d638b5727747977",
     ),
     "exp-efficiency n=9": (
         "exp-efficiency",
         RATIONAL["efficiency"],
-        "26a58f91497587c968bc3053880139a7adb0a137fe5abcff7b87a0687aca1f20",
+        "31b8931aafe923c811b9301257d4c1d93a2a2659bd61023be96aa44e91762f13",
     ),
     "exp-po-sweep n=9": (
         "exp-po-sweep",
         RATIONAL["po-sweep"],
-        "a1e973a62b98d7c622b6ff83149d4f67a0c30f03f01290067b462c2de3ab83fb",
+        "3f20dc4964ce0d244c4401dccb2c735a73a490b201272c1425400c2015ae7545",
     ),
 }
 
@@ -76,5 +85,13 @@ def test_out_file_matches_the_recorded_hash(case, tmp_path):
     else:
         path = SCENARIOS / scenario
     out = tmp_path / "out.csv"
-    assert cli_main([command, str(path), "--out", str(out)]) == 0
+    pythonpath = os.pathsep.join(filter(None, [SOURCE, os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, **PINNED_BLAS, "PYTHONPATH": pythonpath}
+    run = subprocess.run(
+        [sys.executable, "-m", "consensusgame.cli", command, str(path), "--out", str(out)],
+        env=env,
+        capture_output=True,
+        text=True,
+    )
+    assert run.returncode == 0, run.stderr
     assert hashlib.sha256(out.read_bytes()).hexdigest() == digest

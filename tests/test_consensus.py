@@ -7,6 +7,8 @@ import numpy as np
 import pytest
 
 from consensusgame.consensus import (
+    POWER_TOL,
+    ROW_SPREAD_TOL,
     ConsensusError,
     InfluenceMatrix,
     _is_primitive,
@@ -70,13 +72,44 @@ class TestInfluenceWeights:
         np.testing.assert_allclose(influence_weights(w), 1.0 / 3.0, atol=1e-12)
 
     def test_identity_matrix_rejected(self):
-        with pytest.raises(ConsensusError, match="rows disagree"):
+        # two closed classes: neither player's opinion reaches the other
+        with pytest.raises(ConsensusError, match="W is not primitive"):
             influence_weights(np.eye(2))
 
     def test_periodic_matrix_rejected(self):
-        # W^2 = I: the squarings settle on rows that disagree
-        with pytest.raises(ConsensusError, match="rows disagree: W is reducible or periodic"):
+        # W^2 = I: irreducible, but no power of W is positive
+        with pytest.raises(ConsensusError, match="W is not primitive"):
             influence_weights(np.array([[0.0, 1.0], [1.0, 0.0]]))
+
+    @pytest.mark.parametrize("eps", [1e-6, 1e-13])
+    def test_slowly_mixing_matrix_rejected(self, eps):
+        # primitive, but W^(2^20) is still far from rank one; at 1e-13 a
+        # squaring moves no entry by POWER_TOL while the rows still disagree,
+        # so a stop on settling alone would return the uniform t, not (3/4, 1/4)
+        w = np.array([[1.0 - eps, eps], [3.0 * eps, 1.0 - 3.0 * eps]])
+        assert _is_primitive(w)
+        with pytest.raises(ConsensusError, match="power budget 1000000: W mixes too slowly"):
+            influence_weights(w)
+
+    @pytest.mark.parametrize("n, seed", [(3, 600), (5, 1418)])
+    def test_polish_brings_the_residual_below_1e_15(self, n, seed):
+        # rows of uniform^8 + 1e-6 mix slowly enough that the squarings'
+        # rounding leaves t @ W - t above 1e-15, and steps t W bring it below;
+        # the polish's own rounding floor is near 1e-15, so the seeds are ones
+        # where it lands below with each OpenBLAS x86-64 kernel
+        w = np.random.default_rng(seed).uniform(size=(n, n)) ** 8 + 1e-6
+        w /= w.sum(axis=1, keepdims=True)
+        power = w
+        while True:
+            nxt = power @ power
+            settled = np.max(np.abs(nxt - power)) < POWER_TOL
+            power = nxt
+            if settled and np.max(np.ptp(power, axis=0)) <= ROW_SPREAD_TOL:
+                break
+        squared = power.mean(axis=0) / power.mean(axis=0).sum()
+        assert np.max(np.abs(squared @ w - squared)) > 1e-15
+        t = influence_weights(w)
+        assert np.max(np.abs(t @ w - t)) < 1e-15
 
     def test_reducible_matrix_with_one_closed_class_rejected(self):
         # W^k settles on identical rows (1, 0), but player 1's opinion never
@@ -114,6 +147,9 @@ class TestInfluenceWeights:
             influence_weights(np.array([[0.5, 0.4], [0.5, 0.5]]))
         with pytest.raises(ConsensusError):
             influence_weights(np.array([[1.5, -0.5], [0.5, 0.5]]))
+        for w in (np.ones(2), np.full((2, 3), 1.0 / 3.0)):
+            with pytest.raises(ConsensusError, match="must be square"):
+                influence_weights(w)
 
     def test_single_player(self):
         np.testing.assert_array_equal(influence_weights(np.ones((1, 1))), [1.0])
@@ -237,6 +273,10 @@ class TestDeviationDisutility:
         u = np.array([[0.06875, -0.06875], [-float(Fraction(11, 280)), float(Fraction(11, 280))]])
         assert deviation_disutility(u, t) == pytest.approx(expected, abs=1e-12)
         assert expected == pytest.approx(0.00540178571428571, abs=1e-15)
+
+    def test_one_weight_per_player_required(self):
+        with pytest.raises(ConsensusError, match="one weight per player"):
+            deviation_disutility(np.zeros((3, 6)), np.array([0.5, 0.5]))
 
     def test_nonnegative_on_random_profiles(self):
         rng = np.random.default_rng(17)

@@ -338,6 +338,11 @@ class TestCoreContains:
         f = SetFunction.from_restricted(2, [0.1, 0.1], 1.0)
         assert not core_contains(f, [0.6, 0.6])
 
+    def test_one_payoff_per_player_required(self):
+        f = SetFunction.from_restricted(2, [0.1, 0.1], 1.0)
+        with pytest.raises(SetFunctionError, match="^allocation must have length 2$"):
+            core_contains(f, [0.3, 0.3, 0.4])
+
 
 class TestCoreIsEmpty:
     def test_incompatible_singletons_empty(self):

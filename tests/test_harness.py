@@ -50,13 +50,11 @@ from consensusgame.harness import (
 )
 from consensusgame.setfn import (
     GATHER_CHUNK_BYTES,
-    SamplerError,
     SetFunction,
     dump_setfn,
     is_supermodular,
     random_supermodular,
     sample_opinion_streams,
-    sample_supermodular_opinions,
 )
 from consensusgame.shapley import shapley_linear_form
 
@@ -492,6 +490,7 @@ MALFORMED_TRACES = {
         lambda L: [*L[:6], _cell(L[6], 5, "abc"), *L[7:]],
         r"^trace line 7: x: finite number required, got 'abc'$",
     ),
+    "empty-file": (lambda L: [], r"^empty trace file$"),
 }
 
 
@@ -640,6 +639,18 @@ class TestScenarioLoading:
         with pytest.raises(ScenarioError, match="line 3"):
             load_scenario(path)
 
+    def test_missing_file_is_refused(self, tmp_path):
+        path = tmp_path / "absent.json"
+        with pytest.raises(ScenarioError, match=f"^cannot read scenario {path}: "):
+            load_scenario(path)
+
+    def test_document_that_is_not_an_object_is_refused(self, tmp_path):
+        path = tmp_path / "list.json"
+        path.write_text("[1, 2]")
+        for seed in (None, 3):
+            with pytest.raises(ScenarioError, match=f"^{path}: scenario must be a JSON object$"):
+                load_scenario(path, seed=seed)
+
     @pytest.mark.parametrize(
         "patch,needle",
         [
@@ -649,9 +660,9 @@ class TestScenarioLoading:
             ({"influence": [[1.0, 0.1], [0.4, 0.6]]}, "influence"),
             # checked at load as the run checks it: reducible, periodic, and
             # rows off 1 by more than the consensus tolerance
-            ({"influence": [[1, 0], [0, 1]]}, "^<scenario>: influence: .*rows disagree"),
+            ({"influence": [[1, 0], [0, 1]]}, "^<scenario>: influence: W is not primitive"),
             ({"influence": [[1, 0], [0.5, 0.5]]}, "^<scenario>: influence: W is not primitive"),
-            ({"influence": [[0, 1], [1, 0]]}, "^<scenario>: influence: .*rows disagree"),
+            ({"influence": [[0, 1], [1, 0]]}, "^<scenario>: influence: W is not primitive"),
             ({"influence": [[0.3, 0.7 + 5e-10], [0.4, 0.6]]}, "^<scenario>: influence: rows must"),
             ({"players": [{"kind": "truthful", "risk_aversion": 1.0}]}, "players"),
             (
@@ -665,6 +676,8 @@ class TestScenarioLoading:
             ),
             ({"initial_opinions": [{"restricted": [0.7]}, {"restricted": [0.3, 0.5]}]},
              r"initial_opinions\[0\]"),
+            ({"initial_opinions": [{"grand": 1.0}, {"restricted": [0.3, 0.5]}]},
+             r'^<scenario>: initial_opinions\[0\]: object with "restricted" list required$'),
         ],
     )
     def test_rejections_name_the_offending_key(self, patch, needle):
@@ -909,14 +922,13 @@ def one_trial_at_a_time(scenario: Scenario) -> list[dict]:
         empty = failures = 0
         for trial in range(scenario.trials):
             rng = np.random.default_rng([scenario.seed, n, trial])
-            try:
-                opinions = sample_supermodular_opinions(
-                    gts, rng, n, perturb_grand=scenario.perturb_grand
-                )
-            except SamplerError:
+            (values,), (exhausted,) = sample_opinion_streams(
+                gts, [rng], n, perturb_grand=scenario.perturb_grand
+            )
+            if exhausted:
                 failures += 1
                 continue
-            empty += bayesian_core_is_empty(opinions).empty
+            empty += bayesian_core_is_empty([SetFunction(n, v) for v in values]).empty
         if failures == scenario.trials:
             raise ScenarioError(
                 f"sigma: {scenario.sigma!r} exhausts the opinion sampler in every "
@@ -1161,6 +1173,16 @@ class TestCli:
         assert cli_main(["bayesian-core", str(p1), str(p2)]) == 0
         assert capsys.readouterr().out.startswith("empty")
 
+    def test_bayesian_core_flags_may_stand_between_its_files(self, tmp_path, capsys):
+        paths = [tmp_path / f"w{i}.setfn" for i in range(3)]
+        for i, path in enumerate(paths):
+            path.write_text(dump_setfn(random_supermodular(3, np.random.default_rng(i))))
+        w0, w1, w2 = map(str, paths)
+        assert cli_main(["bayesian-core", w0, w1, w2, "--tol", "1e-6"]) == 0
+        expected = capsys.readouterr().out
+        assert cli_main(["bayesian-core", w0, "--tol", "1e-6", w1, w2]) == 0
+        assert capsys.readouterr().out == expected
+
     def test_exp_efficiency_exit_code_and_summary(self, tmp_path, capsys):
         scenario = self._scenario_file(tmp_path, kind="efficiency", horizon=150)
         code = cli_main(["--json-summary", "exp-efficiency", str(scenario)])
@@ -1354,6 +1376,9 @@ class TestCli:
                 },
                 "initial_opinions",
             ),
+            ({"initial_opinions": {"ground_truth": 0.01}}, "initial_opinions.ground_truth"),
+            ({"players": [1, {"kind": "nash", "risk_aversion": 1.0}]}, "players[0]"),
+            ({"kind": "po-sweep", "po_values": 5.0}, "po_values"),
         ],
     )
     def test_malformed_keys_exit_two_naming_the_key(self, tmp_path, capsys, patch, key):
@@ -1373,6 +1398,32 @@ class TestCli:
         assert cli_main([command, str(scenario)]) == 2
         err = capsys.readouterr().err
         assert ": influence: W is not primitive" in err and "Traceback" not in err
+
+    def test_influence_that_mixes_too_slowly_exits_two(self, tmp_path, capsys):
+        # primitive, but W^k is still far from rank one at the power budget
+        eps = 1e-6
+        scenario = self._scenario_file(tmp_path, influence=[[1 - eps, eps], [eps, 1 - eps]])
+        assert cli_main(["simulate", str(scenario)]) == 2
+        err = capsys.readouterr().err
+        assert ": influence: W^k did not converge within power budget" in err
+        assert "mixes too slowly" in err and "Traceback" not in err
+
+    def test_ground_truth_exhausting_the_sampler_exits_two_naming_sigma(self, tmp_path, capsys):
+        # noise this large leaves the quadratic truth's cone: the first
+        # player's stream rejects its whole budget
+        scenario = self._scenario_file(
+            tmp_path,
+            n=5,
+            influence="random_primitive",
+            initial_opinions={"ground_truth": {"sigma": 1.0}},
+            players=[{"kind": "nash", "risk_aversion": 1.0}] * 5,
+        )
+        assert cli_main(["simulate", str(scenario)]) == 2
+        assert capsys.readouterr().err == (
+            f"error: {scenario}: initial_opinions.ground_truth.sigma: player 0: no "
+            "supermodular sample in 100000 attempts; sigma=1.0 is likely too large for "
+            "the truth's strictness margin\n"
+        )
 
     def test_ground_truth_noise_beyond_the_float_range_exits_two(self, tmp_path, capsys):
         scenario = self._scenario_file(
@@ -1417,10 +1468,11 @@ class TestCli:
         sc = load_scenario(scenario)
         truth = truth_spec("quadratic", 4, 0.02)
         for i, f in enumerate(sc.initial_opinions):
-            (alone,) = sample_supermodular_opinions(
-                truth, np.random.default_rng([sc.seed, 3, i]), 1, perturb_grand=False
+            ((alone,),), (exhausted,) = sample_opinion_streams(
+                truth, [np.random.default_rng([sc.seed, 3, i])], 1, perturb_grand=False
             )
-            assert f.values.tobytes() == alone.values.tobytes()
+            assert not exhausted
+            assert f.values.tobytes() == alone.tobytes()
 
     @pytest.mark.parametrize(
         "command, name, key",
@@ -1595,6 +1647,14 @@ class TestCli:
         assert cli_main(["exp-core-emptiness", str(scenario)]) == 2
         err = capsys.readouterr().err
         assert ": n: player count in [2, 12] required, got 13" in err
+
+    def test_core_emptiness_influence_without_n_exits_two(self, tmp_path, capsys):
+        # a matrix is checked against n, so it cannot stand without one
+        path = tmp_path / "scenario.json"
+        raw = {"kind": "core-emptiness", "seed": 1, "trials": 2, "n_min": 2, "n_max": 3}
+        path.write_text(json.dumps({**raw, "sigma": 0.01, "influence": [[0.3, 0.7], [0.4, 0.6]]}))
+        assert cli_main(["exp-core-emptiness", str(path)]) == 2
+        assert capsys.readouterr().err == f"error: {path}: influence: needs the player count n\n"
 
 
 # --- scenario fuzzing ----------------------------------------------------------

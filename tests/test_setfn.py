@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 
 from consensusgame.setfn import (
     GroundTruthSpec,
-    SamplerError,
     SetFunction,
     SetFunctionError,
     dump_setfn,
@@ -20,7 +19,6 @@ from consensusgame.setfn import (
     random_supermodular,
     round_candidates,
     sample_opinion_streams,
-    sample_supermodular_opinions,
     weighted_average,
 )
 
@@ -118,6 +116,10 @@ class TestIsSupermodular:
         f = SetFunction(1, np.array([0.0, 1.0]))
         assert is_supermodular(f, strict=True)
 
+    def test_negative_tolerance_rejected(self):
+        with pytest.raises(SetFunctionError, match="^tolerance must be nonnegative$"):
+            is_supermodular(size_based(2, lambda s: s * s), tol=-1e-9)
+
     @pytest.mark.parametrize("n", [2, 3, 4])
     def test_both_methods_agree_with_oracle_on_random_functions(self, n):
         rng = np.random.default_rng(91)
@@ -154,6 +156,10 @@ class TestWeightedAverage:
             weighted_average([v1, v3], [0.5, 0.5])
         with pytest.raises(SetFunctionError):
             weighted_average([v1, v1], [0.7, 0.7])
+        with pytest.raises(SetFunctionError, match="^need at least one set function$"):
+            weighted_average([], [])
+        with pytest.raises(SetFunctionError, match="^weights must be nonnegative$"):
+            weighted_average([v1, v1], [1.5, -0.5])
 
     @given(
         n=st.integers(min_value=2, max_value=4),
@@ -168,6 +174,10 @@ class TestWeightedAverage:
         avg = weighted_average([f, g], [w1, 1.0 - w1])
         assert is_supermodular(avg, strict=True, tol=1e-12)
         assert avg.values[0] == 0.0
+
+
+class OracleExhausted(RuntimeError):
+    """The oracle's opinion took its whole attempt budget."""
 
 
 def sample_one_at_a_time(
@@ -195,32 +205,13 @@ def sample_one_at_a_time(
                 opinions.append(candidate)
                 break
         else:
-            raise SamplerError(
-                f"no supermodular sample in {max_attempts} attempts; sigma={spec.sigma} "
-                "is likely too large for the truth's strictness margin"
-            )
+            raise OracleExhausted(f"no supermodular sample in {max_attempts} attempts")
     return opinions
 
 
 def quadratic_spec(n: int, sigma: float) -> GroundTruthSpec:
     sizes = np.bitwise_count(np.arange(1 << n)).astype(float)
     return GroundTruthSpec(SetFunction(n, (sizes / n) ** 2), sigma)
-
-
-def assert_matches_oracle(spec, seed, count, **kw) -> bool:
-    """Block sampler against the oracle loop: the same opinions, bytes for
-    bytes, or the same SamplerError or SetFunctionError.  Returns whether
-    the sampler raised."""
-    outcomes = []
-    for sample in (sample_supermodular_opinions, sample_one_at_a_time):
-        try:
-            opinions = sample(spec, np.random.default_rng(seed), count, **kw)
-            outcomes.append([f.values.tobytes() for f in opinions])
-        except (SamplerError, SetFunctionError) as exc:
-            outcomes.append(repr(exc))
-    got, want = outcomes
-    assert got == want
-    return isinstance(want, str)
 
 
 class CountingRng:
@@ -240,20 +231,23 @@ class TestSampler:
     def test_zero_sigma_returns_truth_exactly(self):
         # sigma = 0 is the degenerate distribution
         spec = quadratic_spec(3, 0.0)
-        (out,) = sample_supermodular_opinions(spec, np.random.default_rng(0), 1)
-        np.testing.assert_array_equal(out.values, spec.truth.values)
+        stack, exhausted = sample_opinion_streams(spec, [np.random.default_rng(0)], 1)
+        assert not exhausted[0]
+        np.testing.assert_array_equal(stack[0, 0], spec.truth.values)
 
     def test_accepted_samples_are_supermodular(self):
         spec = quadratic_spec(3, 0.01)
-        samples = sample_supermodular_opinions(spec, np.random.default_rng(3), 50)
-        assert len(samples) == 50
-        assert all(is_supermodular(sample) for sample in samples)
+        stack, exhausted = sample_opinion_streams(spec, [np.random.default_rng(3)], 50)
+        assert stack.shape == (1, 50, 8) and not exhausted[0]
+        assert all(is_supermodular(SetFunction(3, values)) for values in stack[0])
 
     def test_monte_carlo_mean_tracks_truth(self):
         # acceptance rate must stay high first, else truncation bias creeps in
         spec = quadratic_spec(3, 0.01)
         rng = np.random.default_rng(11)
-        draws = np.stack([f.restricted() for f in sample_supermodular_opinions(spec, rng, 1000)])
+        stack, exhausted = sample_opinion_streams(spec, [rng], 1000)
+        assert not exhausted[0]
+        draws = stack[0, :, 1:-1]
         sigma = 0.01
         bound = 3 * sigma / np.sqrt(1000)
         errors = np.abs(draws.mean(axis=0) - spec.truth.restricted())
@@ -274,22 +268,26 @@ class TestSampler:
 
     def test_grand_value_fixed_when_not_perturbed(self):
         spec = quadratic_spec(3, 0.01)
-        (out,) = sample_supermodular_opinions(
-            spec, np.random.default_rng(4), 1, perturb_grand=False
+        stack, exhausted = sample_opinion_streams(
+            spec, [np.random.default_rng(4)], 1, perturb_grand=False
         )
-        assert out.grand_value == spec.truth.grand_value
+        assert not exhausted[0]
+        assert stack[0, 0, -1] == spec.truth.grand_value
 
-    def test_attempt_cap_raises_with_diagnostic(self):
+    def test_attempt_cap_exhausts_the_stream(self):
         spec = quadratic_spec(5, 1.0)
-        with pytest.raises(SamplerError, match="attempts"):
-            sample_supermodular_opinions(spec, np.random.default_rng(5), 1, max_attempts=100)
+        stack, exhausted = sample_opinion_streams(
+            spec, [np.random.default_rng(5)], 1, max_attempts=100
+        )
+        assert exhausted[0] and np.isnan(stack).all()
 
     def test_exhausting_the_default_budget_takes_few_rounds(self):
         # blocks grow with the misses, so 100000 rejected candidates of one
         # opinion are drawn in a few dozen blocks, not one at a time
         rng = CountingRng(np.random.default_rng(5))
-        with pytest.raises(SamplerError, match="100000 attempts"):
-            sample_supermodular_opinions(quadratic_spec(5, 1.0), rng, 1)
+        _, exhausted = sample_opinion_streams(quadratic_spec(5, 1.0), [rng], 1)
+        assert exhausted[0]
+        assert sum(rng.blocks) == 100_000
         assert 0 < len(rng.blocks) < 100
 
     def test_ground_truth_must_be_strictly_supermodular(self):
@@ -308,7 +306,8 @@ class TestSamplerAgainstOneAtATimeOracle:
     def test_shipped_noise_level(self, n):
         spec = quadratic_spec(n, 0.004)
         for trial in range(10):
-            assert not assert_matches_oracle(spec, [1, n, trial], n)
+            (want,) = assert_streams_match_oracle(spec, [[1, n, trial]], n)
+            assert not isinstance(want, str)
 
     @pytest.mark.parametrize(
         "n, sigma, must_reject", [(5, 0.01, False), (5, 0.02, True), (6, 0.01, True)]
@@ -318,10 +317,10 @@ class TestSamplerAgainstOneAtATimeOracle:
         rejected = 0
         for trial in range(10):
             seed = [2, n, trial]
-            assert_matches_oracle(spec, seed, n)
+            assert_streams_match_oracle(spec, [seed], n)
             # with no rejection the sampler draws exactly n rows
             rng, lean = np.random.default_rng(seed), np.random.default_rng(seed)
-            sample_supermodular_opinions(spec, rng, n)
+            sample_opinion_streams(spec, [rng], n)
             lean.normal(size=(n, num_restricted(n) + 1))
             rejected += rng.bit_generator.state != lean.bit_generator.state
         assert rejected > 0 or not must_reject
@@ -330,23 +329,24 @@ class TestSamplerAgainstOneAtATimeOracle:
     def test_grand_value_not_perturbed(self, n):
         spec = quadratic_spec(n, 0.01)
         for trial in range(5):
-            assert_matches_oracle(spec, [3, n, trial], n, perturb_grand=False)
+            assert_streams_match_oracle(spec, [[3, n, trial]], n, perturb_grand=False)
 
     def test_noiseless_players_draw_nothing(self):
         spec = quadratic_spec(4, 0.0)
         rng = np.random.default_rng(7)
         state = rng.bit_generator.state
-        opinions = sample_supermodular_opinions(spec, rng, 4)
-        assert rng.bit_generator.state == state
-        assert all(f.values.tobytes() == spec.truth.values.tobytes() for f in opinions)
+        stack, exhausted = sample_opinion_streams(spec, [rng], 4)
+        assert rng.bit_generator.state == state and not exhausted[0]
+        assert all(values.tobytes() == spec.truth.values.tobytes() for values in stack[0])
 
     @pytest.mark.parametrize("max_attempts", [0, 1, 2, 4])
     def test_exhausted_budget(self, max_attempts):
         # about half the candidates are rejected here
         spec = quadratic_spec(6, 0.01)
         raised = [
-            assert_matches_oracle(spec, [6, trial], 6, max_attempts=max_attempts)
+            isinstance(w, str)
             for trial in range(20)
+            for w in assert_streams_match_oracle(spec, [[6, trial]], 6, max_attempts=max_attempts)
         ]
         assert any(raised)
 
@@ -356,7 +356,11 @@ class TestSamplerAgainstOneAtATimeOracle:
         # opinion taken must not raise
         spec = quadratic_spec(2, 1e308)
         with np.errstate(over="ignore", invalid="ignore"):
-            raised = [assert_matches_oracle(spec, [8, trial], 2) for trial in range(60)]
+            raised = [
+                isinstance(w, str)
+                for trial in range(60)
+                for w in assert_streams_match_oracle(spec, [[8, trial]], 2)
+            ]
         assert any(raised) and not all(raised)
 
     def test_misses_beyond_the_opinions_still_needed(self):
@@ -365,9 +369,9 @@ class TestSamplerAgainstOneAtATimeOracle:
         spec = quadratic_spec(4, 0.05)
         largest = 0
         for trial in range(20):
-            assert_matches_oracle(spec, [7, trial], 4, max_attempts=30)
+            assert_streams_match_oracle(spec, [[7, trial]], 4, max_attempts=30)
             rng = CountingRng(np.random.default_rng([7, trial]))
-            sample_supermodular_opinions(spec, rng, 4, max_attempts=30)
+            sample_opinion_streams(spec, [rng], 4, max_attempts=30)
             largest = max(largest, *rng.blocks)
         assert largest > 4
 
@@ -377,7 +381,7 @@ def oracle_outcome(spec, seed, count, **kw):
     the repr of the error it raises."""
     try:
         opinions = sample_one_at_a_time(spec, np.random.default_rng(seed), count, **kw)
-    except (SamplerError, SetFunctionError) as exc:
+    except (OracleExhausted, SetFunctionError) as exc:
         return repr(exc)
     return [f.values.tobytes() for f in opinions]
 
@@ -385,7 +389,7 @@ def oracle_outcome(spec, seed, count, **kw):
 def assert_streams_match_oracle(spec, seeds, count, **kw) -> list:
     """The many-stream sampler over ``seeds`` against the oracle run on each
     stream alone: a stream is exhausted exactly where the oracle raises
-    SamplerError, every other stream holds the oracle's opinions byte for
+    OracleExhausted, every other stream holds the oracle's opinions byte for
     byte, and the call raises SetFunctionError exactly where some stream's
     oracle does.  Returns the oracle outcomes."""
     want = [oracle_outcome(spec, seed, count, **kw) for seed in seeds]
@@ -398,7 +402,7 @@ def assert_streams_match_oracle(spec, seeds, count, **kw) -> list:
     assert stack.shape == (len(seeds), count, 1 << spec.truth.n)
     for values, gone, w in zip(stack, exhausted, want):
         if gone:
-            assert isinstance(w, str) and "SamplerError" in w
+            assert isinstance(w, str) and "OracleExhausted" in w
             assert np.isnan(values).all()
         else:
             assert [row.tobytes() for row in values] == w
@@ -431,7 +435,7 @@ class TestStreamsAgainstOneAtATimeOracle:
             assert not isinstance(want[0], str)
         spec = quadratic_spec(5, 1.0)
         (want,) = assert_streams_match_oracle(spec, [[12]], 1, max_attempts=50)
-        assert "SamplerError" in want
+        assert "OracleExhausted" in want
 
     def test_nonfinite_candidates_raise_where_a_stream_draws_them(self):
         # noise this large overflows to inf in some coalitions; streams are
@@ -469,7 +473,7 @@ def test_block_check_memory_stays_within_one_row_check_plus_one_block():
     n = 12
     spec = quadratic_spec(n, 0.001)
     is_supermodular(spec.truth)  # index tables are cached once per n
-    sample_supermodular_opinions(spec, np.random.default_rng(0), n)
+    sample_opinion_streams(spec, [np.random.default_rng(0)], n)
     tracemalloc.start()
     try:
         base = tracemalloc.get_traced_memory()[0]
@@ -477,14 +481,14 @@ def test_block_check_memory_stays_within_one_row_check_plus_one_block():
         one_row = tracemalloc.get_traced_memory()[1] - base
         tracemalloc.reset_peak()
         base = tracemalloc.get_traced_memory()[0]
-        opinions = sample_supermodular_opinions(spec, np.random.default_rng(1), n)
+        stack, exhausted = sample_opinion_streams(spec, [np.random.default_rng(1)], n)
         trial = tracemalloc.get_traced_memory()[1] - base
     finally:
         tracemalloc.stop()
     block = n * (1 << n) * 8
     # a chunk's contiguous copy of its one candidate, array headers and views
     slack = (1 << n) * 8 + 16 * 1024
-    assert len(opinions) == n
+    assert stack.shape == (1, n, 1 << n) and not exhausted[0]
     assert trial <= one_row + block + slack, (trial, one_row, block)
 
 
@@ -499,6 +503,10 @@ class TestSerialization:
     def test_header_and_order_enforced(self):
         with pytest.raises(SetFunctionError, match="header"):
             parse_setfn("2\n0 0.0\n")
+        with pytest.raises(SetFunctionError, match="^bad player count in header: 'n=two'$"):
+            parse_setfn("n=two\n0 0.0\n")
+        with pytest.raises(SetFunctionError, match="^expected 4 value lines for n=2, got 3$"):
+            parse_setfn("n=2\n0 0.0\n1 0.1\n2 0.5\n")
         text = "n=2\n0 0.0\n2 0.5\n1 0.1\n3 1.0\n"
         with pytest.raises(SetFunctionError, match="bitmask"):
             parse_setfn(text)
@@ -532,6 +540,11 @@ class TestConstruction:
             f = random_supermodular(n, rng)
             assert f.is_normalized()
             assert is_supermodular(f, strict=True, tol=1e-12)
+
+    @pytest.mark.parametrize("values", [np.zeros(3), np.zeros(5), np.zeros((2, 2))])
+    def test_one_value_per_coalition_required(self, values):
+        with pytest.raises(SetFunctionError, match="^expected 4 values for n=2, got shape"):
+            SetFunction(2, values)
 
     def test_player_cap(self):
         with pytest.raises(SetFunctionError):

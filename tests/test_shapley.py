@@ -9,7 +9,13 @@ from hypothesis import strategies as st
 
 from consensusgame.core import core_contains
 from consensusgame.setfn import SetFunction, SetFunctionError, random_supermodular
-from consensusgame.shapley import shapley_linear_form, shapley_value, shapley_weights
+from consensusgame.shapley import (
+    Allocation,
+    ShapleyLinearForm,
+    shapley_linear_form,
+    shapley_value,
+    shapley_weights,
+)
 
 
 def shapley_by_permutations(f: SetFunction) -> np.ndarray:
@@ -188,6 +194,18 @@ class TestLinearForm:
         form = shapley_linear_form(2)
         with pytest.raises(SetFunctionError):
             form.apply(SetFunction.from_restricted(2, [0.1, 0.1], grand=2.0))
+
+    def test_rejects_a_function_of_another_player_count(self):
+        with pytest.raises(SetFunctionError, match="^player count mismatch$"):
+            shapley_linear_form(2).apply(random_supermodular(3, np.random.default_rng(0)))
+
+    def test_rows_must_be_one_per_player_and_proper_coalition(self):
+        with pytest.raises(SetFunctionError, match=r"^expected rows of shape \(2, 2\)$"):
+            ShapleyLinearForm(2, np.zeros((2, 3)), 0.5)
+
+    def test_allocation_needs_one_payoff_per_player(self):
+        with pytest.raises(SetFunctionError, match=r"^expected 3 payoffs, got shape \(2,\)$"):
+            Allocation(3, [0.5, 0.5])
 
     def test_player_count_bounds(self):
         with pytest.raises(SetFunctionError):

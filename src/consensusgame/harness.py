@@ -60,9 +60,11 @@ from .setfn import (
     round_candidates,
     sample_opinion_streams,
 )
-from .shapley import LINEAR_FORM_MAX_PLAYERS, ShapleyLinearForm, shapley_linear_form
+from .shapley import ShapleyLinearForm, shapley_linear_form
 
 CONVERGENCE_TOL = 1e-10
+# the largest player count the dynamics run: their linear form has 2^n - 2 columns
+LINEAR_FORM_MAX_PLAYERS = 12
 
 
 class ScenarioError(ValueError):
@@ -535,6 +537,16 @@ def _number_or_nan(cell: str) -> float:
         return math.nan
 
 
+def _derived(rule: str, got: np.ndarray, want: np.ndarray, cells: list, lines, names) -> None:
+    """Reject the first value in ``got`` whose bits differ from the value
+    ``rule`` gives in ``want``; ``got`` is the last of the ``names`` columns."""
+    differ = np.flatnonzero(got.ravel().view(np.uint64) != want.ravel().view(np.uint64))
+    if differ.size:
+        j = int(differ[0])
+        required = f"{rule} = {float(want.flat[j])!r}"
+        raise _cell_error(cells, (j + 1) * len(names) - 1, lines, names, required)
+
+
 def _blank_on_final_step(cells: list, lines, names, steps: int) -> None:
     """The final step takes no action: its action cells are blank."""
     filled = next((j for j, cell in enumerate(cells) if cell), None)
@@ -548,8 +560,10 @@ def parse_trace(text: str) -> SimulationTrace:
     The rows must come in the writer's order, so the row count fixes the
     step count and every row's leading cells.  Anything dump_trace would not
     have written is rejected with a ScenarioError naming the line, or the
-    row that is missing.  The CSV does not record convergence, so the trace
-    read back always has ``converged_at`` None.
+    row that is missing; that includes an x other than v + u and a
+    cumulative disutility other than the running sum of the disutility.
+    The CSV does not record convergence, so the trace read back always has
+    ``converged_at`` None.
     """
     lines = text.splitlines()
     if not lines:
@@ -595,8 +609,8 @@ def parse_trace(text: str) -> SimulationTrace:
     aggregate = [line.split(",") for line in body[nm::per]]
     state, action = slice(7, 7 + m + n), slice(7 + m + n, -1)
     names = [*header[state], header[-1]]
-    states = [c for f in aggregate for c in (*f[state], f[-1])]
-    states = _numbers(states, agg_lines, names).reshape(-1, m + n + 1)
+    state_cells = [c for f in aggregate for c in (*f[state], f[-1])]
+    states = _numbers(state_cells, agg_lines, names).reshape(-1, m + n + 1)
     _blank_on_final_step(aggregate[-1][action], agg_lines[-1:], header[action], steps)
     acts = [c for f in aggregate[:-1] for c in f[action]]
     acts = _numbers(acts, agg_lines, header[action]).reshape(-1, n + 1)
@@ -610,7 +624,7 @@ def parse_trace(text: str) -> SimulationTrace:
     for name, column in (("x", x), ("u", u)):
         _blank_on_final_step(column[-nm:], op_lines[-nm:], [name], steps)
     shape = (-1, n, m)
-    return SimulationTrace(
+    trace = SimulationTrace(
         n=n,
         steps=steps,
         opinions=_numbers(v, op_lines, ["v"]).reshape(shape),
@@ -621,6 +635,11 @@ def parse_trace(text: str) -> SimulationTrace:
         rewards=acts[:, :n],
         disutility=acts[:, n],
     )
+    # the two columns the writer derives from others must hold its exact bits
+    _derived("v + u", trace.revealed, trace.opinions[:-1] + trace.deviations, x, op_lines, ["x"])
+    cum = trace.cumulative_disutility()
+    _derived("the running sum of disutility", states[:, -1], cum, state_cells, agg_lines, names)
+    return trace
 
 
 def read_trace(path) -> SimulationTrace:

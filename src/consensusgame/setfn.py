@@ -134,9 +134,8 @@ def _local_increment_index(n: int):
 
 
 # the largest temporary a batched gather allocates at once (always at least
-# one candidate or player), so checking a block of functions never costs
-# more memory than checking one, and all players' Shapley sums no more than
-# one player's; also the largest block of candidates one stream draws
+# one candidate), so checking a block of functions never costs more memory
+# than checking one; also the largest block of candidates one stream draws
 GATHER_CHUNK_BYTES = 1 << 20
 
 

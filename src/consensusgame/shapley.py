@@ -1,15 +1,13 @@
-"""Shapley allocations and their linear-form representation.
+"""Shapley allocations from one linear form.
 
-Both rest on one size-weight table w[s] = s! (n-s-1)! / n!, the weight a
-coalition of s players avoiding player i carries in i's Shapley sum.
-
-For a fixed player count, the Shapley payoff of each player is an affine
-function of the payoff vector.  On normalized functions (empty coalition
-worth 0, grand coalition worth 1) the payoff of player i is
-``1/n + d_i . restricted(f)`` with m-vector coefficient rows d_i that sum
-to zero across players.  In closed form, d_i[T] is w[|T|-1] when i is in
-coalition T and -w[|T|] otherwise.  The strategic opinion dynamics consume
-those rows.
+The Shapley value is linear in the payoff function.  With the empty
+coalition worth 0, the payoff of player i is ``f(N)/n + d_i . restricted(f)``
+with m-vector coefficient rows d_i that sum to zero across players.  In
+closed form, d_i[T] is w[|T|-1] when i is in coalition T and -w[|T|]
+otherwise, over the size weights w[s] = s! (n-s-1)! / n!.  One cached table
+of those rows serves both dense payoff vectors (``shapley_payoffs``) and the
+normalized m-vectors the strategic opinion dynamics consume
+(``ShapleyLinearForm.apply_restricted``).
 """
 
 from __future__ import annotations
@@ -20,16 +18,7 @@ from math import factorial
 
 import numpy as np
 
-from .setfn import (
-    GATHER_CHUNK_BYTES,
-    SetFunction,
-    SetFunctionError,
-    membership_matrix,
-    num_restricted,
-)
-
-# the largest player count the linear form (and so the dynamics) is built for
-LINEAR_FORM_MAX_PLAYERS = 12
+from .setfn import MAX_PLAYERS, SetFunction, SetFunctionError, membership_matrix, num_restricted
 
 
 @dataclass(frozen=True)
@@ -54,44 +43,17 @@ def shapley_weights(n: int) -> np.ndarray:
     return fact[:n] * fact[n - 1 :: -1] / fact[n]
 
 
-@lru_cache(maxsize=64)
-def _shapley_gathers(n: int) -> tuple:
-    """Three (n, 2^(n-1)) stacks, row i for player i: the coalitions C
-    avoiding i, C + i, and C's weight."""
-    masks = np.arange(1 << n)
-    bits = 1 << np.arange(n)
-    without = np.stack([masks[(masks & bit) == 0] for bit in bits])
-    arrays = (without, without | bits[:, None], shapley_weights(n)[np.bitwise_count(without)])
-    for array in arrays:
-        array.setflags(write=False)
-    return arrays
-
-
 def shapley_payoffs(values: np.ndarray, n: int) -> np.ndarray:
     """Shapley payoffs of dense payoff vectors of n players, the last axis
-    of ``values``: g_i = sum over coalitions C not containing i of
-    |C|! (n-|C|-1)! / n! * (f(C+i) - f(C)), as many players of every vector
-    per gather as fit in GATHER_CHUNK_BYTES.  Each vector's payoffs are
-    those of gathering it alone."""
-    without, with_i, weights = _shapley_gathers(n)
-    vectors = max(1, values.size // values.shape[-1])
-    step = max(1, GATHER_CHUNK_BYTES // (8 * without.shape[1] * vectors))
-    chunks = [slice(lo, lo + step) for lo in range(0, n, step)]
-    sums = []
-    for c in chunks:
-        # take, not indexing, keeps the gathered rows contiguous, so each sum
-        # runs along its row in the same order whatever the batch
-        gains = values.take(with_i[c], axis=-1) - values.take(without[c], axis=-1)
-        sums.append((weights[c] * gains).sum(axis=-1))
-    return np.concatenate(sums, axis=-1)
+    of ``values``: by linearity, f(N)/n plus the linear form's rows applied
+    to the proper coalitions' values.  A stack ``(..., 2^n)`` gives one row
+    of payoffs per vector, each as for that vector alone."""
+    form = shapley_linear_form(n)
+    return values[..., -1:] * form.offset + (form.rows @ values[..., 1:-1, None])[..., 0]
 
 
 def shapley_value(f: SetFunction) -> Allocation:
-    """Exact Shapley allocation by the direct coalition-sum formula.
-
-    Efficient: payoffs sum to the grand-coalition value.  The index and
-    weight gathers are built once per n.
-    """
+    """Exact Shapley allocation; payoffs sum to the grand-coalition value."""
     return Allocation(f.n, shapley_payoffs(f.values, f.n))
 
 
@@ -132,22 +94,22 @@ class ShapleyLinearForm:
         return self.offset + (self.rows @ restricted[..., None])[..., 0]
 
 
+@lru_cache(maxsize=64)
 def shapley_linear_form(n: int) -> ShapleyLinearForm:
     """Closed-form linear form: d_i[T] = w[|T|-1] if i in T, else -w[|T|].
 
     Each coefficient is rounded as the difference of two Shapley payoffs,
     ``(w[n-1] + d_i[T]) - w[n-1]``: the payoff at the grand-coalition
     indicator is w[n-1] for every player, and adding a unit indicator at T
-    moves it by d_i[T].  The rows are then bit-for-bit those that
-    indicator probing of ``shapley_value`` yields.
+    moves it by d_i[T].  The rows are then bit-for-bit those that indicator
+    probing of the direct coalition-sum formula yields.  Built once per n.
     """
-    if not 2 <= n <= LINEAR_FORM_MAX_PLAYERS:
-        raise SetFunctionError(
-            f"linear form supported for 2 <= n <= {LINEAR_FORM_MAX_PLAYERS}, got {n}"
-        )
+    if not 1 <= n <= MAX_PLAYERS:
+        raise SetFunctionError(f"linear form supported for 1 <= n <= {MAX_PLAYERS}, got {n}")
     w = shapley_weights(n)
     member = membership_matrix(n)[1:-1].T  # (n, m): player i in coalition T
     sizes = member.sum(axis=0)
-    signed = np.where(member, w[sizes - 1], -w[sizes])
-    rows = (w[n - 1] + signed) - w[n - 1]
+    rows = np.where(member, w[sizes - 1], -w[sizes])
+    rows += w[n - 1]
+    rows -= w[n - 1]
     return ShapleyLinearForm(n, rows, 1.0 / n)

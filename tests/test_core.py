@@ -17,6 +17,7 @@ from consensusgame.core import (
     core_is_empty,
     core_witness,
 )
+from consensusgame.harness import TRUTH_FAMILIES
 from consensusgame.setfn import (
     SetFunction,
     SetFunctionError,
@@ -183,6 +184,22 @@ class TestBalancednessDual:
             pivoted += pivots > 0
         assert verdicts[True] > 20 and verdicts[False] > 20
         assert pivoted > 20
+
+    # the truths' surplus at n players is this coefficient over n
+    @pytest.mark.parametrize("family, surplus", [("quadratic", 1.0), ("mixed", 0.3)])
+    def test_truth_optimum_is_attained_by_the_coalitions_of_all_but_one(self, family, surplus):
+        # an independent oracle: on one noiseless truth the optimum is
+        # 1 - surplus / n, and the n coalitions of n - 1 players, weight
+        # 1 / (n - 1) each, are a balanced collection that attains it
+        for n in range(2, 13):
+            bounds = TRUTH_FAMILIES[family](n).values[1:-1]
+            members = membership_matrix(n)[1:-1]
+            y, _ = _balanced_dual(n, bounds, np.inf)
+            assert y.sum() == pytest.approx(1 - surplus / n, rel=0, abs=1e-12)
+            assert np.all(members @ y >= bounds - 1e-12)
+            weights = (members.sum(axis=1) == n - 1) / (n - 1)
+            np.testing.assert_allclose(weights @ members, 1.0, rtol=0, atol=1e-12)
+            assert weights @ bounds == pytest.approx(y.sum(), rel=0, abs=1e-12)
 
     def test_stops_before_a_pivot_when_the_singletons_overrun_the_budget(self):
         # nine singletons worth 0.2 each: the singleton basis alone is

@@ -491,6 +491,17 @@ MALFORMED_TRACES = {
         r"^trace line 7: x: finite number required, got 'abc'$",
     ),
     "empty-file": (lambda L: [], r"^empty trace file$"),
+    # the writer derives x as v + u and cum_disutility as the running sum of
+    # the disutility column, so any other value is not one it wrote
+    "x-moved-by-half": (
+        lambda L: [*L[:6], _cell(L[6], 5, "1.172019425565081"), *L[7:]],
+        r"^trace line 7: x: v \+ u = 0\.672019425565081 required, got '1\.172019425565081'$",
+    ),
+    "cum-disutility-raised-by-one": (
+        lambda L: [*L[:10], _cell(L[10], 14, "1.0000000017043096\n"), *L[11:]],
+        r"^trace line 11: cum_disutility: the running sum of disutility = 1\.704309656591142e-09"
+        r" required, got '1\.0000000017043096'$",
+    ),
 }
 
 

@@ -13,6 +13,7 @@ from consensusgame.shapley import (
     Allocation,
     ShapleyLinearForm,
     shapley_linear_form,
+    shapley_payoffs,
     shapley_value,
     shapley_weights,
 )
@@ -50,7 +51,8 @@ def shapley_by_coalition_sums(f: SetFunction) -> np.ndarray:
 
 
 def linear_form_by_indicators(n: int) -> np.ndarray:
-    """Oracle: linear-form rows by differencing Shapley values of indicators.
+    """Oracle: linear-form rows by differencing coalition-sum Shapley values
+    of indicators.
 
     The function worth 1 only at the grand coalition allocates the base
     payoffs; adding a unit indicator at one proper coalition and
@@ -58,12 +60,12 @@ def linear_form_by_indicators(n: int) -> np.ndarray:
     """
     base_vals = np.zeros(1 << n)
     base_vals[-1] = 1.0
-    base = shapley_value(SetFunction(n, base_vals)).payoffs
+    base = shapley_by_coalition_sums(SetFunction(n, base_vals))
     rows = np.empty((n, (1 << n) - 2))
     for col in range(rows.shape[1]):
         vals = base_vals.copy()
         vals[col + 1] += 1.0
-        rows[:, col] = shapley_value(SetFunction(n, vals)).payoffs - base
+        rows[:, col] = shapley_by_coalition_sums(SetFunction(n, vals)) - base
     return rows
 
 
@@ -102,14 +104,27 @@ class TestShapleyValue:
                 shapley_value(f).payoffs, shapley_by_permutations(f), atol=1e-12
             )
 
-    # n = 15 and 16 split the players over several gathers
     @pytest.mark.parametrize("n", [*range(1, 13), 15, 16])
-    def test_bit_equal_to_rebuilt_coalition_sums(self, n):
+    def test_agrees_with_rebuilt_coalition_sums(self, n):
         rng = np.random.default_rng(29 + n)
         for _ in range(5):
             vals = np.concatenate([[0.0], rng.normal(0, 1, size=(1 << n) - 1)])
             f = SetFunction(n, vals)
-            assert shapley_value(f).payoffs.tobytes() == shapley_by_coalition_sums(f).tobytes()
+            np.testing.assert_allclose(
+                shapley_value(f).payoffs, shapley_by_coalition_sums(f), rtol=0, atol=1e-12
+            )
+
+    @pytest.mark.parametrize("n", [*range(1, 13), 15, 16])
+    def test_stack_gives_the_bits_of_one_call_per_vector(self, n):
+        # the Bayesian-core fast path decides a batch of profiles at once
+        rng = np.random.default_rng([41, n])
+        for count in (1, 2, 7, 64):
+            stack = np.concatenate(
+                [np.zeros((count, 1)), rng.normal(0, 1, size=(count, (1 << n) - 1))], axis=1
+            )
+            stacked = shapley_payoffs(stack, n)
+            assert stacked.shape == (count, n)
+            assert np.array_equal(stacked, [shapley_payoffs(vals, n) for vals in stack])
 
     @pytest.mark.parametrize("n", range(2, 9))
     def test_efficiency(self, n):
@@ -208,7 +223,8 @@ class TestLinearForm:
             Allocation(3, [0.5, 0.5])
 
     def test_player_count_bounds(self):
-        with pytest.raises(SetFunctionError):
-            shapley_linear_form(1)
-        with pytest.raises(SetFunctionError):
-            shapley_linear_form(13)
+        for n in (0, 21):
+            with pytest.raises(SetFunctionError, match=f"^linear form .* 1 <= n <= 20, got {n}$"):
+                shapley_linear_form(n)
+        for n in (1, 13):
+            assert shapley_linear_form(n).rows.shape == (n, (1 << n) - 2)

@@ -47,11 +47,27 @@ class FeasibilityResult(NamedTuple):
     witness: np.ndarray | None
 
 
+def _allocation(g, n: int) -> np.ndarray:
+    """``g`` as an array of one payoff per player; refuses any other shape."""
+    g = np.asarray(g, dtype=float)
+    if g.shape != (n,):
+        raise SetFunctionError(f"allocation must have length {n}")
+    return g
+
+
+def _player_count(opinions: list[SetFunction]) -> int:
+    """The player count every opinion shares; refuses none, or a mix."""
+    if not opinions:
+        raise SetFunctionError("need at least one opinion")
+    n = opinions[0].n
+    if any(f.n != n for f in opinions):
+        raise SetFunctionError("opinions disagree on player count")
+    return n
+
+
 def core_contains(f: SetFunction, g, tol: float = DEFAULT_TOL) -> bool:
     """Membership check: every coalition covered, budget exactly spent."""
-    g = np.asarray(g, dtype=float)
-    if g.shape != (f.n,):
-        raise SetFunctionError(f"allocation must have length {f.n}")
+    g = _allocation(g, f.n)
     sums = membership_matrix(f.n) @ g
     if abs(sums[-1] - f.grand_value) > tol:
         return False
@@ -95,11 +111,7 @@ def bayesian_core_is_empty(
     Returns ``(empty, witness)``; the witness is only present when the
     Bayesian core is nonempty.
     """
-    if not opinions:
-        raise SetFunctionError("need at least one opinion")
-    n = opinions[0].n
-    if any(f.n != n for f in opinions):
-        raise SetFunctionError("opinions disagree on player count")
+    n = _player_count(opinions)
     if len(opinions) != n:
         raise SetFunctionError(f"expected one opinion per player ({n}), got {len(opinions)}")
     (empty,), (witness,) = bayesian_core_verdicts(np.array([[f.values for f in opinions]]), tol)
@@ -190,8 +202,8 @@ def bayesian_core_contains(
     opinions: list[SetFunction], g, tol: float = DEFAULT_TOL
 ) -> bool:
     """Direct membership check against every player's private constraints."""
-    g = np.asarray(g, dtype=float)
-    n = opinions[0].n
+    n = _player_count(opinions)
+    g = _allocation(g, n)
     sums = membership_matrix(n) @ g
     proper = np.arange(1, grand_mask(n))
     for f in opinions:

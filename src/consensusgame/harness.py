@@ -257,7 +257,7 @@ def _derive_columns(
     every step, the disutility and rewards on every acted step.
 
     Works through blocks of steps whose (block, n, m) stack fits
-    GATHER_CHUNK_BYTES, so its temporaries stay within a few gather chunks
+    GATHER_CHUNK_BYTES, so its temporaries stay within a few such chunks
     whatever the horizon; every value is that of the per-step call.
     Raises SetFunctionError when a disutility or reward is not finite.
     """
@@ -357,7 +357,7 @@ def experiment_core_emptiness(scenario: Scenario, tol: float = DEFAULT_TOL) -> l
     nonemptiness when it covers them, and the balancedness dual decides the
     rest, to the feasibility tolerance ``tol``.  Trials are sampled and
     checked in groups whose first blocks fit one sampler round, so a group's
-    arrays stay within a few gather chunks; each trial's opinions and
+    arrays stay within a few GATHER_CHUNK_BYTES; each trial's opinions and
     verdict are those of running it alone.
     Trials whose rejection sampler exhausts its budget are counted as
     failures, not as data; a player count where every trial fails has no

@@ -13,6 +13,7 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import combinations
 
 import numpy as np
 
@@ -105,67 +106,45 @@ class SetFunction:
         return float(self.values[mask])
 
 
-@lru_cache(maxsize=64)
-def _local_increment_index(n: int):
-    """Index arrays for the incremental supermodularity check.
-
-    For every unordered player pair (i, j) and every coalition S avoiding
-    both, the condition f(S+i+j) + f(S) >= f(S+i) + f(S+j) must hold.
-    """
-    masks = np.arange(1 << n)
-    s_all, si_all, sj_all, sij_all = [], [], [], []
-    for i in range(n):
-        for j in range(i + 1, n):
-            pair = (1 << i) | (1 << j)
-            s = masks[(masks & pair) == 0]
-            s_all.append(s)
-            si_all.append(s | (1 << i))
-            sj_all.append(s | (1 << j))
-            sij_all.append(s | pair)
-    if not s_all:  # n == 1: nothing to check
-        empty = np.empty(0, dtype=int)
-        return empty, empty, empty, empty
-    return (
-        np.concatenate(s_all),
-        np.concatenate(si_all),
-        np.concatenate(sj_all),
-        np.concatenate(sij_all),
-    )
-
-
-# the largest temporary a batched gather allocates at once (always at least
-# one candidate), so checking a block of functions never costs more memory
-# than checking one; also the largest block of candidates one stream draws
+# the bytes a sampler round's candidates take, their values and their
+# normal rows together; no stream draws a larger block (always at least one
+# candidate).  harness bounds its blocks of derived trace columns by it too
 GATHER_CHUNK_BYTES = 1 << 20
 
 
 def round_candidates(n: int) -> int:
     """The most candidates a sampler round draws across streams: their
-    values fit one GATHER_CHUNK_BYTES, and so do the gap kernel's two live
-    arrays for them, the running sum and the term added to it."""
-    gaps = _local_increment_index(n)[0].size
-    return max(1, GATHER_CHUNK_BYTES // (8 * max(1 << n, 2 * gaps)))
+    values and their normal rows fit one GATHER_CHUNK_BYTES.  The gap
+    kernel's two temporaries for them hold a quarter of their values each."""
+    return max(1, GATHER_CHUNK_BYTES // (16 << n))
 
 
 def _supermodular_columns(block: np.ndarray, n: int, floor: float) -> np.ndarray:
     """Per column of a (2^n, k) block of payoff vectors: does every
-    incremental gap f(S+i+j) + f(S) - f(S+i) - f(S+j) reach ``floor``?"""
-    s, si, sj, sij = _local_increment_index(n)
-    step = max(1, GATHER_CHUNK_BYTES // (8 * max(s.size, 1)))
+    incremental gap f(S+i+j) + f(S) - f(S+i) - f(S+j) reach ``floor``?
+
+    For each pair i < j the block is viewed with player j's and player i's
+    bits as axes of their own, so the four coalition families are strided
+    views of it; the temporaries are two arrays of 2^(n-2) k values, the
+    pair's gaps and their running minimum.
+    """
     k = block.shape[1]
-    if k > step:
-        return np.concatenate(
-            [_supermodular_columns(block[:, lo : lo + step], n, floor) for lo in range(0, k, step)]
-        )
-    # summed in place, in the order of (f(S+i+j) + f(S)) - f(S+i) - f(S+j);
-    # candidates near the float range overflow here without a numpy warning,
-    # since the sampler refuses nonfinite candidates itself
+    lowest = np.full((1 << max(n - 2, 0), k), np.inf)
+    gaps = np.empty_like(lowest)
+    # summed in the order of ((f(S+i+j) + f(S)) - f(S+i)) - f(S+j); a nan
+    # gap is kept by the minimum and fails its column.  Candidates near the
+    # float range overflow here without a numpy warning, since the sampler
+    # refuses nonfinite candidates itself
     with np.errstate(over="ignore", invalid="ignore"):
-        gaps = block.take(sij, axis=0)
-        gaps += block.take(s, axis=0)
-        gaps -= block.take(si, axis=0)
-        gaps -= block.take(sj, axis=0)
-    return (gaps >= floor).all(axis=0)
+        for i, j in combinations(range(n), 2):
+            shape = (1 << n - 1 - j, 1 << j - i - 1, 1 << i, k)
+            cube = block.reshape(shape[0], 2, shape[1], 2, shape[2], k)  # [.., j, .., i, ..]
+            pair = gaps.reshape(shape)
+            np.add(cube[:, 1, :, 1], cube[:, 0, :, 0], out=pair)
+            pair -= cube[:, 0, :, 1]
+            pair -= cube[:, 1, :, 0]
+            np.minimum(lowest, gaps, out=lowest)
+        return lowest.min(axis=0) >= floor
 
 
 def is_supermodular(
@@ -249,7 +228,7 @@ def sample_opinion_streams(
     Each stream draws its candidates in blocks, one normal row each: as many
     rows as it still needs opinions, or as its waiting opinion has missed if
     that is more, capped by that opinion's remaining budget and by
-    GATHER_CHUNK_BYTES.  A round draws the next block of as many live
+    ``round_candidates``.  A round draws the next block of as many live
     streams, in order, as fit ``round_candidates`` (at least one) and checks
     them with one gap kernel.  Each stream takes its accepted candidates in
     draw order, so its opinions, and its exhaustion, are those of drawing
@@ -263,7 +242,6 @@ def sample_opinion_streams(
     if spec.sigma == 0.0:
         return np.tile(truth.values, (len(rngs), count, 1)), exhausted
     width = num_restricted(truth.n) + (1 if perturb_grand else 0)
-    fit = max(1, GATHER_CHUNK_BYTES // (8 * size))
     cap = round_candidates(truth.n)
     taken = [0] * len(rngs)  # opinions each stream has
     misses = [0] * len(rngs)  # rejected candidates of its waiting opinion
@@ -278,7 +256,7 @@ def sample_opinion_streams(
             if misses[s] >= max_attempts:
                 exhausted[s] = True
                 continue
-            k = min(max(count - taken[s], misses[s]), max_attempts - misses[s], fit)
+            k = min(max(count - taken[s], misses[s]), max_attempts - misses[s], cap)
             if batch and total + k > cap:
                 break
             batch.append((s, k))

@@ -62,7 +62,8 @@ class ShapleyLinearForm:
     """Affine representation of Shapley payoffs on normalized functions.
 
     ``payoff_i(f) = offset + rows[i] . restricted(f)`` whenever f is
-    normalized.  Rows sum to the zero vector.
+    normalized.  Rows sum to the zero vector.  Rows given as a read-only
+    array that owns its data are kept as they are; any others are copied.
     """
 
     n: int
@@ -75,8 +76,9 @@ class ShapleyLinearForm:
             raise SetFunctionError(
                 f"expected rows of shape {(self.n, num_restricted(self.n))}"
             )
-        rows = rows.copy()
-        rows.setflags(write=False)
+        if rows.flags.writeable or not rows.flags.owndata:
+            rows = rows.copy()
+            rows.setflags(write=False)
         object.__setattr__(self, "rows", rows)
 
     def apply(self, f: SetFunction) -> Allocation:
@@ -107,9 +109,11 @@ def shapley_linear_form(n: int) -> ShapleyLinearForm:
     if not 1 <= n <= MAX_PLAYERS:
         raise SetFunctionError(f"linear form supported for 1 <= n <= {MAX_PLAYERS}, got {n}")
     w = shapley_weights(n)
-    member = membership_matrix(n)[1:-1].T  # (n, m): player i in coalition T
+    # (n, m): player i in coalition T, in C order so the rows are too
+    member = np.ascontiguousarray(membership_matrix(n)[1:-1].T)
     sizes = member.sum(axis=0)
     rows = np.where(member, w[sizes - 1], -w[sizes])
     rows += w[n - 1]
     rows -= w[n - 1]
+    rows.setflags(write=False)  # the form keeps these rows, no copy
     return ShapleyLinearForm(n, rows, 1.0 / n)

@@ -494,6 +494,21 @@ class TestBayesianCore:
         with pytest.raises(SetFunctionError, match="disagree on player count"):
             bayesian_core_is_empty([f, f, g])
 
+    def test_membership_refuses_no_opinions(self):
+        with pytest.raises(SetFunctionError, match="^need at least one opinion$"):
+            bayesian_core_contains([], [0.5, 0.5])
+
+    def test_membership_refuses_an_allocation_of_another_length(self):
+        f = random_supermodular(3, np.random.default_rng(74))
+        with pytest.raises(SetFunctionError, match="^allocation must have length 3$"):
+            bayesian_core_contains([f, f, f], [0.5, 0.5])
+
+    def test_membership_refuses_opinions_of_mixed_player_counts(self):
+        f = random_supermodular(2, np.random.default_rng(75))
+        g = random_supermodular(3, np.random.default_rng(76))
+        with pytest.raises(SetFunctionError, match="^opinions disagree on player count$"):
+            bayesian_core_contains([f, g], [0.5, 0.5])
+
     def test_fast_witness_path_agrees_with_pure_lp(self):
         # the allocation-candidate shortcut must never change the verdict
         rng = np.random.default_rng(73)

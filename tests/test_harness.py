@@ -1030,7 +1030,7 @@ class TestCoreEmptinessInGroups:
         # the 200 opinion profiles at n = 8 take 3.2 MB; sampled and checked
         # a group at a time, the experiment never holds them all
         sc = core_mc_scenario(1, n_min=8, n_max=8)
-        experiment_core_emptiness(sc)  # index tables are cached once per n
+        experiment_core_emptiness(sc)  # the Shapley and core tables are cached once per n
         tracemalloc.start()
         try:
             experiment_core_emptiness(sc)

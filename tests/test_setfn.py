@@ -11,6 +11,7 @@ from consensusgame.setfn import (
     GroundTruthSpec,
     SetFunction,
     SetFunctionError,
+    _supermodular_columns,
     dump_setfn,
     is_supermodular,
     membership_matrix,
@@ -120,7 +121,7 @@ class TestIsSupermodular:
         with pytest.raises(SetFunctionError, match="^tolerance must be nonnegative$"):
             is_supermodular(size_based(2, lambda s: s * s), tol=-1e-9)
 
-    @pytest.mark.parametrize("n", [2, 3, 4])
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
     def test_both_methods_agree_with_oracle_on_random_functions(self, n):
         rng = np.random.default_rng(91)
         per_n = 1000 // 3 + 1
@@ -134,6 +135,87 @@ class TestIsSupermodular:
                 local = is_supermodular(f, strict=strict)
                 oracle = supermodular_bruteforce(f, strict=strict)
                 assert local == oracle
+
+    def test_one_check_at_sixteen_players_stays_under_one_mebibyte(self):
+        # the gap temporaries are two arrays of 2^14 values; no table of
+        # coalition indices is built for the pairs
+        sizes = np.bitwise_count(np.arange(1 << 16)).astype(float)
+        f = SetFunction(16, (sizes / 16) ** 2)
+        tracemalloc.start()
+        try:
+            assert is_supermodular(f, strict=True)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20, peak
+
+
+def index_gather_columns(block: np.ndarray, n: int, floor: float) -> np.ndarray:
+    """Reference: the gap kernel as an index gather.  One table per
+    coalition family lists, for every pair i < j and every S avoiding both,
+    the bitmask of S, S+i, S+j and S+i+j; the gaps are summed in the order
+    ((f(S+i+j) + f(S)) - f(S+i)) - f(S+j)."""
+    s, si, sj, sij = [], [], [], []
+    for i in range(n):
+        for j in range(i + 1, n):
+            for mask in range(1 << n):
+                if not mask >> i & 1 and not mask >> j & 1:
+                    s.append(mask)
+                    si.append(mask | 1 << i)
+                    sj.append(mask | 1 << j)
+                    sij.append(mask | 1 << i | 1 << j)
+    with np.errstate(over="ignore", invalid="ignore"):
+        gaps = block.take(sij, axis=0)
+        gaps += block.take(s, axis=0)
+        gaps -= block.take(si, axis=0)
+        gaps -= block.take(sj, axis=0)
+        return (gaps >= floor).all(axis=0)
+
+
+class TestGapKernelAgainstIndexGather:
+    ON_FLOOR = -0.25  # every gap of a column built by on_floor
+
+    @staticmethod
+    def on_floor(n: int, rng) -> np.ndarray:
+        """Payoffs whose every incremental gap is exactly ON_FLOOR: a
+        modular part of small integers plus ON_FLOOR * C(|S|, 2), all of
+        them exact in float arithmetic."""
+        sizes = np.bitwise_count(np.arange(1 << n)).astype(float)
+        singles = rng.integers(-4, 5, size=n).astype(float)
+        modular = membership_matrix(n) @ singles
+        return modular + TestGapKernelAgainstIndexGather.ON_FLOOR * sizes * (sizes - 1) / 2
+
+    def block(self, n: int, rng) -> np.ndarray:
+        """Columns of every kind: random normal, supermodular, supermodular
+        moved by a little noise, gaps on the floor, and each of these with
+        a +inf, -inf or nan entry."""
+        columns = []
+        for _ in range(6):
+            columns.append(rng.normal(size=1 << n))
+            columns.append(random_supermodular(n, rng, normalized=False).values)
+            columns.append(columns[-1] + rng.normal(0.0, 0.05, size=1 << n))
+            columns.append(self.on_floor(n, rng))
+        for bad in (np.inf, -np.inf, np.nan):
+            for base in list(columns[:8]):
+                column = base.copy()
+                column[rng.integers(1 << n)] = bad
+                columns.append(column)
+        return np.stack(columns, axis=1)
+
+    @pytest.mark.parametrize("n", range(1, 10))
+    def test_verdicts_equal_column_for_column(self, n):
+        rng = np.random.default_rng([41, n])
+        block = self.block(n, rng)
+        floors = [self.ON_FLOOR, np.nextafter(self.ON_FLOOR, 1.0), -1e-9, 0.0, 1e-9]
+        verdicts = []
+        for floor in floors:
+            want = index_gather_columns(block, n, floor)
+            got = _supermodular_columns(block, n, floor)
+            assert got.dtype == bool and got.tolist() == want.tolist(), floor
+            verdicts.append(want)
+        if n >= 2:  # every gap sits on ON_FLOOR, so the next float up fails
+            assert verdicts[0][3] and not verdicts[1][3]
+            assert any(v.all() != v.any() for v in verdicts)
 
 
 class TestWeightedAverage:
@@ -411,11 +493,12 @@ def assert_streams_match_oracle(spec, seeds, count, **kw) -> list:
 
 class TestStreamsAgainstOneAtATimeOracle:
     def test_exhausting_and_accepting_streams_share_rounds(self):
-        # at n = 8 a round holds the first blocks of only a few streams, and
-        # with one attempt per opinion every rejection exhausts its stream
+        # at n = 8 a round holds the first blocks of fewer than all 40
+        # streams, and with one attempt per opinion every rejection
+        # exhausts its stream
         spec = quadratic_spec(8, 0.004)
-        assert round_candidates(8) < 30 * 8
-        want = assert_streams_match_oracle(spec, [[9, t] for t in range(30)], 8, max_attempts=1)
+        assert round_candidates(8) < 40 * 8
+        want = assert_streams_match_oracle(spec, [[9, t] for t in range(40)], 8, max_attempts=1)
         exhausted = sum(isinstance(w, str) for w in want)
         assert 0 < exhausted < len(want)
 
@@ -467,12 +550,12 @@ class TestStreamsAgainstOneAtATimeOracle:
         assert all(row.tobytes() == spec.truth.values.tobytes() for row in stack.reshape(-1, 16))
 
 
-def test_block_check_memory_stays_within_one_row_check_plus_one_block():
-    # at n=12 one row's gap temporaries outweigh a whole block of 12 rows, so
-    # checking the block in one gather would need several times the memory
+def test_block_check_memory_stays_within_one_row_check_plus_three_blocks():
+    # a round of one stream at n=12 holds three blocks of 12 rows at most:
+    # the stream's noise, its concatenation and the candidate block; the
+    # gap temporaries for the block are a quarter of it each
     n = 12
     spec = quadratic_spec(n, 0.001)
-    is_supermodular(spec.truth)  # index tables are cached once per n
     sample_opinion_streams(spec, [np.random.default_rng(0)], n)
     tracemalloc.start()
     try:
@@ -486,10 +569,10 @@ def test_block_check_memory_stays_within_one_row_check_plus_one_block():
     finally:
         tracemalloc.stop()
     block = n * (1 << n) * 8
-    # a chunk's contiguous copy of its one candidate, array headers and views
+    # one candidate's values, array headers and views
     slack = (1 << n) * 8 + 16 * 1024
     assert stack.shape == (1, n, 1 << n) and not exhausted[0]
-    assert trial <= one_row + block + slack, (trial, one_row, block)
+    assert trial <= one_row + 3 * block + slack, (trial, one_row, block)
 
 
 class TestSerialization:

@@ -1,6 +1,7 @@
 """Shapley allocation against the permutation oracle, plus the linear form."""
 
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from consensusgame.core import core_contains
-from consensusgame.setfn import SetFunction, SetFunctionError, random_supermodular
+from consensusgame.setfn import SetFunction, SetFunctionError, membership_matrix, random_supermodular
 from consensusgame.shapley import (
     Allocation,
     ShapleyLinearForm,
@@ -217,6 +218,27 @@ class TestLinearForm:
     def test_rows_must_be_one_per_player_and_proper_coalition(self):
         with pytest.raises(SetFunctionError, match=r"^expected rows of shape \(2, 2\)$"):
             ShapleyLinearForm(2, np.zeros((2, 3)), 0.5)
+
+    def test_rows_a_caller_can_write_are_copied(self):
+        rows = shapley_linear_form(3).rows
+        assert ShapleyLinearForm(3, rows, 1 / 3).rows is rows
+        writable = rows.copy()
+        form = ShapleyLinearForm(3, writable, 1 / 3)
+        assert form.rows is not writable and not form.rows.flags.writeable
+        view = writable[:]
+        view.setflags(write=False)
+        assert ShapleyLinearForm(3, view, 1 / 3).rows.base is None
+
+    def test_building_the_form_at_sixteen_players_keeps_one_copy_of_the_rows(self):
+        membership_matrix(16)  # cached once per n, and read here
+        tracemalloc.start()
+        try:
+            form = shapley_linear_form.__wrapped__(16)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert form.rows.flags.c_contiguous and not form.rows.flags.writeable
+        assert peak < 1.5 * form.rows.nbytes, (peak, form.rows.nbytes)
 
     def test_allocation_needs_one_payoff_per_player(self):
         with pytest.raises(SetFunctionError, match=r"^expected 3 payoffs, got shape \(2,\)$"):

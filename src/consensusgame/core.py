@@ -42,6 +42,11 @@ _PIVOT_EPS = 1e-10
 DEFAULT_TOL = 1e-9
 
 
+class DualCyclingError(SetFunctionError):
+    """The balancedness dual reached its pivot cap: it cycles numerically on
+    these bounds, so their verdict cannot be decided."""
+
+
 class FeasibilityResult(NamedTuple):
     empty: bool
     witness: np.ndarray | None
@@ -195,7 +200,7 @@ def _balanced_dual(n: int, bounds: np.ndarray, limit: float) -> tuple[np.ndarray
         inverse -= np.outer(direction, pivot_row)
         inverse[leaving] = pivot_row
         basis[leaving] = entering
-    raise RuntimeError(f"the balancedness dual did not terminate within {max_pivots} pivots")
+    raise DualCyclingError(f"the balancedness dual did not terminate within {max_pivots} pivots")
 
 
 def bayesian_core_contains(

@@ -3,8 +3,10 @@
 A scenario is a JSON document whose experiment kind picks the table of keys
 it is read by (SCHEMAS): a master seed, and the game the dynamics run or the
 sampling setup of core-emptiness.  Everything downstream is deterministic
-given the seed: Monte-Carlo trials draw from streams derived from (seed,
-trial key), so results do not depend on execution order.
+given the seed: every seeded stream but the dynamics' own is numpy's
+PCG64 stream of ``SeedSequence([seed, *key])``, so Monte-Carlo results do
+not depend on execution order.  ``setfn.keyed_generators`` derives the
+streams of many keys in one vectorized pass, pinned to numpy's by a test.
 
 Trace CSV layout (one file, fixed header, full-precision floats):
 
@@ -45,7 +47,7 @@ from .agents import (
     step_reward,
 )
 from .consensus import ConsensusError, InfluenceMatrix, deviation_disutility, strategic_update
-from .core import DEFAULT_TOL, bayesian_core_is_empty, bayesian_core_verdicts
+from .core import DEFAULT_TOL, DualCyclingError, bayesian_core_is_empty, bayesian_core_verdicts
 from .setfn import (
     GATHER_CHUNK_BYTES,
     MAX_PLAYERS,
@@ -54,6 +56,7 @@ from .setfn import (
     SetFunction,
     SetFunctionError,
     check_fits_in_memory,
+    keyed_generators,
     num_restricted,
     random_supermodular,
     read_text,
@@ -352,17 +355,20 @@ def experiment_core_emptiness(scenario: Scenario, tol: float = DEFAULT_TOL) -> l
 
     For each player count, every trial draws one truncated-normal opinion
     per player around the per-n ground truth (grand value included), all
-    from the trial's own generator, and makes one Bayesian-core check of
-    the profile: the Shapley allocation of the coalition bounds settles
-    nonemptiness when it covers them, and the balancedness dual decides the
-    rest, to the feasibility tolerance ``tol``.  Trials are sampled and
+    from the trial's own generator, numpy's ``default_rng([seed, n, trial])``
+    stream (``keyed_generators`` derives a group's together), and makes one
+    Bayesian-core check of the profile: the Shapley allocation of the
+    coalition bounds settles nonemptiness when it covers them, and the
+    balancedness dual decides the rest, to the feasibility tolerance
+    ``tol``.  Trials are sampled and
     checked in groups whose first blocks fit one sampler round, so a group's
     arrays stay within a few GATHER_CHUNK_BYTES; each trial's opinions and
     verdict are those of running it alone.
     Trials whose rejection sampler exhausts its budget are counted as
     failures, not as data; a player count where every trial fails has no
     data at all and is rejected, as is a sigma whose noise draws a
-    candidate beyond the float range.
+    candidate beyond the float range, or opinions whose coalition bounds
+    make the balancedness dual cycle.
     """
     check_scenario(scenario, "core-emptiness")
     rows = []
@@ -373,7 +379,7 @@ def experiment_core_emptiness(scenario: Scenario, tol: float = DEFAULT_TOL) -> l
         failures = 0
         for lo in range(0, scenario.trials, group):
             trials = range(lo, min(lo + group, scenario.trials))
-            rngs = [np.random.default_rng([scenario.seed, n, trial]) for trial in trials]
+            rngs = keyed_generators((scenario.seed, n), trials)
             try:
                 stacks, exhausted = sample_opinion_streams(
                     gts, rngs, n, perturb_grand=scenario.perturb_grand
@@ -381,7 +387,11 @@ def experiment_core_emptiness(scenario: Scenario, tol: float = DEFAULT_TOL) -> l
             except SetFunctionError as exc:  # noise beyond the float range
                 _fail("sigma", f"{scenario.sigma!r} at n={n}: {exc}")
             failures += int(exhausted.sum())
-            empty += int(bayesian_core_verdicts(stacks[~exhausted], tol)[0].sum())
+            try:
+                verdicts, _ = bayesian_core_verdicts(stacks[~exhausted], tol)
+            except DualCyclingError as exc:  # bounds the dual cannot decide
+                _fail("sigma", f"{scenario.sigma!r} at n={n}: {exc}")
+            empty += int(verdicts.sum())
         if failures == scenario.trials:
             raise ScenarioError(
                 f"sigma: {scenario.sigma!r} exhausts the opinion sampler in every "
@@ -718,7 +728,8 @@ def _read_influence(name: str, value, values: dict) -> np.ndarray:
     if (n := values["n"]) is None:
         _fail(name, "needs the player count n")
     if value == "random_primitive":
-        return random_primitive_influence(n, np.random.default_rng([values["seed"], 1]))
+        (rng,) = keyed_generators((values["seed"],), [1])
+        return random_primitive_influence(n, rng)
     if not isinstance(value, list):
         _fail(name, 'matrix rows or the string "random_primitive" required')
     w = _array(name, value, (n, n))
@@ -732,7 +743,7 @@ def _read_influence(name: str, value, values: dict) -> np.ndarray:
 def _read_opinions(name: str, value, values: dict) -> tuple[SetFunction, ...]:
     n, seed = values["n"], values["seed"]
     if value == "random_supermodular":
-        return tuple(random_supermodular(n, np.random.default_rng([seed, 2, i])) for i in range(n))
+        return tuple(random_supermodular(n, rng) for rng in keyed_generators((seed, 2), range(n)))
     if isinstance(value, dict):
         _known(value, name, ("ground_truth",))
         where, spec = f"{name}.ground_truth", value.get("ground_truth")
@@ -744,7 +755,7 @@ def _read_opinions(name: str, value, values: dict) -> tuple[SetFunction, ...]:
         truth = truth_spec(read["family"], n, read["sigma"])
         # the dynamics keep the grand value fixed, so sampling leaves it at
         # the truth's (normalized) value; each player draws from its own stream
-        rngs = [np.random.default_rng([seed, 3, i]) for i in range(n)]
+        rngs = keyed_generators((seed, 3), range(n))
         try:
             stacks, exhausted = sample_opinion_streams(truth, rngs, 1, perturb_grand=False)
         except SetFunctionError as exc:  # noise beyond the float range

@@ -14,6 +14,7 @@ import os
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
+from operator import index
 
 import numpy as np
 
@@ -201,6 +202,110 @@ class GroundTruthSpec:
             raise SetFunctionError("ground truth must be strictly supermodular")
 
 
+# numpy's SeedSequence, O'Neill's seed_seq hash, whose words numpy's stream
+# compatibility policy (NEP 19) keeps fixed: four 32-bit pool words
+_POOL_SIZE = 4
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+_MASK32 = 0xFFFFFFFF
+
+
+def _seed_states(entropy: np.ndarray) -> np.ndarray:
+    """``SeedSequence(words).generate_state(4, np.uint64)`` for every column
+    of a (words, keys) uint32 entropy array at once, as (keys, 4) uint64.
+
+    Each step is numpy's on one word per key; the hash constants follow the
+    step count alone, so they are shared by all keys.
+    """
+    hash_const = _INIT_A
+
+    def hashmix(value):
+        nonlocal hash_const
+        value = value ^ hash_const
+        hash_const = hash_const * _MULT_A & _MASK32
+        value *= hash_const
+        value ^= value >> 16
+        return value
+
+    def mix(x, y):
+        result = x * _MIX_MULT_L
+        result -= y * _MIX_MULT_R
+        result ^= result >> 16
+        return result
+
+    words, keys = entropy.shape
+    zero = np.zeros(keys, np.uint32)  # the pool words past the entropy
+    pool = [hashmix(entropy[i] if i < words else zero) for i in range(_POOL_SIZE)]
+    for src in range(_POOL_SIZE):
+        for dst in range(_POOL_SIZE):
+            if src != dst:
+                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    for src in range(_POOL_SIZE, words):
+        for dst in range(_POOL_SIZE):
+            pool[dst] = mix(pool[dst], hashmix(entropy[src]))
+    hash_const = _INIT_B
+    state = np.empty((keys, 2 * _POOL_SIZE), np.uint32)
+    for i in range(2 * _POOL_SIZE):
+        data = pool[i % _POOL_SIZE] ^ hash_const
+        hash_const = hash_const * _MULT_B & _MASK32
+        data *= hash_const
+        data ^= data >> 16
+        state[:, i] = data
+    # pairs of words are little-endian 64-bit words, as numpy reads them
+    return state.astype("<u4").view("<u8").astype(np.uint64)
+
+
+class _StateWords:
+    """The seed sequence of one derived stream: it hands PCG64 the state
+    words ``keyed_generators`` computed for it.  It is registered as a
+    numpy ISeedSequence on first use, so importing the package does not
+    import numpy.random."""
+
+    def __init__(self, words: np.ndarray):
+        self.words = words
+
+    def generate_state(self, n_words, dtype=np.uint32):
+        if n_words != self.words.size or np.dtype(dtype) != self.words.dtype:
+            raise ValueError(f"holds {self.words.size} {self.words.dtype} words only")
+        return self.words
+
+
+def _word_count(value: int) -> int:
+    """32-bit words numpy splits a nonnegative int into; 0 is one word."""
+    return max(1, -(-value.bit_length() // 32))
+
+
+def keyed_generators(prefix, keys) -> list[np.random.Generator]:
+    """One generator per key of ``keys``, each numpy's
+    ``default_rng([*prefix, key])`` stream bit for bit, derived together.
+
+    Every int of the entropy is split into 32-bit words, least significant
+    first, as numpy splits it; keys of one word count are hashed in one
+    vectorized SeedSequence pass, and each PCG64 is built from its own
+    state words.
+    """
+    from numpy.random.bit_generator import ISeedSequence
+
+    ISeedSequence.register(_StateWords)
+    prefix, keys = [index(v) for v in prefix], [index(k) for k in keys]  # numpy ints too
+    if min([*prefix, *keys], default=0) < 0:
+        raise ValueError("seed entropy must be nonnegative integers")
+    head = [v >> 32 * j & _MASK32 for v in prefix for j in range(_word_count(v))]
+    widths = [_word_count(k) for k in keys]
+    rngs = [None] * len(keys)
+    for width in set(widths):
+        where = [i for i, w in enumerate(widths) if w == width]
+        group = np.array([keys[i] for i in where], dtype=object)
+        entropy = np.empty((len(head) + width, len(where)), np.uint32)
+        entropy[: len(head)] = np.array(head, np.uint32)[:, None]
+        for j in range(width):
+            entropy[len(head) + j] = group >> 32 * j & _MASK32
+        for i, words in zip(where, _seed_states(entropy)):
+            rngs[i] = np.random.Generator(np.random.PCG64(_StateWords(words)))
+    return rngs
+
+
 SAMPLER_ATTEMPTS = 100_000  # rejections one opinion may take by default
 
 
@@ -243,6 +348,10 @@ def sample_opinion_streams(
         return np.tile(truth.values, (len(rngs), count, 1)), exhausted
     width = num_restricted(truth.n) + (1 if perturb_grand else 0)
     cap = round_candidates(truth.n)
+    # the truth on the noisy coalitions, plus the 0.0 that numpy's normal
+    # adds to sigma z: x + 0.0 is x except at -0.0, so the sums are those of
+    # truth + normal(0, sigma)
+    noisy = truth.values[1 : 1 + width] + 0.0
     taken = [0] * len(rngs)  # opinions each stream has
     misses = [0] * len(rngs)  # rejected candidates of its waiting opinion
     live = list(range(len(rngs))) if count else []
@@ -250,6 +359,7 @@ def sample_opinion_streams(
     # is built after the last round, so a round holds only its own block
     # besides the opinions already taken
     taken_by_round = []
+    block = None
     while live:
         batch, total = [], 0  # (stream, block rows) of this round
         for s in live:
@@ -263,20 +373,32 @@ def sample_opinion_streams(
             total += k
         if not batch:  # every live stream is exhausted
             break
-        # one candidate per column, its noise one row of its stream's draw
-        noise = np.concatenate([rngs[s].normal(0.0, spec.sigma, size=(k, width)) for s, k in batch])
+        # one candidate per row of its stream's draw, drawn straight into
+        # the round's rows; each is summed there before the block holds it
+        # as a column, since a transposed copy takes no ufunc buffer
+        ends = np.cumsum([0] + [k for _, k in batch]).tolist()
+        drawn = np.empty((total, width))
+        for (s, k), lo in zip(batch, ends):
+            rngs[s].standard_normal(out=drawn[lo : lo + k])
+        with np.errstate(over="ignore"):  # noise beyond the float range is refused below
+            drawn *= spec.sigma
+            drawn += noisy
+        # the last round's block is freed only once this round's rows are
+        # drawn, so the new block takes its place; freed before them, its
+        # pages went back to the system and were faulted in again each round
+        del block
         block = np.empty((size, total))
-        block[:] = truth.values[:, None]
-        block[1 : 1 + width] += noise.T
-        del noise  # freed before the gap temporaries are made
+        block[0] = truth.values[0]
+        block[1 + width :] = truth.values[1 + width :, None]
+        block[1 : 1 + width] = drawn.T
+        del drawn  # freed before the gap temporaries are made
         finite = np.isfinite(block).all()
         hits = _supermodular_columns(block, truth.n, -DEFAULT_STRICT_TOL).nonzero()[0]
         # each stream's hits, as positions in the round
-        ends = np.cumsum([0] + [k for _, k in batch])
         cuts = np.searchsorted(hits, ends).tolist()
         hits = hits.tolist()
         rows, slots, columns = [], [], []
-        for (s, k), lo, first, last in zip(batch, ends.tolist(), cuts, cuts[1:]):
+        for (s, k), lo, first, last in zip(batch, ends, cuts, cuts[1:]):
             needed = count - taken[s]
             mine = hits[first : min(last, first + needed)]
             # drawing one at a time would build every candidate up to the
@@ -294,6 +416,7 @@ def sample_opinion_streams(
             misses[s] = used - 1 - (mine[-1] - lo) if mine else misses[s] + k
         taken_by_round.append((rows, slots, block[:, columns].T))
         live = [s for s in live if taken[s] < count and not exhausted[s]]
+    del block  # freed before the stack is made
     stack = np.empty((len(rngs), count, size))
     for rows, slots, values in taken_by_round:
         stack[rows, slots] = values

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from consensusgame import cli, core
 from consensusgame.core import (
+    DualCyclingError,
     _balanced_dual,
     _pivot_cap,
     bayesian_core_contains,
@@ -225,10 +226,10 @@ class TestBalancednessDual:
         assert optimum.sum() == pytest.approx(1.4)
         assert np.all(membership_matrix(4)[1:-1] @ optimum >= bounds - 1e-9)
 
-    def test_cli_exits_three_when_the_dual_reaches_its_pivot_cap(self, tmp_path, capsys, monkeypatch):
+    def test_cli_exits_two_when_the_dual_reaches_its_pivot_cap(self, tmp_path, capsys, monkeypatch):
         # the Shapley value of this game leaves player 0's coalitions short,
         # so the dual decides, and it takes two pivots; capped at one, it
-        # stops there as if cycling, an internal error rather than a verdict
+        # stops there as if cycling: an input it cannot decide, not a verdict
         values = np.zeros(16)
         sizes = membership_matrix(4).sum(axis=1)
         values[(sizes == 2) & (np.arange(16) & 1 == 1)] = 0.55
@@ -241,9 +242,12 @@ class TestBalancednessDual:
         path = tmp_path / "game.setfn"
         path.write_text(dump_setfn(f))
         monkeypatch.setattr(core, "_pivot_cap", lambda n: pivots - 1)
-        assert cli.main(["core-check", str(path)]) == 3
-        err = capsys.readouterr().err
-        assert "internal error: RuntimeError: the balancedness dual did not terminate within 1 pivots" in err
+        with pytest.raises(DualCyclingError, match="within 1 pivots"):
+            _balanced_dual(4, f.values[1:-1], 1.0 + 1e-9)
+        assert cli.main(["core-check", str(path)]) == 2
+        assert capsys.readouterr() == (
+            "", "error: the balancedness dual did not terminate within 1 pivots\n"
+        )
 
     def test_core_check_prints_empty_for_nine_costly_singletons(self, tmp_path, capsys):
         # nine singletons worth 0.2 each against a grand value of 1: the

@@ -974,7 +974,8 @@ def core_mc_scenario(seed: int, **kw) -> Scenario:
 
 
 class TestCoreEmptinessInGroups:
-    @pytest.mark.parametrize("seed", [1, 2, 701])
+    # 2**40 + 1 is a seed of two 32-bit words
+    @pytest.mark.parametrize("seed", [1, 2, 701, 2**40 + 1])
     def test_rows_are_those_of_one_trial_at_a_time(self, seed):
         sc = core_mc_scenario(seed)
         assert experiment_core_emptiness(sc) == one_trial_at_a_time(sc)
@@ -1465,6 +1466,21 @@ class TestCli:
         captured = capsys.readouterr()
         assert captured.err == "error: sigma: 1e+308 at n=2: payoff values must be finite\n"
         assert captured.out == "" and not out.exists()
+
+    def test_core_emptiness_bounds_the_dual_cannot_decide_exit_two_naming_sigma(
+        self, tmp_path, capsys
+    ):
+        # noise near the float range draws finite opinions whose coalition
+        # bounds make the balancedness dual cycle at n = 3, 180 pivots
+        raw = json.loads((SCENARIOS / "core_emptiness_demo.json").read_text())
+        path = tmp_path / "scenario.json"
+        path.write_text(json.dumps({**raw, "sigma": 1e306}))
+        assert cli_main(["exp-core-emptiness", str(path)]) == 2
+        assert capsys.readouterr() == (
+            "",
+            "error: sigma: 1e+306 at n=3: the balancedness dual did not terminate "
+            "within 180 pivots\n",
+        )
 
     def test_ground_truth_players_draw_from_their_own_streams(self, tmp_path):
         # one sampler call for all players gives each the opinion its own

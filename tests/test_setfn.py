@@ -14,6 +14,7 @@ from consensusgame.setfn import (
     _supermodular_columns,
     dump_setfn,
     is_supermodular,
+    keyed_generators,
     membership_matrix,
     num_restricted,
     parse_setfn,
@@ -297,14 +298,15 @@ def quadratic_spec(n: int, sigma: float) -> GroundTruthSpec:
 
 
 class CountingRng:
-    """Generator proxy that records the rows of every ``normal`` call."""
+    """Generator proxy that records the rows of every ``standard_normal``
+    call, the one draw the sampler makes."""
 
     def __init__(self, rng: np.random.Generator):
         self.rng = rng
         self.blocks: list[int] = []
 
-    def normal(self, *args, **kwargs):
-        rows = self.rng.normal(*args, **kwargs)
+    def standard_normal(self, *args, **kwargs):
+        rows = self.rng.standard_normal(*args, **kwargs)
         self.blocks.append(len(rows))
         return rows
 
@@ -543,6 +545,19 @@ class TestStreamsAgainstOneAtATimeOracle:
         assert stack.shape == (1, 0, 8) and not exhausted.any()
         assert rng.bit_generator.state == state
 
+    def test_subnormal_noise_keeps_the_zeros_of_numpys_normal(self):
+        # |C|^2 - |C| with its zeros negative: numpy's normal adds its zero
+        # mean to sigma z, so a -0.0 noise is +0.0 and a -0.0 truth entry
+        # plus it is +0.0, which the sampler's sum must give too
+        n = 3
+        sizes = np.bitwise_count(np.arange(1 << n)).astype(float)
+        values = sizes**2 - sizes
+        values[values == 0] = -0.0
+        spec = GroundTruthSpec(SetFunction(n, values), 5e-324)
+        want = assert_streams_match_oracle(spec, [[13, t] for t in range(8)], n)
+        singletons = np.array([np.frombuffer(row)[[1, 2, 4]] for rows in want for row in rows])
+        assert (singletons == 0).any()  # noise that rounds to a zero
+
     def test_noiseless_streams_hold_the_truth(self):
         spec = quadratic_spec(4, 0.0)
         stack, exhausted = sample_opinion_streams(spec, [np.random.default_rng(t) for t in range(3)], 4)
@@ -550,10 +565,43 @@ class TestStreamsAgainstOneAtATimeOracle:
         assert all(row.tobytes() == spec.truth.values.tobytes() for row in stack.reshape(-1, 16))
 
 
-def test_block_check_memory_stays_within_one_row_check_plus_three_blocks():
-    # a round of one stream at n=12 holds three blocks of 12 rows at most:
-    # the stream's noise, its concatenation and the candidate block; the
-    # gap temporaries for the block are a quarter of it each
+class TestKeyedGenerators:
+    # one-word keys, the largest one-word key, and two-word keys after them
+    KEYS = [*range(512), 2**32 - 1, 2**32, 2**40 + 7]
+
+    @pytest.mark.parametrize("seed", [0, 1, 2024, 2**32 - 1, 2**32, 2**64 + 3])
+    def test_streams_are_numpys_default_rng_streams(self, seed):
+        # the load-time prefixes (seed,), (seed, 2), (seed, 3) and the trial
+        # prefixes (seed, n); seeds of one, two and three words
+        for prefix in [(seed,), *((seed, n) for n in range(2, 21))]:
+            rngs = keyed_generators(prefix, self.KEYS)
+            assert len(rngs) == len(self.KEYS)
+            for key, rng in zip(self.KEYS, rngs):
+                oracle = np.random.default_rng([*prefix, key])
+                assert rng.bit_generator.state == oracle.bit_generator.state, (prefix, key)
+                assert rng.standard_normal(16).tobytes() == oracle.standard_normal(16).tobytes()
+
+    def test_no_keys_give_no_generators(self):
+        assert keyed_generators((1, 2), []) == []
+
+    def test_numpy_ints_are_read_as_numpy_reads_them(self):
+        (rng,) = keyed_generators((np.int64(7), np.uint8(2)), [np.uint64(2**40)])
+        oracle = np.random.default_rng([7, 2, 2**40])
+        assert rng.bit_generator.state == oracle.bit_generator.state
+
+    @pytest.mark.parametrize("prefix, keys", [((-1,), [0]), ((1,), [3, -2])])
+    def test_negative_entropy_is_refused_as_numpy_refuses_it(self, prefix, keys):
+        with pytest.raises(ValueError):
+            np.random.default_rng([*prefix, *keys])
+        with pytest.raises(ValueError, match="nonnegative"):
+            keyed_generators(prefix, keys)
+
+
+def test_block_check_memory_stays_within_one_row_check_plus_two_blocks():
+    # a round of one stream at n=12 holds two blocks of 12 rows at most:
+    # the stream's noise, drawn in place, and the candidate block; the gap
+    # temporaries for the block are a quarter of it each, and the taken
+    # opinions and their stack are two blocks once the round's are freed
     n = 12
     spec = quadratic_spec(n, 0.001)
     sample_opinion_streams(spec, [np.random.default_rng(0)], n)
@@ -572,7 +620,7 @@ def test_block_check_memory_stays_within_one_row_check_plus_three_blocks():
     # one candidate's values, array headers and views
     slack = (1 << n) * 8 + 16 * 1024
     assert stack.shape == (1, n, 1 << n) and not exhausted[0]
-    assert trial <= one_row + 3 * block + slack, (trial, one_row, block)
+    assert trial <= one_row + 2 * block + slack, (trial, one_row, block)
 
 
 class TestSerialization:

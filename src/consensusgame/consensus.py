@@ -9,7 +9,9 @@ row-stochastic trust matrix W with trust weight theta:
 Truth-telling is the case theta = 1 with honest reveals x = v, the linear
 mixing v[k] = W v[k-1].  The stationary weights t (t' W = t', sum 1),
 unique and positive exactly when W is primitive, measure long-run
-influence and define the weighted average opinion t' v.
+influence and define the weighted average opinion t' v.  They come from
+one exact elimination (Grassmann, Taksar & Heyman 1985), with no iteration
+and no tolerance.
 """
 
 from __future__ import annotations
@@ -19,9 +21,6 @@ from dataclasses import dataclass
 import numpy as np
 
 STOCHASTIC_TOL = 1e-12
-POWER_TOL = 1e-12  # W^(2^k) has converged once a squaring moves no entry by this
-POWER_MAX_ITER = 10**6  # budget on the power 2^k before W counts as mixing too slowly
-ROW_SPREAD_TOL = 1e-8  # W^(2^k) is rank one once its columns vary by no more than this
 
 
 class ConsensusError(ValueError):
@@ -34,11 +33,13 @@ def influence_weights(w: np.ndarray) -> np.ndarray:
     The weights exist, are unique and give every player a share exactly
     when W is primitive, so that one rule decides validity: a W that is not
     (reducible, as [[1, 0], [0.5, 0.5]], or periodic, as [[0, 1], [1, 0]])
-    is refused before anything is computed.  Repeated squaring then drives
-    W^(2^k) to its rank-one limit 1 t'; it has arrived once its rows agree
-    and a squaring moves no entry by POWER_TOL.  A primitive W that mixes
-    so slowly that it has not arrived within the power budget, as
-    [[1 - 1e-6, 1e-6], [1e-6, 1 - 1e-6]], is refused too.
+    is refused before anything is computed.  The Grassmann-Taksar-Heyman
+    elimination then solves t' W = t' from W's off-diagonal entries alone,
+    with no subtraction, so each weight is accurate relative to its own
+    size however slowly W mixes.  It uses sums, products and outer products
+    only, no BLAS call, so t's bits do not depend on the BLAS kernel.  A W
+    whose weights span more than the float range, as
+    [[0.5, 0.5], [5e-324, 1]], is refused too.
     """
     w = _check_stochastic(w)
     if not _is_primitive(w):
@@ -46,28 +47,20 @@ def influence_weights(w: np.ndarray) -> np.ndarray:
             "W is not primitive: some player's opinion never reaches some other "
             "player, so its stationary weight is 0"
         )
-    power, steps = w, 1
-    while steps < POWER_MAX_ITER:
-        nxt = power @ power
-        steps *= 2
-        settled = np.max(np.abs(nxt - power)) < POWER_TOL
-        power = nxt
-        # a near-identity W settles at once, long before its rows agree
-        if settled and np.max(np.ptp(power, axis=0)) <= ROW_SPREAD_TOL:
-            break
-    else:
+    a, n = w.copy(), w.shape[0]
+    with np.errstate(all="ignore"):  # an overflow leaves t infinite or nan, refused below
+        for k in range(n - 1, 0, -1):  # censor the chain to players 0..k-1
+            a[:k, k] /= a[k, :k].sum()
+            a[:k, :k] += np.outer(a[:k, k], a[k, :k])
+        t = np.ones(n)
+        for k in range(1, n):
+            t[k] = (t[:k] * a[:k, k]).sum()
+        t /= t.sum()
+    if not (np.isfinite(t).all() and (t > 0).all()):
         raise ConsensusError(
-            f"W^k did not converge within power budget {POWER_MAX_ITER}: "
-            "W mixes too slowly"
+            "W's stationary weights span more than the float range, so some "
+            "player's weight cannot be computed"
         )
-    t = power.mean(axis=0)
-    t = t / t.sum()
-    for _ in range(100):  # polish to machine precision
-        residual = np.max(np.abs(t @ w - t))
-        if residual < 1e-15:
-            break
-        t = t @ w
-        t = t / t.sum()
     return t
 
 
@@ -107,9 +100,8 @@ class InfluenceMatrix:
 
     @staticmethod
     def from_matrix(w) -> "InfluenceMatrix":
-        w = _check_stochastic(w)
+        w = np.array(w, dtype=float)  # a copy, so no caller's array aliases the frozen one
         t = influence_weights(w)
-        w = w.copy()
         w.setflags(write=False)
         t.setflags(write=False)
         return InfluenceMatrix(w.shape[0], w, t)

@@ -46,12 +46,12 @@ CASES = {  # command, shipped scenario or scenario document, sha256 of --out und
     "simulate gamma05": (
         "simulate",
         "two_player_learning_gamma05.json",
-        "cbbb13bc478ad28d9637fd711077767998c8717dfa4d04161b66e3962417ef67",
+        "000af42776a72c89436d89412145448a30475a6b484242bb218753d210512b0f",
     ),
     "simulate gamma08": (
         "simulate",
         "two_player_learning_gamma08.json",
-        "ff6a0c2ede4144bc3fb68a3761438af843371483c10345a7092ffc737d98edb9",
+        "fdbfff5cb749c5a5fe4cf8964463be02cd243dfde15adbb7ee1b5d5f688c7679",
     ),
     "exp-efficiency demo": (
         "exp-efficiency",
@@ -61,17 +61,17 @@ CASES = {  # command, shipped scenario or scenario document, sha256 of --out und
     "exp-po-sweep demo": (
         "exp-po-sweep",
         "po_sweep_demo.json",
-        "e1dc417dd84a68b15c10db080e3cba1006677a39e9eac54c9d638b5727747977",
+        "ac0296ccd26a99efbf4b1a30735cf3e1db6d53254ec4d27a1d194c2de95338e2",
     ),
     "exp-efficiency n=9": (
         "exp-efficiency",
         RATIONAL["efficiency"],
-        "31b8931aafe923c811b9301257d4c1d93a2a2659bd61023be96aa44e91762f13",
+        "4c42f67b3c848591b71039c42e32396a33e28e9b2e3128488a88ec6e101949bb",
     ),
     "exp-po-sweep n=9": (
         "exp-po-sweep",
         RATIONAL["po-sweep"],
-        "3f20dc4964ce0d244c4401dccb2c735a73a490b201272c1425400c2015ae7545",
+        "a1eb7a064cd0320d86f073f908bc4d7cf866dfe50db5ddbad84f6b489ca429f8",
     ),
 }
 

@@ -1,14 +1,18 @@
 """Influence weights, the update law on value stacks, averaging, and the
 drift identity."""
 
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from itertools import islice
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import consensusgame
 from consensusgame.consensus import (
-    POWER_TOL,
-    ROW_SPREAD_TOL,
     ConsensusError,
     InfluenceMatrix,
     _is_primitive,
@@ -16,6 +20,7 @@ from consensusgame.consensus import (
     influence_weights,
     strategic_update,
 )
+from consensusgame.harness import random_primitive_influence
 from consensusgame.setfn import (
     SetFunction,
     SetFunctionError,
@@ -23,6 +28,9 @@ from consensusgame.setfn import (
     random_supermodular,
     weighted_average,
 )
+
+# the directory the package is imported from, for a subprocess to import it too
+SOURCE = str(Path(consensusgame.__file__).resolve().parent.parent)
 
 DEMO_W = np.array([[0.3, 0.7], [0.4, 0.6]])
 
@@ -60,6 +68,63 @@ def random_influence(n: int, rng: np.random.Generator) -> InfluenceMatrix:
     return InfluenceMatrix.from_matrix(w / w.sum(axis=1, keepdims=True))
 
 
+def exact_stationary(w: np.ndarray) -> list[Fraction]:
+    """The stationary vector of the chain W's off-diagonal entries define, by
+    exact Gauss-Jordan elimination on its balance equations
+    t_j sum_{l != j} w_jl = sum_{i != j} t_i w_ij, the last replaced by sum t = 1.
+    A float W's rows rarely sum to exactly 1, so W itself has no exact one."""
+    n = len(w)
+    f = [[Fraction(x) for x in row] for row in w.tolist()]
+    rows = []
+    for j in range(n - 1):
+        row = [-f[i][j] for i in range(n)]
+        row[j] = sum(f[j][l] for l in range(n) if l != j)
+        rows.append([*row, Fraction(0)])
+    rows.append([Fraction(1)] * (n + 1))
+    for c in range(n):
+        p = next(r for r in range(c, n) if rows[r][c] != 0)
+        rows[c], rows[p] = rows[p], rows[c]
+        for r in range(n):
+            if r != c and rows[r][c] != 0:
+                m = rows[r][c] / rows[c][c]
+                rows[r] = [a - m * b for a, b in zip(rows[r], rows[c])]
+    return [rows[i][n] / rows[i][i] for i in range(n)]
+
+
+def stochastic(w: np.ndarray) -> np.ndarray:
+    return w / w.sum(axis=1, keepdims=True)
+
+
+def random_primitive(rng: np.random.Generator):
+    while True:
+        yield random_primitive_influence(int(rng.integers(2, 13)), rng)
+
+
+def slowly_mixing(rng: np.random.Generator):
+    """Rows of uniform^8 + 1e-6: a few large entries, the rest near 1e-6."""
+    while True:
+        n = int(rng.integers(2, 9))
+        yield stochastic(rng.uniform(size=(n, n)) ** 8 + 1e-6)
+
+
+def two_blocks(rng: np.random.Generator):
+    """Two dense blocks coupled at 1e-3 down to 1e-12."""
+    for eps in np.geomspace(1e-3, 1e-12, 200):
+        n = int(rng.integers(3, 9))
+        cut = int(rng.integers(1, n))
+        w = rng.uniform(0.1, 1.0, size=(n, n))
+        w[:cut, cut:] *= eps
+        w[cut:, :cut] *= eps
+        yield stochastic(w)
+
+
+INFLUENCE_FAMILIES = {
+    "random_primitive": random_primitive,
+    "uniform**8": slowly_mixing,
+    "two_blocks": two_blocks,
+}
+
+
 class TestInfluenceWeights:
     def test_two_player_matrix_solved_by_hand(self):
         # stationarity: 0.7 t1 = 0.4 t2 with t1 + t2 = 1 gives (4/11, 7/11)
@@ -82,34 +147,45 @@ class TestInfluenceWeights:
             influence_weights(np.array([[0.0, 1.0], [1.0, 0.0]]))
 
     @pytest.mark.parametrize("eps", [1e-6, 1e-13])
-    def test_slowly_mixing_matrix_rejected(self, eps):
-        # primitive, but W^(2^20) is still far from rank one; at 1e-13 a
-        # squaring moves no entry by POWER_TOL while the rows still disagree,
-        # so a stop on settling alone would return the uniform t, not (3/4, 1/4)
+    def test_slowly_mixing_matrix_solved(self, eps):
+        # W^(2^20) is still far from rank one, but the balance eps t0 = 3 eps t1
+        # holds at any eps: t = (3/4, 1/4)
         w = np.array([[1.0 - eps, eps], [3.0 * eps, 1.0 - 3.0 * eps]])
-        assert _is_primitive(w)
-        with pytest.raises(ConsensusError, match="power budget 1000000: W mixes too slowly"):
-            influence_weights(w)
+        np.testing.assert_allclose(influence_weights(w), [0.75, 0.25], rtol=1e-15, atol=0)
 
-    @pytest.mark.parametrize("n, seed", [(3, 600), (5, 1418)])
-    def test_polish_brings_the_residual_below_1e_15(self, n, seed):
-        # rows of uniform^8 + 1e-6 mix slowly enough that the squarings'
-        # rounding leaves t @ W - t above 1e-15, and steps t W bring it below;
-        # the polish's own rounding floor is near 1e-15, so the seeds are ones
-        # where it lands below with each OpenBLAS x86-64 kernel
-        w = np.random.default_rng(seed).uniform(size=(n, n)) ** 8 + 1e-6
-        w /= w.sum(axis=1, keepdims=True)
-        power = w
-        while True:
-            nxt = power @ power
-            settled = np.max(np.abs(nxt - power)) < POWER_TOL
-            power = nxt
-            if settled and np.max(np.ptp(power, axis=0)) <= ROW_SPREAD_TOL:
-                break
-        squared = power.mean(axis=0) / power.mean(axis=0).sum()
-        assert np.max(np.abs(squared @ w - squared)) > 1e-15
-        t = influence_weights(w)
-        assert np.max(np.abs(t @ w - t)) < 1e-15
+    @pytest.mark.parametrize("family", ["random_primitive", "uniform**8", "two_blocks"])
+    def test_within_8_ulp_of_the_exact_solve(self, family):
+        # every weight, small ones included, against the exact stationary
+        # vector of the chain W's off-diagonal entries define
+        rng = np.random.default_rng(0)
+        for w in islice(INFLUENCE_FAMILIES[family](rng), 200):
+            t, exact = influence_weights(w), exact_stationary(w)
+            for got, want in zip(t.tolist(), exact):
+                assert abs(Fraction(got) - want) <= 8 * Fraction(np.spacing(float(want))), w
+
+    def test_weights_beyond_the_float_range_rejected(self):
+        # stochastic and primitive, but t0 / t1 = 1e-323: the elimination
+        # overflows dividing by the 5e-324 entry
+        with pytest.raises(ConsensusError, match="span more than the float range"):
+            influence_weights(np.array([[0.5, 0.5], [5e-324, 1.0]]))
+
+    def test_bits_do_not_depend_on_the_blas_kernel(self):
+        # OpenBLAS kernels round W @ W differently; the elimination calls none
+        code = (
+            "import numpy as np\n"
+            "from consensusgame.consensus import influence_weights\n"
+            "from consensusgame.harness import random_primitive_influence\n"
+            "w = random_primitive_influence(9, np.random.default_rng(0))\n"
+            "print(influence_weights(w).tobytes().hex())\n"
+        )
+        pythonpath = os.pathsep.join(filter(None, [SOURCE, os.environ.get("PYTHONPATH")]))
+        outputs = set()
+        for kernel in ("Haswell", "Sandybridge", "Prescott"):
+            env = {**os.environ, "OPENBLAS_CORETYPE": kernel, "PYTHONPATH": pythonpath}
+            run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+            assert run.returncode == 0, run.stderr
+            outputs.add(run.stdout)
+        assert len(outputs) == 1
 
     def test_reducible_matrix_with_one_closed_class_rejected(self):
         # W^k settles on identical rows (1, 0), but player 1's opinion never

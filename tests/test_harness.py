@@ -499,7 +499,7 @@ MALFORMED_TRACES = {
     ),
     "cum-disutility-raised-by-one": (
         lambda L: [*L[:10], _cell(L[10], 14, "1.0000000017043096\n"), *L[11:]],
-        r"^trace line 11: cum_disutility: the running sum of disutility = 1\.704309656591142e-09"
+        r"^trace line 11: cum_disutility: the running sum of disutility = 1\.7043096565911424e-09"
         r" required, got '1\.0000000017043096'$",
     ),
 }
@@ -1411,14 +1411,24 @@ class TestCli:
         err = capsys.readouterr().err
         assert ": influence: W is not primitive" in err and "Traceback" not in err
 
-    def test_influence_that_mixes_too_slowly_exits_two(self, tmp_path, capsys):
-        # primitive, but W^k is still far from rank one at the power budget
+    def test_influence_that_mixes_slowly_runs(self, tmp_path, capsys):
+        # primitive, with W^(2^20) still far from rank one: the elimination
+        # solves it all the same
         eps = 1e-6
         scenario = self._scenario_file(tmp_path, influence=[[1 - eps, eps], [eps, 1 - eps]])
+        assert cli_main(["simulate", str(scenario), "--out", str(tmp_path / "trace.csv")]) == 0
+        assert capsys.readouterr().err == ""
+
+    def test_influence_whose_weights_span_more_than_the_float_range_exits_two(
+        self, tmp_path, capsys
+    ):
+        # stochastic and primitive, but t0 / t1 = 1e-323
+        scenario = self._scenario_file(tmp_path, influence=[[0.5, 0.5], [5e-324, 1.0]])
         assert cli_main(["simulate", str(scenario)]) == 2
-        err = capsys.readouterr().err
-        assert ": influence: W^k did not converge within power budget" in err
-        assert "mixes too slowly" in err and "Traceback" not in err
+        assert capsys.readouterr().err == (
+            f"error: {scenario}: influence: W's stationary weights span more than the "
+            "float range, so some player's weight cannot be computed\n"
+        )
 
     def test_ground_truth_exhausting_the_sampler_exits_two_naming_sigma(self, tmp_path, capsys):
         # noise this large leaves the quadratic truth's cone: the first

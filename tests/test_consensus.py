@@ -163,11 +163,19 @@ class TestInfluenceWeights:
             for got, want in zip(t.tolist(), exact):
                 assert abs(Fraction(got) - want) <= 8 * Fraction(np.spacing(float(want))), w
 
-    def test_weights_beyond_the_float_range_rejected(self):
-        # stochastic and primitive, but t0 / t1 = 1e-323: the elimination
-        # overflows dividing by the 5e-324 entry
+    @pytest.mark.parametrize(
+        "w",
+        [
+            # t0 / t1 = 1e-323: dividing by the 5e-324 entry overflows
+            [[0.5, 0.5], [5e-324, 1.0]],
+            # t1 / t0 is about 3e-324: the update of w_01 underflows to 0
+            [[1.0, 0.0, 5e-324], [0.8, 0.2, 0.0], [0.5, 0.5, 0.0]],
+        ],
+    )
+    def test_weights_beyond_the_float_range_rejected(self, w):
+        # stochastic and primitive, but no float t is both finite and positive
         with pytest.raises(ConsensusError, match="span more than the float range"):
-            influence_weights(np.array([[0.5, 0.5], [5e-324, 1.0]]))
+            influence_weights(np.array(w))
 
     def test_bits_do_not_depend_on_the_blas_kernel(self):
         # OpenBLAS kernels round W @ W differently; the elimination calls none

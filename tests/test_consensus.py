@@ -153,6 +153,26 @@ class TestInfluenceWeights:
         w = np.array([[1.0 - eps, eps], [3.0 * eps, 1.0 - 3.0 * eps]])
         np.testing.assert_allclose(influence_weights(w), [0.75, 0.25], rtol=1e-15, atol=0)
 
+    @pytest.mark.parametrize("n, seed", [(3, 600), (5, 1418)])
+    def test_polish_brings_the_residual_below_1e_15(self, n, seed):
+        # rows of uniform^8 + 1e-6 mix slowly enough that repeated squaring
+        # of W, stopped once a squaring moves no entry by 1e-12 and the
+        # columns vary by no more than 1e-8, leaves t @ W - t above 1e-15;
+        # the elimination needs no polish steps t W to land below it
+        w = np.random.default_rng(seed).uniform(size=(n, n)) ** 8 + 1e-6
+        w /= w.sum(axis=1, keepdims=True)
+        power = w
+        while True:
+            nxt = power @ power
+            settled = np.max(np.abs(nxt - power)) < 1e-12
+            power = nxt
+            if settled and np.max(np.ptp(power, axis=0)) <= 1e-8:
+                break
+        squared = power.mean(axis=0) / power.mean(axis=0).sum()
+        assert np.max(np.abs(squared @ w - squared)) > 1e-15
+        t = influence_weights(w)
+        assert np.max(np.abs(t @ w - t)) < 1e-15
+
     @pytest.mark.parametrize("family", ["random_primitive", "uniform**8", "two_blocks"])
     def test_within_8_ulp_of_the_exact_solve(self, family):
         # every weight, small ones included, against the exact stationary

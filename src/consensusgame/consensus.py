@@ -108,15 +108,16 @@ class InfluenceMatrix:
 
 
 def strategic_update(
-    v: np.ndarray, x: np.ndarray, w: np.ndarray, theta: float
+    v: np.ndarray, x: np.ndarray, w: np.ndarray, theta: float, out: np.ndarray | None = None
 ) -> np.ndarray:
     """The strategic update law on stacked opinions, one row per player.
 
     ``v`` holds the true and ``x`` the revealed opinions of the previous
     step (same shape, any number of coalition columns); returns
-    theta * W x + (1 - theta) * v.
+    theta * W x + (1 - theta) * v, in ``out`` if given (not ``v`` or ``x``).
     """
-    return theta * (w @ x) + (1.0 - theta) * v
+    wx = np.matmul(w, x, out=out)
+    return np.add(np.multiply(wx, theta, out=wx), (1.0 - theta) * v, out=wx)
 
 
 def deviation_disutility(deviations: np.ndarray, t: np.ndarray) -> float | np.ndarray:

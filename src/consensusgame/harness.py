@@ -100,15 +100,14 @@ class Scenario:
 class SimulationTrace:
     """Time-indexed record of one strategic-dynamics run.
 
-    Opinions cover steps 0..K; actions (reveals, lies, rewards,
-    disutility) cover steps 0..K-1.  All payoff vectors are restricted
-    m-vectors; opinions are normalized so the grand value is implicit.
+    Opinions cover steps 0..K; actions (lies, rewards, disutility) cover
+    steps 0..K-1; the revealed x = v + u is derived.  All payoff vectors are
+    restricted m-vectors; opinions are normalized so the grand value is implicit.
     """
 
     n: int
     steps: int
     opinions: np.ndarray  # (steps+1, n, m)
-    revealed: np.ndarray  # (steps, n, m)
     deviations: np.ndarray  # (steps, n, m)
     average: np.ndarray  # (steps+1, m)
     shapley: np.ndarray  # (steps+1, n)
@@ -120,23 +119,26 @@ class SimulationTrace:
     def m(self) -> int:
         return num_restricted(self.n)
 
-    @staticmethod
-    def empty(n: int, steps: int = -1) -> "SimulationTrace":
-        """Trace of ``steps`` steps whose arrays are allocated, not filled in
-        (run_simulation's loop fills the opinions, reveals and lies step by
-        step, and its derivation pass the rest, so rows a converged run
-        never reaches cost nothing); the default -1 has no snapshots and
-        emits a header-only CSV.
+    @property
+    def revealed(self) -> np.ndarray:  # (steps, n, m)
+        return self.opinions[: len(self.deviations)] + self.deviations
 
-        The one place that knows the array shapes: a trace whose float64
-        arrays would not fit in physical memory is refused, as the horizon
-        of the run that asked for it, before anything is allocated.
+    @staticmethod
+    def empty(n: int, steps: int = -1, lies: np.ndarray | None = None) -> "SimulationTrace":
+        """Trace of ``steps`` steps whose arrays are allocated, not filled in
+        (run_simulation's loop fills the opinions and lies step by step, and
+        its derivation pass the rest, so rows a converged run never reaches
+        cost nothing); the default -1 has no snapshots and emits a
+        header-only CSV.  Constant ``lies``, one (n, m) profile, are kept once.
+
+        The one place that knows the stored arrays' shapes: a trace whose
+        float64 arrays, lies counted per step, would not fit in physical
+        memory is refused as the horizon asking for it, before anything is allocated.
         """
         m = num_restricted(n)
         acted = max(steps, 0)
         shapes = {
             "opinions": (steps + 1, n, m),
-            "revealed": (acted, n, m),
             "deviations": (acted, n, m),
             "average": (steps + 1, m),
             "shapley": (steps + 1, n),
@@ -147,9 +149,9 @@ class SimulationTrace:
         check_fits_in_memory(
             nbytes, f"horizon: the trace arrays of {steps} steps at n={n}", ScenarioError
         )
-        return SimulationTrace(
-            n=n, steps=steps, **{name: np.empty(shape) for name, shape in shapes.items()}
-        )
+        arrays = {} if lies is None else {"deviations": np.broadcast_to(lies, (acted, n, m))}
+        arrays.update((k, np.empty(shape)) for k, shape in shapes.items() if k not in arrays)
+        return SimulationTrace(n=n, steps=steps, **arrays)
 
     def cut(self, steps: int) -> "SimulationTrace":
         """The trace of its first ``steps`` steps, as views of its arrays."""
@@ -179,7 +181,7 @@ def run_simulation(scenario: Scenario) -> SimulationTrace:
     own, and the grand value stays at 1.  Stops at the horizon or as soon
     as the largest per-player opinion change falls below the convergence
     tolerance.  Deterministic given the scenario seed.  A run whose trace
-    arrays would not fit in physical memory is rejected before anything is
+    arrays would not fit in physical memory is rejected before they are
     allocated.
 
     The run has two parts: ``_recur`` steps the dynamics and records only
@@ -190,54 +192,51 @@ def run_simulation(scenario: Scenario) -> SimulationTrace:
     reward that is not finite, once the last step is taken.
     """
     check_scenario(scenario, "simulate")
-    trace = SimulationTrace.empty(scenario.n, scenario.horizon)
     influence = InfluenceMatrix.from_matrix(scenario.influence)
     form = shapley_linear_form(scenario.n)
-    trace = _recur(scenario, trace, influence, form)
+    trace = _recur(scenario, influence, form)
     p = np.array([params.risk_aversion for params in scenario.players])
     _derive_columns(trace, influence.t, p, scenario.theta, form)
     return trace
 
 
 def _recur(
-    scenario: Scenario, trace: SimulationTrace, influence: InfluenceMatrix, form: ShapleyLinearForm
+    scenario: Scenario, influence: InfluenceMatrix, form: ShapleyLinearForm
 ) -> SimulationTrace:
-    """Step the dynamics into ``trace``, each step recording the lies, the
-    revealed and the next true opinions, and refusing a step whose revealed
-    or true opinions are not finite; returns the trace, cut at convergence
-    when the run converges."""
-    n, m = scenario.n, trace.m
-    theta = scenario.theta
-    t = influence.t
-    # the lineup: one row of lies per player, constant for the fixed
-    # strategies (zeros when truthful, the closed-form lie when Nash); each
-    # step the learners fill in their own rows from one shared opponent model
-    base = np.zeros((n, m))
+    """Step the dynamics into a new trace, each step recording the learners'
+    lies and the next true opinions (x = v + u and the step's change live in
+    reused buffers) and refusing a step whose revealed or true opinions are
+    not finite; returns the trace, cut at convergence when the run converges."""
+    n, m, theta, t = scenario.n, form.rows.shape[1], scenario.theta, influence.t
+    # the lineup's lies, constant for the fixed strategies (zeros when truthful, the
+    # closed-form lie when Nash); each step the learners fill in their own rows
+    lies = np.zeros((n, m))
     learners = []
     for i, params in enumerate(scenario.players):
         if params.kind == "nash":
-            base[i] = nash_deviation(form.rows[i], theta, params.risk_aversion)
+            lies[i] = nash_deviation(form.rows[i], theta, params.risk_aversion)
         elif params.kind == "rlearning":
             learners.append(i)
+    trace = SimulationTrace.empty(n, scenario.horizon, None if learners else lies)
     model = EnvironmentModel(m, len(learners)) if learners else None
     rng = np.random.default_rng(scenario.seed)
 
     v = trace.opinions[0]
     v[:] = [f.values[1:-1] for f in scenario.initial_opinions]
+    x, change, us = np.empty((n, m)), np.empty((n, m)), lies
     state = np.zeros(m)  # broadcast mean revealed opinion; nothing revealed yet
     with np.errstate(over="ignore", invalid="ignore"):  # an overflow is refused below
         for k in range(scenario.horizon):
-            us = trace.deviations[k]
-            us[:] = base
             if learners:
+                us = trace.deviations[k]
+                us[:] = lies
                 # one prediction per learner, used for its lie and its error
                 predictions = model.predict(state)
                 for i, prediction in zip(learners, predictions):
                     params = scenario.players[i]
                     us[i] = respond(form.rows[i], theta, float(t[i]), params, prediction, k, rng)
-            x = np.add(v, us, out=trace.revealed[k])
-            v_next = trace.opinions[k + 1]
-            v_next[:] = strategic_update(v, x, influence.w, theta)
+            np.add(v, us, out=x)
+            v_next = strategic_update(v, x, influence.w, theta, out=trace.opinions[k + 1])
             if not (np.isfinite(x).all() and np.isfinite(v_next).all()):
                 raise SetFunctionError("payoff values must be finite")
             if learners:
@@ -245,8 +244,8 @@ def _recur(
                 mean_dev = t @ us
                 targets = [(mean_dev - t[i] * us[i]) / (1.0 - t[i]) for i in learners]
                 model.update(state, [y - y_hat for y, y_hat in zip(targets, predictions)])
-            state = t @ x
-            if np.max(np.abs(v_next - v)) < CONVERGENCE_TOL:
+                state = t @ x
+            if np.max(np.abs(np.subtract(v_next, v, out=change), out=change)) < CONVERGENCE_TOL:
                 return replace(trace.cut(k + 1), converged_at=k + 1)
             v = v_next
     return trace
@@ -270,13 +269,14 @@ def _derive_columns(
         average = np.matmul(t, trace.opinions[blk], out=trace.average[blk])
         trace.shapley[blk] = form.apply_restricted(average)
         us = trace.deviations[blk]  # one row fewer: the final step takes no action
+        if trace.deviations.strides[0] == 0:  # lies kept once: one profile prices them all
+            us = us[:1]
         with np.errstate(over="ignore", invalid="ignore"):  # an overflow is refused below
             disutility = deviation_disutility(us, t)
             rewards = step_reward(us, t, p, theta, form.rows, disutility)
         if not (np.isfinite(disutility).all() and np.isfinite(rewards).all()):
             raise SetFunctionError("payoff values must be finite")
-        trace.disutility[blk] = disutility
-        trace.rewards[blk] = rewards
+        trace.disutility[blk], trace.rewards[blk] = disutility, rewards
 
 
 # --- experiments -------------------------------------------------------------
@@ -308,8 +308,7 @@ def experiment_efficiency(scenario: Scenario, tol: float = 1e-9) -> dict:
         drifts = []
         for weights in (t, np.ones(scenario.n)):  # p_i = p_o * t_i; control: p_i = p_o
             lineup = nash_players(scenario.n, weights, scenario.p_o)
-            # only the average is kept, so a run's other arrays are freed
-            # before the next run fills its own
+            # only the average is kept: a run's opinions are freed before the next run's
             average = run_simulation(replace(scenario, players=lineup)).average
             drifts.append(float(np.max(np.abs(average - average[0]))))
         drift, control_drift = drifts
@@ -633,20 +632,20 @@ def parse_trace(text: str) -> SimulationTrace:
     v, x, u = cells[0::3], cells[1::3], cells[2::3]
     for name, column in (("x", x), ("u", u)):
         _blank_on_final_step(column[-nm:], op_lines[-nm:], [name], steps)
-    shape = (-1, n, m)
+    opinions = _numbers(v, op_lines, ["v"]).reshape(-1, n, m)
+    revealed = _numbers(x[:-nm], op_lines, ["x"])
     trace = SimulationTrace(
         n=n,
         steps=steps,
-        opinions=_numbers(v, op_lines, ["v"]).reshape(shape),
-        revealed=_numbers(x[:-nm], op_lines, ["x"]).reshape(shape),
-        deviations=_numbers(u[:-nm], op_lines, ["u"]).reshape(shape),
+        opinions=opinions,
+        deviations=_numbers(u[:-nm], op_lines, ["u"]).reshape(-1, n, m),
         average=states[:, :m],
         shapley=states[:, m : m + n],
         rewards=acts[:, :n],
         disutility=acts[:, n],
     )
-    # the two columns the writer derives from others must hold its exact bits
-    _derived("v + u", trace.revealed, trace.opinions[:-1] + trace.deviations, x, op_lines, ["x"])
+    # the columns the writer derives must hold its exact bits; x is then dropped
+    _derived("v + u", revealed, trace.revealed, x, op_lines, ["x"])
     cum = trace.cumulative_disutility()
     _derived("the running sum of disutility", states[:, -1], cum, state_cells, agg_lines, names)
     return trace

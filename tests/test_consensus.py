@@ -323,6 +323,22 @@ class TestStepStrategic:
             v = random_stack(n, rng)
             np.testing.assert_array_equal(strategic_update(v, v, inf.w, 1.0), inf.w @ v)
 
+    @pytest.mark.parametrize("theta", [0.1, 0.5, 0.9, 1.0])
+    def test_update_written_into_out_has_the_bits_of_the_returned_one(self, theta):
+        rng = np.random.default_rng(12)
+        for n, m in [(2, 2), (3, 6), (5, 30), (9, 510)]:
+            inf = random_influence(n, rng)
+            v, x = rng.normal(size=(n, m)), rng.normal(size=(n, m))
+            want = strategic_update(v, x, inf.w, theta)
+            out = np.empty((n, m))
+            assert strategic_update(v, x, inf.w, theta, out=out) is out
+            assert np.array_equal(out.view(np.uint64), want.view(np.uint64))
+            # a row of a larger stack, as the dynamics write the next step
+            stack = np.full((3, n, m), np.nan)
+            strategic_update(v, x, inf.w, theta, out=stack[1])
+            assert np.array_equal(stack[1].view(np.uint64), want.view(np.uint64))
+            assert np.isnan(stack[[0, 2]]).all()
+
     def test_weighted_zero_sum_lies_leave_average_untouched(self):
         rng = np.random.default_rng(11)
         inf = random_influence(3, rng)

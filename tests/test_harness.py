@@ -209,6 +209,23 @@ class TestRunSimulation:
         block = harness.GATHER_CHUNK_BYTES // (8 * n * trace.m)  # steps per block
         assert -(-(trace.steps + 1) // block) >= 7
 
+    def test_control_run_holds_no_block_of_lies_or_reveals(self):
+        # a lineup with no learner keeps its lies once, so the run's peak is
+        # its opinions and average plus the derivation's temporaries: a
+        # (steps, n, m) block of lies or revealed opinions would not fit
+        n = 9
+        scenario = mixed_scenario(n, 1, horizon=200)
+        scenario = dataclasses.replace(scenario, players=nash_players(n, np.ones(n), 1.0))
+        run_simulation(scenario)  # the Shapley form is cached once per n
+        tracemalloc.start()
+        try:
+            trace = run_simulation(scenario)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert trace.steps == 200 and not trace.deviations.flags.writeable
+        assert peak < trace.opinions.nbytes + trace.average.nbytes + 2 * GATHER_CHUNK_BYTES, peak
+
     def test_derivation_blocks_read_the_chunk_size_at_call_time(self, monkeypatch):
         scenario = mixed_scenario(5, 2, horizon=40)
         per_step = 8 * 5 * 30  # bytes of one (n, m) profile at n = 5
@@ -228,10 +245,11 @@ class TestRunSimulation:
     @staticmethod
     def _matches_reference(scenario):
         trace = run_simulation(scenario)
-        reference = reference_simulation(scenario)
+        reference, revealed = reference_simulation(scenario)
         assert (trace.steps, trace.converged_at) == (reference.steps, reference.converged_at)
         for name in TRACE_ARRAYS:
-            assert np.array_equal(getattr(trace, name), getattr(reference, name)), name
+            want = revealed if name == "revealed" else getattr(reference, name)
+            assert np.array_equal(getattr(trace, name), want), name
         return trace
 
     def test_one_gain_downdate_per_step(self, monkeypatch):
@@ -259,8 +277,8 @@ class TestRunSimulation:
 
     def test_memory_refusal_reads_the_shared_physical_memory_figure(self, monkeypatch):
         scenario = load_scenario(SCENARIOS / "two_player_learning_gamma05.json")
-        # (3h + 1) n m + (h + 1)(m + n) + h (n + 1) floats at n = m = 2, h = 500
-        nbytes = 8 * (19 * 500 + 8)
+        # (2h + 1) n m + (h + 1)(m + n) + h (n + 1) floats at n = m = 2, h = 500
+        nbytes = 8 * (15 * 500 + 8)
         monkeypatch.setattr(setfn, "physical_memory", lambda: nbytes - 1)
         with pytest.raises(ScenarioError, match=rf"^horizon: .* would take {nbytes} bytes"):
             run_simulation(scenario)
@@ -278,8 +296,8 @@ class TestRunSimulation:
         finally:
             tracemalloc.stop()
         assert peak < 1 << 20
-        # (3h + 1) n m + (h + 1)(m + n) + h (n + 1) floats at n = m = 2
-        assert str(8 * (19 * 10**12 + 8)) in str(excinfo.value)
+        # (2h + 1) n m + (h + 1)(m + n) + h (n + 1) floats at n = m = 2
+        assert str(8 * (15 * 10**12 + 8)) in str(excinfo.value)
 
 
 TRACE_ARRAYS = ("opinions", "revealed", "deviations", "average", "shapley", "rewards", "disutility")
@@ -289,7 +307,8 @@ def reference_simulation(scenario: Scenario):
     """The dynamics loop written per player: each step a truthful player lies
     by zero and a Nash player by `nash_deviation`, every learner keeps a
     private one-learner opponent model and acts through `respond`, and every
-    reward comes from a one-player `step_reward`."""
+    reward comes from a one-player `step_reward`.  Returns the trace and,
+    apart, the revealed opinions x = v + u each step formed."""
     n = scenario.n
     theta = scenario.theta
     influence = InfluenceMatrix.from_matrix(scenario.influence)
@@ -349,11 +368,10 @@ def reference_simulation(scenario: Scenario):
             break
     arrays = {name: np.array(rows, dtype=float) for name, rows in out.items()}
     steps = len(out["disutility"])
-    return SimulationTrace(
+    trace = SimulationTrace(
         n=n,
         steps=steps,
         opinions=arrays["opinions"],
-        revealed=arrays["revealed"].reshape(steps, n, m),
         deviations=arrays["deviations"].reshape(steps, n, m),
         average=arrays["average"],
         shapley=arrays["shapley"],
@@ -361,6 +379,7 @@ def reference_simulation(scenario: Scenario):
         disutility=arrays["disutility"],
         converged_at=converged_at,
     )
+    return trace, arrays["revealed"].reshape(steps, n, m)
 
 
 def reference_dump(trace: SimulationTrace) -> str:

@@ -1,11 +1,12 @@
 """Core membership and (Bayesian) core emptiness.
 
-Every proper coalition's payoff sum must cover its bound b_S, the largest
-value any player's opinion gives S, and the payoff total must fit under the
-budget, the smallest grand-coalition value.  The classical core of f is
-the Bayesian core of n identical opinions f: raising any coordinate of a
-feasible allocation keeps every coalition covered, so budget slack is
-handed to one player to split the grand value exactly.
+Every proper coalition's payoff sum (its members added in player order,
+one rule for the verdicts and both membership checks) must cover its bound
+b_S, the largest value any player's opinion gives S, and the payoff total
+must fit under the budget, the smallest grand-coalition value.  The
+classical core of f is the Bayesian core of n identical opinions f: raising
+any coordinate of a feasible allocation keeps every coalition covered, so
+budget slack is handed to one player to split the grand value exactly.
 
 Emptiness is decided on the balancedness dual (Bondareva 1963; Shapley
 1967), over the proper coalitions S:
@@ -34,7 +35,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .setfn import SetFunction, SetFunctionError, grand_mask, membership_matrix, num_restricted
+from .setfn import SetFunction, SetFunctionError, membership_matrix, num_restricted
 from .shapley import shapley_payoffs
 
 _PIVOT_EPS = 1e-10
@@ -73,10 +74,7 @@ def _player_count(opinions: list[SetFunction]) -> int:
 def core_contains(f: SetFunction, g, tol: float = DEFAULT_TOL) -> bool:
     """Membership check: every coalition covered, budget exactly spent."""
     g = _allocation(g, f.n)
-    sums = membership_matrix(f.n) @ g
-    if abs(sums[-1] - f.grand_value) > tol:
-        return False
-    return bool(np.all(sums >= f.values - tol))
+    return abs(sum(g.tolist()) - f.grand_value) <= tol and bayesian_core_contains([f], g, tol)
 
 
 def core_witness(f: SetFunction, tol: float = DEFAULT_TOL) -> np.ndarray | None:
@@ -146,19 +144,23 @@ def bayesian_core_verdicts(
     values = stacks.max(axis=1)
     values[:, 0] = 0.0
     values[:, -1] = stacks[:, :, -1].min(axis=1)
-    bounds, budgets = values[:, 1:-1], values[:, -1]
     witnesses = shapley_payoffs(values, n)
-    # every coalition's payoff sum, adding its members in player order
-    sums = np.zeros_like(values)
-    for i in range(n):
-        sums[:, 1 << i : 2 << i] = sums[:, : 1 << i] + witnesses[:, i : i + 1]
-    covered = (sums[:, 1:-1] >= bounds - tol).all(axis=1) & (sums[:, -1] <= budgets + tol)
     empty = np.zeros(len(stacks), dtype=bool)
-    for t in np.flatnonzero(~covered).tolist():
-        witness, _ = _balanced_dual(n, bounds[t], budgets[t] + tol)
+    for t in np.flatnonzero(~_covers(values, witnesses, tol)).tolist():
+        witness, _ = _balanced_dual(n, values[t, 1:-1], values[t, -1] + tol)
         empty[t] = witness is None
         witnesses[t] = np.nan if witness is None else witness
     return empty, witnesses
+
+
+def _covers(values: np.ndarray, allocations: np.ndarray, tol: float) -> np.ndarray:
+    """Whether each row of (T, n) allocations covers its (T, 2^n) bound
+    function: every proper coalition's payoff sum, members added in player
+    order, at least its bound - tol, the total at most the grand value + tol."""
+    sums = np.zeros_like(values)
+    for i in range(allocations.shape[1]):
+        sums[:, 1 << i : 2 << i] = sums[:, : 1 << i] + allocations[:, i : i + 1]
+    return (sums[:, 1:-1] >= values[:, 1:-1] - tol).all(axis=1) & (sums[:, -1] <= values[:, -1] + tol)
 
 
 def _pivot_cap(n: int) -> int:
@@ -203,17 +205,13 @@ def _balanced_dual(n: int, bounds: np.ndarray, limit: float) -> tuple[np.ndarray
     raise DualCyclingError(f"the balancedness dual did not terminate within {max_pivots} pivots")
 
 
-def bayesian_core_contains(
-    opinions: list[SetFunction], g, tol: float = DEFAULT_TOL
-) -> bool:
-    """Direct membership check against every player's private constraints."""
-    n = _player_count(opinions)
-    g = _allocation(g, n)
-    sums = membership_matrix(n) @ g
-    proper = np.arange(1, grand_mask(n))
-    for f in opinions:
-        if not np.all(sums[proper] >= f.values[proper] - tol):
-            return False
-        if sums[-1] > f.grand_value + tol:
-            return False
-    return True
+def bayesian_core_contains(opinions: list[SetFunction], g, tol: float = DEFAULT_TOL) -> bool:
+    """Direct membership check against every player's private constraints:
+    the verdicts' coverage rule, members added in player order, against each
+    coalition's largest value and the smallest grand value."""
+    g = _allocation(g, _player_count(opinions))
+    values = opinions[0].values.copy()
+    for f in opinions[1:]:
+        np.maximum(values, f.values, out=values)
+    values[-1] = min(f.grand_value for f in opinions)
+    return bool(_covers(values[None], g[None], tol)[0])

@@ -237,7 +237,9 @@ def _recur(
                     us[i] = respond(form.rows[i], theta, float(t[i]), params, prediction, k, rng)
             np.add(v, us, out=x)
             v_next = strategic_update(v, x, influence.w, theta, out=trace.opinions[k + 1])
-            if not (np.isfinite(x).all() and np.isfinite(v_next).all()):
+            # each column of the primitive W has a positive entry, so a nonfinite
+            # entry of x makes its coalition's entry of v_next inf, or NaN from 0 * inf
+            if not np.isfinite(v_next).all():
                 raise SetFunctionError("payoff values must be finite")
             if learners:
                 # each learner's target: its opponents' weighted mean lie

@@ -452,10 +452,8 @@ def subset_sums(weights: np.ndarray, n: int) -> np.ndarray:
     """Zeta transform: out[C] = sum of weights[T] over T subseteq C."""
     out = np.asarray(weights, dtype=float).copy()
     for i in range(n):
-        bit = 1 << i
-        masks = np.arange(1 << n)
-        has = (masks & bit) != 0
-        out[has] += out[masks[has] ^ bit]
+        half = out.reshape(-1, 2, 1 << i)  # [:, 1] are the coalitions holding player i
+        half[:, 1] += half[:, 0]
     return out
 
 

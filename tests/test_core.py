@@ -27,6 +27,21 @@ from consensusgame.setfn import (
     membership_matrix,
     random_supermodular,
 )
+from consensusgame.shapley import shapley_value
+
+
+def player_order_sums(g) -> list[float]:
+    """Oracle: every coalition's payoff sum in python floats, its members
+    added in player order."""
+    n = len(g)
+    sums = []
+    for mask in range(1 << n):
+        total = 0.0
+        for i in range(n):
+            if mask >> i & 1:
+                total += float(g[i])
+        sums.append(total)
+    return sums
 
 
 def grid_core_nonempty(f: SetFunction, resolution: float = 1e-3) -> bool:
@@ -364,6 +379,17 @@ class TestCoreContains:
         with pytest.raises(SetFunctionError, match="^allocation must have length 2$"):
             core_contains(f, [0.3, 0.3, 0.4])
 
+    @pytest.mark.parametrize("n", range(2, 13))
+    def test_allocation_meeting_its_player_order_sums_exactly_is_a_member(self, n):
+        # both checks sum a coalition as the verdicts do, so an allocation
+        # is a member of the game its own coalition sums define, at tol 0
+        rng = np.random.default_rng([89, n])
+        for _ in range(5):
+            g = rng.uniform(0.0, 1.0, size=n)
+            f = SetFunction(n, player_order_sums(g))
+            assert bayesian_core_contains([f] * n, g, tol=0.0)
+            assert core_contains(f, g, tol=0.0)
+
 
 class TestCoreIsEmpty:
     def test_incompatible_singletons_empty(self):
@@ -512,6 +538,30 @@ class TestBayesianCore:
         g = random_supermodular(3, np.random.default_rng(76))
         with pytest.raises(SetFunctionError, match="^opinions disagree on player count$"):
             bayesian_core_contains([f, g], [0.5, 0.5])
+
+    def test_witness_of_a_tight_game_is_a_member_at_zero_tol(self, monkeypatch):
+        # every opinion is the additive game of w, so its core is the one
+        # allocation w, met with no slack; the membership check must accept
+        # the verdict's witness whether the fast path or the dual found it
+        duals = []
+
+        def counted(*args):
+            duals.append(args)
+            return _balanced_dual(*args)
+
+        monkeypatch.setattr(core, "_balanced_dual", counted)
+        rng = np.random.default_rng(97)
+        trials = 0
+        for n in range(4, 10):
+            for _ in range(100):
+                additive = SetFunction(n, player_order_sums(rng.uniform(0.0, 1.0, size=n)))
+                opinion = SetFunction(n, player_order_sums(shapley_value(additive).payoffs))
+                opinions = [opinion] * n
+                empty, witness = bayesian_core_is_empty(opinions, tol=0.0)
+                assert not empty
+                assert bayesian_core_contains(opinions, witness, tol=0.0)
+                trials += 1
+        assert 0 < len(duals) < trials
 
     def test_fast_witness_path_agrees_with_pure_lp(self):
         # the allocation-candidate shortcut must never change the verdict

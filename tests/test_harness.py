@@ -51,6 +51,7 @@ from consensusgame.harness import (
 from consensusgame.setfn import (
     GATHER_CHUNK_BYTES,
     SetFunction,
+    SetFunctionError,
     dump_setfn,
     is_supermodular,
     random_supermodular,
@@ -62,6 +63,7 @@ SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 README = Path(__file__).resolve().parent.parent / "README.md"
 
 DEMO_W = np.array([[0.3, 0.7], [0.4, 0.6]])
+OVERFLOW_W = [[0.0, 1.0], [0.5, 0.5]]  # primitive, with a zero in player 0's column
 
 
 def demo_opinions():
@@ -225,6 +227,24 @@ class TestRunSimulation:
             tracemalloc.stop()
         assert trace.steps == 200 and not trace.deviations.flags.writeable
         assert peak < trace.opinions.nbytes + trace.average.nbytes + 2 * GATHER_CHUNK_BYTES, peak
+
+    @pytest.mark.parametrize("liar", [0, 1])
+    def test_a_lie_that_overflows_is_refused_at_the_first_step(self, monkeypatch, liar):
+        # only v_next is checked: player 0's infinite lie meets a zero weight
+        # in W's first row, so it reaches v_next there as 0 * inf
+        steps = []
+
+        def counted(*args, **kw):
+            steps.append(args)
+            return strategic_update(*args, **kw)
+
+        monkeypatch.setattr(harness, "strategic_update", counted)
+        players = [PlayerParams(0.6363636363636364, "nash")] * 2
+        players[liar] = PlayerParams(1e-310, "nash")
+        scenario = base_scenario(influence=OVERFLOW_W, players=tuple(players))
+        with pytest.raises(SetFunctionError, match="^payoff values must be finite$"):
+            run_simulation(scenario)
+        assert len(steps) == 1
 
     def test_derivation_blocks_read_the_chunk_size_at_call_time(self, monkeypatch):
         scenario = mixed_scenario(5, 2, horizon=40)
@@ -1282,19 +1302,25 @@ class TestCli:
         assert "error:" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
-        "risk_aversion",
+        "influence,risk_aversion",
         [
             # theta / (2 p) overflows to inf, so the first revealed opinion
             # is not finite
-            (1e-310, 0.6363636363636364),
+            (DEMO_W.tolist(), (1e-310, 0.6363636363636364)),
+            # the same lie by either player under a W with a zero weight in
+            # player 0's column
+            (OVERFLOW_W, (1e-310, 0.6363636363636364)),
+            (OVERFLOW_W, (0.6363636363636364, 1e-310)),
             # the lies stay finite, but their squares in the disutility do not
-            (1e-160, 1e-160),
+            (DEMO_W.tolist(), (1e-160, 1e-160)),
         ],
-        ids=["lie", "disutility"],
+        ids=["lie", "lie-by-0-under-a-zero-weight", "lie-by-1-under-a-zero-weight", "disutility"],
     )
-    def test_diverging_run_exits_two(self, tmp_path, capsys, risk_aversion):
+    def test_diverging_run_exits_two(self, tmp_path, capsys, influence, risk_aversion):
         scenario = self._scenario_file(
-            tmp_path, players=[{"kind": "nash", "risk_aversion": p} for p in risk_aversion]
+            tmp_path,
+            influence=influence,
+            players=[{"kind": "nash", "risk_aversion": p} for p in risk_aversion],
         )
         out = tmp_path / "trace.csv"
         assert cli_main(["simulate", str(scenario), "--out", str(out)]) == 2

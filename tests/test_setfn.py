@@ -21,6 +21,7 @@ from consensusgame.setfn import (
     random_supermodular,
     round_candidates,
     sample_opinion_streams,
+    subset_sums,
     weighted_average,
 )
 
@@ -217,6 +218,30 @@ class TestGapKernelAgainstIndexGather:
         if n >= 2:  # every gap sits on ON_FLOOR, so the next float up fails
             assert verdicts[0][3] and not verdicts[1][3]
             assert any(v.all() != v.any() for v in verdicts)
+
+
+def index_array_subset_sums(weights: np.ndarray, n: int) -> np.ndarray:
+    """Reference: the zeta transform by index arrays, one pass per player
+    adding each coalition without i into its partner with i."""
+    out = np.asarray(weights, dtype=float).copy()
+    for i in range(n):
+        bit = 1 << i
+        masks = np.arange(1 << n)
+        has = (masks & bit) != 0
+        out[has] += out[masks[has] ^ bit]
+    return out
+
+
+@pytest.mark.parametrize("n", range(1, 13))
+def test_subset_sums_have_the_bits_of_the_index_array_form(n):
+    rng = np.random.default_rng([43, n])
+    for _ in range(5):
+        weights = rng.choice([-1.0, 1.0], size=1 << n) * 10.0 ** rng.uniform(-8, 8, size=1 << n)
+        zeros = rng.random(1 << n) < 0.1
+        weights[zeros] = rng.choice([-0.0, 0.0], size=int(zeros.sum()))
+        want = index_array_subset_sums(weights, n)
+        got = subset_sums(weights, n)
+        assert got.tobytes() == want.tobytes()
 
 
 class TestWeightedAverage:

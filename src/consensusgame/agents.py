@@ -150,6 +150,9 @@ def stage_cost(
     return -step_reward(deviations, t, p_i, theta, d_i)
 
 
+INTERCEPT_PRIOR, SLOPE_PRIOR = 1e-2, 1e-3  # the gain's initial diagonal: the ridge prior
+
+
 @dataclass
 class EnvironmentModel:
     """Affine opponent models of a lineup's learners, fitted by recursive
@@ -174,8 +177,6 @@ class EnvironmentModel:
 
     dim: int
     learners: int
-    intercept_scale: float = 1e-2
-    slope_scale: float = 1e-3
     coeffs: list[np.ndarray] = field(init=False)
     gain: np.ndarray = field(init=False)
     residual_var: np.ndarray = field(init=False)
@@ -184,14 +185,10 @@ class EnvironmentModel:
     def __post_init__(self):
         if self.dim < 1:
             raise SetFunctionError("environment model needs dimension >= 1")
-        if self.intercept_scale <= 0 or self.slope_scale <= 0:
-            raise SetFunctionError("prior scales must be positive")
         # one matrix per learner: a stacked (learners, dim + 1, dim) update
         # measured slower
         self.coeffs = [np.zeros((self.dim + 1, self.dim)) for _ in range(self.learners)]
-        self.gain = np.diag(
-            np.concatenate([[self.intercept_scale], np.full(self.dim, self.slope_scale)])
-        )
+        self.gain = np.diag(np.concatenate([[INTERCEPT_PRIOR], np.full(self.dim, SLOPE_PRIOR)]))
         self.residual_var = np.zeros(self.learners)
 
     def predict(self, state: np.ndarray) -> list[np.ndarray]:

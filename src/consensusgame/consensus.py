@@ -8,10 +8,10 @@ row-stochastic trust matrix W with trust weight theta:
 
 Truth-telling is the case theta = 1 with honest reveals x = v, the linear
 mixing v[k] = W v[k-1].  The stationary weights t (t' W = t', sum 1),
-unique and positive exactly when W is primitive, measure long-run
-influence and define the weighted average opinion t' v.  They come from
-one exact elimination (Grassmann, Taksar & Heyman 1985), with no iteration
-and no tolerance.
+unique and positive exactly when W is irreducible, measure long-run
+influence and define the weighted average opinion t' v, which truthful
+mixing reaches when W is also aperiodic (primitive).  One exact elimination
+(Grassmann, Taksar & Heyman 1985) gives them, with no iteration or tolerance.
 """
 
 from __future__ import annotations
@@ -30,10 +30,12 @@ class ConsensusError(ValueError):
 def influence_weights(w: np.ndarray) -> np.ndarray:
     """Stationary influence weights of a row-stochastic matrix.
 
-    The weights exist, are unique and give every player a share exactly
-    when W is primitive, so that one rule decides validity: a W that is not
-    (reducible, as [[1, 0], [0.5, 0.5]], or periodic, as [[0, 1], [1, 0]])
-    is refused before anything is computed.  The Grassmann-Taksar-Heyman
+    The weights are unique and give every player a share exactly when W is
+    irreducible, and truthful mixing converges to consensus exactly when W
+    is also aperiodic, that is primitive; so one rule decides validity: a W
+    that is not is refused before anything is computed, as reducible
+    ([[1, 0], [0.5, 0.5]]) or as periodic ([[0, 1], [1, 0]], whose weights
+    exist but whose powers never converge).  The Grassmann-Taksar-Heyman
     elimination then solves t' W = t' from W's off-diagonal entries alone,
     with no subtraction, so each weight is accurate relative to its own
     size however slowly W mixes.  It uses sums, products and outer products
@@ -43,10 +45,14 @@ def influence_weights(w: np.ndarray) -> np.ndarray:
     """
     w = _check_stochastic(w)
     if not _is_primitive(w):
-        raise ConsensusError(
-            "W is not primitive: some player's opinion never reaches some other "
-            "player, so its stationary weight is 0"
-        )
+        if _is_primitive(w + np.eye(len(w))):  # W is irreducible exactly when I + W is primitive
+            reason = "it is periodic, so the powers W^k of truthful mixing never converge"
+        else:
+            reason = (
+                "some player's opinion never reaches some other player, so its "
+                "stationary weight is 0"
+            )
+        raise ConsensusError(f"W is not primitive: {reason}")
     a, n = w.copy(), w.shape[0]
     with np.errstate(all="ignore"):  # an overflow leaves t infinite or nan, refused below
         for k in range(n - 1, 0, -1):  # censor the chain to players 0..k-1

@@ -76,14 +76,15 @@ class ScenarioError(ValueError):
 
 @dataclass(frozen=True, kw_only=True)
 class Scenario:
-    """Fully resolved, runnable experiment description; SCHEMAS says what each kind reads."""
+    """Fully resolved, runnable experiment description; SCHEMAS says what each kind reads.
+    W is held as an ``InfluenceMatrix``: a matrix given in code is checked and solved here."""
 
     kind: str
     n: int | None = None
     theta: float | None = None
     horizon: int | None = None
     seed: int
-    influence: np.ndarray | None = None
+    influence: InfluenceMatrix | None = None
     initial_opinions: tuple[SetFunction, ...] | None = None
     players: tuple[PlayerParams, ...] | None = None
     p_o: float = 1.0
@@ -94,6 +95,10 @@ class Scenario:
     sigma: float | None = None
     truth_family: str = "quadratic"
     perturb_grand: bool = True
+
+    def __post_init__(self):
+        if self.influence is not None and not isinstance(self.influence, InfluenceMatrix):
+            object.__setattr__(self, "influence", InfluenceMatrix.from_matrix(self.influence))
 
 
 @dataclass
@@ -192,22 +197,19 @@ def run_simulation(scenario: Scenario) -> SimulationTrace:
     reward that is not finite, once the last step is taken.
     """
     check_scenario(scenario, "simulate")
-    influence = InfluenceMatrix.from_matrix(scenario.influence)
     form = shapley_linear_form(scenario.n)
-    trace = _recur(scenario, influence, form)
+    trace = _recur(scenario, form)
     p = np.array([params.risk_aversion for params in scenario.players])
-    _derive_columns(trace, influence.t, p, scenario.theta, form)
+    _derive_columns(trace, scenario.influence.t, p, scenario.theta, form)
     return trace
 
 
-def _recur(
-    scenario: Scenario, influence: InfluenceMatrix, form: ShapleyLinearForm
-) -> SimulationTrace:
+def _recur(scenario: Scenario, form: ShapleyLinearForm) -> SimulationTrace:
     """Step the dynamics into a new trace, each step recording the learners'
     lies and the next true opinions (x = v + u and the step's change live in
     reused buffers) and refusing a step whose revealed or true opinions are
     not finite; returns the trace, cut at convergence when the run converges."""
-    n, m, theta, t = scenario.n, form.rows.shape[1], scenario.theta, influence.t
+    n, m, theta, t = scenario.n, form.rows.shape[1], scenario.theta, scenario.influence.t
     # the lineup's lies, constant for the fixed strategies (zeros when truthful, the
     # closed-form lie when Nash); each step the learners fill in their own rows
     lies = np.zeros((n, m))
@@ -236,7 +238,7 @@ def _recur(
                     params = scenario.players[i]
                     us[i] = respond(form.rows[i], theta, float(t[i]), params, prediction, k, rng)
             np.add(v, us, out=x)
-            v_next = strategic_update(v, x, influence.w, theta, out=trace.opinions[k + 1])
+            v_next = strategic_update(v, x, scenario.influence.w, theta, out=trace.opinions[k + 1])
             # each column of the primitive W has a positive entry, so a nonfinite
             # entry of x makes its coalition's entry of v_next inf, or NaN from 0 * inf
             if not np.isfinite(v_next).all():
@@ -306,7 +308,7 @@ def experiment_efficiency(scenario: Scenario, tol: float = 1e-9) -> dict:
         drift = control_drift = 0.0
         degenerate = True
     else:
-        t = InfluenceMatrix.from_matrix(scenario.influence).t
+        t = scenario.influence.t
         drifts = []
         for weights in (t, np.ones(scenario.n)):  # p_i = p_o * t_i; control: p_i = p_o
             lineup = nash_players(scenario.n, weights, scenario.p_o)
@@ -428,7 +430,7 @@ def experiment_po_sweep(scenario: Scenario, tol: float = DEFAULT_TOL) -> list[di
     the feasibility tolerance ``tol``.
     """
     check_scenario(scenario, "po-sweep")
-    t = InfluenceMatrix.from_matrix(scenario.influence).t
+    t = scenario.influence.t
     rows = []
     for p_o in scenario.po_values:
         trace = run_simulation(replace(scenario, players=nash_players(scenario.n, t, p_o)))
@@ -725,20 +727,20 @@ def _array(key: str, value, shape: tuple) -> np.ndarray:
     return arr
 
 
-def _read_influence(name: str, value, values: dict) -> np.ndarray:
+def _read_influence(name: str, value, values: dict) -> InfluenceMatrix:
     if (n := values["n"]) is None:
         _fail(name, "needs the player count n")
     if value == "random_primitive":
         (rng,) = keyed_generators((values["seed"],), [1])
-        return random_primitive_influence(n, rng)
-    if not isinstance(value, list):
+        w = random_primitive_influence(n, rng)
+    elif isinstance(value, list):
+        w = _array(name, value, (n, n))
+    else:
         _fail(name, 'matrix rows or the string "random_primitive" required')
-    w = _array(name, value, (n, n))
     try:
-        InfluenceMatrix.from_matrix(w)  # the check the run applies
+        return InfluenceMatrix.from_matrix(w)
     except ConsensusError as exc:
         _fail(name, str(exc))
-    return w
 
 
 def _read_opinions(name: str, value, values: dict) -> tuple[SetFunction, ...]:
@@ -827,7 +829,9 @@ _GAME = {  # the keys of a game the dynamics run
     "theta": Key(float, lambda v, _: 0 < v < 1, "trust parameter in (0, 1) required"),
     "horizon": Key(int, lambda v, _: v >= 0, "nonnegative integer required"),
     "seed": Key(int, lambda v, _: v >= 0, "nonnegative integer required"),
-    "influence": Key(_read_influence),
+    "influence": Key(
+        _read_influence, lambda w, vs: w.n == vs["n"], "one row and column per player required"
+    ),
     "initial_opinions": Key(
         _read_opinions,
         lambda fs, vs: len(fs) == vs["n"] and all(f.is_normalized(tol=1e-9) for f in fs),

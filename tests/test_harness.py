@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from consensusgame import cli, harness, setfn
+from consensusgame import cli, consensus, harness, setfn
 from consensusgame.core import bayesian_core_contains, bayesian_core_is_empty, bayesian_core_verdicts
 from consensusgame.agents import (
     FLOAT_PARAMS,
@@ -24,7 +24,13 @@ from consensusgame.agents import (
     step_reward,
 )
 from consensusgame.cli import main as cli_main
-from consensusgame.consensus import InfluenceMatrix, deviation_disutility, strategic_update
+from consensusgame.consensus import (
+    ConsensusError,
+    InfluenceMatrix,
+    deviation_disutility,
+    influence_weights,
+    strategic_update,
+)
 from consensusgame.harness import (
     CONVERGENCE_TOL,
     Scenario,
@@ -189,7 +195,7 @@ class TestRunSimulation:
         # without explorers the runs converge well inside the horizon, so the
         # trace is cut at convergence
         scenario = mixed_scenario(n, seed, horizon=3000)
-        t = InfluenceMatrix.from_matrix(scenario.influence).t
+        t = scenario.influence.t
         players = {
             "nash": nash_players(n, t, 1.0),
             "truthful": (PlayerParams(1.0, "truthful"),) * n,
@@ -331,7 +337,7 @@ def reference_simulation(scenario: Scenario):
     apart, the revealed opinions x = v + u each step formed."""
     n = scenario.n
     theta = scenario.theta
-    influence = InfluenceMatrix.from_matrix(scenario.influence)
+    influence = InfluenceMatrix.from_matrix(scenario.influence.w)  # solved apart from the run
     t = influence.t
     form = shapley_linear_form(n)
     m = form.rows.shape[1]
@@ -708,11 +714,15 @@ class TestScenarioLoading:
             ({"theta": 1.5}, "theta"),
             ({"kind": "dance"}, "kind"),
             ({"influence": [[1.0, 0.1], [0.4, 0.6]]}, "influence"),
-            # checked at load as the run checks it: reducible, periodic, and
-            # rows off 1 by more than the consensus tolerance
+            # checked and solved once, at load: reducible, periodic (whose
+            # weights exist, but whose powers never converge), and rows off 1
+            # by more than the consensus tolerance
             ({"influence": [[1, 0], [0, 1]]}, "^<scenario>: influence: W is not primitive"),
             ({"influence": [[1, 0], [0.5, 0.5]]}, "^<scenario>: influence: W is not primitive"),
-            ({"influence": [[0, 1], [1, 0]]}, "^<scenario>: influence: W is not primitive"),
+            (
+                {"influence": [[0, 1], [1, 0]]},
+                r"^<scenario>: influence: W is not primitive: it is periodic, so the powers W\^k",
+            ),
             ({"influence": [[0.3, 0.7 + 5e-10], [0.4, 0.6]]}, "^<scenario>: influence: rows must"),
             ({"players": [{"kind": "truthful", "risk_aversion": 1.0}]}, "players"),
             (
@@ -770,13 +780,23 @@ class TestScenarioLoading:
         with pytest.raises(ScenarioError, match="influence"):
             scenario_from_dict(self._raw(influence=[[1.0]]))
 
+    def test_influence_given_in_code_is_solved_at_construction_and_kept(self):
+        sc = base_scenario()
+        assert isinstance(sc.influence, InfluenceMatrix)
+        np.testing.assert_array_equal(sc.influence.w, DEMO_W)
+        # the experiments' lineups reuse the solved matrix
+        lineup = nash_players(2, sc.influence.t, 1.0)
+        assert dataclasses.replace(sc, players=lineup).influence is sc.influence
+        with pytest.raises(ConsensusError, match="^W is not primitive: it is periodic"):
+            base_scenario(influence=[[0, 1], [1, 0]])
+
     def test_generators_resolve_deterministically(self):
         raw = self._raw(
             influence="random_primitive", initial_opinions="random_supermodular"
         )
         a = scenario_from_dict(raw)
         b = scenario_from_dict(raw)
-        np.testing.assert_array_equal(a.influence, b.influence)
+        np.testing.assert_array_equal(a.influence.w, b.influence.w)
         for fa, fb in zip(a.initial_opinions, b.initial_opinions):
             np.testing.assert_array_equal(fa.values, fb.values)
 
@@ -923,17 +943,25 @@ class TestExperiments:
             ("po-sweep", {"po_values": ()}, "po_values"),
             ("po-sweep", {"po_values": (1.0, 0.0)}, "po_values"),
             ("efficiency", {"p_o": -1.0}, "p_o"),
+            # a W of the wrong size, which a file's reader refuses by its shape
+            (
+                "simulate",
+                {"influence": np.full((3, 3), 1 / 3), "players": base_scenario().players},
+                "influence",
+            ),
+            ("efficiency", {"influence": np.full((3, 3), 1 / 3)}, "influence"),
         ],
     )
     def test_scenarios_built_in_code_are_held_to_their_table(self, kind, patch, key):
         # the experiment refuses the scenario before any trial or run, with
         # the same rule the reader applies to a file; core-emptiness needs no game
         game = dict(n=2, theta=0.1, horizon=10, influence=DEMO_W, initial_opinions=demo_opinions())
-        sc = Scenario(kind=kind, seed=10, **(game if kind != "core-emptiness" else {}), **patch)
+        sc = Scenario(kind=kind, seed=10, **(game if kind != "core-emptiness" else {}) | patch)
         run = {
             "core-emptiness": experiment_core_emptiness,
             "po-sweep": experiment_po_sweep,
             "efficiency": experiment_efficiency,
+            "simulate": run_simulation,
         }[kind]
         with pytest.raises(ScenarioError, match=rf"^{key}: "):
             run(sc)
@@ -1455,6 +1483,29 @@ class TestCli:
         assert cli_main([command, str(scenario)]) == 2
         err = capsys.readouterr().err
         assert ": influence: W is not primitive" in err and "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "command, name",
+        [
+            ("simulate", "two_player_learning_gamma05"),
+            ("exp-efficiency", "efficiency_demo"),
+            ("exp-po-sweep", "po_sweep_demo"),
+        ],
+    )
+    def test_each_command_solves_its_influence_matrix_once(
+        self, tmp_path, monkeypatch, command, name
+    ):
+        # W is solved where it is read; every run and lineup reuses that solve
+        solves = []
+
+        def counted(w):
+            solves.append(w)
+            return influence_weights(w)
+
+        monkeypatch.setattr(consensus, "influence_weights", counted)
+        scenario = SCENARIOS / f"{name}.json"
+        assert cli_main([command, str(scenario), "--out", str(tmp_path / "out")]) == 0
+        assert len(solves) == 1
 
     def test_influence_that_mixes_slowly_runs(self, tmp_path, capsys):
         # primitive, with W^(2^20) still far from rank one: the elimination

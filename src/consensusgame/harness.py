@@ -58,7 +58,7 @@ from .setfn import (
     check_fits_in_memory,
     keyed_generators,
     num_restricted,
-    random_supermodular,
+    random_supermodular_profile,
     read_text,
     round_candidates,
     sample_opinion_streams,
@@ -207,8 +207,14 @@ def run_simulation(scenario: Scenario) -> SimulationTrace:
 def _recur(scenario: Scenario, form: ShapleyLinearForm) -> SimulationTrace:
     """Step the dynamics into a new trace, each step recording the learners'
     lies and the next true opinions (x = v + u and the step's change live in
-    reused buffers) and refusing a step whose revealed or true opinions are
-    not finite; returns the trace, cut at convergence when the run converges."""
+    reused buffers); returns the trace, cut at convergence when the run converges.
+
+    Each step takes one pass for its residual max|v_next - v|, the largest
+    per-player opinion change.  Only a residual that is not finite costs a
+    second pass: a step whose true opinions are not finite is refused there,
+    and a finite step whose change overflows runs on.  The dynamics' own
+    generator, ``default_rng(seed)``, is built only for a lineup with learners,
+    the only players that draw from it."""
     n, m, theta, t = scenario.n, form.rows.shape[1], scenario.theta, scenario.influence.t
     # the lineup's lies, constant for the fixed strategies (zeros when truthful, the
     # closed-form lie when Nash); each step the learners fill in their own rows
@@ -220,8 +226,9 @@ def _recur(scenario: Scenario, form: ShapleyLinearForm) -> SimulationTrace:
         elif params.kind == "rlearning":
             learners.append(i)
     trace = SimulationTrace.empty(n, scenario.horizon, None if learners else lies)
-    model = EnvironmentModel(m, len(learners)) if learners else None
-    rng = np.random.default_rng(scenario.seed)
+    if learners:
+        model = EnvironmentModel(m, len(learners))
+        rng = np.random.default_rng(scenario.seed)
 
     v = trace.opinions[0]
     v[:] = [f.values[1:-1] for f in scenario.initial_opinions]
@@ -239,9 +246,11 @@ def _recur(scenario: Scenario, form: ShapleyLinearForm) -> SimulationTrace:
                     us[i] = respond(form.rows[i], theta, float(t[i]), params, prediction, k, rng)
             np.add(v, us, out=x)
             v_next = strategic_update(v, x, scenario.influence.w, theta, out=trace.opinions[k + 1])
+            residual = np.abs(np.subtract(v_next, v, out=change), out=change).max()
             # each column of the primitive W has a positive entry, so a nonfinite
-            # entry of x makes its coalition's entry of v_next inf, or NaN from 0 * inf
-            if not np.isfinite(v_next).all():
+            # entry of x makes its coalition's entry of v_next inf, or NaN from
+            # 0 * inf; v is finite, so either makes the residual inf or NaN
+            if not math.isfinite(residual) and not np.isfinite(v_next).all():
                 raise SetFunctionError("payoff values must be finite")
             if learners:
                 # each learner's target: its opponents' weighted mean lie
@@ -249,7 +258,7 @@ def _recur(scenario: Scenario, form: ShapleyLinearForm) -> SimulationTrace:
                 targets = [(mean_dev - t[i] * us[i]) / (1.0 - t[i]) for i in learners]
                 model.update(state, [y - y_hat for y, y_hat in zip(targets, predictions)])
                 state = t @ x
-            if np.max(np.abs(np.subtract(v_next, v, out=change), out=change)) < CONVERGENCE_TOL:
+            if residual < CONVERGENCE_TOL:
                 return replace(trace.cut(k + 1), converged_at=k + 1)
             v = v_next
     return trace
@@ -264,23 +273,30 @@ def _derive_columns(
 
     Works through blocks of steps whose (block, n, m) stack fits
     GATHER_CHUNK_BYTES, so its temporaries stay within a few such chunks
-    whatever the horizon; every value is that of the per-step call.
+    whatever the horizon; every value is that of the per-step call.  Lies
+    kept once (a lineup with no learner) are one profile, priced once for
+    the whole run before the blocks, not once per block.
     Raises SetFunctionError when a disutility or reward is not finite.
     """
-    block = max(1, GATHER_CHUNK_BYTES // (8 * trace.n * trace.m))
-    for lo in range(0, trace.steps + 1, block):
-        blk = slice(lo, lo + block)
-        average = np.matmul(t, trace.opinions[blk], out=trace.average[blk])
-        trace.shapley[blk] = form.apply_restricted(average)
-        us = trace.deviations[blk]  # one row fewer: the final step takes no action
-        if trace.deviations.strides[0] == 0:  # lies kept once: one profile prices them all
-            us = us[:1]
+
+    def price(us: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         with np.errstate(over="ignore", invalid="ignore"):  # an overflow is refused below
             disutility = deviation_disutility(us, t)
             rewards = step_reward(us, t, p, theta, form.rows, disutility)
         if not (np.isfinite(disutility).all() and np.isfinite(rewards).all()):
             raise SetFunctionError("payoff values must be finite")
-        trace.disutility[blk], trace.rewards[blk] = disutility, rewards
+        return disutility, rewards
+
+    kept_once = trace.deviations.strides[0] == 0
+    if kept_once:  # one profile prices every acted step; with none acted, [:1] is empty
+        trace.disutility[:], trace.rewards[:] = price(trace.deviations[:1])
+    block = max(1, GATHER_CHUNK_BYTES // (8 * trace.n * trace.m))
+    for lo in range(0, trace.steps + 1, block):
+        blk = slice(lo, lo + block)
+        average = np.matmul(t, trace.opinions[blk], out=trace.average[blk])
+        trace.shapley[blk] = form.apply_restricted(average)
+        if not kept_once:  # one row fewer: the final step takes no action
+            trace.disutility[blk], trace.rewards[blk] = price(trace.deviations[blk])
 
 
 # --- experiments -------------------------------------------------------------
@@ -746,7 +762,7 @@ def _read_influence(name: str, value, values: dict) -> InfluenceMatrix:
 def _read_opinions(name: str, value, values: dict) -> tuple[SetFunction, ...]:
     n, seed = values["n"], values["seed"]
     if value == "random_supermodular":
-        return tuple(random_supermodular(n, rng) for rng in keyed_generators((seed, 2), range(n)))
+        return random_supermodular_profile(n, keyed_generators((seed, 2), range(n)))
     if isinstance(value, dict):
         _known(value, name, ("ground_truth",))
         where, spec = f"{name}.ground_truth", value.get("ground_truth")

@@ -427,32 +427,49 @@ def sample_opinion_streams(
 def random_supermodular(
     n: int, rng: np.random.Generator, normalized: bool = True
 ) -> SetFunction:
-    """Random strictly supermodular payoff function.
+    """Random strictly supermodular payoff function: the one-generator
+    case of ``random_supermodular_profile``."""
+    (f,) = random_supermodular_profile(n, [rng], normalized)
+    return f
+
+
+def random_supermodular_profile(
+    n: int, rngs: list[np.random.Generator], normalized: bool = True
+) -> tuple[SetFunction, ...]:
+    """One random strictly supermodular payoff function per generator.
 
     Built from positive Harsanyi dividends: every coalition of size >= 2
     gets a positive dividend, singletons get a nonnegative one, and
     f(C) is the dividend sum over subsets of C.  Positive pair dividends
-    make every incremental inequality strict.
+    make every incremental inequality strict.  Each function draws its
+    dividends from its own generator, in order; the (len(rngs), 2^n) stack
+    of them takes one zeta transform, and each row's bits are those of
+    transforming it alone.
     """
     _check_n(n)
-    size = 1 << n
-    dividends = np.zeros(size)
-    counts = np.bitwise_count(np.arange(size))
-    dividends[counts == 1] = rng.uniform(0.0, 1.0, size=int((counts == 1).sum()))
-    big = counts >= 2
-    dividends[big] = rng.uniform(0.2, 1.0, size=int(big.sum()))
+    counts = np.bitwise_count(np.arange(1 << n))
+    single, big = counts == 1, counts >= 2
+    dividends = np.zeros((len(rngs), 1 << n))
+    for row, rng in zip(dividends, rngs):
+        row[single] = rng.uniform(0.0, 1.0, size=n)
+        row[big] = rng.uniform(0.2, 1.0, size=int(big.sum()))
     vals = subset_sums(dividends, n)
     if normalized:
-        vals = vals / vals[-1]
-    vals[0] = 0.0
-    return SetFunction(n, vals)
+        vals = vals / vals[:, -1:]
+    vals[:, 0] = 0.0
+    return tuple(SetFunction(n, row) for row in vals)
 
 
 def subset_sums(weights: np.ndarray, n: int) -> np.ndarray:
-    """Zeta transform: out[C] = sum of weights[T] over T subseteq C."""
+    """Zeta transform: out[C] = sum of weights[T] over T subseteq C.
+
+    ``weights`` may be a stack (..., 2^n), each row transformed on its own.
+    """
     out = np.asarray(weights, dtype=float).copy()
     for i in range(n):
-        half = out.reshape(-1, 2, 1 << i)  # [:, 1] are the coalitions holding player i
+        # blocks of 2^(i+1) values never straddle two rows of a stack;
+        # [:, 1] are the coalitions holding player i
+        half = out.reshape(-1, 2, 1 << i)
         half[:, 1] += half[:, 0]
     return out
 

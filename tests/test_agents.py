@@ -217,15 +217,9 @@ class TestEquilibriumStationarity:
 
 
 class TestEnvironmentModel:
-    @pytest.mark.parametrize(
-        "kw, message",
-        [
-            ({"dim": 0}, "needs dimension >= 1"),
-        ],
-    )
-    def test_rejects_empty_states_and_nonpositive_priors(self, kw, message):
-        with pytest.raises(SetFunctionError, match=message):
-            EnvironmentModel(**{"dim": 2, "learners": 1, **kw})
+    def test_rejects_empty_states(self):
+        with pytest.raises(SetFunctionError, match="needs dimension >= 1"):
+            EnvironmentModel(dim=0, learners=1)
 
     def test_untrained_model_predicts_zero(self):
         model = EnvironmentModel(3, 2)

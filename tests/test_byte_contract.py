@@ -37,6 +37,26 @@ RATIONAL_GAME = {
     "influence": "random_primitive",
     "initial_opinions": "random_supermodular",
 }
+# n = 6, all R-learning: the document the trace benchmark simulates
+TRACE = {
+    "kind": "simulate",
+    "n": 6,
+    "theta": 0.1,
+    "horizon": 100,
+    "seed": 1,
+    "influence": "random_primitive",
+    "initial_opinions": "random_supermodular",
+    "players": [
+        {
+            "kind": "rlearning",
+            "risk_aversion": 1000.0,
+            "exploit_prob": 0.5,
+            "explore_std": 1e-4,
+            "explore_decay": 0.99,
+        }
+    ]
+    * 6,
+}
 RATIONAL = {
     "efficiency": {"kind": "efficiency", "p_o": 1.0, **RATIONAL_GAME},
     "po-sweep": {"kind": "po-sweep", "po_values": [0.1, 1.0, 10.0, 100.0], **RATIONAL_GAME},
@@ -62,6 +82,11 @@ CASES = {  # command, shipped scenario or scenario document, sha256 of --out und
         "exp-po-sweep",
         "po_sweep_demo.json",
         "ac0296ccd26a99efbf4b1a30735cf3e1db6d53254ec4d27a1d194c2de95338e2",
+    ),
+    "simulate trace n=6": (
+        "simulate",
+        TRACE,
+        "66a8d871ce4a338a46c3ddc7a3d156b4515014b331f30e9aed42daecf86fbf67",
     ),
     "exp-efficiency n=9": (
         "exp-efficiency",

@@ -252,6 +252,63 @@ class TestRunSimulation:
             run_simulation(scenario)
         assert len(steps) == 1
 
+    def test_a_finite_step_whose_change_overflows_runs_on(self):
+        # v_next stays finite while v_next - v overflows to -inf on coalition
+        # {0}: the residual is inf, the second pass finds v_next finite, and
+        # the run takes its whole horizon without a warning
+        opinions = (
+            SetFunction.from_restricted(2, [1.7e308, 0.0], 1.0),
+            SetFunction.from_restricted(2, [-1.7e308, 0.0], 1.0),
+        )
+        scenario = base_scenario(
+            influence=[[0.01, 0.99], [0.99, 0.01]],
+            theta=0.9,
+            horizon=5,
+            initial_opinions=opinions,
+        )
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            trace = run_simulation(scenario)
+        assert trace.steps == 5 and trace.converged_at is None
+        assert np.isfinite(trace.opinions).all()
+        with np.errstate(over="ignore"):  # the reference's residual overflows too
+            assert np.isinf(trace.opinions[1, 0, 0] - trace.opinions[0, 0, 0])
+            self._matches_reference(scenario)
+
+    def test_lies_kept_once_are_priced_once_across_derivation_blocks(self, monkeypatch):
+        # the control lineup drifts on, so the run takes its whole horizon,
+        # many derivation blocks long
+        n = 5
+        scenario = mixed_scenario(n, 2, horizon=40)
+        scenario = dataclasses.replace(scenario, players=nash_players(n, np.ones(n), 1.0))
+        per_step = 8 * n * 30  # bytes of one (n, m) profile at n = 5
+        monkeypatch.setattr(harness, "GATHER_CHUNK_BYTES", 4 * per_step - 1)
+        priced = []
+
+        def spy(deviations, t):
+            priced.append(len(deviations))
+            return deviation_disutility(deviations, t)
+
+        monkeypatch.setattr(harness, "deviation_disutility", spy)
+        trace = self._matches_reference(scenario)
+        assert trace.steps == 40 and trace.converged_at is None
+        assert -(-(trace.steps + 1) // 3) > 10  # blocks of 3 steps
+        assert priced == [1]  # the reference prices its own steps, unseen by the spy
+
+    @pytest.mark.parametrize("kind, built", [("nash", 0), ("truthful", 0), ("rlearning", 1)])
+    def test_the_dynamics_generator_is_built_only_for_learners(self, monkeypatch, kind, built):
+        calls = []
+        default_rng = np.random.default_rng
+
+        def counted(*args):
+            calls.append(args)
+            return default_rng(*args)
+
+        scenario = base_scenario(horizon=5, players=(PlayerParams(1.0, kind),) * 2)
+        monkeypatch.setattr(np.random, "default_rng", counted)
+        run_simulation(scenario)
+        assert calls == [(scenario.seed,)] * built
+
     def test_derivation_blocks_read_the_chunk_size_at_call_time(self, monkeypatch):
         scenario = mixed_scenario(5, 2, horizon=40)
         per_step = 8 * 5 * 30  # bytes of one (n, m) profile at n = 5

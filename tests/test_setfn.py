@@ -19,6 +19,7 @@ from consensusgame.setfn import (
     num_restricted,
     parse_setfn,
     random_supermodular,
+    random_supermodular_profile,
     round_candidates,
     sample_opinion_streams,
     subset_sums,
@@ -235,6 +236,7 @@ def index_array_subset_sums(weights: np.ndarray, n: int) -> np.ndarray:
 @pytest.mark.parametrize("n", range(1, 13))
 def test_subset_sums_have_the_bits_of_the_index_array_form(n):
     rng = np.random.default_rng([43, n])
+    rows = []
     for _ in range(5):
         weights = rng.choice([-1.0, 1.0], size=1 << n) * 10.0 ** rng.uniform(-8, 8, size=1 << n)
         zeros = rng.random(1 << n) < 0.1
@@ -242,6 +244,32 @@ def test_subset_sums_have_the_bits_of_the_index_array_form(n):
         want = index_array_subset_sums(weights, n)
         got = subset_sums(weights, n)
         assert got.tobytes() == want.tobytes()
+        rows.append((weights, want))
+    # a stack transforms each row on its own
+    stack, want = map(np.array, zip(*rows))
+    assert subset_sums(stack.reshape(5, 1, -1), n).tobytes() == want.tobytes()
+
+
+def one_player_supermodular(n: int, rng: np.random.Generator) -> np.ndarray:
+    """Reference: one player's dividends and their zeta transform, alone."""
+    counts = np.bitwise_count(np.arange(1 << n))
+    dividends = np.zeros(1 << n)
+    dividends[counts == 1] = rng.uniform(0.0, 1.0, size=n)
+    dividends[counts >= 2] = rng.uniform(0.2, 1.0, size=int((counts >= 2).sum()))
+    vals = index_array_subset_sums(dividends, n)
+    vals = vals / vals[-1]
+    vals[0] = 0.0
+    return vals
+
+
+@pytest.mark.parametrize("n", range(1, 13))
+def test_supermodular_profile_has_the_bits_of_one_player_at_a_time(n):
+    profile = random_supermodular_profile(n, keyed_generators((5, 2), range(n)))
+    alone = [random_supermodular(n, rng) for rng in keyed_generators((5, 2), range(n))]
+    reference = [one_player_supermodular(n, rng) for rng in keyed_generators((5, 2), range(n))]
+    assert len(profile) == n
+    for f, g, want in zip(profile, alone, reference):
+        assert f.values.tobytes() == g.values.tobytes() == want.tobytes()
 
 
 class TestWeightedAverage:

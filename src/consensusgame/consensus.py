@@ -100,9 +100,12 @@ def _check_stochastic(w) -> np.ndarray:
 class InfluenceMatrix:
     """Row-stochastic trust matrix with derived stationary weights."""
 
-    n: int
     w: np.ndarray
     t: np.ndarray
+
+    @property
+    def n(self) -> int:
+        return len(self.w)
 
     @staticmethod
     def from_matrix(w) -> "InfluenceMatrix":
@@ -110,7 +113,7 @@ class InfluenceMatrix:
         t = influence_weights(w)
         w.setflags(write=False)
         t.setflags(write=False)
-        return InfluenceMatrix(w.shape[0], w, t)
+        return InfluenceMatrix(w, t)
 
 
 def strategic_update(

@@ -140,10 +140,7 @@ def bayesian_core_verdicts(
     if stacks.ndim != 3 or stacks.shape[2] != 1 << stacks.shape[1]:
         raise SetFunctionError(f"expected a (T, n, 2^n) stack of profiles, got shape {stacks.shape}")
     n = stacks.shape[1]
-    # the bound functions: coalition bounds, the budget as grand value
-    values = stacks.max(axis=1)
-    values[:, 0] = 0.0
-    values[:, -1] = stacks[:, :, -1].min(axis=1)
+    values = _bound_functions(stacks)
     witnesses = shapley_payoffs(values, n)
     empty = np.zeros(len(stacks), dtype=bool)
     for t in np.flatnonzero(~_covers(values, witnesses, tol)).tolist():
@@ -151,6 +148,14 @@ def bayesian_core_verdicts(
         empty[t] = witness is None
         witnesses[t] = np.nan if witness is None else witness
     return empty, witnesses
+
+
+def _bound_functions(stacks: np.ndarray) -> np.ndarray:
+    """(T, n, 2^n) profiles' (T, 2^n) coalition bounds, the smallest grand value as budget."""
+    values = stacks.max(axis=1)
+    values[:, 0] = 0.0
+    values[:, -1] = stacks[:, :, -1].min(axis=1)
+    return values
 
 
 def _covers(values: np.ndarray, allocations: np.ndarray, tol: float) -> np.ndarray:
@@ -210,8 +215,5 @@ def bayesian_core_contains(opinions: list[SetFunction], g, tol: float = DEFAULT_
     the verdicts' coverage rule, members added in player order, against each
     coalition's largest value and the smallest grand value."""
     g = _allocation(g, _player_count(opinions))
-    values = opinions[0].values.copy()
-    for f in opinions[1:]:
-        np.maximum(values, f.values, out=values)
-    values[-1] = min(f.grand_value for f in opinions)
-    return bool(_covers(values[None], g[None], tol)[0])
+    values = _bound_functions(np.array([[f.values for f in opinions]]))
+    return bool(_covers(values, g[None], tol)[0])

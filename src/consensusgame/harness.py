@@ -106,76 +106,79 @@ class SimulationTrace:
     """Time-indexed record of one strategic-dynamics run.
 
     Opinions cover steps 0..K; actions (lies, rewards, disutility) cover
-    steps 0..K-1; the revealed x = v + u is derived.  All payoff vectors are
+    steps 0..K-1; the arrays are the whole record, so n, m, K and convergence
+    are read off them, as is the revealed x = v + u.  All payoff vectors are
     restricted m-vectors; opinions are normalized so the grand value is implicit.
     """
 
-    n: int
-    steps: int
     opinions: np.ndarray  # (steps+1, n, m)
     deviations: np.ndarray  # (steps, n, m)
     average: np.ndarray  # (steps+1, m)
     shapley: np.ndarray  # (steps+1, n)
     rewards: np.ndarray  # (steps, n)
     disutility: np.ndarray  # (steps,)
-    converged_at: int | None = None
+
+    @property
+    def n(self) -> int:
+        return self.opinions.shape[1]
 
     @property
     def m(self) -> int:
-        return num_restricted(self.n)
+        return self.opinions.shape[2]
+
+    @property
+    def steps(self) -> int:
+        return len(self.opinions) - 1
+
+    @property
+    def converged_at(self) -> int | None:
+        """K when step K changed every opinion entry by less than
+        CONVERGENCE_TOL, the rule that stops a run; else None."""
+        with np.errstate(over="ignore"):  # a change beyond the float range is no convergence
+            change = np.abs(np.diff(self.opinions[-2:], axis=0))
+        return self.steps if self.steps and change.max() < CONVERGENCE_TOL else None
 
     @property
     def revealed(self) -> np.ndarray:  # (steps, n, m)
         return self.opinions[: len(self.deviations)] + self.deviations
 
     @staticmethod
-    def empty(n: int, steps: int = -1, lies: np.ndarray | None = None) -> "SimulationTrace":
+    def empty(n: int, steps: int, lies: np.ndarray | None = None) -> "SimulationTrace":
         """Trace of ``steps`` steps whose arrays are allocated, not filled in
         (run_simulation's loop fills the opinions and lies step by step, and
         its derivation pass the rest, so rows a converged run never reaches
-        cost nothing); the default -1 has no snapshots and emits a
-        header-only CSV.  Constant ``lies``, one (n, m) profile, are kept once.
+        cost nothing).  Constant ``lies``, one (n, m) profile, are kept once.
 
         The one place that knows the stored arrays' shapes: a trace whose
         float64 arrays, lies counted per step, would not fit in physical
         memory is refused as the horizon asking for it, before anything is allocated.
         """
         m = num_restricted(n)
-        acted = max(steps, 0)
         shapes = {
             "opinions": (steps + 1, n, m),
-            "deviations": (acted, n, m),
+            "deviations": (steps, n, m),
             "average": (steps + 1, m),
             "shapley": (steps + 1, n),
-            "rewards": (acted, n),
-            "disutility": (acted,),
+            "rewards": (steps, n),
+            "disutility": (steps,),
         }
         nbytes = 8 * sum(math.prod(shape) for shape in shapes.values())
         check_fits_in_memory(
             nbytes, f"horizon: the trace arrays of {steps} steps at n={n}", ScenarioError
         )
-        arrays = {} if lies is None else {"deviations": np.broadcast_to(lies, (acted, n, m))}
+        arrays = {} if lies is None else {"deviations": np.broadcast_to(lies, (steps, n, m))}
         arrays.update((k, np.empty(shape)) for k, shape in shapes.items() if k not in arrays)
-        return SimulationTrace(n=n, steps=steps, **arrays)
+        return SimulationTrace(**arrays)
 
     def cut(self, steps: int) -> "SimulationTrace":
         """The trace of its first ``steps`` steps, as views of its arrays."""
         drop = self.steps - steps  # every array has steps or steps + 1 rows
-        arrays = {
-            k: a[: len(a) - drop] for k, a in vars(self).items() if isinstance(a, np.ndarray)
-        }
-        return replace(self, steps=steps, **arrays)
+        return SimulationTrace(**{k: a[: len(a) - drop] for k, a in vars(self).items()})
 
     def cumulative_disutility(self) -> np.ndarray:
-        out = np.zeros(max(self.steps + 1, 0))
+        out = np.zeros(self.steps + 1)
         np.cumsum(self.disutility, out=out[1:])
         return out
-
-    def final_opinions(self) -> tuple[SetFunction, ...]:
-        return tuple(
-            SetFunction.from_restricted(self.n, row, grand=1.0)
-            for row in self.opinions[-1]
-        )
 
 
 def run_simulation(scenario: Scenario) -> SimulationTrace:
@@ -259,7 +262,7 @@ def _recur(scenario: Scenario, form: ShapleyLinearForm) -> SimulationTrace:
                 model.update(state, [y - y_hat for y, y_hat in zip(targets, predictions)])
                 state = t @ x
             if residual < CONVERGENCE_TOL:
-                return replace(trace.cut(k + 1), converged_at=k + 1)
+                return trace.cut(k + 1)
             v = v_next
     return trace
 
@@ -451,7 +454,8 @@ def experiment_po_sweep(scenario: Scenario, tol: float = DEFAULT_TOL) -> list[di
     for p_o in scenario.po_values:
         trace = run_simulation(replace(scenario, players=nash_players(scenario.n, t, p_o)))
         spread = float(np.max(np.abs(trace.opinions[-1] - trace.average[-1])))
-        empty, _ = bayesian_core_is_empty(list(trace.final_opinions()), tol=tol)
+        limits = [SetFunction.from_restricted(scenario.n, v, grand=1.0) for v in trace.opinions[-1]]
+        empty, _ = bayesian_core_is_empty(limits, tol=tol)
         rows.append(
             {
                 "p_o": p_o,
@@ -590,9 +594,8 @@ def parse_trace(text: str) -> SimulationTrace:
     step count and every row's leading cells.  Anything dump_trace would not
     have written is rejected with a ScenarioError naming the line, or the
     row that is missing; that includes an x other than v + u and a
-    cumulative disutility other than the running sum of the disutility.
-    The CSV does not record convergence, so the trace read back always has
-    ``converged_at`` None.
+    cumulative disutility other than the running sum of the disutility, and
+    a header with no rows, as step 0's are missing.
     """
     lines = text.splitlines()
     if not lines:
@@ -605,11 +608,9 @@ def parse_trace(text: str) -> SimulationTrace:
     if m == 0 or m != num_restricted(n) or header != trace_header(n, m).split(","):
         raise ScenarioError("unrecognized trace header")
     body = lines[1:]
-    if not body:
-        return SimulationTrace.empty(n)
     nm, width = n * m, len(header) - 7  # width: the aggregate columns
     count, per = len(body), nm + 1  # rows in the file, rows per step
-    steps = -(-count // per) - 1
+    steps = max(count - 1, 0) // per  # the last step begun; step 0 when there is none
     keys = [key for step in _row_keys(n, m, steps) for key in step]
     placed = list(map(str.startswith, body, keys))
     if not all(placed):
@@ -655,8 +656,6 @@ def parse_trace(text: str) -> SimulationTrace:
     opinions = _numbers(v, op_lines, ["v"]).reshape(-1, n, m)
     revealed = _numbers(x[:-nm], op_lines, ["x"])
     trace = SimulationTrace(
-        n=n,
-        steps=steps,
         opinions=opinions,
         deviations=_numbers(u[:-nm], op_lines, ["u"]).reshape(-1, n, m),
         average=states[:, :m],
@@ -693,6 +692,8 @@ def load_scenario(path, seed: int | None = None) -> Scenario:
         raise ScenarioError(
             f"{path}: invalid JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}"
         ) from exc
+    except RecursionError:  # the decoder recurses once per level of nesting
+        raise ScenarioError(f"{path}: JSON nested too deeply to read") from None
     except OSError as exc:
         raise ScenarioError(f"cannot read scenario {path}: {exc}") from exc
     if seed is not None and isinstance(raw, dict):
@@ -723,15 +724,15 @@ def _scalar(key: str, kind: type, value):
 
 
 def _array(key: str, value, shape: tuple) -> np.ndarray:
-    """Nested lists of JSON numbers; true/false and strings are not numbers."""
-
-    def numeric(v) -> bool:
-        if isinstance(v, list):
-            return all(map(numeric, v))
-        return isinstance(v, (int, float)) and not isinstance(v, bool)
-
-    if not numeric(value):
-        _fail(key, "numeric array required (JSON numbers only)")
+    """Nested lists of JSON numbers; true/false and strings are not numbers.
+    The lists are read level by level, no deeper than ``shape`` reaches."""
+    level = [value]
+    for _ in range(len(shape) + 1):
+        if any(isinstance(v, bool) or not isinstance(v, (list, int, float)) for v in level):
+            _fail(key, "numeric array required (JSON numbers only)")
+        level = [item for v in level if isinstance(v, list) for item in v]
+    if level:
+        _fail(key, f"expected shape {shape}, got lists nested more than {len(shape)} deep")
     try:
         arr = np.asarray(value, dtype=float)
     except (ValueError, OverflowError):  # ragged, or an integer beyond float range

@@ -61,14 +61,13 @@ def shapley_value(f: SetFunction) -> Allocation:
 class ShapleyLinearForm:
     """Affine representation of Shapley payoffs on normalized functions.
 
-    ``payoff_i(f) = offset + rows[i] . restricted(f)`` whenever f is
+    ``payoff_i(f) = 1/n + rows[i] . restricted(f)`` whenever f is
     normalized.  Rows sum to the zero vector.  Rows given as a read-only
     array that owns its data are kept as they are; any others are copied.
     """
 
     n: int
     rows: np.ndarray  # (n, m)
-    offset: float
 
     def __post_init__(self):
         rows = np.asarray(self.rows, dtype=float)
@@ -80,6 +79,10 @@ class ShapleyLinearForm:
             rows = rows.copy()
             rows.setflags(write=False)
         object.__setattr__(self, "rows", rows)
+
+    @property
+    def offset(self) -> float:  # an equal share of the grand value 1
+        return 1.0 / self.n
 
     def apply(self, f: SetFunction) -> Allocation:
         if f.n != self.n:
@@ -116,4 +119,4 @@ def shapley_linear_form(n: int) -> ShapleyLinearForm:
     rows += w[n - 1]
     rows -= w[n - 1]
     rows.setflags(write=False)  # the form keeps these rows, no copy
-    return ShapleyLinearForm(n, rows, 1.0 / n)
+    return ShapleyLinearForm(n, rows)

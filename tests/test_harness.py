@@ -203,8 +203,11 @@ class TestRunSimulation:
         trace = self._matches_reference(dataclasses.replace(scenario, players=players))
         assert trace.converged_at is not None
 
-    def test_convergence_cut_of_the_base_game_matches_per_player_reference(self):
-        assert self._matches_reference(base_scenario(horizon=3000)).converged_at is not None
+    @pytest.mark.parametrize("horizon, converged_at", [(3000, 168), (168, 168), (167, None)])
+    def test_convergence_cut_of_the_base_game_matches_per_player_reference(self, horizon, converged_at):
+        # the base game stops at step 168 when its horizon allows
+        trace = self._matches_reference(base_scenario(horizon=horizon))
+        assert (trace.steps, trace.converged_at) == (min(horizon, 168), converged_at)
 
     def test_control_run_across_derivation_blocks_matches_per_player_reference(self):
         # equal risk aversion under unequal influence: the average drifts on,
@@ -328,8 +331,8 @@ class TestRunSimulation:
     @staticmethod
     def _matches_reference(scenario):
         trace = run_simulation(scenario)
-        reference, revealed = reference_simulation(scenario)
-        assert (trace.steps, trace.converged_at) == (reference.steps, reference.converged_at)
+        reference, revealed, converged_at = reference_simulation(scenario)
+        assert (trace.steps, trace.converged_at) == (reference.steps, converged_at)
         for name in TRACE_ARRAYS:
             want = revealed if name == "revealed" else getattr(reference, name)
             assert np.array_equal(getattr(trace, name), want), name
@@ -391,7 +394,8 @@ def reference_simulation(scenario: Scenario):
     by zero and a Nash player by `nash_deviation`, every learner keeps a
     private one-learner opponent model and acts through `respond`, and every
     reward comes from a one-player `step_reward`.  Returns the trace and,
-    apart, the revealed opinions x = v + u each step formed."""
+    apart, the revealed opinions x = v + u each step formed and the step
+    the loop stopped at on convergence (None when it ran to the horizon)."""
     n = scenario.n
     theta = scenario.theta
     influence = InfluenceMatrix.from_matrix(scenario.influence.w)  # solved apart from the run
@@ -452,17 +456,14 @@ def reference_simulation(scenario: Scenario):
     arrays = {name: np.array(rows, dtype=float) for name, rows in out.items()}
     steps = len(out["disutility"])
     trace = SimulationTrace(
-        n=n,
-        steps=steps,
         opinions=arrays["opinions"],
         deviations=arrays["deviations"].reshape(steps, n, m),
         average=arrays["average"],
         shapley=arrays["shapley"],
         rewards=arrays["rewards"].reshape(steps, n),
         disutility=arrays["disutility"],
-        converged_at=converged_at,
     )
-    return trace, arrays["revealed"].reshape(steps, n, m)
+    return trace, arrays["revealed"].reshape(steps, n, m), converged_at
 
 
 def reference_dump(trace: SimulationTrace) -> str:
@@ -507,7 +508,9 @@ def _oracle_traces():
                 mixed_scenario(n, seed, h)
             )
     yield "horizon-0", lambda: run_simulation(mixed_scenario(3, 1, 0))
-    yield "header-only", lambda: SimulationTrace.empty(2)
+    # the base game converges at step 168: cut there, run to it, and one short
+    for horizon in (3000, 168, 167):
+        yield f"base-h{horizon}", lambda h=horizon: run_simulation(base_scenario(horizon=h))
     for name in ("two_player_learning_gamma05", "two_player_learning_gamma08"):
         yield name, lambda name=name: run_simulation(load_scenario(SCENARIOS / f"{name}.json"))
 
@@ -616,7 +619,8 @@ class TestTraceRoundTrip:
         cli._write(argparse.Namespace(out=str(tmp_path / "trace.csv")), trace_chunks(trace))
         assert (tmp_path / "trace.csv").read_bytes() == expected.encode()
         again = parse_trace(expected)
-        assert (again.n, again.steps) == (trace.n, trace.steps)
+        derived = ("n", "steps", "converged_at")
+        assert [getattr(again, a) for a in derived] == [getattr(trace, a) for a in derived]
         for array in TRACE_ARRAYS:
             assert np.array_equal(getattr(again, array), getattr(trace, array)), array
 
@@ -669,11 +673,14 @@ class TestTraceRoundTrip:
         k, n, m = trace.steps, trace.n, trace.m
         assert len(lines) == 1 + (k + 1) * n * m + (k + 1)
 
-    def test_header_only_for_empty_trace(self):
-        empty = SimulationTrace.empty(2)
-        assert dump_trace(empty).strip() == trace_header(2, 2)
-        again = parse_trace(dump_trace(empty))
-        assert again.opinions.shape == (0, 2, 2)
+    def test_header_only_file_is_refused(self):
+        # every run writes step 0's rows, so a file without them is no trace
+        with pytest.raises(ScenarioError, match=r"^trace: no opinion row for k=0, player=0, entry=0$"):
+            parse_trace(trace_header(2, 2) + "\n")
+
+    def test_the_arrays_are_the_only_fields(self):
+        fields = [f.name for f in dataclasses.fields(SimulationTrace)]
+        assert fields == ["opinions", "deviations", "average", "shapley", "rewards", "disutility"]
 
     def test_zero_horizon_trace_still_carries_the_initial_state(self):
         trace = run_simulation(base_scenario(horizon=0))
@@ -1210,6 +1217,16 @@ class TestCli:
         trace = parse_trace(out.read_text())
         assert trace.n == 2 and trace.steps >= 1
 
+    @pytest.mark.parametrize("horizon", [30, 3000])
+    def test_simulate_summary_convergence_matches_the_trace_read_back(self, tmp_path, capsys, horizon):
+        scenario = self._scenario_file(tmp_path, horizon=horizon)
+        out = tmp_path / "trace.csv"
+        assert cli_main(["--json-summary", "--out", str(out), "simulate", str(scenario)]) == 0
+        summary = json.loads(capsys.readouterr().out)
+        trace = read_trace(out)
+        assert (summary["steps"], summary["converged_at"]) == (trace.steps, trace.converged_at)
+        assert (trace.converged_at is None) == (horizon == 30)
+
     def test_simulate_reruns_byte_identical(self, tmp_path):
         scenario = self._scenario_file(tmp_path)
         out1, out2 = tmp_path / "a.csv", tmp_path / "b.csv"
@@ -1379,6 +1396,24 @@ class TestCli:
         captured = capsys.readouterr()
         assert "sigma:" in captured.err and "Traceback" not in captured.err
         assert "NaN" not in captured.out
+
+    def test_influence_nested_past_its_shape_exits_two_naming_the_key(self, tmp_path, capsys):
+        nested = 0.5
+        for _ in range(500):
+            nested = [nested]
+        scenario = self._scenario_file(tmp_path, influence=nested)
+        assert cli_main(["simulate", str(scenario)]) == 2
+        err = capsys.readouterr().err
+        assert err == (
+            f"error: {scenario}: influence: expected shape (2, 2), "
+            "got lists nested more than 2 deep\n"
+        )
+
+    def test_json_nested_past_the_decoder_exits_two_naming_the_file(self, tmp_path, capsys):
+        path = tmp_path / "deep.json"
+        path.write_text("[" * 100_000)
+        assert cli_main(["simulate", str(path)]) == 2
+        assert capsys.readouterr().err == f"error: {path}: JSON nested too deeply to read\n"
 
     def test_bad_scenario_exits_two(self, tmp_path, capsys):
         path = tmp_path / "bad.json"

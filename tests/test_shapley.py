@@ -217,17 +217,17 @@ class TestLinearForm:
 
     def test_rows_must_be_one_per_player_and_proper_coalition(self):
         with pytest.raises(SetFunctionError, match=r"^expected rows of shape \(2, 2\)$"):
-            ShapleyLinearForm(2, np.zeros((2, 3)), 0.5)
+            ShapleyLinearForm(2, np.zeros((2, 3)))
 
     def test_rows_a_caller_can_write_are_copied(self):
         rows = shapley_linear_form(3).rows
-        assert ShapleyLinearForm(3, rows, 1 / 3).rows is rows
+        assert ShapleyLinearForm(3, rows).rows is rows
         writable = rows.copy()
-        form = ShapleyLinearForm(3, writable, 1 / 3)
+        form = ShapleyLinearForm(3, writable)
         assert form.rows is not writable and not form.rows.flags.writeable
         view = writable[:]
         view.setflags(write=False)
-        assert ShapleyLinearForm(3, view, 1 / 3).rows.base is None
+        assert ShapleyLinearForm(3, view).rows.base is None
 
     def test_building_the_form_at_sixteen_players_keeps_one_copy_of_the_rows(self):
         membership_matrix(16)  # cached once per n, and read here

@@ -40,9 +40,9 @@ import numpy as np
 
 from .agents import (
     FLOAT_PARAMS,
-    EnvironmentModel,
     PlayerParams,
     nash_deviation,
+    opponent_model,
     respond,
     step_reward,
 )
@@ -230,8 +230,9 @@ def _recur(scenario: Scenario, form: ShapleyLinearForm) -> SimulationTrace:
             learners.append(i)
     trace = SimulationTrace.empty(n, scenario.horizon, None if learners else lies)
     if learners:
-        model = EnvironmentModel(m, len(learners))
+        model = opponent_model(m, len(learners), scenario.horizon)
         rng = np.random.default_rng(scenario.seed)
+        t_learners = t[learners, None]
 
     v = trace.opinions[0]
     v[:] = [f.values[1:-1] for f in scenario.initial_opinions]
@@ -256,10 +257,11 @@ def _recur(scenario: Scenario, form: ShapleyLinearForm) -> SimulationTrace:
             if not math.isfinite(residual) and not np.isfinite(v_next).all():
                 raise SetFunctionError("payoff values must be finite")
             if learners:
-                # each learner's target: its opponents' weighted mean lie
+                # each learner's error: its target, its opponents' weighted mean
+                # lie, less its prediction
                 mean_dev = t @ us
-                targets = [(mean_dev - t[i] * us[i]) / (1.0 - t[i]) for i in learners]
-                model.update(state, [y - y_hat for y, y_hat in zip(targets, predictions)])
+                targets = (mean_dev - t_learners * us[learners]) / (1.0 - t_learners)
+                model.update(state, targets - predictions)
                 state = t @ x
             if residual < CONVERGENCE_TOL:
                 return trace.cut(k + 1)

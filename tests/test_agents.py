@@ -6,6 +6,7 @@ import pytest
 from consensusgame.agents import (
     EnvironmentModel,
     PlayerParams,
+    SampleSpaceModel,
     nash_best_response,
     nash_deviation,
     respond,
@@ -299,6 +300,78 @@ class TestEnvironmentModel:
             assert np.array_equal(model.gain, lineup.gain)
             assert np.array_equal(model.coeffs[0], lineup.coeffs[j])
             assert model.residual_var[0] == lineup.residual_var[j]
+
+    def test_gain_depends_on_the_states_alone_in_sample_space(self):
+        # as above for the sample-space form: the gain vectors and their
+        # denominators agree bit for bit; each learner's prediction, one
+        # column block of a lineup-wide product, agrees within rounding
+        rng = np.random.default_rng(29)
+        dim, updates = 6, 200
+        lineup = SampleSpaceModel(dim, 3, updates)
+        private = [SampleSpaceModel(dim, 1, updates) for _ in range(3)]
+        for _ in range(updates):
+            s = rng.normal(size=dim)
+            targets = rng.normal(size=(3, dim))
+            predictions = lineup.predict(s)
+            for model, prediction in zip(private, predictions):
+                np.testing.assert_allclose(model.predict(s)[0], prediction, rtol=1e-12, atol=1e-15)
+            lineup.update(s, targets - predictions)
+            for model, target in zip(private, targets):
+                model.update(s, [target - model.predict(s)[0]])
+        for j, model in enumerate(private):
+            assert np.array_equal(model.gains, lineup.gains)
+            assert np.array_equal(model.denoms, lineup.denoms)
+            np.testing.assert_allclose(model.residual_var[0], lineup.residual_var[j], rtol=1e-12)
+
+
+class TestSampleSpaceModel:
+    def test_rejects_empty_states(self):
+        with pytest.raises(SetFunctionError, match="needs dimension >= 1"):
+            SampleSpaceModel(dim=0, learners=1, horizon=5)
+
+    def test_untrained_model_predicts_zero(self):
+        np.testing.assert_array_equal(SampleSpaceModel(3, 2, 5).predict(np.ones(3)), np.zeros((2, 3)))
+
+    def test_repeated_observation_converges_to_target(self):
+        model = SampleSpaceModel(2, 1, 200)
+        model.prior = np.array([1e4, 1e-3, 1e-3])  # a loose intercept prior
+        s = np.array([0.3, 0.7])
+        y = np.array([0.05, -0.02])
+        for _ in range(200):
+            model.update(s, y - model.predict(s))
+        np.testing.assert_allclose(model.predict(s)[0], y, atol=1e-6)
+
+    def test_agrees_with_the_dense_form_at_the_learn_scale(self):
+        # m = 254, 8 learners, 100 updates (the learn benchmark's shapes), each
+        # form fed its own errors against the same random states and targets
+        rng = np.random.default_rng(31)
+        dim, learners, updates = 254, 8, 100
+        dense = EnvironmentModel(dim, learners)
+        sample = SampleSpaceModel(dim, learners, updates)
+        for _ in range(updates):
+            s = rng.uniform(size=dim)
+            targets = rng.normal(0.0, 1e-3, size=(learners, dim))
+            want, got = dense.predict(s), sample.predict(s)
+            assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+            dense.update(s, targets - want)
+            sample.update(s, targets - got)
+        np.testing.assert_allclose(sample.residual_var, dense.residual_var, rtol=1e-12)
+        assert sample.observations == dense.observations == updates
+
+    def test_an_update_at_a_new_state_weighs_that_state(self):
+        # the weights a = (G phi) / c computed by a prediction serve an update
+        # at the same state only
+        rng = np.random.default_rng(37)
+        dim, learners = 5, 2
+        fresh, reused = (SampleSpaceModel(dim, learners, 4) for _ in range(2))
+        for _ in range(4):
+            s, other = rng.normal(size=(2, dim))
+            errors = rng.normal(size=(learners, dim))
+            reused.predict(other)
+            fresh.update(s, errors)
+            reused.update(s, errors)
+        assert np.array_equal(fresh.gains, reused.gains)
+        np.testing.assert_array_equal(fresh.predict(s), reused.predict(s))
 
 
 class TestRLearningAgent:

@@ -19,7 +19,9 @@ from consensusgame.agents import (
     FLOAT_PARAMS,
     EnvironmentModel,
     PlayerParams,
+    SampleSpaceModel,
     nash_deviation,
+    opponent_model,
     respond,
     step_reward,
 )
@@ -64,8 +66,11 @@ from consensusgame.setfn import (
     sample_opinion_streams,
 )
 from consensusgame.shapley import shapley_linear_form
+from test_byte_contract import TRACE
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
+# n = 8, all R-learning, horizon 100: the document the learn benchmark simulates
+LEARN = {**TRACE, "n": 8, "players": TRACE["players"][:1] * 8}
 README = Path(__file__).resolve().parent.parent / "README.md"
 
 DEMO_W = np.array([[0.3, 0.7], [0.4, 0.6]])
@@ -360,6 +365,40 @@ class TestRunSimulation:
         )
         assert len(calls) == trace.steps == 20
         assert len(set(calls)) == 1
+
+    @pytest.mark.parametrize(
+        "scenario",
+        [scenario_from_dict(LEARN), mixed_scenario(7, 1, horizon=60)],
+        ids=["learn", "mixed-n7-h60"],
+    )
+    def test_sample_space_runs_match_the_per_player_reference(self, scenario):
+        # 2 * horizon <= m: the lineup fits in sample space, the reference's
+        # private models in dense form, so the sums differ in order alone
+        assert isinstance(opponent_model(2**scenario.n - 2, 1, scenario.horizon), SampleSpaceModel)
+        trace = run_simulation(scenario)
+        reference, revealed, converged_at = reference_simulation(scenario)
+        assert (trace.steps, trace.converged_at) == (reference.steps, converged_at)
+        for name in TRACE_ARRAYS:
+            want = revealed if name == "revealed" else getattr(reference, name)
+            np.testing.assert_allclose(getattr(trace, name), want, rtol=0, atol=1e-12, err_msg=name)
+
+    def test_the_model_form_follows_horizon_against_m(self, monkeypatch):
+        forms = []
+
+        def spy(dim, learners, horizon):
+            model = opponent_model(dim, learners, horizon)
+            forms.append(type(model).__name__)
+            return model
+
+        monkeypatch.setattr(harness, "opponent_model", spy)
+        for name in ("two_player_learning_gamma05.json", "two_player_learning_gamma08.json"):
+            run_simulation(load_scenario(SCENARIOS / name))  # m = 2, horizon 500
+        run_simulation(scenario_from_dict(TRACE))  # m = 62, horizon 100
+        run_simulation(scenario_from_dict(LEARN))  # m = 254, horizon 100
+        run_simulation(scenario_from_dict({**LEARN, "horizon": 127}))
+        run_simulation(scenario_from_dict({**LEARN, "horizon": 128}))
+        dense, sample = "EnvironmentModel", "SampleSpaceModel"
+        assert forms == [dense, dense, dense, sample, sample, dense]
 
     def test_memory_refusal_reads_the_shared_physical_memory_figure(self, monkeypatch):
         scenario = load_scenario(SCENARIOS / "two_player_learning_gamma05.json")

@@ -18,22 +18,23 @@ The R-learner cannot assume rational opponents.  It fits an affine model
 of the opponents' mean deviation as a function of the broadcast mean
 revealed opinion (recursive least squares), plays the best response against
 the model's prediction with probability gamma, and otherwise explores with
-a zero-mean Gaussian perturbation (``respond``).  A lineup's learners share
-one model, since the gain depends on the states alone.  ``opponent_model``
-picks its form once per run: ``SampleSpaceModel``, O(k L m) at update k,
-when 2 * horizon <= m, else the dense ``EnvironmentModel``, O(L m^2) per
-step.  Timed on the model alone (one thread, 2-vCPU x86-64 VM), the
-sample-space form is faster up to horizon ~1000 at m = 62 (L = 6) and
-~2200 at m = 254 (L = 8).  The rule sits far lower because the forms round
-differently: it keeps every pinned output dense (the shipped learning
-scenarios, m = 2 at horizon 500; the byte-contract trace, m = 62 at horizon
-100).  No average-reward estimate is kept, since nothing read it.
+a zero-mean Gaussian perturbation (``respond``).  A lineup's L learners
+share one ``EnvironmentModel``, since the gain depends on the states alone.
+The model has one form, RLS in sample space, and update k costs O(k L m).
+Its buffers, H (m + 2) + L H m floats for horizon H, are allocated before
+step 1.  They are never larger than the trace's own opinion and lie blocks,
+so the memory refusal in ``SimulationTrace.empty`` bounds a run at about
+twice the figure it checks.  The cost grows with the horizon: at n = 6
+(m = 62, L = 6; one thread, 2-vCPU x86-64 VM) a run takes as long as with
+the dense O(L m^2)-per-step form this replaced at horizon 1000, 1.4-1.8
+times as long at 2000 and 2.4-3.9 times at 5000.  No average-reward estimate is kept, since
+nothing read it.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -159,75 +160,33 @@ def stage_cost(
 INTERCEPT_PRIOR, SLOPE_PRIOR = 1e-2, 1e-3  # the gain's initial diagonal: the ridge prior
 
 
-@dataclass
 class EnvironmentModel:
     """Affine opponent models of a lineup's learners, fitted by recursive
-    least squares.
+    least squares in sample space, for at most ``horizon`` updates.
 
     Each of the ``learners`` maps the broadcast state s (mean revealed
     opinion, an m-vector with m = ``dim``) to its opponents' mean
-    deviation.  Features are [1, s]; every coefficient matrix starts at
+    deviation.  Features are phi = [1, s]; every coefficient starts at
     zero, so the initial prediction is the zero map.
 
-    The gain matrix doubles as a ridge prior.  The slope prior must stay
-    tight: when every player fits every other player, any mutually
-    consistent slope assignment is self-reinforcing, so slopes are left to
-    earn their way out of zero from data rather than from early noise.
+    The diagonal ``prior`` P0 is the initial gain and doubles as a ridge
+    prior.  The slope prior must stay tight: when every player fits every
+    other player, any mutually consistent slope assignment is
+    self-reinforcing, so slopes are left to earn their way out of zero
+    from data rather than from early noise.
 
-    The gain update reads the features alone, never a coefficient or a
-    target, and every learner starts from the same prior and sees the same
-    states; so one gain serves the lineup, downdated once per update, and
-    each learner's coefficients move along its gain vector by that learner's
-    own prediction error.  This is the dense form; a run of at most m/2
-    steps uses ``SampleSpaceModel`` (see the module docstring).
-    """
-
-    dim: int
-    learners: int
-    coeffs: list[np.ndarray] = field(init=False)
-    gain: np.ndarray = field(init=False)
-    residual_var: np.ndarray = field(init=False)
-    observations: int = field(init=False, default=0)
-
-    def __post_init__(self):
-        if self.dim < 1:
-            raise SetFunctionError("environment model needs dimension >= 1")
-        # one matrix per learner: a stacked (learners, dim + 1, dim) update
-        # measured slower
-        self.coeffs = [np.zeros((self.dim + 1, self.dim)) for _ in range(self.learners)]
-        self.gain = np.diag(np.concatenate([[INTERCEPT_PRIOR], np.full(self.dim, SLOPE_PRIOR)]))
-        self.residual_var = np.zeros(self.learners)
-
-    def predict(self, state: np.ndarray) -> np.ndarray:
-        """Each learner's predicted opponent mean deviation at the state, one
-        row per learner."""
-        phi = np.concatenate([[1.0], state])
-        return np.array([coeffs.T @ phi for coeffs in self.coeffs])
-
-    def update(self, state: np.ndarray, errors) -> None:
-        """Learn from one state.  ``errors`` holds one error per learner, in
-        order: its target minus its prediction at the state before this
-        update."""
-        phi = np.concatenate([[1.0], state])
-        denom = 1.0 + phi @ self.gain @ phi
-        k = (self.gain @ phi) / denom
-        self.gain -= np.outer(k, phi @ self.gain)
-        self.observations += 1
-        for j, (coeffs, error) in enumerate(zip(self.coeffs, errors)):
-            coeffs += np.outer(k, error)
-            sq = float(error @ error)
-            self.residual_var[j] += (sq - self.residual_var[j]) / self.observations
-
-
-class SampleSpaceModel:
-    """``EnvironmentModel``'s fit in sample space, for at most ``horizon``
-    updates: the dual form of RLS, as in kernel RLS (Engel, Mannor & Meir
-    2004).  With g_s = P_{s-1} phi_s and c_s = 1 + phi_s . g_s, the gain is
-    P0 - sum_s g_s g_s^T / c_s and learner j's coefficients sum_s (g_s / c_s)
-    e_{j,s}^T.  So the model keeps the g_s, the c_s and the errors e, in
-    buffers allocated up front: a step takes a = (G phi) / c once, each
-    learner predicts a . E_j, and the next gain vector is P0 phi - G^T a.
-    Predictions and ``residual_var`` match the dense form's up to rounding.
+    The fit is the dual form of RLS, as in kernel RLS (Engel, Mannor &
+    Meir 2004).  With g_s = P_{s-1} phi_s and c_s = 1 + phi_s . g_s, the
+    gain after k updates is P0 - sum_s g_s g_s^T / c_s and learner j's
+    coefficients are sum_s (g_s / c_s) e_{j,s}^T.  The gain reads the
+    features alone, and every learner starts from the same prior and sees
+    the same states, so the lineup keeps one set of g_s and c_s and each
+    learner's errors e.  All three live in buffers allocated up front,
+    horizon * (m + 2) + learners * horizon * m floats.  A state phi is
+    weighed as a = (G phi) / c; every learner predicts a . E_j in one
+    stacked product, bit for bit what a private one-learner model gives,
+    and the next gain vector is P0 phi - G^T a.  So update k costs
+    O(k * learners * m).
     """
 
     def __init__(self, dim: int, learners: int, horizon: int):
@@ -236,47 +195,34 @@ class SampleSpaceModel:
         self.prior = np.concatenate([[INTERCEPT_PRIOR], np.full(dim, SLOPE_PRIOR)])
         self.gains = np.empty((horizon, dim + 1))
         self.denoms = np.empty(horizon)
-        self.errors = np.empty((horizon, learners, dim))  # one (k, L m) product per step
+        self.errors = np.empty((learners, horizon, dim))  # learner-major, for one stacked product
         self.residual_var = np.zeros(learners)
         self.observations = 0
-        self._phi = self._weights = None  # features of the last state predicted at
 
     def _weigh(self, state: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """phi = [1, state] and a = (G phi) / c, reused by an update at the
-        state last predicted at."""
+        """phi = [1, state] and its weights a = (G phi) / c."""
         phi = np.concatenate([[1.0], state])
-        if self._phi is None or not np.array_equal(phi, self._phi):
-            k = self.observations
-            self._phi, self._weights = phi, (self.gains[:k] @ phi) / self.denoms[:k]
-        return self._phi, self._weights
+        k = self.observations
+        return phi, (self.gains[:k] @ phi) / self.denoms[:k]
 
     def predict(self, state: np.ndarray) -> np.ndarray:
         """Each learner's predicted opponent mean deviation at the state, one
         row per learner."""
         _, a = self._weigh(state)
-        k, (learners, dim) = self.observations, self.errors.shape[1:]
-        return (a @ self.errors[:k].reshape(k, learners * dim)).reshape(learners, dim)
+        return np.matmul(a, self.errors[:, : self.observations])
 
     def update(self, state: np.ndarray, errors) -> None:
-        """Learn from one state, as ``EnvironmentModel.update``."""
+        """Learn from one state.  ``errors`` holds one error per learner, in
+        order: its target minus its prediction at the state before this
+        update."""
         phi, a = self._weigh(state)
         k = self.observations
         np.subtract(self.prior * phi, a @ self.gains[:k], out=self.gains[k])
         self.denoms[k] = 1.0 + phi @ self.gains[k]
-        self.errors[k] = errors
+        self.errors[:, k] = errors
         self.observations = k + 1
-        self._phi = None
-        sq = np.vecdot(self.errors[k], self.errors[k])
+        sq = np.vecdot(self.errors[:, k], self.errors[:, k])
         self.residual_var += (sq - self.residual_var) / self.observations
-
-
-def opponent_model(dim: int, learners: int, horizon: int) -> EnvironmentModel | SampleSpaceModel:
-    """The opponent model of a lineup's learners for a run of ``horizon``
-    steps: ``SampleSpaceModel`` when 2 * horizon <= dim, else the dense
-    ``EnvironmentModel`` (see the module docstring for the rule)."""
-    if 2 * horizon <= dim:
-        return SampleSpaceModel(dim, learners, horizon)
-    return EnvironmentModel(dim, learners)
 
 
 def respond(

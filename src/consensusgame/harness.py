@@ -40,9 +40,9 @@ import numpy as np
 
 from .agents import (
     FLOAT_PARAMS,
+    EnvironmentModel,
     PlayerParams,
     nash_deviation,
-    opponent_model,
     respond,
     step_reward,
 )
@@ -230,7 +230,7 @@ def _recur(scenario: Scenario, form: ShapleyLinearForm) -> SimulationTrace:
             learners.append(i)
     trace = SimulationTrace.empty(n, scenario.horizon, None if learners else lies)
     if learners:
-        model = opponent_model(m, len(learners), scenario.horizon)
+        model = EnvironmentModel(m, len(learners), scenario.horizon)
         rng = np.random.default_rng(scenario.seed)
         t_learners = t[learners, None]
 

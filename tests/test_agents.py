@@ -4,9 +4,10 @@ import numpy as np
 import pytest
 
 from consensusgame.agents import (
+    INTERCEPT_PRIOR,
+    SLOPE_PRIOR,
     EnvironmentModel,
     PlayerParams,
-    SampleSpaceModel,
     nash_best_response,
     nash_deviation,
     respond,
@@ -217,19 +218,44 @@ class TestEquilibriumStationarity:
                 assert abs(gradient) < 1e-6
 
 
+class DenseRLS:
+    """The oracle: the lineup's RLS fit in its textbook dense form, one
+    (m + 1)^2 gain matrix downdated once per update and one coefficient
+    matrix per learner, moved along the gain vector by its own error."""
+
+    def __init__(self, dim, learners):
+        self.gain = np.diag(np.concatenate([[INTERCEPT_PRIOR], np.full(dim, SLOPE_PRIOR)]))
+        self.coeffs = [np.zeros((dim + 1, dim)) for _ in range(learners)]
+        self.residual_var = np.zeros(learners)
+        self.observations = 0
+
+    def predict(self, state):
+        phi = np.concatenate([[1.0], state])
+        return np.array([coeffs.T @ phi for coeffs in self.coeffs])
+
+    def update(self, state, errors):
+        phi = np.concatenate([[1.0], state])
+        denom = 1.0 + phi @ self.gain @ phi
+        k = (self.gain @ phi) / denom
+        self.gain -= np.outer(k, phi @ self.gain)
+        self.observations += 1
+        for j, (coeffs, error) in enumerate(zip(self.coeffs, errors)):
+            coeffs += np.outer(k, error)
+            sq = float(error @ error)
+            self.residual_var[j] += (sq - self.residual_var[j]) / self.observations
+
+
 class TestEnvironmentModel:
     def test_rejects_empty_states(self):
         with pytest.raises(SetFunctionError, match="needs dimension >= 1"):
-            EnvironmentModel(dim=0, learners=1)
+            EnvironmentModel(dim=0, learners=1, horizon=5)
 
     def test_untrained_model_predicts_zero(self):
-        model = EnvironmentModel(3, 2)
-        for prediction in model.predict(np.array([0.2, -0.1, 0.4])):
-            np.testing.assert_array_equal(prediction, 0.0)
+        np.testing.assert_array_equal(EnvironmentModel(3, 2, 5).predict(np.ones(3)), np.zeros((2, 3)))
 
     def test_repeated_observation_converges_to_target(self):
-        model = EnvironmentModel(2, 1)
-        model.gain = np.diag([1e4, 1e-3, 1e-3])  # a loose intercept prior
+        model = EnvironmentModel(2, 1, 200)
+        model.prior = np.array([1e4, 1e-3, 1e-3])  # a loose intercept prior
         s = np.array([0.3, 0.7])
         y = np.array([0.05, -0.02])
         for _ in range(200):
@@ -243,8 +269,8 @@ class TestEnvironmentModel:
         dim = 3
         intercept = rng.normal(size=dim)
         slope = rng.normal(size=(dim, dim))
-        model = EnvironmentModel(dim, 1)
-        model.gain = np.diag(np.full(dim + 1, 1e8))
+        model = EnvironmentModel(dim, 1, dim + 1)
+        model.prior = np.full(dim + 1, 1e8)
         for _ in range(dim + 1):
             s = rng.normal(size=dim)
             model.update(s, [intercept + slope @ s - model.predict(s)[0]])
@@ -257,17 +283,17 @@ class TestEnvironmentModel:
         # design; the prediction error must still fall by an order of
         # magnitude once data swamps the prior
         rng = np.random.default_rng(19)
-        dim = 2
+        dim, updates = 2, 20000
         intercept = np.array([0.03, -0.01])
         slope = 0.1 * rng.normal(size=(dim, dim))
-        model = EnvironmentModel(dim, 1)
+        model = EnvironmentModel(dim, 1, updates)
         probe = rng.normal(size=dim)
 
         def error(s):
             return intercept + slope @ s - model.predict(s)[0]
 
         initial_err = float(np.max(np.abs(error(probe))))
-        for _ in range(20000):
+        for _ in range(updates):
             s = rng.normal(size=dim)
             model.update(s, [error(s)])
         final_err = float(np.max(np.abs(error(probe))))
@@ -275,7 +301,7 @@ class TestEnvironmentModel:
 
     def test_residual_variance_tracks_noise(self):
         rng = np.random.default_rng(23)
-        model = EnvironmentModel(1, 1)
+        model = EnvironmentModel(1, 1, 500)
         for _ in range(500):
             s = rng.normal(size=1)
             model.update(s, [rng.normal(0, 0.1, size=1) - model.predict(s)[0]])
@@ -283,71 +309,40 @@ class TestEnvironmentModel:
 
     def test_gain_depends_on_the_states_alone(self):
         # one lineup of 3 learners against 3 private one-learner models fed
-        # the same states and targets: the gain the lineup shares and every
-        # learner's coefficients agree bit for bit, whatever the targets
-        rng = np.random.default_rng(29)
-        dim = 6
-        lineup = EnvironmentModel(dim, 3)
-        private = [EnvironmentModel(dim, 1) for _ in range(3)]
-        for _ in range(200):
-            s = rng.normal(size=dim)
-            targets = rng.normal(size=(3, dim))
-            lineup.update(s, targets - np.array(lineup.predict(s)))
-            for model, target in zip(private, targets):
-                model.update(s, [target - model.predict(s)[0]])
-        assert not np.array_equal(lineup.coeffs[0], lineup.coeffs[1])
-        for j, model in enumerate(private):
-            assert np.array_equal(model.gain, lineup.gain)
-            assert np.array_equal(model.coeffs[0], lineup.coeffs[j])
-            assert model.residual_var[0] == lineup.residual_var[j]
-
-    def test_gain_depends_on_the_states_alone_in_sample_space(self):
-        # as above for the sample-space form: the gain vectors and their
-        # denominators agree bit for bit; each learner's prediction, one
-        # column block of a lineup-wide product, agrees within rounding
+        # the same states and targets: the gain vectors the lineup shares,
+        # their denominators and every learner's prediction and residual
+        # variance agree bit for bit, whatever the targets
         rng = np.random.default_rng(29)
         dim, updates = 6, 200
-        lineup = SampleSpaceModel(dim, 3, updates)
-        private = [SampleSpaceModel(dim, 1, updates) for _ in range(3)]
+        lineup = EnvironmentModel(dim, 3, updates)
+        private = [EnvironmentModel(dim, 1, updates) for _ in range(3)]
         for _ in range(updates):
             s = rng.normal(size=dim)
             targets = rng.normal(size=(3, dim))
             predictions = lineup.predict(s)
             for model, prediction in zip(private, predictions):
-                np.testing.assert_allclose(model.predict(s)[0], prediction, rtol=1e-12, atol=1e-15)
+                assert np.array_equal(model.predict(s)[0], prediction)
             lineup.update(s, targets - predictions)
             for model, target in zip(private, targets):
                 model.update(s, [target - model.predict(s)[0]])
+        assert not np.array_equal(predictions[0], predictions[1])
         for j, model in enumerate(private):
             assert np.array_equal(model.gains, lineup.gains)
             assert np.array_equal(model.denoms, lineup.denoms)
-            np.testing.assert_allclose(model.residual_var[0], lineup.residual_var[j], rtol=1e-12)
+            assert model.residual_var[0] == lineup.residual_var[j]
 
-
-class TestSampleSpaceModel:
-    def test_rejects_empty_states(self):
-        with pytest.raises(SetFunctionError, match="needs dimension >= 1"):
-            SampleSpaceModel(dim=0, learners=1, horizon=5)
-
-    def test_untrained_model_predicts_zero(self):
-        np.testing.assert_array_equal(SampleSpaceModel(3, 2, 5).predict(np.ones(3)), np.zeros((2, 3)))
-
-    def test_repeated_observation_converges_to_target(self):
-        model = SampleSpaceModel(2, 1, 200)
-        model.prior = np.array([1e4, 1e-3, 1e-3])  # a loose intercept prior
-        s = np.array([0.3, 0.7])
-        y = np.array([0.05, -0.02])
-        for _ in range(200):
-            model.update(s, y - model.predict(s))
-        np.testing.assert_allclose(model.predict(s)[0], y, atol=1e-6)
-
-    def test_agrees_with_the_dense_form_at_the_learn_scale(self):
-        # m = 254, 8 learners, 100 updates (the learn benchmark's shapes), each
-        # form fed its own errors against the same random states and targets
+    @pytest.mark.parametrize(
+        "dim, learners",
+        [(254, 8), (62, 6)],
+        ids=["learn", "trace"],
+    )
+    def test_agrees_with_the_dense_form_at_the_benchmark_shapes(self, dim, learners):
+        # 100 updates at the learn and trace benchmarks' shapes, each form
+        # fed its own errors against the same random states and targets
         rng = np.random.default_rng(31)
-        dim, learners, updates = 254, 8, 100
-        dense = EnvironmentModel(dim, learners)
-        sample = SampleSpaceModel(dim, learners, updates)
+        updates = 100
+        dense = DenseRLS(dim, learners)
+        sample = EnvironmentModel(dim, learners, updates)
         for _ in range(updates):
             s = rng.uniform(size=dim)
             targets = rng.normal(0.0, 1e-3, size=(learners, dim))
@@ -359,11 +354,10 @@ class TestSampleSpaceModel:
         assert sample.observations == dense.observations == updates
 
     def test_an_update_at_a_new_state_weighs_that_state(self):
-        # the weights a = (G phi) / c computed by a prediction serve an update
-        # at the same state only
+        # an update weighs its own state, whatever state was predicted at last
         rng = np.random.default_rng(37)
         dim, learners = 5, 2
-        fresh, reused = (SampleSpaceModel(dim, learners, 4) for _ in range(2))
+        fresh, reused = (EnvironmentModel(dim, learners, 4) for _ in range(2))
         for _ in range(4):
             s, other = rng.normal(size=(2, dim))
             errors = rng.normal(size=(learners, dim))
@@ -384,7 +378,7 @@ class TestRLearningAgent:
         return respond(D2[0], 0.1, 4.0 / 11.0, params, prediction, step, rng)
 
     def test_pure_exploitation_with_blank_model_is_unopposed_response(self):
-        model = EnvironmentModel(2, 1)
+        model = EnvironmentModel(2, 1, 1)
         state = np.array([0.4, 0.3])
         expected = nash_best_response(D2[0], 0.1, 0.4, 4.0 / 11.0, np.zeros(2))
         for step in range(5):
@@ -419,7 +413,7 @@ class TestRLearningAgent:
             np.testing.assert_array_equal(action, base + noise)
 
     def test_observation_feeds_opponent_model(self):
-        model = EnvironmentModel(2, 1)
+        model = EnvironmentModel(2, 1, 2000)
         state = np.array([0.4, 0.3])
         target = np.array([0.02, -0.01])
         for _ in range(2000):

@@ -10,6 +10,19 @@ OpenBLAS 0.3.31.  They hold on any x86-64 CPU with AVX2, whatever kernel it
 would pick itself; not on ARM, where the pin does not apply, nor with
 another numpy or BLAS build.  A mismatch there says the outputs differ from
 that build's, not that the code is wrong.
+
+To reproduce a recorded hash by hand, run the case's command under the pin
+from the repository root and hash its ``--out`` file:
+
+    OPENBLAS_CORETYPE=Haswell OPENBLAS_NUM_THREADS=1 PYTHONPATH=src \
+        python -m consensusgame.cli simulate scenarios/two_player_learning_gamma05.json --out out.csv
+    sha256sum out.csv
+
+A case whose scenario is a document below (``TRACE``, ``RATIONAL[...]``)
+first writes it out as JSON, then passes that file instead:
+
+    PYTHONPATH=src:tests python -c \
+        "import json, test_byte_contract as b; print(json.dumps(b.TRACE))" > trace.json
 """
 
 import hashlib
@@ -66,12 +79,12 @@ CASES = {  # command, shipped scenario or scenario document, sha256 of --out und
     "simulate gamma05": (
         "simulate",
         "two_player_learning_gamma05.json",
-        "000af42776a72c89436d89412145448a30475a6b484242bb218753d210512b0f",
+        "c75a567f1061d9427f9a5995f8fee676f02f4fdb472e3ff5fef675cf23a4b2f5",
     ),
     "simulate gamma08": (
         "simulate",
         "two_player_learning_gamma08.json",
-        "fdbfff5cb749c5a5fe4cf8964463be02cd243dfde15adbb7ee1b5d5f688c7679",
+        "6d46fc075c7be5255f4bdab55430db56a23505bf804b0e9ad81fd769cfe7cb8a",
     ),
     "exp-efficiency demo": (
         "exp-efficiency",
@@ -86,7 +99,7 @@ CASES = {  # command, shipped scenario or scenario document, sha256 of --out und
     "simulate trace n=6": (
         "simulate",
         TRACE,
-        "66a8d871ce4a338a46c3ddc7a3d156b4515014b331f30e9aed42daecf86fbf67",
+        "20b8468852fbd2fc155d91f08cabf0c46f66a15a032330ef11db055ad3595612",
     ),
     "exp-efficiency n=9": (
         "exp-efficiency",

@@ -19,9 +19,7 @@ from consensusgame.agents import (
     FLOAT_PARAMS,
     EnvironmentModel,
     PlayerParams,
-    SampleSpaceModel,
     nash_deviation,
-    opponent_model,
     respond,
     step_reward,
 )
@@ -371,34 +369,10 @@ class TestRunSimulation:
         [scenario_from_dict(LEARN), mixed_scenario(7, 1, horizon=60)],
         ids=["learn", "mixed-n7-h60"],
     )
-    def test_sample_space_runs_match_the_per_player_reference(self, scenario):
-        # 2 * horizon <= m: the lineup fits in sample space, the reference's
-        # private models in dense form, so the sums differ in order alone
-        assert isinstance(opponent_model(2**scenario.n - 2, 1, scenario.horizon), SampleSpaceModel)
-        trace = run_simulation(scenario)
-        reference, revealed, converged_at = reference_simulation(scenario)
-        assert (trace.steps, trace.converged_at) == (reference.steps, converged_at)
-        for name in TRACE_ARRAYS:
-            want = revealed if name == "revealed" else getattr(reference, name)
-            np.testing.assert_allclose(getattr(trace, name), want, rtol=0, atol=1e-12, err_msg=name)
-
-    def test_the_model_form_follows_horizon_against_m(self, monkeypatch):
-        forms = []
-
-        def spy(dim, learners, horizon):
-            model = opponent_model(dim, learners, horizon)
-            forms.append(type(model).__name__)
-            return model
-
-        monkeypatch.setattr(harness, "opponent_model", spy)
-        for name in ("two_player_learning_gamma05.json", "two_player_learning_gamma08.json"):
-            run_simulation(load_scenario(SCENARIOS / name))  # m = 2, horizon 500
-        run_simulation(scenario_from_dict(TRACE))  # m = 62, horizon 100
-        run_simulation(scenario_from_dict(LEARN))  # m = 254, horizon 100
-        run_simulation(scenario_from_dict({**LEARN, "horizon": 127}))
-        run_simulation(scenario_from_dict({**LEARN, "horizon": 128}))
-        dense, sample = "EnvironmentModel", "SampleSpaceModel"
-        assert forms == [dense, dense, dense, sample, sample, dense]
+    def test_wide_runs_match_the_per_player_reference(self, scenario):
+        # the learn benchmark's input (n = 8, m = 254) and a mixed lineup at
+        # n = 7 (m = 126): wider states than the n = 2..6 runs above
+        self._matches_reference(scenario)
 
     def test_memory_refusal_reads_the_shared_physical_memory_figure(self, monkeypatch):
         scenario = load_scenario(SCENARIOS / "two_player_learning_gamma05.json")
@@ -442,7 +416,7 @@ def reference_simulation(scenario: Scenario):
     form = shapley_linear_form(n)
     m = form.rows.shape[1]
     models = {
-        i: EnvironmentModel(m, 1)
+        i: EnvironmentModel(m, 1, scenario.horizon)
         for i, params in enumerate(scenario.players)
         if params.kind == "rlearning"
     }

@@ -331,6 +331,25 @@ class TestEnvironmentModel:
             assert np.array_equal(model.denoms, lineup.denoms)
             assert model.residual_var[0] == lineup.residual_var[j]
 
+    @pytest.mark.parametrize("dim", [2, 6, 14, 30, 62, 126, 254])
+    def test_stacked_predictions_are_bit_equal_to_private_models(self, dim):
+        # every state width m = 2^n - 2 of n = 2..8: each row of the lineup's
+        # stacked product is bit for bit its learner's private prediction
+        rng = np.random.default_rng([41, dim])
+        learners, updates = 4, 40
+        lineup = EnvironmentModel(dim, learners, updates)
+        private = [EnvironmentModel(dim, 1, updates) for _ in range(learners)]
+        for _ in range(updates):
+            s = rng.uniform(size=dim)
+            targets = rng.normal(0.0, 1e-3, size=(learners, dim))
+            predictions = lineup.predict(s)
+            for model, prediction in zip(private, predictions):
+                assert np.array_equal(model.predict(s)[0], prediction)
+            lineup.update(s, targets - predictions)
+            for model, target in zip(private, targets):
+                model.update(s, [target - model.predict(s)[0]])
+        assert lineup.observations == updates
+
     @pytest.mark.parametrize(
         "dim, learners",
         [(254, 8), (62, 6)],

@@ -374,6 +374,25 @@ class TestRunSimulation:
         # n = 7 (m = 126): wider states than the n = 2..6 runs above
         self._matches_reference(scenario)
 
+    def test_every_lineup_gets_one_model_for_its_whole_horizon(self, monkeypatch):
+        # one model per run, sized by the scenario alone: m, the R-learner
+        # count and the horizon, on either side of the old 2 * horizon <= m
+        # line between the dense and sample-space forms
+        built = []
+
+        def spy(dim, learners, horizon):
+            built.append((dim, learners, horizon))
+            return EnvironmentModel(dim, learners, horizon)
+
+        monkeypatch.setattr(harness, "EnvironmentModel", spy)
+        for name in ("two_player_learning_gamma05.json", "two_player_learning_gamma08.json"):
+            run_simulation(load_scenario(SCENARIOS / name))
+        run_simulation(scenario_from_dict(TRACE))
+        run_simulation(scenario_from_dict(LEARN))
+        run_simulation(scenario_from_dict({**LEARN, "horizon": 128}))
+        run_simulation(mixed_scenario(7, 1, horizon=60))
+        assert built == [(2, 2, 500), (2, 2, 500), (62, 6, 100), (254, 8, 100), (254, 8, 128), (126, 3, 60)]
+
     def test_memory_refusal_reads_the_shared_physical_memory_figure(self, monkeypatch):
         scenario = load_scenario(SCENARIOS / "two_player_learning_gamma05.json")
         # (2h + 1) n m + (h + 1)(m + n) + h (n + 1) floats at n = m = 2, h = 500

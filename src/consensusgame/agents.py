@@ -18,17 +18,18 @@ The R-learner cannot assume rational opponents.  It fits an affine model
 of the opponents' mean deviation as a function of the broadcast mean
 revealed opinion (recursive least squares), plays the best response against
 the model's prediction with probability gamma, and otherwise explores with
-a zero-mean Gaussian perturbation (``respond``).  A lineup's L learners
-share one ``EnvironmentModel``, since the gain depends on the states alone.
-The model has one form, RLS in sample space, and update k costs O(k L m).
-Its buffers, H (m + 2) + L H m floats for horizon H, are allocated before
-step 1.  They are never larger than the trace's own opinion and lie blocks,
-so the memory refusal in ``SimulationTrace.empty`` bounds a run at about
-twice the figure it checks.  The cost grows with the horizon: at n = 6
-(m = 62, L = 6; one thread, 2-vCPU x86-64 VM) a run takes as long as with
-the dense O(L m^2)-per-step form this replaced at horizon 1000, 1.4-1.8
-times as long at 2000 and 2.4-3.9 times at 5000.  No average-reward estimate is kept, since
-nothing read it.
+a zero-mean Gaussian perturbation.  ``respond`` answers for a lineup's L
+learners at once, one (L, m) expression plus each learner's own draws.  The
+L learners share one ``EnvironmentModel``, since the gain depends on the
+states alone.  The model has one form, RLS in sample space, and update k
+costs O(k L m).  Its buffers, H (m + 2) + L H m floats for horizon H, are
+allocated before step 1.  They are never larger than the trace's own
+opinion and lie blocks, so the memory refusal in ``SimulationTrace.empty``
+bounds a run at about twice the figure it checks.  The cost grows with the
+horizon: at n = 6 (m = 62, L = 6; one thread, 2-vCPU x86-64 VM) a
+``run_simulation`` takes a median of about 6 ms at horizon 100, 0.14-0.16 s
+at 1000, 0.50-0.51 s at 2000 and 2.7-3.7 s at 5000.  No average-reward
+estimate is kept, since nothing read it.
 """
 
 from __future__ import annotations
@@ -92,11 +93,24 @@ def nash_deviation(d_i: np.ndarray, theta: float, p_i: float) -> np.ndarray:
     return np.asarray(d_i, dtype=float) * (theta / (2.0 * p_i))
 
 
+def best_response_terms(d, theta: float, p, t) -> tuple[np.ndarray, np.ndarray]:
+    """The constants of a best response, d theta / (2 p) and 1 - t, once
+    p > 0 and 0 <= t < 1 are checked.  (L, m) rows d with (L, 1) columns p
+    and t give a lineup's, each row bit for bit its own call's."""
+    p, t = np.asarray(p, dtype=float), np.asarray(t, dtype=float)
+    if not (p > 0).all():
+        raise SetFunctionError("risk aversion must be positive")
+    for t_i in t.flat:
+        if not 0.0 <= t_i < 1.0:
+            raise SetFunctionError(f"best response requires t_i < 1, got {t_i}")
+    return np.asarray(d, dtype=float) * theta / (2.0 * p), 1.0 - t
+
+
 def nash_best_response(
     d_i: np.ndarray,
     theta: float,
-    p_i: float,
-    t_i: float,
+    p_i: float | np.ndarray,
+    t_i: float | np.ndarray,
     others_weighted_deviation: np.ndarray,
 ) -> np.ndarray:
     """Best response given the opponents' weighted deviation sum.
@@ -105,14 +119,11 @@ def nash_best_response(
     S = sum_{j != i} t_j u_j:
 
         u_i = (d_i theta / (2 p_i) + S) / (1 - t_i)
+
+    Broadcasts over a lineup as ``best_response_terms`` does.
     """
-    if p_i <= 0:
-        raise SetFunctionError("risk aversion must be positive")
-    if not 0.0 <= t_i < 1.0:
-        raise SetFunctionError(f"best response requires t_i < 1, got {t_i}")
-    d_i = np.asarray(d_i, dtype=float)
-    s = np.asarray(others_weighted_deviation, dtype=float)
-    return (d_i * theta / (2.0 * p_i) + s) / (1.0 - t_i)
+    lean, keep = best_response_terms(d_i, theta, p_i, t_i)
+    return (lean + np.asarray(others_weighted_deviation, dtype=float)) / keep
 
 
 def step_reward(
@@ -183,7 +194,7 @@ class EnvironmentModel:
     the same states, so the lineup keeps one set of g_s and c_s and each
     learner's errors e.  All three live in buffers allocated up front,
     horizon * (m + 2) + learners * horizon * m floats.  A state phi is
-    weighed as a = (G phi) / c; every learner predicts a . E_j in one
+    weighed once, as a = (G phi) / c; every learner predicts a . E_j in one
     stacked product, bit for bit what a private one-learner model gives,
     and the next gain vector is P0 phi - G^T a.  So update k costs
     O(k * learners * m).
@@ -199,23 +210,24 @@ class EnvironmentModel:
         self.residual_var = np.zeros(learners)
         self.observations = 0
 
-    def _weigh(self, state: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """phi = [1, state] and its weights a = (G phi) / c."""
+    def weigh(self, state: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """phi = [1, state] and its weights a = (G phi) / c: what ``predict``
+        and ``update`` at the state take."""
         phi = np.concatenate([[1.0], state])
         k = self.observations
         return phi, (self.gains[:k] @ phi) / self.denoms[:k]
 
-    def predict(self, state: np.ndarray) -> np.ndarray:
-        """Each learner's predicted opponent mean deviation at the state, one
-        row per learner."""
-        _, a = self._weigh(state)
+    def predict(self, weights: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
+        """Each learner's predicted opponent mean deviation at the state the
+        ``weigh`` weights are of, one row per learner."""
+        _, a = weights
         return np.matmul(a, self.errors[:, : self.observations])
 
-    def update(self, state: np.ndarray, errors) -> None:
-        """Learn from one state.  ``errors`` holds one error per learner, in
-        order: its target minus its prediction at the state before this
-        update."""
-        phi, a = self._weigh(state)
+    def update(self, weights: tuple[np.ndarray, np.ndarray], errors) -> None:
+        """Learn from the state of the ``weigh`` weights, taken since the
+        last update.  ``errors`` holds one error per learner, in order: its
+        target minus its prediction at the state."""
+        phi, a = weights
         k = self.observations
         np.subtract(self.prior * phi, a @ self.gains[:k], out=self.gains[k])
         self.denoms[k] = 1.0 + phi @ self.gains[k]
@@ -226,26 +238,25 @@ class EnvironmentModel:
 
 
 def respond(
-    d_i: np.ndarray,
-    theta: float,
-    t_i: float,
-    params: PlayerParams,
-    prediction: np.ndarray,
+    terms: tuple[np.ndarray, np.ndarray],
+    predictions: np.ndarray,
+    players: list[PlayerParams],
     step: int,
     rng: np.random.Generator,
 ) -> np.ndarray:
-    """R-learner's lie at step ``step`` against a predicted opponent mean
-    deviation.
+    """A lineup's R-learner lies at step ``step`` against their (L, m)
+    predicted opponent mean deviations, one row per learner.
 
-    With probability gamma (``exploit_prob``) the best response to the
+    ``terms`` are the learners' ``best_response_terms``.  With probability
+    gamma (``exploit_prob``) a learner plays the best response to its
     prediction; otherwise that response perturbed by zero-mean Gaussian
-    noise of scale ``explore_std * explore_decay**step``.
+    noise of scale ``explore_std * explore_decay**step``.  The learners
+    draw in lineup order, each one uniform and then, when exploring, its
+    noise row.
     """
-    action = nash_best_response(
-        d_i, theta, params.risk_aversion, t_i, (1.0 - t_i) * prediction
-    )
-    explore = rng.uniform() >= params.exploit_prob
-    if explore and params.explore_std > 0:
-        scale = params.explore_std * params.explore_decay**step
-        action = action + rng.normal(0.0, scale, size=action.size)
-    return action
+    lean, keep = terms
+    lies = (lean + keep * predictions) / keep
+    for row, params in zip(lies, players):
+        if rng.random() >= params.exploit_prob and params.explore_std > 0:
+            row += rng.normal(0.0, params.explore_std * params.explore_decay**step, size=row.size)
+    return lies

@@ -42,6 +42,7 @@ from .agents import (
     FLOAT_PARAMS,
     EnvironmentModel,
     PlayerParams,
+    best_response_terms,
     nash_deviation,
     respond,
     step_reward,
@@ -233,21 +234,25 @@ def _recur(scenario: Scenario, form: ShapleyLinearForm) -> SimulationTrace:
         model = EnvironmentModel(m, len(learners), scenario.horizon)
         rng = np.random.default_rng(scenario.seed)
         t_learners = t[learners, None]
+        players = [scenario.players[i] for i in learners]
+        p_learners = np.array([[params.risk_aversion] for params in players])
 
     v = trace.opinions[0]
     v[:] = [f.values[1:-1] for f in scenario.initial_opinions]
     x, change, us = np.empty((n, m)), np.empty((n, m)), lies
     state = np.zeros(m)  # broadcast mean revealed opinion; nothing revealed yet
     with np.errstate(over="ignore", invalid="ignore"):  # an overflow is refused below
+        if learners:  # the learners' best-response constants, d theta / (2 p) and 1 - t
+            terms = best_response_terms(form.rows[learners], theta, p_learners, t_learners)
         for k in range(scenario.horizon):
             if learners:
                 us = trace.deviations[k]
                 us[:] = lies
-                # one prediction per learner, used for its lie and its error
-                predictions = model.predict(state)
-                for i, prediction in zip(learners, predictions):
-                    params = scenario.players[i]
-                    us[i] = respond(form.rows[i], theta, float(t[i]), params, prediction, k, rng)
+                # one weighing of the state; one prediction per learner, for its lie and error
+                weights = model.weigh(state)
+                predictions = model.predict(weights)
+                acted = respond(terms, predictions, players, k, rng)
+                us[learners] = acted
             np.add(v, us, out=x)
             v_next = strategic_update(v, x, scenario.influence.w, theta, out=trace.opinions[k + 1])
             residual = np.abs(np.subtract(v_next, v, out=change), out=change).max()
@@ -259,9 +264,8 @@ def _recur(scenario: Scenario, form: ShapleyLinearForm) -> SimulationTrace:
             if learners:
                 # each learner's error: its target, its opponents' weighted mean
                 # lie, less its prediction
-                mean_dev = t @ us
-                targets = (mean_dev - t_learners * us[learners]) / (1.0 - t_learners)
-                model.update(state, targets - predictions)
+                targets = (t @ us - t_learners * acted) / terms[1]
+                model.update(weights, targets - predictions)
                 state = t @ x
             if residual < CONVERGENCE_TOL:
                 return trace.cut(k + 1)

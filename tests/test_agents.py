@@ -8,6 +8,7 @@ from consensusgame.agents import (
     SLOPE_PRIOR,
     EnvironmentModel,
     PlayerParams,
+    best_response_terms,
     nash_best_response,
     nash_deviation,
     respond,
@@ -24,6 +25,15 @@ D2 = shapley_linear_form(2).rows
 
 def equilibrium_profile(rows: np.ndarray, theta: float, p: np.ndarray) -> np.ndarray:
     return np.stack([nash_deviation(rows[i], theta, p[i]) for i in range(len(p))])
+
+
+def fit(model: EnvironmentModel, state: np.ndarray, targets) -> np.ndarray:
+    """One step of a model: weigh the state once, predict there and update
+    toward the targets; returns the predictions."""
+    weights = model.weigh(state)
+    predictions = model.predict(weights)
+    model.update(weights, np.asarray(targets) - predictions)
+    return predictions
 
 
 class TestNashDeviation:
@@ -108,6 +118,36 @@ class TestNashBestResponse:
     def test_requires_positive_risk_aversion(self, p_i):
         with pytest.raises(SetFunctionError, match="^risk aversion must be positive$"):
             nash_best_response(D2[0], 0.1, p_i, 0.3, np.zeros(2))
+
+    def test_a_stacked_lineup_is_its_row_calls_bit_for_bit(self):
+        # (L, m) rows with (L, 1) columns p and t answer for L players at
+        # once, each row the bits of its own call
+        rng = np.random.default_rng(223)
+        rows = shapley_linear_form(4).rows
+        p, t = rng.uniform(0.1, 5.0, size=4), rng.dirichlet(np.ones(4))
+        others = rng.normal(0.0, 0.1, size=rows.shape)
+        stacked = nash_best_response(rows, 0.3, p[:, None], t[:, None], others)
+        assert stacked.shape == rows.shape
+        for i in range(4):
+            row = nash_best_response(rows[i], 0.3, float(p[i]), float(t[i]), others[i])
+            assert np.array_equal(stacked[i], row)
+
+    @pytest.mark.parametrize("row", [0, 2])
+    @pytest.mark.parametrize(
+        "name, bad, message",
+        [
+            ("p", 0.0, "^risk aversion must be positive$"),
+            ("p", -1.0, "^risk aversion must be positive$"),
+            ("t", 1.0, r"^best response requires t_i < 1, got 1\.0$"),
+            ("t", -0.25, r"^best response requires t_i < 1, got -0\.25$"),
+        ],
+    )
+    def test_a_bad_row_of_a_lineup_is_refused(self, row, name, bad, message):
+        rows = shapley_linear_form(2).rows[[0, 1, 0]]
+        columns = {"p": np.full((3, 1), 0.5), "t": np.full((3, 1), 0.3)}
+        columns[name][row] = bad
+        with pytest.raises(SetFunctionError, match=message):
+            nash_best_response(rows, 0.1, columns["p"], columns["t"], np.zeros((3, 2)))
 
 
 class TestStepReward:
@@ -251,7 +291,8 @@ class TestEnvironmentModel:
             EnvironmentModel(dim=0, learners=1, horizon=5)
 
     def test_untrained_model_predicts_zero(self):
-        np.testing.assert_array_equal(EnvironmentModel(3, 2, 5).predict(np.ones(3)), np.zeros((2, 3)))
+        model = EnvironmentModel(3, 2, 5)
+        np.testing.assert_array_equal(model.predict(model.weigh(np.ones(3))), np.zeros((2, 3)))
 
     def test_repeated_observation_converges_to_target(self):
         model = EnvironmentModel(2, 1, 200)
@@ -259,8 +300,8 @@ class TestEnvironmentModel:
         s = np.array([0.3, 0.7])
         y = np.array([0.05, -0.02])
         for _ in range(200):
-            model.update(s, [y - model.predict(s)[0]])
-        np.testing.assert_allclose(model.predict(s)[0], y, atol=1e-6)
+            fit(model, s, [y])
+        np.testing.assert_allclose(model.predict(model.weigh(s))[0], y, atol=1e-6)
 
     def test_recovers_affine_map_from_noiseless_data(self):
         # with a flat prior, m + 1 affinely independent states identify the
@@ -273,10 +314,12 @@ class TestEnvironmentModel:
         model.prior = np.full(dim + 1, 1e8)
         for _ in range(dim + 1):
             s = rng.normal(size=dim)
-            model.update(s, [intercept + slope @ s - model.predict(s)[0]])
+            fit(model, s, [intercept + slope @ s])
         for _ in range(5):
             s = rng.normal(size=dim)
-            np.testing.assert_allclose(model.predict(s)[0], intercept + slope @ s, atol=1e-5)
+            np.testing.assert_allclose(
+                model.predict(model.weigh(s))[0], intercept + slope @ s, atol=1e-5
+            )
 
     def test_default_prior_still_learns_with_enough_data(self):
         # the tight slope prior shrinks estimates, so convergence is slow by
@@ -290,12 +333,12 @@ class TestEnvironmentModel:
         probe = rng.normal(size=dim)
 
         def error(s):
-            return intercept + slope @ s - model.predict(s)[0]
+            return intercept + slope @ s - model.predict(model.weigh(s))[0]
 
         initial_err = float(np.max(np.abs(error(probe))))
         for _ in range(updates):
             s = rng.normal(size=dim)
-            model.update(s, [error(s)])
+            fit(model, s, [intercept + slope @ s])
         final_err = float(np.max(np.abs(error(probe))))
         assert final_err < initial_err / 10
 
@@ -303,8 +346,7 @@ class TestEnvironmentModel:
         rng = np.random.default_rng(23)
         model = EnvironmentModel(1, 1, 500)
         for _ in range(500):
-            s = rng.normal(size=1)
-            model.update(s, [rng.normal(0, 0.1, size=1) - model.predict(s)[0]])
+            fit(model, rng.normal(size=1), [rng.normal(0, 0.1, size=1)])
         assert 0.001 < model.residual_var[0] < 0.1
 
     def test_gain_depends_on_the_states_alone(self):
@@ -319,12 +361,9 @@ class TestEnvironmentModel:
         for _ in range(updates):
             s = rng.normal(size=dim)
             targets = rng.normal(size=(3, dim))
-            predictions = lineup.predict(s)
-            for model, prediction in zip(private, predictions):
-                assert np.array_equal(model.predict(s)[0], prediction)
-            lineup.update(s, targets - predictions)
-            for model, target in zip(private, targets):
-                model.update(s, [target - model.predict(s)[0]])
+            predictions = fit(lineup, s, targets)
+            for model, target, prediction in zip(private, targets, predictions):
+                assert np.array_equal(fit(model, s, [target])[0], prediction)
         assert not np.array_equal(predictions[0], predictions[1])
         for j, model in enumerate(private):
             assert np.array_equal(model.gains, lineup.gains)
@@ -342,12 +381,9 @@ class TestEnvironmentModel:
         for _ in range(updates):
             s = rng.uniform(size=dim)
             targets = rng.normal(0.0, 1e-3, size=(learners, dim))
-            predictions = lineup.predict(s)
-            for model, prediction in zip(private, predictions):
-                assert np.array_equal(model.predict(s)[0], prediction)
-            lineup.update(s, targets - predictions)
-            for model, target in zip(private, targets):
-                model.update(s, [target - model.predict(s)[0]])
+            predictions = fit(lineup, s, targets)
+            for model, target, prediction in zip(private, targets, predictions):
+                assert np.array_equal(fit(model, s, [target])[0], prediction)
         assert lineup.observations == updates
 
     @pytest.mark.parametrize(
@@ -365,45 +401,49 @@ class TestEnvironmentModel:
         for _ in range(updates):
             s = rng.uniform(size=dim)
             targets = rng.normal(0.0, 1e-3, size=(learners, dim))
-            want, got = dense.predict(s), sample.predict(s)
+            want = dense.predict(s)
+            got = fit(sample, s, targets)
             assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
             dense.update(s, targets - want)
-            sample.update(s, targets - got)
         np.testing.assert_allclose(sample.residual_var, dense.residual_var, rtol=1e-12)
         assert sample.observations == dense.observations == updates
 
     def test_an_update_at_a_new_state_weighs_that_state(self):
-        # an update weighs its own state, whatever state was predicted at last
+        # weighing and predicting at another state leave the model as it was:
+        # an update learns from the weights it is given alone
         rng = np.random.default_rng(37)
         dim, learners = 5, 2
         fresh, reused = (EnvironmentModel(dim, learners, 4) for _ in range(2))
         for _ in range(4):
             s, other = rng.normal(size=(2, dim))
             errors = rng.normal(size=(learners, dim))
-            reused.predict(other)
-            fresh.update(s, errors)
-            reused.update(s, errors)
+            reused.predict(reused.weigh(other))
+            fresh.update(fresh.weigh(s), errors)
+            reused.update(reused.weigh(s), errors)
         assert np.array_equal(fresh.gains, reused.gains)
-        np.testing.assert_array_equal(fresh.predict(s), reused.predict(s))
+        np.testing.assert_array_equal(
+            fresh.predict(fresh.weigh(s)), reused.predict(reused.weigh(s))
+        )
 
 
 class TestRLearningAgent:
-    """The "rlearning" kind: ``respond`` to a one-learner model's prediction."""
+    """The "rlearning" kind: ``respond`` of a one-row lineup to a one-learner
+    model's prediction."""
 
     PARAMS = dict(risk_aversion=0.4, kind="rlearning")
 
     def _respond(self, prediction, step, rng, **kw):
         params = PlayerParams(**self.PARAMS, **kw)
-        return respond(D2[0], 0.1, 4.0 / 11.0, params, prediction, step, rng)
+        terms = best_response_terms(D2[:1], 0.1, [[params.risk_aversion]], [[4.0 / 11.0]])
+        return respond(terms, prediction[None], [params], step, rng)[0]
 
     def test_pure_exploitation_with_blank_model_is_unopposed_response(self):
         model = EnvironmentModel(2, 1, 1)
         state = np.array([0.4, 0.3])
         expected = nash_best_response(D2[0], 0.1, 0.4, 4.0 / 11.0, np.zeros(2))
+        prediction = model.predict(model.weigh(state))[0]
         for step in range(5):
-            action = self._respond(
-                model.predict(state)[0], step, np.random.default_rng(0), exploit_prob=1.0
-            )
+            action = self._respond(prediction, step, np.random.default_rng(0), exploit_prob=1.0)
             np.testing.assert_allclose(action, expected)
 
     def test_pure_exploration_perturbs_the_response(self):
@@ -436,8 +476,8 @@ class TestRLearningAgent:
         state = np.array([0.4, 0.3])
         target = np.array([0.02, -0.01])
         for _ in range(2000):
-            model.update(state, [target - model.predict(state)[0]])
-        prediction = model.predict(state)[0]
+            fit(model, state, [target])
+        prediction = model.predict(model.weigh(state))[0]
         np.testing.assert_allclose(prediction, target, atol=1e-3)
         # the response now leans against the learned opponent deviation
         lean = self._respond(prediction, 0, np.random.default_rng(0), exploit_prob=1.0)

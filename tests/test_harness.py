@@ -19,8 +19,8 @@ from consensusgame.agents import (
     FLOAT_PARAMS,
     EnvironmentModel,
     PlayerParams,
+    nash_best_response,
     nash_deviation,
-    respond,
     step_reward,
 )
 from consensusgame.cli import main as cli_main
@@ -107,6 +107,20 @@ def mixed_scenario(n: int, seed: int, horizon: int) -> Scenario:
         initial_opinions=tuple(random_supermodular(n, rng) for _ in range(n)),
         players=players,
     )
+
+
+def edge_lineup_scenario() -> Scenario:
+    """n = 6: learners at the edges of exploration (exploit_prob 0 and 1,
+    explore_std 0) between Nash and truthful players."""
+    players = (
+        PlayerParams(2.0, "nash"),
+        PlayerParams(3.0, "rlearning", exploit_prob=0.0, explore_std=1e-3, explore_decay=0.99),
+        PlayerParams(5.0, "truthful"),
+        PlayerParams(7.0, "rlearning", exploit_prob=1.0, explore_std=1e-2),
+        PlayerParams(11.0, "rlearning", exploit_prob=0.3, explore_std=0.0),
+        PlayerParams(13.0, "nash"),
+    )
+    return dataclasses.replace(mixed_scenario(6, 3, horizon=60), players=players)
 
 
 def base_scenario(**kw) -> Scenario:
@@ -240,10 +254,12 @@ class TestRunSimulation:
         assert trace.steps == 200 and not trace.deviations.flags.writeable
         assert peak < trace.opinions.nbytes + trace.average.nbytes + 2 * GATHER_CHUNK_BYTES, peak
 
+    @pytest.mark.parametrize("kind", ["nash", "rlearning"])
     @pytest.mark.parametrize("liar", [0, 1])
-    def test_a_lie_that_overflows_is_refused_at_the_first_step(self, monkeypatch, liar):
+    def test_a_lie_that_overflows_is_refused_at_the_first_step(self, monkeypatch, liar, kind):
         # only v_next is checked: player 0's infinite lie meets a zero weight
-        # in W's first row, so it reaches v_next there as 0 * inf
+        # in W's first row, so it reaches v_next there as 0 * inf; a learner's
+        # lie overflows as it is formed, which must not warn either
         steps = []
 
         def counted(*args, **kw):
@@ -252,7 +268,7 @@ class TestRunSimulation:
 
         monkeypatch.setattr(harness, "strategic_update", counted)
         players = [PlayerParams(0.6363636363636364, "nash")] * 2
-        players[liar] = PlayerParams(1e-310, "nash")
+        players[liar] = PlayerParams(1e-310, kind)
         scenario = base_scenario(influence=OVERFLOW_W, players=tuple(players))
         with pytest.raises(SetFunctionError, match="^payoff values must be finite$"):
             run_simulation(scenario)
@@ -342,14 +358,20 @@ class TestRunSimulation:
         return trace
 
     def test_one_gain_downdate_per_step(self, monkeypatch):
-        calls = []
-        original = EnvironmentModel.update
+        # one update per step, from the step's one weighing of its state
+        calls, weighed = [], []
+        original, weigh = EnvironmentModel.update, EnvironmentModel.weigh
 
-        def counted(model, state, errors):
+        def counted(model, weights, errors):
             calls.append(id(model))
-            return original(model, state, errors)
+            return original(model, weights, errors)
+
+        def counted_weigh(model, state):
+            weighed.append(id(model))
+            return weigh(model, state)
 
         monkeypatch.setattr(EnvironmentModel, "update", counted)
+        monkeypatch.setattr(EnvironmentModel, "weigh", counted_weigh)
         players = tuple(PlayerParams(1.0, "rlearning", explore_std=0.01) for _ in range(4))
         rng = np.random.default_rng(3)
         trace = run_simulation(
@@ -361,17 +383,19 @@ class TestRunSimulation:
                 players=players,
             )
         )
-        assert len(calls) == trace.steps == 20
-        assert len(set(calls)) == 1
+        assert len(calls) == len(weighed) == trace.steps == 20
+        assert len(set(calls + weighed)) == 1
 
     @pytest.mark.parametrize(
         "scenario",
-        [scenario_from_dict(LEARN), mixed_scenario(7, 1, horizon=60)],
-        ids=["learn", "mixed-n7-h60"],
+        [scenario_from_dict(LEARN), mixed_scenario(7, 1, horizon=60), edge_lineup_scenario()],
+        ids=["learn", "mixed-n7-h60", "edge-lineup"],
     )
     def test_wide_runs_match_the_per_player_reference(self, scenario):
         # the learn benchmark's input (n = 8, m = 254) and a mixed lineup at
-        # n = 7 (m = 126): wider states than the n = 2..6 runs above
+        # n = 7 (m = 126): wider states than the n = 2..6 runs above; and
+        # learners that always explore, never explore, or explore with no
+        # noise, between Nash and truthful players
         self._matches_reference(scenario)
 
     def test_every_lineup_gets_one_model_for_its_whole_horizon(self, monkeypatch):
@@ -424,7 +448,8 @@ TRACE_ARRAYS = ("opinions", "revealed", "deviations", "average", "shapley", "rew
 def reference_simulation(scenario: Scenario):
     """The dynamics loop written per player: each step a truthful player lies
     by zero and a Nash player by `nash_deviation`, every learner keeps a
-    private one-learner opponent model and acts through `respond`, and every
+    private one-learner opponent model and draws its own uniform, then its
+    noise row when it explores, around its `nash_best_response`, and every
     reward comes from a one-player `step_reward`.  Returns the trace and,
     apart, the revealed opinions x = v + u each step formed and the step
     the loop stopped at on convergence (None when it ran to the horizon)."""
@@ -443,8 +468,13 @@ def reference_simulation(scenario: Scenario):
 
     def lie(i, params, state, k, rng):
         if params.kind == "rlearning":
-            predictions[i] = models[i].predict(state)[0]
-            return respond(form.rows[i], theta, float(t[i]), params, predictions[i], k, rng)
+            predictions[i] = models[i].predict(models[i].weigh(state))[0]
+            others = (1.0 - t[i]) * predictions[i]
+            action = nash_best_response(form.rows[i], theta, params.risk_aversion, t[i], others)
+            if rng.uniform() >= params.exploit_prob and params.explore_std > 0:
+                scale = params.explore_std * params.explore_decay**k
+                action = action + rng.normal(0.0, scale, size=m)
+            return action
         if params.kind == "nash":
             return nash_deviation(form.rows[i], theta, params.risk_aversion)
         return np.zeros(m)
@@ -475,7 +505,7 @@ def reference_simulation(scenario: Scenario):
         mean_dev = t @ us
         for i, model in models.items():
             target = (mean_dev - t[i] * us[i]) / (1.0 - t[i])
-            model.update(state, [target - predictions[i]])
+            model.update(model.weigh(state), [target - predictions[i]])
         out["revealed"].append(x[:, 1:-1])
         out["deviations"].append(us)
         out["rewards"].append(rewards)

@@ -18,14 +18,14 @@ Trace CSV layout (one file, fixed header, full-precision floats):
 - one "aggregate" row per step carrying the weighted average opinion, its
   Shapley allocation, per-player rewards, and the fraud disutility.
 
-`trace_chunks` yields the CSV one step at a time; the CLI writes the chunks
-as they come, so the CSV text of a run is never held in memory whole.
-`parse_trace` accepts only what the writer writes: the rows in the writer's
+`trace_chunks` yields the CSV one step at a time, which the CLI writes as it
+comes, and `read_trace` reads and checks it a block of steps at a time, so
+the CSV text of a run is never held in memory whole.  `parse_trace`, and so
+`read_trace`, accepts only what the writer writes: the rows in the writer's
 order, so the row count fixes the step count and each line must begin with
 the kind, k, player and entry of its place; finite values; and the action
 cells (x, u, rewards, disutility) blank on the final step and only there.
-Anything else is a ScenarioError naming the line, or the row that is
-missing.
+Anything else is a ScenarioError naming the line, or the row that is missing.
 """
 
 from __future__ import annotations
@@ -34,6 +34,7 @@ import json
 import math
 from collections.abc import Callable
 from dataclasses import dataclass, replace
+from itertools import islice
 from typing import NamedTuple
 
 import numpy as np
@@ -500,12 +501,12 @@ def trace_header(n: int, m: int) -> str:
     return ",".join(cols)
 
 
-def _row_keys(n: int, m: int, steps: int):
-    """Each step's row keys, the leading cells that fix a row's place in the
-    trace: one opinion row per (player, entry) in that order, then the
-    aggregate row, whose player, entry, v, x and u are blank."""
+def _row_keys(n: int, m: int, ks: range):
+    """Row keys, the leading cells that fix a row's place in the trace, of
+    each step in ``ks``: one opinion row per (player, entry) in that order,
+    then the aggregate row, whose player, entry, v, x and u are blank."""
     cells = [f"{i},{e}," for i in range(n) for e in range(m)]
-    for k in range(steps + 1):
+    for k in ks:
         head = f"opinion,{k},"
         yield [head + cell for cell in cells] + [f"aggregate,{k},,,,,,"]
 
@@ -518,26 +519,24 @@ def _row_name(key: str) -> str:
 
 def trace_chunks(trace: SimulationTrace):
     """The trace CSV as text chunks: the header line, then one chunk per step
-    (its opinion rows and its aggregate row).  Floats are written with repr."""
+    (its opinion rows and its aggregate row), converted as it is built.
+    Floats are written with repr."""
     n, m, steps = trace.n, trace.m, trace.steps
     yield trace_header(n, m) + "\n"
     tail = "," * (m + 2 * n + 2) + "\n"  # the blank aggregate columns
-    opinions = trace.opinions.reshape(-1, n * m).tolist()
-    revealed = trace.revealed.reshape(-1, n * m).tolist()
-    deviations = trace.deviations.reshape(-1, n * m).tolist()
-    average, shapley = trace.average.tolist(), trace.shapley.tolist()
-    rewards, disutility = trace.rewards.tolist(), trace.disutility.tolist()
-    cum = trace.cumulative_disutility().tolist()
-    for k, keys in enumerate(_row_keys(n, m, steps)):
-        agg = keys.pop() + ",".join(map(repr, average[k] + shapley[k]))
+    opinions, deviations = trace.opinions.reshape(-1, n * m), trace.deviations.reshape(-1, n * m)
+    disutility, cum = trace.disutility.tolist(), trace.cumulative_disutility().tolist()
+    for k, keys in enumerate(_row_keys(n, m, range(steps + 1))):
+        state = trace.average[k].tolist() + trace.shapley[k].tolist()
+        agg = keys.pop() + ",".join(map(repr, state))
         if k < steps:
-            rows = [
-                f"{key}{v!r},{x!r},{u!r}{tail}"
-                for key, v, x, u in zip(keys, opinions[k], revealed[k], deviations[k])
-            ]
-            agg += f",{','.join(map(repr, rewards[k]))},{disutility[k]!r},{cum[k]!r}\n"
+            v, u = opinions[k], deviations[k]  # x = v + u elementwise, as in trace.revealed
+            cells = zip(keys, v.tolist(), (v + u).tolist(), u.tolist())
+            rows = [f"{key}{v!r},{x!r},{u!r}{tail}" for key, v, x, u in cells]
+            acts = [*trace.rewards[k].tolist(), disutility[k], cum[k]]
+            agg += "," + ",".join(map(repr, acts)) + "\n"
         else:
-            rows = [f"{key}{v!r},,{tail}" for key, v in zip(keys, opinions[k])]
+            rows = [f"{key}{v!r},,{tail}" for key, v in zip(keys, opinions[k].tolist())]
             agg += f"{',' * (n + 2)}{cum[k]!r}\n"
         rows.append(agg)
         yield "".join(rows)
@@ -603,25 +602,77 @@ def parse_trace(text: str) -> SimulationTrace:
     cumulative disutility other than the running sum of the disutility, and
     a header with no rows, as step 0's are missing.
     """
-    lines = text.splitlines()
-    if not lines:
+    return _parse_lines(iter(text.splitlines()))
+
+
+def read_trace(path) -> SimulationTrace:
+    """parse_trace of a UTF-8 file, read a block of steps at a time."""
+    with open(path, "rb") as fh:
+        return _parse_lines(_lines(fh, path))
+
+
+def _lines(fh, path):
+    """The file's lines, decoded in batches ending after a newline: none splits a \\r\\n pair."""
+    at = 0  # the batch's offset in the file, which may be a pipe
+    while batch := fh.read(GATHER_CHUNK_BYTES) + fh.readline():
+        try:
+            lines = batch.decode("utf-8").splitlines()
+        except UnicodeDecodeError as exc:
+            where = at + exc.start
+            raise ScenarioError(f"{path}: not UTF-8 text: {exc.reason} at byte {where}") from None
+        at, batch = at + len(batch), None  # the bytes are not held through the yields
+        yield from lines
+
+
+def _parse_lines(lines) -> SimulationTrace:
+    """parse_trace of an iterator of lines, checked a block of whole steps at a
+    time; the running sum, which needs the whole disutility column, last."""
+    header = next(lines, None)
+    if header is None:
         raise ScenarioError("empty trace file")
-    header = lines[0].split(",")
+    header = header.split(",")
     m = sum(1 for c in header if c.startswith("vhat_"))
     n = sum(1 for c in header if c.startswith("shapley_"))
     # the column counts are matched first, so the header built to compare
     # against is no longer than the one read
     if m == 0 or m != num_restricted(n) or header != trace_header(n, m).split(","):
         raise ScenarioError("unrecognized trace header")
-    body = lines[1:]
-    nm, width = n * m, len(header) - 7  # width: the aggregate columns
-    count, per = len(body), nm + 1  # rows in the file, rows per step
-    steps = max(count - 1, 0) // per  # the last step begun; step 0 when there is none
-    keys = [key for step in _row_keys(n, m, steps) for key in step]
+    per = n * m + 1  # rows per step
+    # about GATHER_CHUNK_BYTES of text a block: a row is len(header) separators and ~72 bytes more
+    rows = per * max(1, GATHER_CHUNK_BYTES // (per * (len(header) + 72)))
+    blocks, cum_cells, body = [], [], list(islice(lines, rows))
+    while True:  # one line past a block tells whether it holds the final step
+        ahead = next(lines, None) if len(body) == rows else None
+        blocks.append(_parse_steps(body, len(cum_cells), ahead is None, header, n, m, cum_cells))
+        if ahead is None:
+            break
+        body = [ahead]  # the checked block is dropped before the next is read
+        body += islice(lines, rows - 1)
+    opinions, lies, states, acts = map(np.concatenate, zip(*blocks))
+    trace = SimulationTrace(
+        opinions=opinions,
+        deviations=lies,
+        average=states[:, :m],
+        shapley=states[:, m : m + n],
+        rewards=acts[:, :n],
+        disutility=acts[:, n],
+    )
+    cum, agg_lines = trace.cumulative_disutility(), np.arange(len(cum_cells)) * per + per + 1
+    _derived("the running sum of disutility", states[:, -1], cum, cum_cells, agg_lines, header[-1:])
+    return trace
+
+
+def _parse_steps(body: list, lo: int, final: bool, header: list, n: int, m: int, cum_cells: list):
+    """Check the rows of steps lo, lo + 1, ... and return their v, u, state and
+    action floats; appends each step's cum_disutility text to ``cum_cells``."""
+    nm, width, per = n * m, len(header) - 7, n * m + 1  # width: the aggregate columns
+    count, first = len(body), lo * per + 2  # rows in the block, line number of its first
+    steps = lo + max(count - 1, 0) // per  # the last step begun; step 0 when there is none
+    keys = [key for step in _row_keys(n, m, range(lo, steps + 1)) for key in step]
     placed = list(map(str.startswith, body, keys))
     if not all(placed):
         j = placed.index(False)
-        raise ScenarioError(f"trace line {j + 2}: expected the {_row_name(keys[j])}")
+        raise ScenarioError(f"trace line {first + j}: expected the {_row_name(keys[j])}")
     if count < len(keys):
         raise ScenarioError(f"trace: no {_row_name(keys[count])}")
 
@@ -633,51 +684,40 @@ def parse_trace(text: str) -> SimulationTrace:
     if not well_formed.all():
         j = int(np.argmin(well_formed))
         blank = f", the last {width} blank" if opinion[j] else ""
-        raise ScenarioError(
-            f"trace line {j + 2}: {keys[j].split(',')[0]} rows have {len(header)} fields{blank}"
-        )
+        kind = keys[j].split(",")[0]
+        raise ScenarioError(f"trace line {first + j}: {kind} rows have {len(header)} fields{blank}")
 
-    line_no = np.arange(2, count + 2)
+    line_no = np.arange(first, first + count)
     agg_lines, op_lines = line_no[~opinion], line_no[opinion]
 
     # aggregate columns: the average and Shapley rows and the cumulative
     # disutility on every step; rewards and disutility on acted steps only
     aggregate = [line.split(",") for line in body[nm::per]]
+    acted = len(aggregate) - final  # the block's steps that take an action
     state, action = slice(7, 7 + m + n), slice(7 + m + n, -1)
     names = [*header[state], header[-1]]
     state_cells = [c for f in aggregate for c in (*f[state], f[-1])]
     states = _numbers(state_cells, agg_lines, names).reshape(-1, m + n + 1)
-    _blank_on_final_step(aggregate[-1][action], agg_lines[-1:], header[action], steps)
-    acts = [c for f in aggregate[:-1] for c in f[action]]
+    cum_cells += state_cells[m + n :: m + n + 1]
+    for f in aggregate[acted:]:
+        _blank_on_final_step(f[action], agg_lines[-1:], header[action], steps)
+    acts = [c for f in aggregate[:acted] for c in f[action]]
     acts = _numbers(acts, agg_lines, header[action]).reshape(-1, n + 1)
 
     del body[nm::per], keys[nm::per]  # the opinion rows and their keys remain
     # the v, x and u of all opinion rows are split in one go, since a list
-    # per row costs the garbage collector more the longer the file
-    values = [line[len(key) : -width] for line, key in zip(body, keys)]
-    cells = ",".join(values).split(",")
+    # per row costs the garbage collector more the longer the block
+    cells = ",".join([line[len(key) : -width] for line, key in zip(body, keys)]).split(",")
     v, x, u = cells[0::3], cells[1::3], cells[2::3]
+    cut = acted * nm  # the acted steps' opinion rows
     for name, column in (("x", x), ("u", u)):
-        _blank_on_final_step(column[-nm:], op_lines[-nm:], [name], steps)
-    opinions = _numbers(v, op_lines, ["v"]).reshape(-1, n, m)
-    revealed = _numbers(x[:-nm], op_lines, ["x"])
-    trace = SimulationTrace(
-        opinions=opinions,
-        deviations=_numbers(u[:-nm], op_lines, ["u"]).reshape(-1, n, m),
-        average=states[:, :m],
-        shapley=states[:, m : m + n],
-        rewards=acts[:, :n],
-        disutility=acts[:, n],
-    )
+        _blank_on_final_step(column[cut:], op_lines[cut:], [name], steps)
+    opinions = _numbers(v, op_lines, ["v"])
+    revealed = _numbers(x[:cut], op_lines, ["x"])
+    lies = _numbers(u[:cut], op_lines, ["u"])
     # the columns the writer derives must hold its exact bits; x is then dropped
-    _derived("v + u", revealed, trace.revealed, x, op_lines, ["x"])
-    cum = trace.cumulative_disutility()
-    _derived("the running sum of disutility", states[:, -1], cum, state_cells, agg_lines, names)
-    return trace
-
-
-def read_trace(path) -> SimulationTrace:
-    return parse_trace(read_text(path, ScenarioError))
+    _derived("v + u", revealed, opinions[:cut] + lies, x, op_lines, ["x"])
+    return opinions.reshape(-1, n, m), lies.reshape(-1, n, m), states, acts
 
 
 # --- scenario files ----------------------------------------------------------

@@ -408,7 +408,7 @@ class TestEnvironmentModel:
         np.testing.assert_allclose(sample.residual_var, dense.residual_var, rtol=1e-12)
         assert sample.observations == dense.observations == updates
 
-    def test_an_update_at_a_new_state_weighs_that_state(self):
+    def test_weighing_another_state_leaves_the_model_unchanged(self):
         # weighing and predicting at another state leave the model as it was:
         # an update learns from the weights it is given alone
         rng = np.random.default_rng(37)

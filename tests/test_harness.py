@@ -3,7 +3,9 @@
 import argparse
 import copy
 import dataclasses
+import functools
 import json
+import re
 import tracemalloc
 import warnings
 from pathlib import Path
@@ -672,6 +674,42 @@ MALFORMED_TRACES = {
 }
 
 
+def _read_back(reader: str, text: str, tmp_path) -> SimulationTrace:
+    """parse_trace of the text, or read_trace of it written to a file."""
+    if reader == "parse_trace":
+        return parse_trace(text)
+    path = tmp_path / "trace.csv"
+    path.write_bytes(text.encode())
+    return read_trace(path)
+
+
+@functools.cache
+def _long_trace() -> tuple[SimulationTrace, str]:
+    """An n = 6 run of 40 steps and its CSV, about 2.3 MB: three read blocks."""
+    trace = run_simulation(mixed_scenario(6, 1, 40))
+    assert trace.steps == 40
+    return trace, dump_trace(trace)
+
+
+def _synthetic_trace(n: int, steps: int) -> SimulationTrace:
+    """A trace of random finite arrays, which the writer and reader take as
+    they take a run's."""
+    rng = np.random.default_rng([n, steps])
+    m = harness.num_restricted(n)
+    return SimulationTrace(
+        opinions=rng.random((steps + 1, n, m)),
+        deviations=rng.normal(0.0, 1e-3, (steps, n, m)),
+        average=rng.random((steps + 1, m)),
+        shapley=rng.random((steps + 1, n)),
+        rewards=rng.normal(size=(steps, n)),
+        disutility=rng.random(steps),
+    )
+
+
+# one defect in the last block of the long trace, for each kind of check
+LAST_BLOCK_DEFECTS = ("misplaced-row", "nonfinite-v", "x-not-v-plus-u", "cum-not-running-sum")
+
+
 class TestTraceRoundTrip:
     @pytest.mark.parametrize("name", ORACLE_TRACES)
     def test_dump_and_emit_match_the_reference_formatter(self, name, tmp_path):
@@ -686,15 +724,17 @@ class TestTraceRoundTrip:
         for array in TRACE_ARRAYS:
             assert np.array_equal(getattr(again, array), getattr(trace, array)), array
 
+    @pytest.mark.parametrize("reader", ["parse_trace", "read_trace"])
     @pytest.mark.parametrize("fault", MALFORMED_TRACES)
-    def test_malformed_trace_is_rejected_naming_the_line_or_row(self, fault):
+    def test_malformed_trace_is_rejected_naming_the_line_or_row(self, fault, reader, tmp_path):
         edit, message = MALFORMED_TRACES[fault]
         lines = dump_trace(ORACLE_TRACES["two_player_learning_gamma05"]()).splitlines(keepends=True)
         with pytest.raises(ScenarioError, match=message):
-            parse_trace("".join(edit(lines)))
+            _read_back(reader, "".join(edit(lines)), tmp_path)
 
+    @pytest.mark.parametrize("reader", ["parse_trace", "read_trace"])
     @pytest.mark.parametrize("edit", ["drop", "repeat", "swap"])
-    def test_any_dropped_repeated_or_swapped_row_is_rejected(self, edit):
+    def test_any_dropped_repeated_or_swapped_row_is_rejected(self, edit, reader, tmp_path):
         header, *body = dump_trace(run_simulation(base_scenario(horizon=3))).splitlines(True)
         assert len(body) == 4 * 5
         for j in range(len(body) - (edit == "swap")):
@@ -705,7 +745,131 @@ class TestTraceRoundTrip:
             else:
                 edited = body[:j] + [body[j + 1], body[j]] + body[j + 2 :]
             with pytest.raises(ScenarioError, match=r"^trace( line \d+)?: "):
-                parse_trace(header + "".join(edited))
+                _read_back(reader, header + "".join(edited), tmp_path)
+
+    @staticmethod
+    def _count_blocks(monkeypatch) -> list:
+        """The first step of each block read, as it is read."""
+        firsts, parse_steps = [], harness._parse_steps
+
+        def spy(body, lo, *rest):
+            firsts.append(lo)
+            return parse_steps(body, lo, *rest)
+
+        monkeypatch.setattr(harness, "_parse_steps", spy)
+        return firsts
+
+    @pytest.mark.parametrize("reader", ["parse_trace", "read_trace"])
+    def test_a_trace_of_several_blocks_reads_back_bit_for_bit(self, reader, tmp_path, monkeypatch):
+        trace, text = _long_trace()
+        firsts = self._count_blocks(monkeypatch)
+        again = _read_back(reader, text, tmp_path)
+        assert len(firsts) >= 3, firsts
+        for array in TRACE_ARRAYS:
+            assert np.array_equal(getattr(again, array), getattr(trace, array)), array
+
+    @pytest.mark.parametrize("reader", ["parse_trace", "read_trace"])
+    @pytest.mark.parametrize("defect", LAST_BLOCK_DEFECTS)
+    def test_a_defect_in_the_last_block_is_named_at_its_line(
+        self, defect, reader, tmp_path, monkeypatch
+    ):
+        trace, text = _long_trace()
+        lines = text.splitlines(keepends=True)
+        k, per = 38, trace.n * trace.m + 1  # step 38 is in the third block, or a later one
+        j = 1 + k * per + 5  # lines[j]: step 38's opinion row for player 0, entry 5
+        if defect == "misplaced-row":
+            lines[j], lines[j + 1] = lines[j + 1], lines[j]
+            message = rf"^trace line {j + 1}: expected the opinion row for k=38, player=0, entry=5$"
+        elif defect == "nonfinite-v":
+            lines[j] = _cell(lines[j], 4, "inf")
+            message = rf"^trace line {j + 1}: v: finite number required, got 'inf'$"
+        elif defect == "x-not-v-plus-u":
+            lines[j] = _cell(lines[j], 5, "0.25")
+            want = re.escape(repr(float(trace.revealed[k, 0, 5])))
+            message = rf"^trace line {j + 1}: x: v \+ u = {want} required, got '0\.25'$"
+        else:
+            j = k * per + per  # step 38's aggregate row
+            lines[j] = _cell(lines[j], -1, "0.25\n")
+            want = re.escape(repr(float(trace.cumulative_disutility()[k])))
+            message = (
+                rf"^trace line {j + 1}: cum_disutility: the running sum of disutility = {want}"
+                r" required, got '0\.25'$"
+            )
+        firsts = self._count_blocks(monkeypatch)
+        with pytest.raises(ScenarioError, match=message):
+            _read_back(reader, "".join(lines), tmp_path)
+        assert len(firsts) >= 3 and firsts[-1] <= k, firsts
+
+    def test_a_bad_byte_past_the_first_batch_is_named_at_its_offset(self, tmp_path):
+        data = bytearray(_long_trace()[1].encode())
+        at = 2_000_000
+        assert at > GATHER_CHUNK_BYTES
+        data[at] = 0xFF
+        path = tmp_path / "trace.csv"
+        path.write_bytes(data)
+        with pytest.raises(ScenarioError) as info:
+            read_trace(path)
+        assert str(info.value) == f"{path}: not UTF-8 text: invalid start byte at byte {at}"
+
+    def test_a_crlf_copy_reads_back_the_same_arrays(self, tmp_path, monkeypatch):
+        trace = ORACLE_TRACES["two_player_learning_gamma05"]()
+        crlf = dump_trace(trace).replace("\n", "\r\n").encode()
+        # a read batch ends between a \r and its \n unless the reader reads on to the newline
+        monkeypatch.setattr(harness, "GATHER_CHUNK_BYTES", crlf.index(b"\r\n", 3000) + 1)
+        path = tmp_path / "trace.csv"
+        path.write_bytes(crlf)
+        again = read_trace(path)
+        for array in TRACE_ARRAYS:
+            assert np.array_equal(getattr(again, array), getattr(trace, array)), array
+
+    @pytest.mark.parametrize(
+        "defect, message",
+        [
+            (lambda b: b.replace(b"\nopinion,0,0,0,", b"\nopinion,0,0,9,", 1), "trace line 2: "),
+            (lambda b: b[:2_000_000] + b"\xff" + b[2_000_001:], "not UTF-8 text"),
+            (lambda b: b"kinds" + b[4:], "unrecognized trace header"),
+        ],
+        ids=["early-row", "late-byte", "header"],
+    )
+    def test_a_refused_file_is_closed(self, defect, message, tmp_path, monkeypatch):
+        # the reader is left part way through the file; its handle must not be
+        opened = []
+
+        def spy(*args, **kwargs):
+            opened.append(open(*args, **kwargs))
+            return opened[-1]
+
+        monkeypatch.setattr(harness, "open", spy, raising=False)
+        path = tmp_path / "trace.csv"
+        path.write_bytes(defect(_long_trace()[1].encode()))
+        with pytest.raises(ScenarioError, match=message):
+            read_trace(path)
+        assert len(opened) == 1 and opened[0].closed
+
+    def test_memory_beyond_the_floats_does_not_grow_with_the_file(self, tmp_path, monkeypatch):
+        # with 64 KiB blocks both files span several; writing holds one step's
+        # text, and reading one block's plus the floats twice (each block's and
+        # their concatenation), so neither grows from 100 to 800 steps, where
+        # holding the CSV text or its cells whole takes megabytes more
+        monkeypatch.setattr(harness, "GATHER_CHUNK_BYTES", 1 << 16)
+        path, peaks = tmp_path / "trace.csv", {}
+        for steps in (100, 800):
+            trace = _synthetic_trace(3, steps)
+            floats = sum(a.nbytes for a in vars(trace).values())
+            tracemalloc.start()
+            try:
+                cli._write(argparse.Namespace(out=str(path)), trace_chunks(trace))
+                written = tracemalloc.get_traced_memory()[1]
+                tracemalloc.reset_peak()
+                again = read_trace(path)
+                read = tracemalloc.get_traced_memory()[1] - 2 * floats
+            finally:
+                tracemalloc.stop()
+            assert np.array_equal(again.opinions, trace.opinions)
+            peaks[steps] = written, read
+        margin = 1 << 18
+        assert peaks[800][0] - peaks[100][0] < margin, peaks
+        assert peaks[800][1] - peaks[100][1] < margin, peaks
 
     def test_trace_file_that_is_not_utf8_is_rejected_naming_it(self, tmp_path):
         # no subcommand reads a trace, so read_trace is checked directly

@@ -19,12 +19,15 @@ Trace CSV layout (one file, fixed header, full-precision floats):
   Shapley allocation, per-player rewards, and the fraud disutility.
 
 `trace_chunks` yields the CSV one step at a time, which the CLI writes as it
-comes, and `read_trace` reads and checks it a block of steps at a time, so
-the CSV text of a run is never held in memory whole.  `parse_trace`, and so
-`read_trace`, accepts only what the writer writes: the rows in the writer's
-order, so the row count fixes the step count and each line must begin with
-the kind, k, player and entry of its place; finite values; and the action
-cells (x, u, rewards, disutility) blank on the final step and only there.
+comes, and `parse_trace` and `read_trace` split it into lines a batch at a
+time and check it a block of whole steps at a time, so the CSV text of a run
+is never held in memory whole.  A batch or block is about GATHER_CHUNK_BYTES
+/ OBJECT_BYTES_PER_TEXT_BYTE of text, so that the objects made from it fit
+GATHER_CHUNK_BYTES.  `parse_trace`, and so `read_trace`, accepts only what
+the writer writes: the rows in the writer's order, so the row count fixes
+the step count and each line must begin with the kind, k, player and entry
+of its place; finite values; and the action cells (x, u, rewards,
+disutility) blank on the final step and only there.
 Anything else is a ScenarioError naming the line, or the row that is missing.
 """
 
@@ -472,6 +475,7 @@ def experiment_po_sweep(scenario: Scenario, tol: float = DEFAULT_TOL) -> list[di
                 "converged": trace.converged_at is not None,
             }
         )
+        del trace  # freed before the next run allocates its own
     return rows
 
 
@@ -602,7 +606,7 @@ def parse_trace(text: str) -> SimulationTrace:
     cumulative disutility other than the running sum of the disutility, and
     a header with no rows, as step 0's are missing.
     """
-    return _parse_lines(iter(text.splitlines()))
+    return _parse_lines(_text_lines(text))
 
 
 def read_trace(path) -> SimulationTrace:
@@ -611,10 +615,26 @@ def read_trace(path) -> SimulationTrace:
         return _parse_lines(_lines(fh, path))
 
 
+# Object bytes per byte of trace text, measured at n = 6: 3.4 for a batch as it
+# is decoded (its bytes, str and lines), 4.0 for a block as it is checked (its
+# lines 1.4, the keys, cells and lists made from them 2.6).
+OBJECT_BYTES_PER_TEXT_BYTE = 4
+
+
+def _text_lines(text: str):
+    """The text's lines, split a batch at a time: a batch ends after a \\n, so
+    none splits a \\r\\n pair and the lines are those of text.splitlines()."""
+    size, lo = GATHER_CHUNK_BYTES // OBJECT_BYTES_PER_TEXT_BYTE, 0
+    while lo < len(text):
+        hi = text.find("\n", lo + size) + 1 or len(text)
+        yield from text[lo:hi].splitlines()
+        lo = hi
+
+
 def _lines(fh, path):
     """The file's lines, decoded in batches ending after a newline: none splits a \\r\\n pair."""
     at = 0  # the batch's offset in the file, which may be a pipe
-    while batch := fh.read(GATHER_CHUNK_BYTES) + fh.readline():
+    while batch := fh.read(GATHER_CHUNK_BYTES // OBJECT_BYTES_PER_TEXT_BYTE) + fh.readline():
         try:
             lines = batch.decode("utf-8").splitlines()
         except UnicodeDecodeError as exc:
@@ -638,8 +658,9 @@ def _parse_lines(lines) -> SimulationTrace:
     if m == 0 or m != num_restricted(n) or header != trace_header(n, m).split(","):
         raise ScenarioError("unrecognized trace header")
     per = n * m + 1  # rows per step
-    # about GATHER_CHUNK_BYTES of text a block: a row is len(header) separators and ~72 bytes more
-    rows = per * max(1, GATHER_CHUNK_BYTES // (per * (len(header) + 72)))
+    # a block's objects fit GATHER_CHUNK_BYTES: a row is len(header) separators and ~72 bytes more
+    text = GATHER_CHUNK_BYTES // OBJECT_BYTES_PER_TEXT_BYTE
+    rows = per * max(1, text // (per * (len(header) + 72)))
     blocks, cum_cells, body = [], [], list(islice(lines, rows))
     while True:  # one line past a block tells whether it holds the final step
         ahead = next(lines, None) if len(body) == rows else None

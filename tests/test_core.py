@@ -390,6 +390,15 @@ class TestCoreContains:
             assert bayesian_core_contains([f] * n, g, tol=0.0)
             assert core_contains(f, g, tol=0.0)
 
+    @pytest.mark.parametrize("excess, member", [(0.5, True), (2.0, False)])
+    def test_an_allocation_may_exceed_the_grand_value_by_tol(self, excess, member):
+        # every proper coalition gets exactly its bound, and the total, 1.0,
+        # exceeds the grand value by excess * tol
+        g, tol = [0.25, 0.25, 0.5], 1e-6
+        values = player_order_sums(g)
+        values[-1] -= excess * tol
+        assert bayesian_core_contains([SetFunction(3, np.array(values))] * 3, g, tol) is member
+
 
 class TestCoreIsEmpty:
     def test_incompatible_singletons_empty(self):

@@ -9,6 +9,7 @@ import re
 import tracemalloc
 import warnings
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -66,7 +67,7 @@ from consensusgame.setfn import (
     sample_opinion_streams,
 )
 from consensusgame.shapley import shapley_linear_form
-from test_byte_contract import TRACE
+from test_byte_contract import RATIONAL, TRACE
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 # n = 8, all R-learning, horizon 100: the document the learn benchmark simulates
@@ -685,9 +686,18 @@ def _read_back(reader: str, text: str, tmp_path) -> SimulationTrace:
 
 @functools.cache
 def _long_trace() -> tuple[SimulationTrace, str]:
-    """An n = 6 run of 40 steps and its CSV, about 2.3 MB: three read blocks."""
-    trace = run_simulation(mixed_scenario(6, 1, 40))
-    assert trace.steps == 40
+    """An n = 6 run of 39 steps and its CSV, about 2.2 MB: ten read blocks of
+    four steps, the last of them steps 36 to 39."""
+    trace = run_simulation(mixed_scenario(6, 1, 39))
+    assert trace.steps == 39
+    return trace, dump_trace(trace)
+
+
+@functools.cache
+def _bench_trace() -> tuple[SimulationTrace, str]:
+    """The trace benchmark's run, n = 6 R-learners over 100 steps, and its
+    CSV, about 6 MB."""
+    trace = run_simulation(scenario_from_dict(TRACE))
     return trace, dump_trace(trace)
 
 
@@ -775,7 +785,7 @@ class TestTraceRoundTrip:
     ):
         trace, text = _long_trace()
         lines = text.splitlines(keepends=True)
-        k, per = 38, trace.n * trace.m + 1  # step 38 is in the third block, or a later one
+        k, per = 38, trace.n * trace.m + 1  # step 38 is in the last block
         j = 1 + k * per + 5  # lines[j]: step 38's opinion row for player 0, entry 5
         if defect == "misplaced-row":
             lines[j], lines[j + 1] = lines[j + 1], lines[j]
@@ -798,7 +808,8 @@ class TestTraceRoundTrip:
         firsts = self._count_blocks(monkeypatch)
         with pytest.raises(ScenarioError, match=message):
             _read_back(reader, "".join(lines), tmp_path)
-        assert len(firsts) >= 3 and firsts[-1] <= k, firsts
+        # the block the reader stopped in starts by step k and runs to the final step
+        assert len(firsts) >= 3 and firsts[-1] <= k < trace.steps < firsts[-1] + firsts[1], firsts
 
     def test_a_bad_byte_past_the_first_batch_is_named_at_its_offset(self, tmp_path):
         data = bytearray(_long_trace()[1].encode())
@@ -815,7 +826,8 @@ class TestTraceRoundTrip:
         trace = ORACLE_TRACES["two_player_learning_gamma05"]()
         crlf = dump_trace(trace).replace("\n", "\r\n").encode()
         # a read batch ends between a \r and its \n unless the reader reads on to the newline
-        monkeypatch.setattr(harness, "GATHER_CHUNK_BYTES", crlf.index(b"\r\n", 3000) + 1)
+        batch = crlf.index(b"\r\n", 3000) + 1
+        monkeypatch.setattr(harness, "GATHER_CHUNK_BYTES", harness.OBJECT_BYTES_PER_TEXT_BYTE * batch)
         path = tmp_path / "trace.csv"
         path.write_bytes(crlf)
         again = read_trace(path)
@@ -846,11 +858,36 @@ class TestTraceRoundTrip:
             read_trace(path)
         assert len(opened) == 1 and opened[0].closed
 
+    @given(text=st.text("ab,\r\n\v\f\x1c\x85 "), batch=st.integers(1, 8))
+    def test_a_text_split_a_batch_at_a_time_gives_the_lines_of_splitlines(self, text, batch):
+        # a batch ends just after a \n, so no line boundary, \r\n included, spans two
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(harness, "GATHER_CHUNK_BYTES", harness.OBJECT_BYTES_PER_TEXT_BYTE * batch)
+            assert list(harness._text_lines(text)) == text.splitlines()
+
+    @pytest.mark.parametrize("reader", ["parse_trace", "read_trace"])
+    def test_the_benchmark_trace_reads_in_a_gather_chunk_beyond_its_floats(self, reader, tmp_path):
+        # a batch's and a block's objects fit GATHER_CHUNK_BYTES, so at default
+        # settings reading takes at most that beyond the floats, which are
+        # held twice while their blocks are joined
+        trace, text = _bench_trace()
+        floats = sum(a.nbytes for a in vars(trace).values())
+        path = tmp_path / "trace.csv"
+        path.write_bytes(text.encode())
+        tracemalloc.start()
+        try:
+            again = parse_trace(text) if reader == "parse_trace" else read_trace(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert np.array_equal(again.opinions, trace.opinions)
+        assert peak <= 2 * floats + GATHER_CHUNK_BYTES, peak
+
     def test_memory_beyond_the_floats_does_not_grow_with_the_file(self, tmp_path, monkeypatch):
-        # with 64 KiB blocks both files span several; writing holds one step's
-        # text, and reading one block's plus the floats twice (each block's and
-        # their concatenation), so neither grows from 100 to 800 steps, where
-        # holding the CSV text or its cells whole takes megabytes more
+        # with 64 KiB chunks both files span several blocks; writing holds one
+        # step's text, and reading one block's plus the floats twice (each
+        # block's and their concatenation), so neither grows from 100 to 800
+        # steps, where holding the CSV text or its cells whole takes megabytes more
         monkeypatch.setattr(harness, "GATHER_CHUNK_BYTES", 1 << 16)
         path, peaks = tmp_path / "trace.csv", {}
         for steps in (100, 800):
@@ -1279,6 +1316,65 @@ class TestExperiments:
         assert verdict["monotone"] and verdict["nonempty_at_largest"] and verdict["pass"]
         assert not po_sweep_verdict(sweep_rows([1.0, 0.1, 0.2], False))["pass"]
         assert not po_sweep_verdict(sweep_rows([1.0, 0.1, 0.01], True))["pass"]
+
+    # each verdict threshold, pinned just inside and just outside
+    def test_a_frequency_drop_of_up_to_0_02_is_no_inversion(self):
+        def passed(*freqs):
+            return core_emptiness_verdict([{"frequency": f} for f in freqs])["pass"]
+
+        assert passed(0.0, 0.5, 0.481, 0.6)  # a drop of 0.019
+        assert not passed(0.0, 0.5, 0.479, 0.6)  # a drop of 0.021
+
+    def test_sweep_spreads_may_rise_by_a_relative_1e_9(self):
+        def monotone(*spreads):
+            rows = [{"spread": s, "bayesian_core_empty": False} for s in spreads]
+            return po_sweep_verdict(rows)["monotone"]
+
+        assert monotone(1.0, 1.0 + 5e-10, 0.5)
+        assert not monotone(1.0, 1.0 + 2e-9, 0.5)
+
+    @staticmethod
+    def _efficiency_scenario(w) -> Scenario:
+        return base_scenario(kind="efficiency", horizon=10, influence=w, players=None)
+
+    @pytest.mark.parametrize("gap, degenerate", [(0.5e-12, True), (2e-12, False)])
+    def test_influence_weights_within_1e_12_are_degenerate(self, gap, degenerate):
+        w = np.array([[0.5, 0.5], [0.5 + gap, 0.5 - gap]])  # t spreads by gap / (1 + gap)
+        sc = self._efficiency_scenario(w)
+        assert np.ptp(sc.influence.t) == pytest.approx(gap, rel=1e-3)
+        assert experiment_efficiency(sc)["degenerate"] is degenerate
+
+    @pytest.mark.parametrize("control_drift, passed", [(1.01e-6, True), (0.99e-6, False)])
+    def test_the_control_must_drift_by_more_than_1e_6(self, monkeypatch, control_drift, passed):
+        # the two runs are stood in for: the proportional one keeps its
+        # average, the control's drifts by control_drift
+        drifts = iter([0.0, control_drift])
+
+        def run(scenario):
+            return SimpleNamespace(average=np.array([0.0, next(drifts)]))
+
+        monkeypatch.setattr(harness, "run_simulation", run)
+        report = experiment_efficiency(self._efficiency_scenario(DEMO_W))
+        assert not report["degenerate"] and report["control_drift"] == control_drift
+        assert report["pass"] is passed
+
+    def test_the_po_sweep_holds_one_run_at_a_time(self):
+        # the rational benchmark's sweep at n = 9: each point's trace, 8.3 MB
+        # allocated, is freed before the next point's run allocates its own
+        sc = scenario_from_dict(RATIONAL["po-sweep"])
+        lineup = nash_players(sc.n, sc.influence.t, sc.po_values[0])
+        experiment_po_sweep(sc)  # the tables cached once per n are not the sweep's
+        tracemalloc.start()
+        try:
+            trace = run_simulation(dataclasses.replace(sc, players=lineup))
+            one_run = tracemalloc.get_traced_memory()[0]
+            del trace
+            tracemalloc.reset_peak()
+            experiment_po_sweep(sc)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * one_run, (peak, one_run)
 
 
 def one_trial_at_a_time(scenario: Scenario) -> list[dict]:

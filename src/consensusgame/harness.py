@@ -37,6 +37,7 @@ import json
 import math
 from collections.abc import Callable
 from dataclasses import dataclass, replace
+from functools import partial
 from itertools import islice
 from typing import NamedTuple
 
@@ -52,7 +53,7 @@ from .agents import (
     step_reward,
 )
 from .consensus import ConsensusError, InfluenceMatrix, deviation_disutility, strategic_update
-from .core import DEFAULT_TOL, DualCyclingError, bayesian_core_is_empty, bayesian_core_verdicts
+from .core import DEFAULT_TOL, bayesian_core_is_empty, bayesian_core_verdicts
 from .setfn import (
     GATHER_CHUNK_BYTES,
     MAX_PLAYERS,
@@ -65,8 +66,8 @@ from .setfn import (
     num_restricted,
     random_supermodular_profile,
     read_text,
-    round_candidates,
     sample_opinion_streams,
+    stream_opinions,
 )
 from .shapley import ShapleyLinearForm, shapley_linear_form
 
@@ -388,14 +389,16 @@ def experiment_core_emptiness(scenario: Scenario, tol: float = DEFAULT_TOL) -> l
     For each player count, every trial draws one truncated-normal opinion
     per player around the per-n ground truth (grand value included), all
     from the trial's own generator, numpy's ``default_rng([seed, n, trial])``
-    stream (``keyed_generators`` derives a group's together), and makes one
-    Bayesian-core check of the profile: the Shapley allocation of the
-    coalition bounds settles nonemptiness when it covers them, and the
-    balancedness dual decides the rest, to the feasibility tolerance
-    ``tol``.  Trials are sampled and
-    checked in groups whose first blocks fit one sampler round, so a group's
-    arrays stay within a few GATHER_CHUNK_BYTES; each trial's opinions and
-    verdict are those of running it alone.
+    stream, and makes one Bayesian-core check of the profile: the Shapley
+    allocation of the coalition bounds settles nonemptiness when it covers
+    them, and the balancedness dual decides the rest, to the feasibility
+    tolerance ``tol``.  A player count's trials take one ``stream_opinions``
+    pass, as many in flight as have their first blocks fit one sampler round,
+    the next admitted as others finish and their generators derived by
+    ``keyed_generators`` a window at a time; the trials a round finishes are
+    checked together.  So the arrays stay within a few GATHER_CHUNK_BYTES
+    whatever the trial count, and each trial's opinions and verdict are
+    those of running it alone.
     Trials whose rejection sampler exhausts its budget are counted as
     failures, not as data; a player count where every trial fails has no
     data at all and is rejected, as is a sigma whose noise draws a
@@ -406,24 +409,17 @@ def experiment_core_emptiness(scenario: Scenario, tol: float = DEFAULT_TOL) -> l
     rows = []
     for n in range(scenario.n_min, scenario.n_max + 1):
         gts = truth_spec(scenario.truth_family, n, scenario.sigma)
-        group = max(1, round_candidates(n) // n)
-        empty = 0
-        failures = 0
-        for lo in range(0, scenario.trials, group):
-            trials = range(lo, min(lo + group, scenario.trials))
-            rngs = keyed_generators((scenario.seed, n), trials)
-            try:
-                stacks, exhausted = sample_opinion_streams(
-                    gts, rngs, n, perturb_grand=scenario.perturb_grand
-                )
-            except SetFunctionError as exc:  # noise beyond the float range
-                _fail("sigma", f"{scenario.sigma!r} at n={n}: {exc}")
-            failures += int(exhausted.sum())
-            try:
-                verdicts, _ = bayesian_core_verdicts(stacks[~exhausted], tol)
-            except DualCyclingError as exc:  # bounds the dual cannot decide
-                _fail("sigma", f"{scenario.sigma!r} at n={n}: {exc}")
-            empty += int(verdicts.sum())
+        generators = partial(keyed_generators, (scenario.seed, n))
+        empty = failures = 0
+        try:
+            for done in stream_opinions(gts, scenario.trials, generators, n, scenario.perturb_grand):
+                profiles = [values for _, values in done if values is not None]
+                failures += len(done) - len(profiles)
+                verdicts, _ = bayesian_core_verdicts(np.reshape(profiles, (-1, n, 1 << n)), tol)
+                empty += int(verdicts.sum())
+        # noise beyond the float range, or bounds the dual cannot decide
+        except SetFunctionError as exc:
+            _fail("sigma", f"{scenario.sigma!r} at n={n}: {exc}")
         if failures == scenario.trials:
             raise ScenarioError(
                 f"sigma: {scenario.sigma!r} exhausts the opinion sampler in every "

@@ -13,7 +13,7 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import combinations
+from itertools import chain, combinations
 from operator import index
 
 import numpy as np
@@ -256,19 +256,24 @@ def _seed_states(entropy: np.ndarray) -> np.ndarray:
     return state.astype("<u4").view("<u8").astype(np.uint64)
 
 
-class _StateWords:
-    """The seed sequence of one derived stream: it hands PCG64 the state
-    words ``keyed_generators`` computed for it.  It is registered as a
-    numpy ISeedSequence on first use, so importing the package does not
-    import numpy.random."""
+@lru_cache(maxsize=1)
+def _state_words() -> type:
+    """The seed sequence of one derived stream, a numpy ISeedSequence that
+    hands PCG64 the state words ``keyed_generators`` computed for it; made
+    on first use, so importing the package does not import numpy.random."""
+    from numpy.random.bit_generator import ISeedSequence
 
-    def __init__(self, words: np.ndarray):
-        self.words = words
+    class StateWords(ISeedSequence):
+        def __init__(self, words: np.ndarray):
+            self.words = words
 
-    def generate_state(self, n_words, dtype=np.uint32):
-        if n_words != self.words.size or np.dtype(dtype) != self.words.dtype:
-            raise ValueError(f"holds {self.words.size} {self.words.dtype} words only")
-        return self.words
+        def generate_state(self, n_words, dtype=np.uint32):
+            # PCG64 asks for (4, np.uint64), the one request these words answer
+            if n_words != 4 or dtype is not np.uint64:
+                raise ValueError("holds 4 uint64 words only")
+            return self.words
+
+    return StateWords
 
 
 def _word_count(value: int) -> int:
@@ -285,9 +290,7 @@ def keyed_generators(prefix, keys) -> list[np.random.Generator]:
     vectorized SeedSequence pass, and each PCG64 is built from its own
     state words.
     """
-    from numpy.random.bit_generator import ISeedSequence
-
-    ISeedSequence.register(_StateWords)
+    state_words = _state_words()
     prefix, keys = [index(v) for v in prefix], [index(k) for k in keys]  # numpy ints too
     if min([*prefix, *keys], default=0) < 0:
         raise ValueError("seed entropy must be nonnegative integers")
@@ -302,25 +305,30 @@ def keyed_generators(prefix, keys) -> list[np.random.Generator]:
         for j in range(width):
             entropy[len(head) + j] = group >> 32 * j & _MASK32
         for i, words in zip(where, _seed_states(entropy)):
-            rngs[i] = np.random.Generator(np.random.PCG64(_StateWords(words)))
+            rngs[i] = np.random.Generator(np.random.PCG64(state_words(words)))
     return rngs
 
 
 SAMPLER_ATTEMPTS = 100_000  # rejections one opinion may take by default
 
 
-def sample_opinion_streams(
+def stream_opinions(
     spec: GroundTruthSpec,
-    rngs: list[np.random.Generator],
+    streams: int,
+    generators,
     count: int,
     perturb_grand: bool = True,
     max_attempts: int = SAMPLER_ATTEMPTS,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Draw ``count`` private opinions from each generator of ``rngs``: truth
-    plus i.i.d. normal noise, rejected until supermodular.
+):
+    """Draw ``count`` private opinions from each of ``streams`` generators,
+    truth plus i.i.d. normal noise rejected until supermodular, in one pass.
 
-    Returns a (streams, count, 2^n) stack of opinion values and the mask of
-    the streams that exhausted their budget, whose rows are NaN.
+    It holds ``round_candidates(n) // count`` streams (at least one) in
+    flight, each in a slot of one reused buffer, and admits the next streams
+    as slots free, taking a window of them per ``generators(keys)`` call
+    (``keys`` a range).  Each round that finishes streams yields them as
+    (stream, values) pairs: values is a (count, 2^n) view of its slot, valid
+    until the pass resumes, or None for a stream that exhausted its budget.
 
     Rejection realizes a normal distribution truncated to the supermodular
     cone exactly.  Noise hits every proper nonempty coalition; the grand
@@ -333,8 +341,8 @@ def sample_opinion_streams(
     Each stream draws its candidates in blocks, one normal row each: as many
     rows as it still needs opinions, or as its waiting opinion has missed if
     that is more, capped by that opinion's remaining budget and by
-    ``round_candidates``.  A round draws the next block of as many live
-    streams, in order, as fit ``round_candidates`` (at least one) and checks
+    ``round_candidates``.  A round draws the next block of as many streams in
+    flight, in order, as fit ``round_candidates`` (at least one) and checks
     them with one gap kernel.  Each stream takes its accepted candidates in
     draw order, so its opinions, and its exhaustion, are those of drawing
     one candidate at a time from it, whatever streams share its rounds; rows
@@ -343,50 +351,50 @@ def sample_opinion_streams(
     """
     truth = spec.truth
     size = truth.values.size
-    exhausted = np.zeros(len(rngs), dtype=bool)
-    if spec.sigma == 0.0:
-        return np.tile(truth.values, (len(rngs), count, 1)), exhausted
+    if spec.sigma == 0.0 or count == 0:  # nothing is drawn
+        yield [(s, np.broadcast_to(truth.values, (count, size))) for s in range(streams)]
+        return
+    max_attempts = max(max_attempts, 0)  # a budget below zero exhausts at once, as zero does
     width = num_restricted(truth.n) + (1 if perturb_grand else 0)
     cap = round_candidates(truth.n)
+    window = min(max(1, cap // count), streams)
     # the truth on the noisy coalitions, plus the 0.0 that numpy's normal
     # adds to sigma z: x + 0.0 is x except at -0.0, so the sums are those of
     # truth + normal(0, sigma)
     noisy = truth.values[1 : 1 + width] + 0.0
-    taken = [0] * len(rngs)  # opinions each stream has
-    misses = [0] * len(rngs)  # rejected candidates of its waiting opinion
-    live = list(range(len(rngs))) if count else []
-    # the opinions each round takes, as (streams, slots, values): the stack
-    # is built after the last round, so a round holds only its own block
-    # besides the opinions already taken
-    taken_by_round = []
-    block = None
-    while live:
-        batch, total = [], 0  # (stream, block rows) of this round
-        for s in live:
-            if misses[s] >= max_attempts:
-                exhausted[s] = True
-                continue
-            k = min(max(count - taken[s], misses[s]), max_attempts - misses[s], cap)
+    # per slot: its stream, generator, opinions taken and rejected
+    # candidates of its waiting opinion; the slots in flight in stream order
+    stream, rngs, taken, misses = ([0] * window for _ in range(4))
+    flight, free, pending = [], list(range(window))[::-1], []
+    slots = None  # made once the first round's noise is freed
+    admitted = 0
+    while True:
+        for _ in range(min(len(free), streams - admitted)):
+            if not pending:  # popped from the end, so admitted ones are let go
+                pending = generators(range(admitted, min(admitted + window, streams)))[::-1]
+            j = free.pop()
+            stream[j], rngs[j], taken[j], misses[j] = admitted, pending.pop(), 0, 0
+            flight.append(j)
+            admitted += 1
+        if not flight:
+            return
+        batch, total = [], 0  # (slot, block rows) of this round
+        for j in flight:
+            k = min(max(count - taken[j], misses[j]), max_attempts - misses[j], cap)
             if batch and total + k > cap:
                 break
-            batch.append((s, k))
+            batch.append((j, k))
             total += k
-        if not batch:  # every live stream is exhausted
-            break
         # one candidate per row of its stream's draw, drawn straight into
         # the round's rows; each is summed there before the block holds it
         # as a column, since a transposed copy takes no ufunc buffer
         ends = np.cumsum([0] + [k for _, k in batch]).tolist()
         drawn = np.empty((total, width))
-        for (s, k), lo in zip(batch, ends):
-            rngs[s].standard_normal(out=drawn[lo : lo + k])
+        for (j, k), lo in zip(batch, ends):
+            rngs[j].standard_normal(out=drawn[lo : lo + k])
         with np.errstate(over="ignore"):  # noise beyond the float range is refused below
             drawn *= spec.sigma
             drawn += noisy
-        # the last round's block is freed only once this round's rows are
-        # drawn, so the new block takes its place; freed before them, its
-        # pages went back to the system and were faulted in again each round
-        del block
         block = np.empty((size, total))
         block[0] = truth.values[0]
         block[1 + width :] = truth.values[1 + width :, None]
@@ -397,9 +405,9 @@ def sample_opinion_streams(
         # each stream's hits, as positions in the round
         cuts = np.searchsorted(hits, ends).tolist()
         hits = hits.tolist()
-        rows, slots, columns = [], [], []
-        for (s, k), lo, first, last in zip(batch, ends, cuts, cuts[1:]):
-            needed = count - taken[s]
+        rows, places, columns, done = [], [], [], []
+        for (j, k), lo, first, last in zip(batch, ends, cuts, cuts[1:]):
+            needed = count - taken[j]
             mine = hits[first : min(last, first + needed)]
             # drawing one at a time would build every candidate up to the
             # last one taken as a SetFunction, so a nonfinite one among them
@@ -407,20 +415,49 @@ def sample_opinion_streams(
             used = mine[-1] + 1 - lo if len(mine) == needed else k
             if not (finite or np.isfinite(block[:, lo : lo + used]).all()):
                 raise SetFunctionError("payoff values must be finite")
-            rows += [s] * len(mine)
-            slots += range(taken[s], taken[s] + len(mine))
+            rows += [j] * len(mine)
+            places += range(taken[j], taken[j] + len(mine))
             columns += mine
-            taken[s] += len(mine)
+            taken[j] += len(mine)
             # a block never outruns the waiting opinion's budget, so only the
             # misses after the last hit can exhaust it
-            misses[s] = used - 1 - (mine[-1] - lo) if mine else misses[s] + k
-        taken_by_round.append((rows, slots, block[:, columns].T))
-        live = [s for s in live if taken[s] < count and not exhausted[s]]
-    del block  # freed before the stack is made
-    stack = np.empty((len(rngs), count, size))
-    for rows, slots, values in taken_by_round:
-        stack[rows, slots] = values
-    stack[exhausted] = np.nan
+            misses[j] = used - 1 - (mine[-1] - lo) if mine else misses[j] + k
+            if taken[j] == count or misses[j] >= max_attempts:
+                done.append(j)
+        accepted = block[:, columns].T
+        del block  # freed before the slots are made and the streams handed over
+        if slots is None:
+            slots = np.empty((window, count, size))
+        slots[rows, places] = accepted
+        del accepted
+        if done:
+            yield [(stream[j], slots[j] if taken[j] == count else None) for j in done]
+            for j in done:
+                rngs[j] = None  # its generator is let go and its slot freed
+            flight = [j for j in flight if rngs[j] is not None]
+            free += done
+
+
+def sample_opinion_streams(
+    spec: GroundTruthSpec,
+    rngs: list[np.random.Generator],
+    count: int,
+    perturb_grand: bool = True,
+    max_attempts: int = SAMPLER_ATTEMPTS,
+) -> tuple[np.ndarray, np.ndarray]:
+    """The ``stream_opinions`` pass over ``rngs``, collected: a (streams,
+    count, 2^n) stack of opinion values and the mask of the streams that
+    exhausted their budget, whose rows are NaN."""
+    def generators(keys: range) -> list:
+        return rngs[keys.start : keys.stop]
+
+    batches = stream_opinions(spec, len(rngs), generators, count, perturb_grand, max_attempts)
+    first = next(batches, [])  # the stack is made once the pass holds no block
+    stack = np.empty((len(rngs), count, spec.truth.values.size))
+    exhausted = np.zeros(len(rngs), dtype=bool)
+    for s, values in chain(first, chain.from_iterable(batches)):
+        exhausted[s] = values is None
+        stack[s] = np.nan if values is None else values
     return stack, exhausted
 
 

@@ -64,7 +64,9 @@ from consensusgame.setfn import (
     dump_setfn,
     is_supermodular,
     random_supermodular,
+    round_candidates,
     sample_opinion_streams,
+    stream_opinions,
 )
 from consensusgame.shapley import shapley_linear_form
 from test_byte_contract import RATIONAL, TRACE
@@ -1426,7 +1428,7 @@ def core_mc_scenario(seed: int, **kw) -> Scenario:
     return scenario_from_dict({**raw, **kw})
 
 
-class TestCoreEmptinessInGroups:
+class TestCoreEmptinessInOnePass:
     # 2**40 + 1 is a seed of two 32-bit words
     @pytest.mark.parametrize("seed", [1, 2, 701, 2**40 + 1])
     def test_rows_are_those_of_one_trial_at_a_time(self, seed):
@@ -1452,23 +1454,20 @@ class TestCoreEmptinessInGroups:
         # benchmark's regime, checked on its own
         sampled, decided = [], []
 
-        def sample(*args, **kw):
-            sampled.append(sample_opinion_streams(*args, **kw))
-            return sampled[-1]
+        def stream(*args, **kw):
+            for done in stream_opinions(*args, **kw):
+                # copies, since the pass reuses its slots
+                sampled.extend(values.copy() for _, values in done if values is not None)
+                yield done
 
         def decide(stacks, *args):
             decided.append((stacks, bayesian_core_verdicts(stacks, *args)))
             return decided[-1][1]
 
-        monkeypatch.setattr(harness, "sample_opinion_streams", sample)
+        monkeypatch.setattr(harness, "stream_opinions", stream)
         monkeypatch.setattr(harness, "bayesian_core_verdicts", decide)
         rows = experiment_core_emptiness(core_mc_scenario(1))
-        opinions = [
-            SetFunction(stack.shape[1], values)
-            for stack, exhausted in sampled
-            for profile in stack[~exhausted]
-            for values in profile
-        ]
+        opinions = [SetFunction(len(profile), values) for profile in sampled for values in profile]
         assert len(opinions) == sum(r["n"] * (r["trials"] - r["sampler_failures"]) for r in rows)
         assert all(is_supermodular(f) for f in opinions)
         nonempty = 0
@@ -1480,9 +1479,45 @@ class TestCoreEmptinessInGroups:
                     nonempty += 1
         assert nonempty == sum(r["trials"] - r["sampler_failures"] - r["empty"] for r in rows)
 
+    def test_a_player_count_takes_few_full_rounds(self, monkeypatch):
+        # at n = 8 a round holds the first blocks of 32 trials; the 200
+        # trials' 1,727 candidates would fill 7 rounds of 256, and admitting
+        # trials as others finish keeps all rounds but the last few full
+        rounds = []
+        kernel = setfn._supermodular_columns
+
+        def check(block, n, floor):
+            if floor < 0:  # the truth's own strictness check passes +tol
+                rounds.append(block.shape[1])
+            return kernel(block, n, floor)
+
+        monkeypatch.setattr(setfn, "_supermodular_columns", check)
+        experiment_core_emptiness(core_mc_scenario(1, n_min=8, n_max=8))
+        assert len(rounds) <= 12, rounds
+
+    def test_memory_does_not_grow_with_the_trial_count(self):
+        # at n = 6 the pass holds 170 trials in flight, so 200 trials fill
+        # it; 2,000 hold no more, since the generators are derived a window
+        # of keys at a time as trials are admitted (holding all 2,000 would
+        # take about 1.2 MB)
+        def peak(trials):
+            sc = core_mc_scenario(1, n_min=6, n_max=6, trials=trials)
+            experiment_core_emptiness(sc)  # the Shapley and core tables are cached once per n
+            tracemalloc.start()
+            try:
+                experiment_core_emptiness(sc)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        group = round_candidates(6) // 6
+        assert group < 200
+        assert peak(2000) - peak(200) < group * 6 * (8 << 6)
+
     def test_memory_stays_within_two_gather_chunks(self):
-        # the 200 opinion profiles at n = 8 take 3.2 MB; sampled and checked
-        # a group at a time, the experiment never holds them all
+        # the 200 opinion profiles at n = 8 take 3.2 MB; sampled 32 trials in
+        # flight at a time and checked as they finish, the experiment never
+        # holds them all
         sc = core_mc_scenario(1, n_min=8, n_max=8)
         experiment_core_emptiness(sc)  # the Shapley and core tables are cached once per n
         tracemalloc.start()

@@ -7,6 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from consensusgame import setfn
+from consensusgame.harness import truth_spec
 from consensusgame.setfn import (
     GroundTruthSpec,
     SetFunction,
@@ -574,6 +576,19 @@ class TestStreamsAgainstOneAtATimeOracle:
         spec = quadratic_spec(5, 1.0)
         (want,) = assert_streams_match_oracle(spec, [[12]], 1, max_attempts=50)
         assert "OracleExhausted" in want
+
+    @pytest.mark.parametrize("slots", [1, 2, 3])
+    def test_streams_that_take_turns_in_reused_slots(self, monkeypatch, slots):
+        # a chunk this small holds the first blocks of ``slots`` streams, so
+        # each slot serves several streams in turn; the mixed truth at sigma
+        # 0.08 rejects most candidates at n = 3, so some streams exhaust
+        n = 3
+        monkeypatch.setattr(setfn, "GATHER_CHUNK_BYTES", slots * n * (16 << n))
+        assert round_candidates(n) // n == slots
+        spec = truth_spec("mixed", n, 0.08)
+        want = assert_streams_match_oracle(spec, [[13, t] for t in range(12)], n, max_attempts=10)
+        exhausted = sum(isinstance(w, str) for w in want)
+        assert 0 < exhausted < len(want)
 
     def test_nonfinite_candidates_raise_where_a_stream_draws_them(self):
         # noise this large overflows to inf in some coalitions; streams are

@@ -54,6 +54,11 @@ MUTANTS = [
      "ratios <= ratios.min() + _PIVOT_EPS]", "ratios <= ratios.min() + 1e-3]"),
     ("dual-clip-deleted", f"{PKG}/core.py",
      "        np.clip(weights, 0.0, None, out=weights)\n", ""),
+    ("stream-window-doubled", f"{PKG}/setfn.py",
+     "window = min(max(1, cap // count), streams)", "window = min(2 * max(1, cap // count), streams)"),
+    ("stream-admits-only-when-idle", f"{PKG}/setfn.py",
+     "for _ in range(min(len(free), streams - admitted)):",
+     "for _ in range(0 if flight else min(len(free), streams - admitted)):"),
 ]
 
 
